@@ -66,6 +66,7 @@ from .exact import (
     max_tiling_exact,
     perfect_tiling_exact,
     quad_catalog,
+    tileable,
 )
 from .extremal import (
     StageFailure,

@@ -8,6 +8,12 @@ the local search leaves uncovered are handed to distinct family members,
 each re-tiled together with its 4-set, while idle members fall back to
 their cached own tilings.
 
+Two kernels split the work.  Every yes/no question (is S, or S + U,
+tileable?) goes to ``exact.tileable``, a search on vertex bitmasks that
+builds nothing.  ``induced_perfect_tiling`` runs only where a tiling is
+emitted: the cached own tiling of each kept member and the joint tiling
+of the member a leftover 4-set is handed to.
+
 Family construction follows the probabilistic recipe: draw a binomial
 number of uniform 8-sets, delete both sides of every overlapping pair,
 keep only members that are tileable and absorb at least one probed 4-set,
@@ -32,17 +38,18 @@ from .core import (
     Hypergraph3,
     InputError,
     Tiling,
+    bits_of,
     induced_subgraph,
     map_copy,
+    mask_of,
     min_codegree,
     validate_tiling,
 )
-from .exact import FOUND, SearchBudget, perfect_tiling_exact
+from .exact import FOUND, SearchBudget, perfect_tiling_exact, tileable
 
 SIGMA_SAMPLES = 200
 SIGMA_FLOOR = 1e-3
 PROBE_LIMIT = 500
-STRICT_SCAN_MAX_N = 30
 GADGET_SCAN_MAX_N = 16
 
 
@@ -82,9 +89,17 @@ def absorbs(G: Hypergraph3, S, U) -> bool:
         raise InputError(f"S and U overlap: {sorted(S & U)}")
     if any(not 0 <= v < G.n for v in S | U):
         raise InputError("S or U out of range")
-    if induced_perfect_tiling(G, S) is None:
-        return False
-    return induced_perfect_tiling(G, S | U) is not None
+    s_mask = mask_of(S)
+    return tileable(G, s_mask) and tileable(G, s_mask | mask_of(U))
+
+
+def _emitted_tiling(G: Hypergraph3, vertices) -> Tiling:
+    """Tiling of a set ``tileable`` already accepted; a refusal here means
+    the two kernels disagree."""
+    tiling = induced_perfect_tiling(G, vertices)
+    if tiling is None:
+        raise AssertionError(f"tileable accepted {sorted(vertices)} but the exact search found no tiling")
+    return tiling
 
 
 @dataclass(frozen=True)
@@ -101,7 +116,6 @@ class AbsorptionParams:
     max_retries: int = 20
     delta: float = 0.25
     probe_limit: int = PROBE_LIMIT
-    strict_probe: bool = False
     use_nominal_rate: bool = False
 
 
@@ -223,12 +237,9 @@ def build_absorbing_family(
         members: list[tuple[int, ...]] = []
         tilings: list[Tiling] = []
         for s in disjoint:
-            own = induced_perfect_tiling(G, s)
-            if own is None:
-                continue
-            if _probed_absorption(G, s, rng, params):
+            if tileable(G, mask_of(s)) and _probed_absorption(G, s, rng, params):
                 members.append(s)
-                tilings.append(own)
+                tilings.append(_emitted_tiling(G, s))
         record = {
             "drawn": drawn,
             "after_overlap": len(disjoint),
@@ -255,13 +266,12 @@ def build_absorbing_family(
 
 def _probed_absorption(G, s, rng, params: AbsorptionParams) -> bool:
     rest = sorted(set(range(G.n)) - set(s))
-    if params.strict_probe and G.n <= STRICT_SCAN_MAX_N:
-        return any(absorbs(G, s, U) for U in itertools.combinations(rest, 4))
+    s_mask = mask_of(s)
     limit = min(params.probe_limit, math.comb(len(rest), 4))
     for _ in range(limit):
         U = rng.sample(rest, 4)
         # G[s] is already known tileable here, only the joint check remains.
-        if induced_perfect_tiling(G, set(s) | set(U)) is not None:
+        if tileable(G, s_mask | mask_of(U)):
             return True
     return False
 
@@ -302,8 +312,8 @@ def find_absorber_gadget(G: Hypergraph3, U, seed: int = 0, attempts: int = 200):
     w1 = _sample_bits(rng, v1, target)
     w2 = _sample_bits(rng, v2 & ~w1 & ~((1 << u1) | (1 << u2)), target)
     v3 = 0
-    for a in _bit_list(v1):
-        for b in _bit_list(v2):
+    for a in bits_of(v1):
+        for b in bits_of(v2):
             if a != b:
                 v3 |= G.pair_bits(a, b)
     w3 = v3 & ~w1 & ~w2 & ~umask
@@ -322,17 +332,8 @@ def find_absorber_gadget(G: Hypergraph3, U, seed: int = 0, attempts: int = 200):
     return None
 
 
-def _bit_list(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _sample_bits(rng: random.Random, mask: int, size: int) -> int:
-    pool = _bit_list(mask)
+    pool = bits_of(mask)
     if len(pool) <= size:
         return mask
     return sum(1 << v for v in rng.sample(pool, size))
@@ -341,8 +342,8 @@ def _sample_bits(rng: random.Random, mask: int, size: int) -> int:
 def _search_tripartite(G, rng, w1, w2, w3, attempts):
     """Randomized pivot triple in W1, exhaustive extension: common third
     sets over W2 candidates until three W2 vertices share three thirds."""
-    pool1 = _bit_list(w1)
-    pool2 = _bit_list(w2)
+    pool1 = bits_of(w1)
+    pool2 = bits_of(w2)
     for _ in range(attempts):
         a1 = tuple(sorted(rng.sample(pool1, 3)))
         cands = []
@@ -363,7 +364,7 @@ def _search_tripartite(G, rng, w1, w2, w3, attempts):
                 break
             common = t1 & t2 & t3
             if common.bit_count() >= 3:
-                return (a1, (b1, b2, b3), tuple(_bit_list(common)[:3]))
+                return (a1, (b1, b2, b3), tuple(bits_of(common)[:3]))
     return None
 
 
@@ -383,23 +384,18 @@ def absorb_leftover(G: Hypergraph3, family: AbsorberFamily, W) -> Tiling:
         )
     if len(W) % 4:
         raise InputError(f"leftover size {len(W)} not divisible by 4")
-    warning = len(W) > family.omega * G.n
     blocks = [tuple(W[i : i + 4]) for i in range(0, len(W), 4)]
     used: set[int] = set()
     copies = []
     for block in blocks:
-        assigned = False
+        b_mask = mask_of(block)
         for idx, member in enumerate(family.members):
-            if idx in used:
-                continue
-            joint = induced_perfect_tiling(G, set(member) | set(block))
-            if joint is not None:
-                used.add(idx)
-                copies.extend(joint.copies)
-                assigned = True
+            if idx not in used and tileable(G, mask_of(member) | b_mask):
                 break
-        if not assigned:
+        else:
             raise AbsorptionFailure(block)
+        used.add(idx)
+        copies.extend(_emitted_tiling(G, set(family.members[idx]) | set(block)).copies)
     for idx, own in enumerate(family.tilings):
         if idx not in used:
             copies.extend(own.copies)
@@ -408,5 +404,4 @@ def absorb_leftover(G: Hypergraph3, family: AbsorberFamily, W) -> Tiling:
     expected = set(family.covered) | set(W)
     if not verdict.ok or set(tiling.covered) != expected:
         raise InputError(f"leftover absorption produced an invalid tiling: {verdict.violations}")
-    family.stats["leftover_warning"] = warning
     return tiling

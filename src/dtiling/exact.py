@@ -15,6 +15,10 @@ branching.  Two sound prunes keep structured instances tractable:
 
 Budgets cap explored nodes and wall-clock time; an exhausted budget is
 reported as such and never as a proof.
+
+``tileable`` answers the yes/no question for sets of at most 16 vertices
+straight from the pair index, without building a subgraph or a catalog;
+it is what the absorption layer asks thousands of times per family.
 """
 
 from __future__ import annotations
@@ -223,7 +227,8 @@ def perfect_tiling_exact(G: Hypergraph3, budget: SearchBudget | None = None) -> 
     if status == FOUND:
         tiling = Tiling.from_copies(dcopy_from_quad(G, cat.quads[i]) for i in chosen)
         verdict = validate_tiling(G, tiling, require_perfect=True)
-        assert verdict.ok, verdict.violations
+        if not verdict.ok:
+            raise AssertionError(f"perfect tiling search produced an invalid tiling: {verdict.violations}")
     return TilingSearchResult(
         status=status,
         tiling=tiling,
@@ -231,6 +236,54 @@ def perfect_tiling_exact(G: Hypergraph3, budget: SearchBudget | None = None) -> 
         elapsed=clock.elapsed,
         optimal=status != EXHAUSTED,
     )
+
+
+TILEABLE_MAX_VERTICES = 16
+
+
+def tileable(G: Hypergraph3, mask: int) -> bool:
+    """Whether the subgraph induced on the vertex bitmask ``mask`` has a
+    perfect tiling; exact, for masks of at most 16 vertices.
+
+    Depth-first search on ``G.pair_bits`` with no subgraph or catalog:
+    the lowest vertex v of the remaining mask joins each 3-subset {a, b, c}
+    of the rest whose quad induces at least two edges, and the search
+    recurses on what is left, memoised on the remaining mask.  A 16-vertex
+    mask has fewer than 2^16 submasks, so no budget is needed.
+    """
+    if mask < 0 or mask >> G.n:
+        raise InputError(f"mask {mask:#x} names vertices outside 0..{G.n - 1}")
+    size = mask.bit_count()
+    if size > TILEABLE_MAX_VERTICES:
+        raise InputError(f"tileable takes at most {TILEABLE_MAX_VERTICES} vertices, got {size}")
+    if size % 4:
+        return False
+    pair = {(a, b): G.pair_bits(a, b) & mask for a, b in itertools.combinations(bits_of(mask), 2)}
+    memo: dict[int, bool] = {0: True}
+
+    def quads_through_lowest(rest: int):
+        low = rest & -rest
+        v = low.bit_length() - 1
+        others = bits_of(rest ^ low)
+        for i, a in enumerate(others):
+            va = pair[v, a]
+            for b in others[i + 1 :]:
+                vb, ab = pair[v, b], pair[a, b]
+                # Thirds c > b making {v, a, b, c} span a copy: with vab an
+                # edge one more of vac, vbc, abc suffices, else two of them.
+                if (va >> b) & 1:
+                    thirds = va | vb | ab
+                else:
+                    thirds = (va & vb) | (va & ab) | (vb & ab)
+                for c in bits_of(thirds & rest & ~((2 << b) - 1)):
+                    yield low | (1 << a) | (1 << b) | (1 << c)
+
+    def rec(rest: int) -> bool:
+        if rest not in memo:
+            memo[rest] = any(rec(rest ^ q) for q in quads_through_lowest(rest))
+        return memo[rest]
+
+    return rec(mask)
 
 
 def _greedy_packing_quads(cat: QuadCatalog, covered: int) -> list[int]:
@@ -294,7 +347,8 @@ def max_tiling_exact(G: Hypergraph3, budget: SearchBudget | None = None) -> Tili
     ran_out = rec(0, 0)
     tiling = Tiling.from_copies(dcopy_from_quad(G, cat.quads[i]) for i in best)
     verdict = validate_tiling(G, tiling)
-    assert verdict.ok, verdict.violations
+    if not verdict.ok:
+        raise AssertionError(f"maximum tiling search produced an invalid tiling: {verdict.violations}")
     if ran_out and budget.on_exhaust == "fail":
         tiling = None
     return TilingSearchResult(
@@ -376,7 +430,8 @@ def max_D_free_set(G: Hypergraph3, budget: SearchBudget | None = None) -> SetSea
 
     ran_out = rec(0, 0, 0)
     vertices = tuple(v for v in range(G.n) if not ((best_removed >> v) & 1))
-    assert is_D_free(G, vertices)
+    if not is_D_free(G, vertices):
+        raise AssertionError("maximum D-free search returned a set that spans a copy")
     if ran_out and budget.on_exhaust == "fail":
         vertices = None
     return SetSearchResult(

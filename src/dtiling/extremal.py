@@ -280,8 +280,8 @@ def build_Q(G: Hypergraph3, state: PipelineState) -> None:
     state.q_copies = [dcopy_from_quad(G, quad) for quad in sorted(chosen)]
     state.q = len(state.q_copies)
     for c in state.q_copies:
-        assert len(set(c.vertices) & set(part.z)) == 3
-        assert len(set(c.vertices) & set(part.y)) == 1
+        if len(set(c.vertices) & set(part.z)) != 3 or len(set(c.vertices) & set(part.y)) != 1:
+            raise AssertionError(f"stage Q copy {c.vertices} is not one Y vertex plus three Z vertices")
     state.diagnostics.append(
         {
             "name": "q_covers_deficit",

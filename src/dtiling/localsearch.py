@@ -169,10 +169,10 @@ def find_split_move(
                 link_v = link_of_vertex_on_set(G, v, W)
                 remaining = [p for p in link_v if not set(p) & set(path_u)]
                 path_v = find_two_path(link_v, forbidden=set(path_u))
-                if len(remaining) > len(W) / 2:
+                if path_v is None and len(remaining) > len(W) / 2:
                     # Pigeonhole: more than |W|/2 surviving pairs cannot
                     # form a perfect matching on W, so a 2-path exists.
-                    assert path_v is not None, "guaranteed 2-path missing"
+                    raise AssertionError("guaranteed 2-path missing")
                 if path_v is None:
                     continue
                 return AugmentationMove(

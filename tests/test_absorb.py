@@ -19,6 +19,7 @@ from dtiling import (
     desk_sampling_rate,
     estimate_absorber_density,
     find_absorber_gadget,
+    format_family,
     induced_perfect_tiling,
     leftover_bound,
     nominal_sampling_rate,
@@ -159,6 +160,44 @@ class TestFamily:
         f1 = build_absorbing_family(G, AbsorptionParams(seed=3))
         f2 = build_absorbing_family(G, AbsorptionParams(seed=3))
         assert f1.members == f2.members
+
+    @pytest.mark.parametrize(
+        "seed, sigma, drawn, text",
+        [
+            # Probes in two rejected attempts feed the draws of the third.
+            (
+                0,
+                1.0,
+                [2, 2, 1],
+                "family 1 0.3 1.0 0\n"
+                "15 17 18 25 27 30 31 33\n"
+                "partial 2\n"
+                "15 17 18 30 | 15 17 30 | 15 18 30\n"
+                "25 27 31 33 | 25 27 31 | 25 31 33\n",
+            ),
+            # One of the 200 sigma draws does not absorb.
+            (
+                5,
+                0.995,
+                [2, 2, 2, 3, 1],
+                "family 1 0.3 0.995 5\n"
+                "10 12 17 25 28 30 31 43\n"
+                "partial 2\n"
+                "10 17 28 30 | 10 17 28 | 17 28 30\n"
+                "12 25 31 43 | 12 25 31 | 12 31 43\n",
+            ),
+        ],
+        ids=["seed0", "seed5"],
+    )
+    def test_golden_random_48(self, seed, sigma, drawn, text):
+        # Pinned output of the family RNG stream (sigma draws, binomial
+        # sizes, 8-set samples, probe 4-sets).  Rerun determinism cannot
+        # see a change that moves the stream; this test does.
+        G = random_codegree_instance(48, 16, seed=seed)
+        family = build_absorbing_family(G, AbsorptionParams(seed=seed))
+        assert family.sigma == sigma
+        assert [a["drawn"] for a in family.stats["attempts"]] == drawn
+        assert format_family(family) == text
 
     def test_zero_rate_exhausts_retries(self):
         with pytest.raises(ConstructionFailure) as exc:
