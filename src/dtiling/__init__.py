@@ -61,6 +61,7 @@ from .exact import (
     SearchBudget,
     four_partite,
     four_partite_degree_stats,
+    four_partite_of,
     four_partite_perfect_matching,
     max_D_free_set,
     max_tiling_exact,

@@ -19,22 +19,29 @@ reported as such and never as a proof.
 ``tileable`` answers the yes/no question for sets of at most 16 vertices
 straight from the pair index, without building a subgraph or a catalog;
 it is what the absorption layer asks thousands of times per family.
+
+The 4-partite 4-graph of the extremal T stage is stored as links: per
+first-part vertex, one bitset of part-4 vertices for each (part 2, part 3)
+pair.  ``four_partite_of`` fills the links straight from the pair index
+with one word operation per transversal triple, and the perfect matching
+and the degree statistics work on those bitsets, never on a list of
+transversal 4-sets.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
-    DCopy,
     Hypergraph3,
     InputError,
     Tiling,
     bits_of,
     dcopy_from_quad,
     is_D_free,
+    mask_of,
     validate_tiling,
 )
 
@@ -444,15 +451,30 @@ def max_D_free_set(G: Hypergraph3, budget: SearchBudget | None = None) -> SetSea
 
 @dataclass(frozen=True)
 class FourPartite4Graph:
-    """4-partite 4-graph: equal parts and transversal 4-sets as edges."""
+    """4-partite 4-graph on four equal disjoint parts, stored as links.
+
+    ``links[i]`` is the link of the i-th first-part vertex v: one entry
+    ``(a, b, dmask)`` per pair a in part 2, b in part 3 that v extends,
+    ascending by (a, b), where ``dmask`` is the nonzero bitset of part-4
+    vertices d making (v, a, b, d) an edge.  Vertices are nonnegative
+    integer ids, so a bitset over them is one int.
+    """
 
     parts: tuple[tuple[int, ...], ...]
-    edges: frozenset[tuple[int, int, int, int]]
+    links: tuple[tuple[tuple[int, int, int], ...], ...]
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int, int, int]]:
+        """The edges as transversal 4-tuples in part order."""
+        return frozenset(
+            (v, a, b, d)
+            for v, row in zip(self.parts[0], self.links)
+            for a, b, dmask in row
+            for d in bits_of(dmask)
+        )
 
 
-def four_partite(parts, edges) -> FourPartite4Graph:
-    """Validated constructor: 4 equal disjoint parts, transversal edges
-    stored in part order."""
+def _checked_parts(parts) -> tuple[tuple[int, ...], ...]:
     parts = tuple(tuple(p) for p in parts)
     if len(parts) != 4:
         raise InputError(f"need exactly 4 parts, got {len(parts)}")
@@ -464,13 +486,60 @@ def four_partite(parts, edges) -> FourPartite4Graph:
         if seen & set(p) or len(set(p)) != len(p):
             raise InputError("parts must be pairwise disjoint")
         seen |= set(p)
-    norm = set()
+    if any(not isinstance(v, int) or v < 0 for v in seen):
+        raise InputError("part vertices must be nonnegative integers")
+    return parts
+
+
+def four_partite(parts, edges) -> FourPartite4Graph:
+    """Validated constructor from an edge list: 4 equal disjoint parts,
+    transversal edges given in part order."""
+    parts = _checked_parts(parts)
+    members = [set(p) for p in parts]
+    grouped: dict[int, dict[tuple[int, int], int]] = {v: {} for v in parts[0]}
     for e in edges:
         e = tuple(e)
-        if len(e) != 4 or any(e[i] not in parts[i] for i in range(4)):
+        if len(e) != 4 or any(e[i] not in members[i] for i in range(4)):
             raise InputError(f"edge {e} is not transversal in part order")
-        norm.add(e)
-    return FourPartite4Graph(parts=parts, edges=frozenset(norm))
+        row = grouped[e[0]]
+        row[e[1], e[2]] = row.get((e[1], e[2]), 0) | (1 << e[3])
+    links = tuple(tuple((a, b, d) for (a, b), d in sorted(row.items())) for row in grouped.values())
+    return FourPartite4Graph(parts=parts, links=links)
+
+
+def four_partite_of(G: Hypergraph3, parts) -> FourPartite4Graph:
+    """The 4-partite 4-graph whose edges are the transversal 4-sets of G
+    that span a copy, read straight off ``G.pair_bits``.
+
+    For v, a, b in the first three parts, {v, a, b, d} spans a copy iff two
+    of its four triples are edges; with vab an edge one more of vad, vbd,
+    abd suffices, else two of them.  So each link entry is one word
+    operation on the pair bitsets, masked to part 4: m^3 of them in all.
+    """
+    parts = _checked_parts(parts)
+    if any(v >= G.n for p in parts for v in p):
+        raise InputError(f"part vertices must lie in 0..{G.n - 1}")
+    first, second, third, fourth = parts
+    part4 = mask_of(fourth)
+    second, third = sorted(second), sorted(third)
+    pair = G.pair_bits
+    ab_rows = [[pair(a, b) & part4 for b in third] for a in second]
+    links = []
+    for v in first:
+        vbs = [pair(v, b) & part4 for b in third]
+        row = []
+        for a, ab_row in zip(second, ab_rows):
+            va_thirds = pair(v, a)
+            va = va_thirds & part4
+            for b, vb, ab in zip(third, vbs, ab_row):
+                if (va_thirds >> b) & 1:
+                    dmask = va | vb | ab
+                else:
+                    dmask = (va & vb) | (ab & (va | vb))
+                if dmask:
+                    row.append((a, b, dmask))
+        links.append(tuple(row))
+    return FourPartite4Graph(parts=parts, links=tuple(links))
 
 
 @dataclass
@@ -486,73 +555,91 @@ def four_partite_perfect_matching(
 ) -> MatchingResult:
     """Backtracking over the first part in index order.
 
-    Before descending, every still unmatched first-part vertex must keep
-    at least one fully free edge, otherwise the branch dies.
+    Each first-part vertex tries its edges in ascending vertex order, i.e.
+    its link entries by (a, b) and then the free part-4 vertices of each
+    ``dmask``.  Before descending, every still unmatched first-part vertex
+    must keep at least one fully free edge, otherwise the branch dies.
     """
     budget = budget or SearchBudget()
     clock = _Clock(budget)
     m = len(H.parts[0])
-    pos = [{v: i for i, v in enumerate(p)} for p in H.parts]
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
-    for e in sorted(H.edges):
-        adj[pos[0][e[0]]].append((pos[1][e[1]], pos[2][e[2]], pos[3][e[3]]))
+    links = H.links
     picked: list[tuple[int, int, int]] = []
 
-    def feasible(i: int, used1: int, used2: int, used3: int) -> bool:
+    def feasible(i: int, used: int) -> bool:
         for k in range(i, m):
-            ok = False
-            for (a, b, c) in adj[k]:
-                if not ((used1 >> a) & 1 or (used2 >> b) & 1 or (used3 >> c) & 1):
-                    ok = True
+            for a, b, dmask in links[k]:
+                if not ((used >> a) & 1 or (used >> b) & 1) and dmask & ~used:
                     break
-            if not ok:
+            else:
                 return False
         return True
 
-    def rec(i: int, used1: int, used2: int, used3: int) -> str:
+    def rec(i: int, used: int) -> str:
         if clock.tick():
             return EXHAUSTED
         if i == m:
             return FOUND
-        if not feasible(i, used1, used2, used3):
+        if not feasible(i, used):
             return INFEASIBLE
-        ran_out = False
-        for (a, b, c) in adj[i]:
-            if (used1 >> a) & 1 or (used2 >> b) & 1 or (used3 >> c) & 1:
+        for a, b, dmask in links[i]:
+            if (used >> a) & 1 or (used >> b) & 1:
                 continue
-            picked.append((a, b, c))
-            sub = rec(i + 1, used1 | (1 << a), used2 | (1 << b), used3 | (1 << c))
-            if sub == FOUND:
-                return FOUND
-            picked.pop()
-            if sub == EXHAUSTED:
-                ran_out = True
-                break
-        return EXHAUSTED if ran_out else INFEASIBLE
+            for d in bits_of(dmask & ~used):
+                picked.append((a, b, d))
+                sub = rec(i + 1, used | (1 << a) | (1 << b) | (1 << d))
+                if sub == FOUND:
+                    return FOUND
+                picked.pop()
+                if sub == EXHAUSTED:
+                    return EXHAUSTED
+        return INFEASIBLE
 
-    status = rec(0, 0, 0, 0)
+    status = rec(0, 0)
     matching = None
     if status == FOUND:
-        matching = tuple(
-            (H.parts[0][i], H.parts[1][a], H.parts[2][b], H.parts[3][c])
-            for i, (a, b, c) in enumerate(picked)
-        )
+        matching = tuple((v,) + abd for v, abd in zip(H.parts[0], picked))
     return MatchingResult(status=status, matching=matching, nodes=clock.nodes, elapsed=clock.elapsed)
+
+
+def _lane_min(planes: list[int], lanes: int) -> int:
+    """Least value among the ``lanes`` bits of bit-sliced counters, where
+    ``planes[k]`` holds bit k of every lane's count."""
+    value = 0
+    for k in range(len(planes) - 1, -1, -1):
+        zeros = lanes & ~planes[k]
+        if zeros:
+            lanes = zeros
+        else:
+            value |= 1 << k
+    return value
 
 
 def four_partite_degree_stats(H: FourPartite4Graph, gamma: float = 0.5) -> dict:
     """Minimum degrees into the first part and from it, plus the
-    sufficient matching condition m*d1 + m^3*d234 >= (1+gamma)m^4."""
+    sufficient matching condition m*d1 + m^3*d234 >= (1+gamma)m^4.
+
+    A triple (a, b, d) has degree the number of links whose (a, b) entry
+    holds d, so each (a, b) keeps bit-sliced counters over part 4 and
+    adds every ``dmask`` with a ripple carry."""
     m = len(H.parts[0])
-    deg1 = {v: 0 for v in H.parts[0]}
-    deg234: dict[tuple[int, int, int], int] = {
-        t: 0 for t in itertools.product(H.parts[1], H.parts[2], H.parts[3])
-    }
-    for e in H.edges:
-        deg1[e[0]] += 1
-        deg234[(e[1], e[2], e[3])] += 1
-    d1 = min(deg1.values()) if deg1 else 0
-    d234 = min(deg234.values()) if deg234 else 0
+    d1 = min((sum(dmask.bit_count() for _, _, dmask in row) for row in H.links), default=0)
+    counters: dict[tuple[int, int], list[int]] = {}
+    for row in H.links:
+        for a, b, carry in row:
+            planes = counters.setdefault((a, b), [])
+            for k, plane in enumerate(planes):
+                planes[k] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                planes.append(carry)
+    if len(counters) < m * m:
+        d234 = 0  # some (a, b) pair, hence some triple, lies in no edge
+    else:
+        part4 = mask_of(H.parts[3])
+        d234 = min((_lane_min(planes, part4) for planes in counters.values()), default=0)
     lhs = m * d1 + m**3 * d234
     rhs = (1 + gamma) * m**4
     return {

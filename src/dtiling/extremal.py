@@ -36,14 +36,13 @@ from .core import (
     dcopy_from_quad,
     is_D_free,
     mask_of,
-    quad_spans_D,
     validate_tiling,
 )
 from .exact import (
     FOUND,
     SearchBudget,
-    four_partite,
     four_partite_degree_stats,
+    four_partite_of,
     four_partite_perfect_matching,
 )
 
@@ -396,7 +395,9 @@ def build_S(G: Hypergraph3, state: PipelineState) -> None:
 
 def build_T(G: Hypergraph3, state: PipelineState, budget: SearchBudget | None = None) -> Tiling:
     """Finish with an exact 4-partite matching on the X remainder and
-    three ascending Z slices; every matched 4-set must span a copy."""
+    three ascending Z slices.  The 4-partite graph is built from the pair
+    index (``four_partite_of``), so its edges are exactly the transversal
+    4-sets that span a copy."""
     part = state.partition
     used = (
         state.used(state.q_copies)
@@ -418,16 +419,7 @@ def build_T(G: Hypergraph3, state: PipelineState, budget: SearchBudget | None = 
         if not verdict.ok:
             raise StageFailure("T", "; ".join(verdict.violations))
         return tiling
-    z1, z2, z3 = free_z[:m], free_z[m : 2 * m], free_z[2 * m :]
-    edges = [
-        (x, a, b, c)
-        for x in free_x
-        for a in z1
-        for b in z2
-        for c in z3
-        if quad_spans_D(G, (x, a, b, c))
-    ]
-    H = four_partite((free_x, z1, z2, z3), edges)
+    H = four_partite_of(G, (free_x, free_z[:m], free_z[m : 2 * m], free_z[2 * m :]))
     state.matching_stats = four_partite_degree_stats(H, gamma=0.5)
     state.diagnostics.append(
         {

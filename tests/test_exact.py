@@ -12,6 +12,7 @@ from dtiling import (
     construct_G1,
     four_partite,
     four_partite_degree_stats,
+    four_partite_of,
     four_partite_perfect_matching,
     is_D_free,
     max_D_free_set,
@@ -19,6 +20,7 @@ from dtiling import (
     perfect_tiling_exact,
     planted_extremal,
     quad_catalog,
+    quad_spans_D,
     random_codegree_instance,
     steiner_triple_system,
     validate_tiling,
@@ -217,6 +219,147 @@ class TestFourPartite:
         assert stats["lhs"] == 3 * 27 + 27 * 3
         assert stats["rhs"] == 1.5 * 81
         assert stats["condition_met"]
+
+
+def random_parts(rng, n, m):
+    """Four disjoint m-sets of 0..n-1, each in shuffled order."""
+    pool = rng.sample(range(n), 4 * m)
+    return [pool[i * m : (i + 1) * m] for i in range(4)]
+
+
+def quad_sweep(G, parts):
+    return {e for e in itertools.product(*parts) if quad_spans_D(G, e)}
+
+
+def naive_degree_stats(parts, edges):
+    deg1 = {v: 0 for v in parts[0]}
+    deg234 = {t: 0 for t in itertools.product(*parts[1:])}
+    for e in edges:
+        deg1[e[0]] += 1
+        deg234[e[1:]] += 1
+    return min(deg1.values(), default=0), min(deg234.values(), default=0)
+
+
+class TestFourPartiteOf:
+    def test_matches_quad_sweep_on_random(self):
+        rng = random.Random(29)
+        for _ in range(12):
+            n = rng.choice([16, 20, 24, 32])
+            G = random_codegree_instance(n, rng.randint(1, n // 3), rng.randint(0, 10**6))
+            parts = random_parts(rng, n, rng.randint(1, n // 4))
+            H = four_partite_of(G, parts)
+            assert H.parts == tuple(tuple(p) for p in parts)
+            assert H.edges == quad_sweep(G, parts)
+
+    def test_matches_quad_sweep_on_planted_48(self):
+        G = planted_extremal(48)
+        z = list(range(12, 48))
+        parts = [list(range(12)), z[:12], z[12:24], z[24:]]
+        H = four_partite_of(G, parts)
+        assert H.edges == quad_sweep(G, parts)
+        # the D-free bulk alone spans nothing
+        assert four_partite_of(G, [z[:9], z[9:18], z[18:27], z[27:]]).edges == frozenset()
+
+    def test_link_rows_are_sorted_and_masked(self):
+        rng = random.Random(4)
+        G = random_codegree_instance(24, 7, 3)
+        parts = random_parts(rng, 24, 5)
+        part4 = sum(1 << d for d in parts[3])
+        for row in four_partite_of(G, parts).links:
+            assert [(a, b) for a, b, _ in row] == sorted((a, b) for a, b, _ in row)
+            assert all(a in parts[1] and b in parts[2] for a, b, _ in row)
+            assert all(dmask and not dmask & ~part4 for _, _, dmask in row)
+
+    def test_agrees_with_edge_list_adapter(self):
+        rng = random.Random(8)
+        G = random_codegree_instance(20, 5, 1)
+        parts = random_parts(rng, 20, 4)
+        H = four_partite_of(G, parts)
+        assert four_partite(parts, quad_sweep(G, parts)) == H
+
+    def test_rejects_bad_parts(self):
+        G = complete_3graph(8)
+        with pytest.raises(InputError):
+            four_partite_of(G, [[0, 1], [2, 3], [4, 5], [6, 8]])
+        with pytest.raises(InputError):
+            four_partite_of(G, [[0, 1], [2, 3], [4, 5], [6]])
+        with pytest.raises(InputError):
+            four_partite_of(G, [[0, 1], [1, 3], [4, 5], [6, 7]])
+
+
+class TestFourPartiteLinks:
+    def test_edge_list_round_trip(self):
+        rng = random.Random(12)
+        parts = [rng.sample(range(i * 5, (i + 1) * 5), 5) for i in range(4)]
+        edges = set(rng.sample(list(itertools.product(*parts)), 150))
+        assert four_partite(parts, edges).edges == edges
+
+    def test_rejects_negative_vertex(self):
+        with pytest.raises(InputError):
+            four_partite([[-1], [1], [2], [3]], [])
+
+    def test_degree_stats_match_naive_recount(self):
+        rng = random.Random(31)
+        for trial in range(25):
+            m = rng.randint(1, 5)
+            parts = random_parts(rng, 4 * m + 3, m)
+            pool = list(itertools.product(*parts))
+            # dense trials leave every triple covered, sparse ones miss some
+            k = len(pool) - rng.randint(0, m) if trial % 2 else rng.randint(0, len(pool))
+            edges = rng.sample(pool, k=k)
+            stats = four_partite_degree_stats(four_partite(parts, edges))
+            d1, d234 = naive_degree_stats(parts, edges)
+            assert (stats["min_degree_part1"], stats["min_degree_triple"]) == (d1, d234)
+            assert stats["lhs"] == m * d1 + m**3 * d234
+
+    def test_degree_stats_missing_triple(self):
+        H = complete_four_partite(3)
+        edges = [e for e in H.edges if e[1:] != (3, 6, 9)]
+        stats = four_partite_degree_stats(four_partite(H.parts, edges))
+        assert stats["min_degree_part1"] == 26
+        assert stats["min_degree_triple"] == 0
+        assert not stats["condition_met"]
+
+    def test_degree_stats_empty_parts(self):
+        stats = four_partite_degree_stats(four_partite([(), (), (), ()], []))
+        assert (stats["m"], stats["min_degree_part1"], stats["min_degree_triple"]) == (0, 0, 0)
+        assert stats["lhs"] == 0 and stats["condition_met"]
+        res = four_partite_perfect_matching(four_partite([(), (), (), ()], []))
+        assert res.status == "found" and res.matching == () and res.nodes == 1
+
+    def test_matching_nodes_pinned(self):
+        # Status, node count and degree minima of the edge-sorted
+        # backtracking on seeded random 4-partite graphs, as the edge-set
+        # representation produced them.  The link order must reproduce its
+        # search exactly.
+        rng = random.Random(23)
+        got = []
+        for _ in range(12):
+            m = 5
+            parts = [range(i * m, (i + 1) * m) for i in range(4)]
+            pool = list(itertools.product(*parts))
+            H = four_partite(parts, rng.sample(pool, k=rng.randint(20, 320)))
+            res = four_partite_perfect_matching(H)
+            stats = four_partite_degree_stats(H)
+            got.append((res.status, res.nodes, stats["min_degree_part1"], stats["min_degree_triple"]))
+        assert got == [
+            ("found", 11, 30, 0),
+            ("found", 7, 39, 0),
+            ("found", 6, 28, 0),
+            ("found", 9, 21, 0),
+            ("found", 8, 41, 0),
+            ("found", 8, 42, 0),
+            ("found", 69, 6, 0),
+            ("infeasible", 48, 4, 0),
+            ("found", 6, 25, 0),
+            ("found", 9, 35, 0),
+            ("found", 9, 54, 0),
+            ("found", 16, 9, 0),
+        ]
+
+    def test_budget_exhaustion_flagged(self):
+        res = four_partite_perfect_matching(complete_four_partite(3), SearchBudget(node_limit=2))
+        assert res.status == "exhausted" and res.matching is None
 
 
 class TestBudget:
