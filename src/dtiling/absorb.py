@@ -184,10 +184,6 @@ class AbsorberFamily:
     seed: int
     stats: dict = field(default_factory=dict, compare=False)
 
-    def can_absorb(self, G: Hypergraph3, index: int, U) -> bool:
-        """Membership test in the absorbers of U, computed on demand."""
-        return absorbs(G, self.members[index], U)
-
 
 def build_absorbing_family(
     G: Hypergraph3, params: AbsorptionParams | None = None

@@ -186,7 +186,7 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
                 return finish("exhausted", None)
 
     if params.mode == "absorb" or (params.mode == "auto" and not extremal_instance):
-        outcome = _try_absorb_branch(G, params, alpha, gamma, budget, report, timings, clocked)
+        outcome = _try_absorb_branch(G, params, alpha, gamma, budget, report, clocked)
         if outcome is not None:
             return finish("tiled", outcome)
         if params.mode == "absorb":
@@ -203,7 +203,7 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
     return finish("infeasible" if res.status == INFEASIBLE else "exhausted", None)
 
 
-def _try_absorb_branch(G, params, alpha, gamma, budget, report, timings, clocked):
+def _try_absorb_branch(G, params, alpha, gamma, budget, report, clocked):
     """Family + local search + absorption; None means the branch gave up."""
     aparams = AbsorptionParams(
         alpha=alpha, seed=params.seed, use_nominal_rate=params.paper_constants

@@ -13,8 +13,17 @@ branching.  Two sound prunes keep structured instances tractable:
   This is what lets the search refute the tight lower-bound families at
   useful orders: there the whole catalog is hit by a side of size n/4 - 1.
 
+The three catalog searches share two greedy bounds.  ``_greedy_hitting``
+is the hitting set above; it also seeds the maximum D-free search, whose
+best set so far is the complement of a hitting set.  ``_greedy_packing``
+is a first-fit family of disjoint quads: the warm start of the maximum
+tiling search, and the lower bound of the D-free search, which must
+remove one vertex from each of its quads.
+
 Budgets cap explored nodes and wall-clock time; an exhausted budget is
-reported as such and never as a proof.
+reported as ``exhausted`` and never as a proof.  The maximum searches
+still return their best effort then, the largest tiling or D-free set
+found so far; the perfect tiling search has no partial answer to return.
 
 ``tileable`` answers the yes/no question for sets of at most 16 vertices
 straight from the pair index, without building a subgraph or a catalog;
@@ -32,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
@@ -56,17 +66,16 @@ _HITTING_CAP = 100_000
 
 @dataclass
 class SearchBudget:
-    """Node and wall-clock caps shared by all exact searches."""
+    """Node and wall-clock caps for one budgeted search: the three catalog
+    searches and the 4-partite matching.  ``tileable`` and stage Q of the
+    extremal pipeline run without a budget."""
 
     node_limit: int = 10_000_000
     time_limit: float = 60.0
-    on_exhaust: str = "return_best"  # or "fail": drop best-effort payloads
 
     def __post_init__(self):
         if self.node_limit <= 0 or self.time_limit <= 0:
             raise InputError("search budget must be positive")
-        if self.on_exhaust not in ("return_best", "fail"):
-            raise InputError(f"unknown on_exhaust policy {self.on_exhaust!r}")
 
 
 @dataclass(frozen=True)
@@ -108,13 +117,17 @@ class TilingSearchResult:
     tiling: Tiling | None
     nodes: int
     elapsed: float
-    optimal: bool = False
+
+    @property
+    def optimal(self) -> bool:
+        """Whether the search finished: its answer is exact, not best effort."""
+        return self.status != EXHAUSTED
 
 
 @dataclass
 class SetSearchResult:
     status: str  # found (optimal) / exhausted (best effort)
-    vertices: tuple[int, ...] | None
+    vertices: tuple[int, ...]
     nodes: int
     elapsed: float
 
@@ -140,53 +153,55 @@ class _Clock:
         return time.perf_counter() - self.start
 
 
-def _available(cat: QuadCatalog, covered: int) -> list[int]:
+def _available(cat: QuadCatalog, blocked: int) -> list[int]:
+    """Ids of the quads that avoid every vertex of ``blocked``."""
     masks = cat.masks
-    return [i for i in range(len(masks)) if not (masks[i] & covered)]
+    return [i for i in range(len(masks)) if not (masks[i] & blocked)]
 
 
-def _counts_and_mrv(cat, avail, covered, n):
-    """Per-vertex availability counts and the fewest-options vertex.
-
-    Returns (mrv_vertex, zero_flag); zero_flag means some uncovered vertex
-    has no available quad at all.
-    """
-    counts = [0] * n
-    for i in avail:
-        for v in cat.quads[i]:
-            counts[v] += 1
-    best_v, best_c = -1, None
-    for v in range(n):
-        if (covered >> v) & 1:
-            continue
-        c = counts[v]
-        if c == 0:
-            return v, True
-        if best_c is None or c < best_c:
-            best_v, best_c = v, c
-    return best_v, False
+def _vertex_counts(cat: QuadCatalog, ids) -> Counter:
+    """How many of the quads ``ids`` hold each vertex; a vertex in none of
+    them is absent."""
+    return Counter(itertools.chain.from_iterable(map(cat.quads.__getitem__, ids)))
 
 
-def _hitting_bound(cat, avail, needed: int) -> int:
-    """Greedy hitting set over the available quads, capped at ``needed``.
+def _greedy_hitting(cat: QuadCatalog, alive, cap: int | None = None) -> int:
+    """Vertex mask hitting every quad of ``alive``, picked greedily by most
+    quads hit (lowest vertex on ties); stops early at ``cap`` vertices.
 
     Any family of disjoint quads spends one hitting vertex per member, so
-    the hitting set size bounds how many more copies can be placed.
+    the popcount bounds how many more copies fit among ``alive``.
     """
-    remaining = avail
-    size = 0
-    while remaining:
-        if size >= needed:
-            return needed
-        counts: dict[int, int] = {}
-        for i in remaining:
-            for v in cat.quads[i]:
-                counts[v] = counts.get(v, 0) + 1
-        pick = min(counts, key=lambda v: (-counts[v], v))
-        size += 1
-        pb = 1 << pick
-        remaining = [i for i in remaining if not (cat.masks[i] & pb)]
-    return size
+    hit = 0
+    while alive and hit.bit_count() != cap:
+        counts = _vertex_counts(cat, alive)
+        pb = 1 << min(counts, key=lambda v: (-counts[v], v))
+        hit |= pb
+        alive = [i for i in alive if not (cat.masks[i] & pb)]
+    return hit
+
+
+def _greedy_packing(cat: QuadCatalog, blocked: int, cap: int | None = None) -> list[int]:
+    """First-fit disjoint quads avoiding ``blocked``, in catalog order;
+    stops early at ``cap`` quads.  The first one is the first quad of the
+    catalog that avoids ``blocked``."""
+    out = []
+    for i, m in enumerate(cat.masks):
+        if not (m & blocked):
+            out.append(i)
+            if len(out) == cap:
+                break
+            blocked |= m
+    return out
+
+
+def _witness(G: Hypergraph3, cat: QuadCatalog, ids, perfect: bool) -> Tiling:
+    """The tiling on the catalog quads ``ids``, revalidated against G."""
+    tiling = Tiling.from_copies(dcopy_from_quad(G, cat.quads[i]) for i in ids)
+    verdict = validate_tiling(G, tiling, require_perfect=perfect)
+    if not verdict.ok:
+        raise AssertionError(f"tiling search produced an invalid tiling: {verdict.violations}")
+    return tiling
 
 
 def perfect_tiling_exact(G: Hypergraph3, budget: SearchBudget | None = None) -> TilingSearchResult:
@@ -209,12 +224,14 @@ def perfect_tiling_exact(G: Hypergraph3, budget: SearchBudget | None = None) -> 
         if covered == full:
             return FOUND
         avail = _available(cat, covered)
-        v, dead = _counts_and_mrv(cat, avail, covered, G.n)
-        if dead:
+        counts = _vertex_counts(cat, avail)
+        uncovered = G.n - covered.bit_count()
+        if len(counts) < uncovered:  # some uncovered vertex is in no quad
             return INFEASIBLE
-        needed = (G.n - covered.bit_count()) // 4
-        if len(avail) <= _HITTING_CAP and _hitting_bound(cat, avail, needed) < needed:
+        needed = uncovered // 4
+        if len(avail) <= _HITTING_CAP and _greedy_hitting(cat, avail, needed).bit_count() < needed:
             return INFEASIBLE
+        v = min(counts, key=lambda x: (counts[x], x))  # fewest options
         ran_out = False
         for i in cat.by_vertex[v]:
             if cat.masks[i] & covered:
@@ -230,19 +247,8 @@ def perfect_tiling_exact(G: Hypergraph3, budget: SearchBudget | None = None) -> 
         return EXHAUSTED if ran_out else INFEASIBLE
 
     status = rec(0)
-    tiling = None
-    if status == FOUND:
-        tiling = Tiling.from_copies(dcopy_from_quad(G, cat.quads[i]) for i in chosen)
-        verdict = validate_tiling(G, tiling, require_perfect=True)
-        if not verdict.ok:
-            raise AssertionError(f"perfect tiling search produced an invalid tiling: {verdict.violations}")
-    return TilingSearchResult(
-        status=status,
-        tiling=tiling,
-        nodes=clock.nodes,
-        elapsed=clock.elapsed,
-        optimal=status != EXHAUSTED,
-    )
+    tiling = _witness(G, cat, chosen, perfect=True) if status == FOUND else None
+    return TilingSearchResult(status=status, tiling=tiling, nodes=clock.nodes, elapsed=clock.elapsed)
 
 
 TILEABLE_MAX_VERTICES = 16
@@ -293,16 +299,6 @@ def tileable(G: Hypergraph3, mask: int) -> bool:
     return rec(mask)
 
 
-def _greedy_packing_quads(cat: QuadCatalog, covered: int) -> list[int]:
-    out = []
-    used = covered
-    for i in range(len(cat.masks)):
-        if not (cat.masks[i] & used):
-            out.append(i)
-            used |= cat.masks[i]
-    return out
-
-
 def max_tiling_exact(G: Hypergraph3, budget: SearchBudget | None = None) -> TilingSearchResult:
     """Branch and bound for a maximum tiling (any leftover allowed).
 
@@ -313,7 +309,7 @@ def max_tiling_exact(G: Hypergraph3, budget: SearchBudget | None = None) -> Tili
     budget = budget or SearchBudget()
     cat = quad_catalog(G)
     clock = _Clock(budget)
-    best: list[int] = _greedy_packing_quads(cat, 0)
+    best: list[int] = _greedy_packing(cat, 0)
     chosen: list[int] = []
 
     def rec(covered: int, skipped: int) -> bool:
@@ -322,25 +318,17 @@ def max_tiling_exact(G: Hypergraph3, budget: SearchBudget | None = None) -> Tili
         if clock.tick():
             return True
         blocked = covered | skipped
-        avail = [i for i in range(len(cat.masks)) if not (cat.masks[i] & blocked)]
-        counts = [0] * G.n
-        for i in avail:
-            for v in cat.quads[i]:
-                counts[v] += 1
-        active = [
-            v
-            for v in range(G.n)
-            if not ((blocked >> v) & 1) and counts[v] > 0
-        ]
-        if not active:
+        avail = _available(cat, blocked)
+        counts = _vertex_counts(cat, avail)  # its keys: the vertices still usable
+        if not counts:
             if len(chosen) > len(best):
                 best = list(chosen)
             return False
         gap = len(best) - len(chosen) + 1  # improvement still required
-        bound = min(len(active) // 4, _hitting_bound(cat, avail, gap))
+        bound = min(len(counts) // 4, _greedy_hitting(cat, avail, gap).bit_count())
         if bound < gap:
             return False
-        v = min(active, key=lambda x: (counts[x], x))
+        v = min(counts, key=lambda x: (counts[x], x))  # fewest options
         for i in cat.by_vertex[v]:
             if cat.masks[i] & blocked:
                 continue
@@ -352,18 +340,11 @@ def max_tiling_exact(G: Hypergraph3, budget: SearchBudget | None = None) -> Tili
         return rec(covered, skipped | (1 << v))
 
     ran_out = rec(0, 0)
-    tiling = Tiling.from_copies(dcopy_from_quad(G, cat.quads[i]) for i in best)
-    verdict = validate_tiling(G, tiling)
-    if not verdict.ok:
-        raise AssertionError(f"maximum tiling search produced an invalid tiling: {verdict.violations}")
-    if ran_out and budget.on_exhaust == "fail":
-        tiling = None
     return TilingSearchResult(
         status=EXHAUSTED if ran_out else FOUND,
-        tiling=tiling,
+        tiling=_witness(G, cat, best, perfect=False),
         nodes=clock.nodes,
         elapsed=clock.elapsed,
-        optimal=not ran_out,
     )
 
 
@@ -372,42 +353,15 @@ def max_D_free_set(G: Hypergraph3, budget: SearchBudget | None = None) -> SetSea
 
     Equivalent to deleting a minimum set of vertices hitting every
     spanning 4-set; solved by branching on the four vertices of the first
-    unhit quad with a disjoint-quad packing lower bound.  Intended for
-    small orders (roughly n <= 24).
+    unhit quad, starting from the greedy hitting set and pruned by the
+    greedy packing lower bound.  Intended for small orders (roughly
+    n <= 24).
     """
     budget = budget or SearchBudget()
     cat = quad_catalog(G)
     clock = _Clock(budget)
-    nquads = len(cat.masks)
-
-    def greedy_hitting() -> int:
-        removed = 0
-        alive = list(range(nquads))
-        while alive:
-            counts: dict[int, int] = {}
-            for i in alive:
-                for v in cat.quads[i]:
-                    counts[v] = counts.get(v, 0) + 1
-            pick = min(counts, key=lambda v: (-counts[v], v))
-            removed |= 1 << pick
-            alive = [i for i in alive if not (cat.masks[i] & (1 << pick))]
-        return removed
-
-    best_removed = greedy_hitting()
+    best_removed = _greedy_hitting(cat, range(len(cat.masks)))
     best_count = best_removed.bit_count()
-
-    def packing_lb(removed: int, cap: int) -> int:
-        taken = 0
-        lb = 0
-        for i in range(nquads):
-            m = cat.masks[i]
-            if (m & removed) or (m & taken):
-                continue
-            taken |= m
-            lb += 1
-            if lb >= cap:
-                break
-        return lb
 
     def rec(removed: int, banned: int, count: int) -> bool:
         nonlocal best_removed, best_count
@@ -415,18 +369,16 @@ def max_D_free_set(G: Hypergraph3, budget: SearchBudget | None = None) -> SetSea
             return True
         if count >= best_count:
             return False
-        first = -1
-        for i in range(nquads):
-            if not (cat.masks[i] & removed):
-                first = i
-                break
-        if first < 0:
+        # Each packed quad needs a removal of its own; the first packed
+        # quad is the first unhit one, the quad to branch on.
+        packing = _greedy_packing(cat, removed, best_count - count)
+        if not packing:
             best_removed, best_count = removed, count
             return False
-        if count + packing_lb(removed, best_count - count) >= best_count:
+        if count + len(packing) >= best_count:
             return False
         earlier = 0
-        for v in cat.quads[first]:
+        for v in cat.quads[packing[0]]:
             vb = 1 << v
             if banned & vb:
                 continue
@@ -439,8 +391,6 @@ def max_D_free_set(G: Hypergraph3, budget: SearchBudget | None = None) -> SetSea
     vertices = tuple(v for v in range(G.n) if not ((best_removed >> v) & 1))
     if not is_D_free(G, vertices):
         raise AssertionError("maximum D-free search returned a set that spans a copy")
-    if ran_out and budget.on_exhaust == "fail":
-        vertices = None
     return SetSearchResult(
         status=EXHAUSTED if ran_out else FOUND,
         vertices=vertices,

@@ -25,6 +25,7 @@ from dtiling import (
     steiner_triple_system,
     validate_tiling,
 )
+from dtiling.exact import _greedy_hitting, _greedy_packing
 
 from naive import (
     naive_four_partite_matching,
@@ -94,13 +95,15 @@ class TestMaxTiling:
     def test_sts_zero(self):
         assert max_tiling_exact(steiner_triple_system(7)).tiling.size == 0
 
-    def test_on_exhaust_fail_drops_payload(self):
+    def test_exhaustion_keeps_the_best(self):
         # greedy start grabs (0,1,2,3) and stalls at one copy, so proving
         # the 2-copy optimum needs search nodes the budget does not allow
         G = build(8, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (2, 3, 6), (2, 3, 7)])
-        res = max_tiling_exact(G, SearchBudget(node_limit=1, on_exhaust="fail"))
+        res = max_tiling_exact(G, SearchBudget(node_limit=1))
         assert res.status == "exhausted"
-        assert res.tiling is None
+        assert not res.optimal
+        assert [c.vertices for c in res.tiling.copies] == [(0, 1, 2, 3)]
+        assert validate_tiling(G, res.tiling).ok
         full = max_tiling_exact(G)
         assert full.optimal and full.tiling.size == 2
 
@@ -159,6 +162,261 @@ class TestMaxDFree:
             res = max_D_free_set(G)
             assert res.status == "found"
             assert len(res.vertices) == len(naive_max_D_free(n, G.edges))
+
+
+class TestGreedyBounds:
+    def test_hitting_hits_and_packing_stays_below(self):
+        rng = random.Random(23)
+        for _ in range(25):
+            n = rng.randint(8, 20)
+            cat = quad_catalog(random_codegree_instance(n, rng.randint(1, n // 4 + 1), rng.randrange(10**6)))
+            hit = _greedy_hitting(cat, range(len(cat.masks)))
+            assert all(m & hit for m in cat.masks)
+            packing = _greedy_packing(cat, 0)
+            assert len(packing) <= hit.bit_count()
+            used = 0
+            for i in packing:
+                assert not cat.masks[i] & used
+                used |= cat.masks[i]
+            # the caps cut the same greedy runs short
+            cap = rng.randint(1, 4)
+            assert _greedy_hitting(cat, range(len(cat.masks)), cap).bit_count() == min(cap, hit.bit_count())
+            blocked = rng.getrandbits(n) & rng.getrandbits(n)
+            free = [i for i, m in enumerate(cat.masks) if not m & blocked]
+            capped = _greedy_packing(cat, blocked, cap)
+            assert capped == _greedy_packing(cat, blocked)[:cap]
+            assert capped[:1] == free[:1]
+
+
+# (status, nodes, witness) of the three catalog searches on seeded
+# instances, with perfect and D-free searches capped at 1,100 nodes and
+# maximum tiling at 250.  Any change to branching order, bounds or node
+# accounting moves these figures.
+PINNED_SEARCHES = [
+    (
+        ("random", 8, 1, 0),
+        {
+            "perfect": ("found", 3, ((0, 1, 3, 4), (2, 5, 6, 7))),
+            "max": ("found", 18, ((0, 1, 3, 4), (2, 5, 6, 7))),
+            "dfree": ("found", 15, (0, 2, 3, 4, 7)),
+        },
+    ),
+    (
+        ("random", 8, 2, 1),
+        {
+            "perfect": ("found", 3, ((0, 1, 2, 5), (3, 4, 6, 7))),
+            "max": ("found", 1, ((0, 1, 2, 3), (4, 5, 6, 7))),
+            "dfree": ("found", 35, (3, 4, 5, 7)),
+        },
+    ),
+    (
+        ("random", 10, 2, 2),
+        {
+            "max": ("found", 1, ((0, 1, 2, 4), (3, 5, 6, 8))),
+            "dfree": ("found", 74, (2, 4, 6, 7, 8)),
+        },
+    ),
+    (
+        ("random", 12, 2, 3),
+        {
+            "perfect": ("found", 4, ((0, 1, 2, 3), (4, 5, 6, 10), (7, 8, 9, 11))),
+            "max": ("found", 1, ((0, 1, 2, 3), (4, 5, 6, 10), (7, 8, 9, 11))),
+            "dfree": ("found", 229, (0, 2, 6, 7, 10, 11)),
+        },
+    ),
+    (
+        ("random", 12, 3, 4),
+        {
+            "perfect": ("found", 4, ((0, 1, 2, 11), (3, 4, 5, 7), (6, 8, 9, 10))),
+            "max": ("found", 128, ((0, 1, 2, 11), (3, 4, 5, 7), (6, 8, 9, 10))),
+            "dfree": ("found", 215, (3, 4, 5, 10, 11)),
+        },
+    ),
+    (
+        ("random", 13, 3, 5),
+        {
+            "max": ("found", 1, ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11))),
+            "dfree": ("found", 357, (3, 6, 7, 8, 9)),
+        },
+    ),
+    (
+        ("random", 16, 4, 7),
+        {
+            "perfect": ("found", 5, ((0, 1, 2, 6), (3, 4, 8, 15), (5, 7, 9, 11), (10, 12, 13, 14))),
+            "max": ("found", 1, ((0, 1, 2, 3), (4, 5, 6, 8), (7, 9, 10, 11), (12, 13, 14, 15))),
+            "dfree": ("found", 1045, (6, 7, 8, 9, 13)),
+        },
+    ),
+    (
+        ("random", 16, 5, 8),
+        {
+            "perfect": ("found", 5, ((0, 1, 2, 7), (3, 4, 6, 11), (5, 8, 9, 12), (10, 13, 14, 15))),
+            "max": ("found", 1, ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11), (12, 13, 14, 15))),
+            "dfree": ("found", 1034, (1, 5, 8, 10, 13)),
+        },
+    ),
+    (
+        ("random", 20, 4, 9),
+        {
+            "perfect": (
+                "found",
+                6,
+                ((0, 1, 3, 15), (2, 4, 7, 16), (5, 6, 9, 10), (8, 11, 12, 13), (14, 17, 18, 19)),
+            ),
+            "max": (
+                "exhausted",
+                251,
+                ((0, 1, 3, 15), (2, 4, 7, 16), (5, 6, 9, 10), (8, 11, 12, 13), (14, 17, 18, 19)),
+            ),
+            "dfree": ("exhausted", 1101, (2, 8, 13, 15, 16, 17, 18)),
+        },
+    ),
+    (
+        ("random", 24, 6, 12),
+        {
+            "perfect": (
+                "found",
+                7,
+                ((0, 1, 5, 10), (2, 3, 4, 6), (7, 8, 9, 18), (11, 12, 14, 20), (13, 15, 16, 17), (19, 21, 22, 23)),
+            ),
+            "max": (
+                "found",
+                1,
+                ((0, 1, 2, 4), (3, 5, 6, 7), (8, 9, 10, 12), (11, 13, 14, 16), (15, 17, 18, 19), (20, 21, 22, 23)),
+            ),
+            "dfree": ("exhausted", 1101, (10, 15, 18, 20, 21, 22)),
+        },
+    ),
+    (
+        ("G0", 8),
+        {
+            "perfect": ("infeasible", 1, None),
+            "max": ("found", 1, ((0, 1, 2, 3),)),
+            "dfree": ("found", 1, (1, 2, 3, 4, 5, 6, 7)),
+        },
+    ),
+    (
+        ("G0", 12),
+        {
+            "perfect": ("infeasible", 1, None),
+            "max": ("found", 99, ((0, 2, 3, 4), (1, 5, 6, 7))),
+            "dfree": ("found", 5, (2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+        },
+    ),
+    (
+        ("G0", 16),
+        {
+            "perfect": ("infeasible", 1, None),
+            "max": ("exhausted", 251, ((0, 3, 4, 5), (1, 6, 7, 8), (2, 9, 10, 11))),
+            "dfree": ("found", 15, (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)),
+        },
+    ),
+    (
+        ("G0", 20),
+        {
+            "perfect": ("infeasible", 1, None),
+            "max": ("exhausted", 251, ((0, 1, 4, 5), (2, 6, 7, 8), (3, 9, 10, 11))),
+            "dfree": ("found", 35, (4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19)),
+        },
+    ),
+    (
+        ("G0", 24),
+        {
+            "perfect": ("infeasible", 1, None),
+            "max": ("exhausted", 251, ((0, 1, 2, 5), (3, 6, 7, 8), (4, 9, 10, 11))),
+            "dfree": (
+                "found",
+                70,
+                (5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23),
+            ),
+        },
+    ),
+    (
+        ("G1", 8),
+        {
+            "perfect": ("infeasible", 1, None),
+            "max": ("found", 1, ((0, 1, 2, 3),)),
+            "dfree": ("found", 1, (1, 2, 3, 4, 5, 6, 7)),
+        },
+    ),
+    (
+        ("G1", 16),
+        {
+            "perfect": ("infeasible", 1, None),
+            "max": ("exhausted", 251, ((0, 3, 4, 5), (1, 6, 7, 8), (2, 9, 10, 11))),
+            "dfree": ("found", 15, (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)),
+        },
+    ),
+    (
+        ("G1", 24),
+        {
+            "perfect": ("infeasible", 1, None),
+            "max": ("exhausted", 251, ((0, 1, 2, 5), (3, 6, 7, 8), (4, 9, 10, 11))),
+            "dfree": (
+                "found",
+                70,
+                (5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23),
+            ),
+        },
+    ),
+    (
+        ("planted", 16),
+        {
+            "perfect": (
+                "found",
+                63,
+                ((0, 4, 5, 6), (1, 7, 8, 9), (2, 10, 11, 12), (3, 13, 14, 15)),
+            ),
+            "max": (
+                "exhausted",
+                251,
+                ((0, 4, 5, 6), (1, 7, 8, 9), (2, 10, 11, 12), (3, 13, 14, 15)),
+            ),
+            "dfree": ("found", 35, (4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)),
+        },
+    ),
+    (
+        ("planted", 24),
+        {
+            "perfect": (
+                "found",
+                222,
+                ((0, 6, 7, 8), (1, 9, 10, 11), (2, 12, 13, 14), (3, 15, 16, 17), (4, 18, 19, 20), (5, 21, 22, 23)),
+            ),
+            "max": (
+                "exhausted",
+                251,
+                ((0, 1, 2, 6), (3, 7, 8, 9), (4, 10, 11, 12), (5, 13, 14, 15)),
+            ),
+            "dfree": (
+                "found",
+                126,
+                (6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23),
+            ),
+        },
+    ),
+]
+
+
+def _pinned_graph(case):
+    kind, n, *rest = case
+    if kind == "random":
+        return random_codegree_instance(n, *rest)
+    return {"G0": construct_G0, "G1": construct_G1, "planted": planted_extremal}[kind](n)
+
+
+@pytest.mark.parametrize("case, expected", PINNED_SEARCHES, ids=[str(c) for c, _ in PINNED_SEARCHES])
+def test_pinned_searches(case, expected):
+    G = _pinned_graph(case)
+    got = {}
+    if G.n % 4 == 0:
+        res = perfect_tiling_exact(G, SearchBudget(node_limit=1100))
+        got["perfect"] = (res.status, res.nodes, res.tiling and tuple(c.vertices for c in res.tiling.copies))
+    res = max_tiling_exact(G, SearchBudget(node_limit=250))
+    got["max"] = (res.status, res.nodes, tuple(c.vertices for c in res.tiling.copies))
+    res = max_D_free_set(G, SearchBudget(node_limit=1100))
+    got["dfree"] = (res.status, res.nodes, res.vertices)
+    assert got == expected
 
 
 def complete_four_partite(m):
@@ -368,8 +626,6 @@ class TestBudget:
             SearchBudget(node_limit=0)
         with pytest.raises(InputError):
             SearchBudget(time_limit=-1)
-        with pytest.raises(InputError):
-            SearchBudget(on_exhaust="panic")
 
     def test_witnesses_validate(self):
         G = random_codegree_instance(12, 3, 4)
