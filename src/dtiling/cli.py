@@ -122,7 +122,7 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
             raise InputError(f"{name} must lie in (0, 1), got {value}")
 
     report: dict = {
-        "instance": {"n": G.n, "edges": len(G.edges), "min_codegree": min_codegree(G)},
+        "instance": {"n": G.n, "edges": G.m, "min_codegree": min_codegree(G)},
         "params": {
             "mode": params.mode,
             "eps": eps,

@@ -1,10 +1,13 @@
 """Core 3-uniform hypergraph machinery.
 
-Vertices are dense integers ``0..n-1``.  Edges are 3-element subsets kept
-in canonical sorted-tuple form, and every unordered vertex pair maps to a
-bitset (a plain Python int) of third vertices, so codegree queries and
-neighborhood intersections are single word operations even at a few
-hundred vertices.
+Vertices are dense integers ``0..n-1``.  A hypergraph is stored as its
+pair index and nothing else: each vertex maps every other vertex it
+shares an edge with to the bitset (a plain Python int) of third vertices,
+so codegree queries, edge tests and neighborhood intersections are single
+word operations even at a few hundred vertices.  Edges as sorted triples
+are derived from the index only when a caller asks for them.  ``build``
+(any iterable of triples), ``io.parse_instance`` (text) and
+``induced_subgraph`` all fill the index through one private filler.
 
 The tiling pattern used throughout the package is the 3-graph on four
 vertices whose two triples share exactly two vertices.  ``DCopy`` records
@@ -14,8 +17,9 @@ induced subgraph has at least two edges (any two distinct triples on four
 points share two vertices).
 
 ``Hypergraph3`` is immutable after construction and safe to read from
-several threads; validation results are accumulated in throwaway
-``Verdict`` values.
+several threads (two threads that both derive ``edges`` first build equal
+sets); validation results are accumulated in throwaway ``Verdict``
+values.
 """
 
 from __future__ import annotations
@@ -107,38 +111,94 @@ class Verdict:
 
 
 class Hypergraph3:
-    """Immutable 3-uniform hypergraph with a pair-degree index.
+    """Immutable 3-uniform hypergraph stored as its pair index.
+
+    ``n`` is the vertex count and ``m`` the edge count.  The pair index
+    maps each vertex u to a dict from every other vertex v to the bitset
+    of third vertices w with {u, v, w} an edge; both orders of a pair are
+    stored, and a pair with no edge has no entry, so memory is O(m) and
+    does not depend on ``n``.  ``edges``, the frozenset of ascending
+    triples, is derived from the index on first use and cached.
 
     Use :func:`build` to construct one; the constructor trusts its
     arguments.
     """
 
-    __slots__ = ("n", "edges", "_pair_bits")
+    __slots__ = ("n", "m", "_links", "_edges")
 
-    def __init__(self, n: int, edges: frozenset, pair_bits: dict):
+    def __init__(self, n: int, m: int, links: dict):
         self.n = n
-        self.edges = edges
-        self._pair_bits = pair_bits
+        self.m = m
+        self._links = links
+        self._edges = None
+
+    @property
+    def edges(self) -> frozenset:
+        """All edges as ascending triples (derived once, then cached)."""
+        if self._edges is None:
+            self._edges = frozenset(self.triples())
+        return self._edges
+
+    def triples(self):
+        """Yield every edge once as an ascending triple, in lexicographic order."""
+        links = self._links
+        for a in sorted(links):
+            row = links[a]
+            for b in sorted(row):
+                if b > a:
+                    for c in bits_of(row[b] >> b):
+                        yield (a, b, b + c)
 
     def has_edge(self, u: int, v: int, w: int) -> bool:
-        return tuple(sorted((u, v, w))) in self.edges
+        """Whether {u, v, w} is an edge; False for repeated vertices or
+        any vertex outside ``0..n-1``."""
+        return w >= 0 and (self.pair_bits(u, v) >> w) & 1 == 1
 
     def pair_bits(self, u: int, v: int) -> int:
         """Bitset of third vertices completing an edge with {u, v}."""
-        if u > v:
-            u, v = v, u
-        return self._pair_bits.get((u, v), 0)
+        row = self._links.get(u)
+        return 0 if row is None else row.get(v, 0)
 
     def degree(self, v: int) -> int:
         """Number of edges containing ``v``."""
-        return sum(1 for e in self.edges if v in e)
+        row = self._links.get(v)
+        return 0 if row is None else sum(x.bit_count() for x in row.values()) // 2
 
     @property
     def vertices(self) -> range:
         return range(self.n)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Hypergraph3(n={self.n}, m={len(self.edges)})"
+        return f"Hypergraph3(n={self.n}, m={self.m})"
+
+
+def _fill(triples, on_repeat=None) -> tuple[dict, int]:
+    """Pair index of validated ascending triples ``a < b < c``, and the
+    number of distinct ones.  A repeated triple is skipped, after a call
+    to ``on_repeat(a, b, c)`` when that is given."""
+    links: dict[int, dict[int, int]] = {}
+    get = links.get
+    m = 0
+    for a, b, c in triples:
+        ra = get(a)
+        if ra is None:
+            ra = links[a] = {}
+        rb = get(b)
+        if rb is None:
+            rb = links[b] = {}
+        rc = get(c)
+        if rc is None:
+            rc = links[c] = {}
+        ab = ra.get(b, 0)
+        if (ab >> c) & 1:
+            if on_repeat is not None:
+                on_repeat(a, b, c)
+            continue
+        ra[b] = rb[a] = ab | (1 << c)
+        ra[c] = rc[a] = ra.get(c, 0) | (1 << b)
+        rb[c] = rc[b] = rb.get(c, 0) | (1 << a)
+        m += 1
+    return links, m
 
 
 def build(n: int, triples) -> Hypergraph3:
@@ -149,20 +209,18 @@ def build(n: int, triples) -> Hypergraph3:
     """
     if n < 0:
         raise InputError(f"vertex count must be nonnegative, got {n}")
-    edges = set()
-    for t in triples:
-        t = tuple(sorted(t))
-        if len(t) != 3 or len(set(t)) != 3:
-            raise InputError(f"triple {t} does not have 3 distinct vertices")
-        if t[0] < 0 or t[2] >= n:
-            raise InputError(f"triple {t} has a vertex outside 0..{n - 1}")
-        edges.add(t)
-    pair_bits: dict[tuple[int, int], int] = {}
-    for a, b, c in sorted(edges):
-        pair_bits[(a, b)] = pair_bits.get((a, b), 0) | (1 << c)
-        pair_bits[(a, c)] = pair_bits.get((a, c), 0) | (1 << b)
-        pair_bits[(b, c)] = pair_bits.get((b, c), 0) | (1 << a)
-    return Hypergraph3(n, frozenset(edges), pair_bits)
+
+    def canonical():
+        for t in triples:
+            t = tuple(sorted(t))
+            if len(t) != 3 or not t[0] < t[1] < t[2]:
+                raise InputError(f"triple {t} does not have 3 distinct vertices")
+            if t[0] < 0 or t[2] >= n:
+                raise InputError(f"triple {t} has a vertex outside 0..{n - 1}")
+            yield t
+
+    links, m = _fill(canonical())
+    return Hypergraph3(n, m, links)
 
 
 def codegree(G: Hypergraph3, u: int, v: int) -> int:
@@ -232,7 +290,7 @@ def quad_spans_D(G: Hypergraph3, quad) -> bool:
     """True iff the 4-set induces at least two edges."""
     hits = 0
     for t in itertools.combinations(sorted(quad), 3):
-        if t in G.edges:
+        if G.has_edge(*t):
             hits += 1
             if hits == 2:
                 return True
@@ -242,7 +300,7 @@ def quad_spans_D(G: Hypergraph3, quad) -> bool:
 def dcopy_from_quad(G: Hypergraph3, quad) -> DCopy:
     """Canonical witness copy on a spanning 4-set: first two induced edges."""
     quad = tuple(sorted(quad))
-    present = [t for t in itertools.combinations(quad, 3) if t in G.edges]
+    present = [t for t in itertools.combinations(quad, 3) if G.has_edge(*t)]
     if len(present) < 2:
         raise InputError(f"4-set {quad} does not span a copy")
     return DCopy(vertices=quad, edge_a=present[0], edge_b=present[1])
@@ -271,7 +329,7 @@ def validate_tiling(G: Hypergraph3, tiling: Tiling, require_perfect: bool = Fals
             verdict.add(f"copy {idx}: malformed copy {c.vertices}")
             continue
         for e in (c.edge_a, c.edge_b):
-            if e not in G.edges:
+            if not G.has_edge(*e):
                 verdict.add(f"copy {idx}: missing edge {e}")
         for v in c.vertices:
             if v in seen:
@@ -297,13 +355,17 @@ def induced_subgraph(G: Hypergraph3, vertices) -> tuple[Hypergraph3, tuple[int, 
         raise InputError("induced vertex set out of range")
     index = {v: i for i, v in enumerate(verts)}
     vmask = mask_of(verts)
-    triples = []
-    for i, u in enumerate(verts):
-        for v in verts[i + 1 :]:
-            for w in bits_of(G.pair_bits(u, v) & vmask):
-                if w > v:
-                    triples.append((index[u], index[v], index[w]))
-    return build(len(verts), triples), tuple(verts)
+
+    def local_triples():
+        for i, u in enumerate(verts):
+            for j in range(i + 1, len(verts)):
+                v = verts[j]
+                # -(2 << v) keeps the bits above v: each triple once, ascending
+                for w in bits_of(G.pair_bits(u, v) & vmask & -(2 << v)):
+                    yield i, j, index[w]
+
+    links, m = _fill(local_triples())
+    return Hypergraph3(len(verts), m, links), tuple(verts)
 
 
 def map_copy(copy: DCopy, mapping) -> DCopy:

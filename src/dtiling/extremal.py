@@ -129,11 +129,7 @@ def extend_to_maximal_D_free(G: Hypergraph3, S0) -> tuple[int, ...]:
 def greedy_D_free_set(G: Hypergraph3) -> tuple[int, ...]:
     """Heuristic large pattern-free set: insert vertices by ascending edge
     degree (cheap proxy for how entangled a vertex is), keep what fits."""
-    deg = [0] * G.n
-    for e in G.edges:
-        for v in e:
-            deg[v] += 1
-    order = sorted(range(G.n), key=lambda v: (deg[v], v))
+    order = sorted(range(G.n), key=lambda v: (G.degree(v), v))
     zlist: list[int] = []
     zmask = 0
     for v in order:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .absorb import AbsorberFamily, leftover_bound, validate_family
-from .core import DCopy, Hypergraph3, InputError, Tiling, build
+from .core import DCopy, Hypergraph3, InputError, Tiling, _fill
 
 
 @dataclass(frozen=True)
@@ -59,29 +59,70 @@ def _ints(lineno: int, line: str, count: int, what: str) -> list[int]:
 
 
 def format_instance(G: Hypergraph3) -> str:
-    lines = [f"{G.n} {len(G.edges)}"]
-    lines.extend(f"{u} {v} {w}" for u, v, w in sorted(G.edges))
+    lines = [f"{G.n} {G.m}"]
+    lines.extend(f"{u} {v} {w}" for u, v, w in G.triples())
     return "\n".join(lines) + "\n"
 
 
 def parse_instance(text: str) -> Hypergraph3:
-    lines = _Lines(text)
-    lineno, header = lines.next("instance header 'n m'")
-    n, m = _ints(lineno, header, 2, "instance header")
-    triples = []
-    for _ in range(m):
-        lineno, line = lines.next("edge line 'u v w'")
-        u, v, w = _ints(lineno, line, 3, "edge")
-        if not u < v < w:
-            raise InputError(f"line {lineno}: edge must be strictly increasing, got {u} {v} {w}")
-        triples.append((u, v, w))
-    if not lines.exhausted():
-        lineno, _ = lines.next("")
-        raise InputError(f"line {lineno}: trailing content after {m} edges")
-    G = build(n, triples)
-    if len(G.edges) != m:
-        raise InputError(f"header claims {m} edges but {len(G.edges)} are distinct")
-    return G
+    """Parse instance text in one pass; every error names its line."""
+    rows = text.splitlines()
+    numbered = enumerate(rows, start=1)
+    end = len(rows) + 1  # the line where missing content was due
+    for lineno, line in numbered:
+        fields = line.split()
+        if fields and fields[0][0] != "#":
+            break
+    else:
+        raise InputError(f"line {end}: unexpected end of input, expected instance header 'n m'")
+    n, m = _ints(lineno, line, 2, "instance header")
+    if n < 0 or m < 0:
+        raise InputError(f"line {lineno}: vertex and edge counts must be nonnegative, got {n} {m}")
+    at = lineno
+    count = 0
+    # Tokens already read as vertex ids, all in 0..n-1: a dict lookup is
+    # several times cheaper than int(), and spares the range check.
+    known: dict[str, int] = {}
+
+    def vertex(token: str) -> int:
+        try:
+            x = int(token)
+        except ValueError:
+            raise InputError(f"line {at}: non-integer field in edge") from None
+        if not 0 <= x < n:
+            raise InputError(f"line {at}: vertex {x} outside 0..{n - 1}")
+        known[token] = x
+        return x
+
+    def edges():
+        nonlocal at, count
+        for at, line in numbered:
+            fields = line.split()
+            if not fields or fields[0][0] == "#":
+                continue
+            if count == m:
+                raise InputError(f"line {at}: trailing content after {m} edges")
+            if len(fields) != 3:
+                raise InputError(f"line {at}: expected 3 fields for edge, got {len(fields)}")
+            a, b, c = fields
+            try:
+                u, v, w = known[a], known[b], known[c]
+            except KeyError:
+                u, v, w = vertex(a), vertex(b), vertex(c)
+            if not u < v < w:
+                raise InputError(f"line {at}: edge must be strictly increasing, got {u} {v} {w}")
+            count += 1
+            yield u, v, w
+
+    def repeated(u, v, w):
+        raise InputError(
+            f"line {at}: edge {u} {v} {w} repeats an earlier line, so not all {m} edges are distinct"
+        )
+
+    links, filled = _fill(edges(), repeated)
+    if filled < m:
+        raise InputError(f"line {end}: unexpected end of input, expected edge line 'u v w'")
+    return Hypergraph3(n, m, links)
 
 
 def write_instance(G: Hypergraph3, path) -> None:

@@ -105,3 +105,32 @@ def naive_four_partite_matching(parts, edges):
                 if all(r in edge_set for r in rows):
                     return rows
     return None
+
+
+def naive_parse_instance(text):
+    """``(n, edges)`` of instance text, or ``ValueError``.
+
+    The format, read straight from its definition: after dropping blank
+    lines and lines whose first non-blank character is ``#``, a header
+    ``n m`` with n, m >= 0, then exactly m distinct lines ``u v w`` with
+    0 <= u < v < w < n.
+    """
+    content = [
+        line.split()
+        for line in text.splitlines()
+        if line.strip() and not line.strip().startswith("#")
+    ]
+    if not content or len(content[0]) != 2:
+        raise ValueError("missing or malformed header")
+    n, m = int(content[0][0]), int(content[0][1])
+    if n < 0 or m < 0 or len(content) != m + 1:
+        raise ValueError("bad counts")
+    edges = set()
+    for fields in content[1:]:
+        if len(fields) != 3:
+            raise ValueError("edge line needs 3 fields")
+        u, v, w = (int(f) for f in fields)
+        if not 0 <= u < v < w < n or (u, v, w) in edges:
+            raise ValueError("bad or repeated edge")
+        edges.add((u, v, w))
+    return n, frozenset(edges)

@@ -191,12 +191,51 @@ class TestValidate:
         verdict = validate_tiling(G, T, require_perfect=True)
         assert any("not perfect" in v for v in verdict.violations)
 
+    @pytest.mark.parametrize("bad", [-1, -2, 8, 9])
+    def test_out_of_range_vertex_is_a_violation(self, bad):
+        # K8 has every triple, so a vertex read modulo n (-1 as 7) would
+        # make the witness edges look present.
+        G = complete_3graph(8)
+        quad = tuple(sorted((bad, 0, 1, 2)))
+        copy = DCopy(vertices=quad, edge_a=quad[:3], edge_b=quad[:2] + quad[3:])
+        verdict = validate_tiling(G, Tiling.from_copies([copy]))
+        assert f"copy 0: out-of-range vertex {bad}" in verdict.violations
+        assert any("missing edge" in v for v in verdict.violations)
+
     def test_from_copies_rejects_overlap(self):
         G = complete_3graph(8)
         with pytest.raises(InputError):
             Tiling.from_copies(
                 [dcopy_from_quad(G, (0, 1, 2, 3)), dcopy_from_quad(G, (3, 4, 5, 6))]
             )
+
+
+class TestEdgeReaders:
+    def test_has_edge(self):
+        G = build(5, [(0, 1, 4), (1, 2, 3)])
+        assert all(G.has_edge(*t) for t in itertools.permutations((0, 1, 4)))
+        assert G.has_edge(3, 2, 1)
+        # repeated vertices, and vertices outside 0..4: -1 must not read as 4
+        for t in [(0, 1, 2), (0, 0, 1), (1, 1, 4), (4, 4, 4), (0, 1, -1), (-1, 0, 1),
+                  (1, -1, 0), (0, 1, 5), (5, 0, 1), (0, 1, 9)]:
+            assert G.has_edge(*t) is False
+
+    def test_readers_of_an_edgeless_vertex(self):
+        G = build(6, [(0, 1, 2)])
+        assert G.degree(4) == 0 and G.degree(-1) == 0 and G.degree(6) == 0
+        assert G.pair_bits(3, 4) == 0 and G.pair_bits(0, 0) == 0 and G.pair_bits(-1, 0) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(triples_strategy())
+def test_edges_and_degrees_from_the_index(data):
+    n, triples = data
+    G = build(n, triples)
+    assert G.edges == frozenset(triples) and G.m == len(G.edges)
+    assert G.edges is G.edges
+    assert list(G.triples()) == sorted(set(triples))
+    for v in range(n):
+        assert G.degree(v) == sum(v in t for t in set(triples))
 
 
 class TestInduced:

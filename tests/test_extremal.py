@@ -24,6 +24,8 @@ from dtiling import (
 )
 from dtiling.extremal import PipelineState, build_Q, build_R, build_S, build_T
 
+from naive import naive_is_D_free
+
 
 def z_full_link_edges(xs, zs):
     """Every pair of zs joined to every x: guarantees eq.-style X membership."""
@@ -62,6 +64,20 @@ class TestGreedySet:
             Z = greedy_D_free_set(G)
             assert is_D_free(G, Z)
             assert extend_to_maximal_D_free(G, Z) == Z
+
+    def test_matches_naive_degree_order(self):
+        # Insert vertices by ascending (edge degree, id), keeping each one
+        # that leaves the set pattern-free, all recounted from the triples.
+        rng = random.Random(11)
+        for _ in range(30):
+            n = rng.randint(5, 12)
+            triples = rng.sample(list(itertools.combinations(range(n), 3)), rng.randint(0, 3 * n))
+            degree = [sum(v in t for t in triples) for v in range(n)]
+            Z = []
+            for v in sorted(range(n), key=lambda v: (degree[v], v)):
+                if naive_is_D_free(triples, Z + [v]):
+                    Z.append(v)
+            assert greedy_D_free_set(build(n, triples)) == tuple(sorted(Z))
 
 
 class TestPartition:

@@ -1,7 +1,13 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtiling import (
     AbsorptionParams,
+    DriverParams,
+    Hypergraph3,
     InputError,
     build,
     build_absorbing_family,
@@ -16,15 +22,19 @@ from dtiling import (
     parse_family,
     parse_instance,
     perfect_tiling_exact,
+    planted_extremal,
     random_codegree_instance,
     read_certificate,
     read_family,
     read_instance,
+    solve_driver,
     validate_tiling,
     write_certificate,
     write_family,
     write_instance,
 )
+
+from naive import naive_parse_instance
 
 
 class TestInstanceText:
@@ -197,3 +207,133 @@ class TestLineNumbers:
         text = "# instance\n4 1\nnope\n"
         with pytest.raises(InputError, match="line 3"):
             parse_instance(text)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("4 1\n\n0 1 5\n", "line 3"),  # vertex out of range
+            ("4 1\n0 1 4\n", "line 2"),
+            ("4 1\n-1 0 1\n", "line 2"),
+            ("# c\n-4 0\n", "line 2"),  # negative vertex count
+            ("4 -1\n", "line 1"),  # negative edge count
+            ("4 2\n0 1 2\n# again\n0 1 2\n", "line 4"),  # repeated edge
+            ("4 2\n0 1 2\n\n", "line 4"),  # truncated: the edge was due on line 4
+            ("# only a comment\n", "line 2"),  # no header
+            ("4 1\n0 1 x\n", "line 2"),
+            ("4 1\n0 1 2 3\n", "line 2"),
+        ],
+    )
+    def test_every_error_cites_its_line(self, text, line):
+        with pytest.raises(InputError, match=line):
+            parse_instance(text)
+
+    def test_huge_header_without_edges(self):
+        # The pair index holds only vertices that lie on an edge, so a
+        # header's vertex count costs no memory.
+        G = parse_instance("1000000000 0\n")
+        assert (G.n, G.m, G.edges) == (1000000000, 0, frozenset())
+        assert G.pair_bits(0, 999999999) == 0 and G.degree(5) == 0
+
+
+# Lines that carry no content: they may appear anywhere.
+FILLER = st.sampled_from(["", "   ", "\t", "# comment", "  # 1 2 3", "#"])
+
+
+@st.composite
+def instance_texts(draw):
+    """Instance text for n <= 16 with comment and blank lines mixed in."""
+    n = draw(st.integers(0, 16))
+    triples = draw(
+        st.lists(
+            st.sets(st.integers(0, n - 1), min_size=3, max_size=3).map(lambda t: tuple(sorted(t))),
+            unique=True,
+            max_size=40,
+        )
+        if n >= 3
+        else st.just([])
+    )
+    lines = [f"{n} {len(triples)}"] + [" ".join(map(str, t)) for t in triples]
+    out = []
+    for line in lines:
+        out += draw(st.lists(FILLER, max_size=2)) + [line]
+    out += draw(st.lists(FILLER, max_size=2))
+    return "\n".join(out) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+def mutate(text: str, rnd: random.Random) -> str:
+    """One to three small edits: a character inserted, deleted or
+    replaced, or a line dropped, repeated or swapped with another."""
+    for _ in range(rnd.randint(1, 3)):
+        lines = text.split("\n")
+        i, j = rnd.randrange(len(lines)), rnd.randrange(len(lines))
+        pos = rnd.randrange(len(text) + 1)
+        char = rnd.choice("0123456789 -+_#x\t\r\n")
+        kind = rnd.randrange(6)
+        if kind == 0:
+            text = text[:pos] + char + text[pos:]
+        elif kind == 1:
+            text = text[:pos] + text[pos + 1 :]
+        elif kind == 2:
+            text = text[:pos] + char + text[pos + 1 :]
+        elif kind == 3:
+            text = "\n".join(lines[:i] + lines[i + 1 :])
+        elif kind == 4:
+            text = "\n".join(lines[: i + 1] + lines[i:])
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+            text = "\n".join(lines)
+    return text
+
+
+class TestParserAgainstNaive:
+    @settings(max_examples=200, deadline=None)
+    @given(instance_texts())
+    def test_generated_instances(self, text):
+        n, edges = naive_parse_instance(text)
+        G = parse_instance(text)
+        assert (G.n, G.m, G.edges) == (n, len(edges), edges)
+        assert parse_instance(format_instance(G)).edges == edges
+
+    @settings(max_examples=400, deadline=None)
+    @given(instance_texts(), st.randoms(use_true_random=False))
+    def test_mutated_text_parses_the_same_or_raises_input_error(self, text, rnd):
+        text = mutate(text, rnd)
+        try:
+            expected = naive_parse_instance(text)
+        except ValueError:
+            with pytest.raises(InputError):
+                parse_instance(text)
+        else:
+            G = parse_instance(text)
+            assert (G.n, G.m, G.edges) == (expected[0], len(expected[1]), expected[1])
+
+
+class TestNoEdgeSet:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: relabelled(planted_extremal(48), seed=3),
+            lambda: random_codegree_instance(48, 16, 0),
+        ],
+        ids=["planted-48", "random-48-16"],
+    )
+    def test_solve_path_never_builds_the_triple_set(self, make, monkeypatch):
+        # Every reader on the solve path answers from the pair index; the
+        # derived edge set is for callers that want the triples.
+        text = format_instance(make())
+
+        def refuse(G):
+            raise AssertionError("the solve path read Hypergraph3.edges")
+
+        monkeypatch.setattr(Hypergraph3, "edges", property(refuse))
+        G = parse_instance(text)
+        res = solve_driver(G, DriverParams())
+        assert res.status == "tiled"
+        cert = parse_certificate(format_certificate(res.tiling, "perfect"))
+        assert validate_tiling(G, cert.tiling, require_perfect=True).ok
+
+
+def relabelled(G, seed):
+    perm = list(range(G.n))
+    random.Random(seed).shuffle(perm)
+    return build(G.n, ([perm[v] for v in e] for e in G.edges))
