@@ -38,6 +38,7 @@ from .constructions import (
     steiner_triple_system,
 )
 from .core import (
+    MAX_N,
     DCopy,
     Hypergraph3,
     InputError,
@@ -59,6 +60,7 @@ from .core import (
 from .exact import (
     FourPartite4Graph,
     SearchBudget,
+    decide_D_free_set,
     four_partite,
     four_partite_degree_stats,
     four_partite_of,

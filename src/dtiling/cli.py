@@ -1,12 +1,18 @@
 """Command-line front end and the full solving driver.
 
-The driver composes the pieces: certify how extremal the instance is via
-a maximum (or greedy-maximal) D-free set, run the extremal pipeline when
-the set is within eps of 3n/4, otherwise set aside an absorbing family,
-tile the rest near-perfectly, and absorb the leftover.  In auto mode any
-branch failure falls back to the exact solver; forced modes report their
-own stall instead.  Exit codes: 0 tiled, 2 proven infeasible, 3 search
-exhausted or stalled, 64 usage errors.
+The driver composes the pieces.  It first finds a maximal D-free set S:
+up to ``EXACT_DFREE_MAX_N`` vertices it asks an exact decision, not an
+optimum (is there a D-free set above 3n/4, else one of at least the
+extremal threshold t = (1 - eps) 3n/4?), and above that it takes a greedy
+set.  When |S| > 3n/4 the instance is refuted at once by the space
+barrier: every copy of a perfect tiling needs a vertex outside S.  Else
+it runs the extremal pipeline when |S| >= t, otherwise sets aside an
+absorbing family, tiles the rest near-perfectly, and absorbs the
+leftover.  In auto mode any branch failure falls back to the exact
+solver; forced modes report their own stall instead.  Exit codes: 0
+tiled, 2 proven infeasible (by the space barrier or by the exact search),
+3 search exhausted or stalled, 64 usage errors and malformed or
+oversized input.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -28,10 +35,12 @@ from .absorb import (
 )
 from .constructions import KINDS, ConstructionSpec, build_instance, random_codegree_instance
 from .core import (
+    MAX_N,
     Hypergraph3,
     InputError,
     Tiling,
     induced_subgraph,
+    is_D_free,
     map_copy,
     min_codegree,
     validate_tiling,
@@ -41,8 +50,9 @@ from .exact import (
     FOUND,
     INFEASIBLE,
     SearchBudget,
-    max_D_free_set,
+    decide_D_free_set,
     perfect_tiling_exact,
+    quad_catalog,
 )
 from .extremal import (
     StageFailure,
@@ -91,20 +101,44 @@ class DriverResult:
     report: dict = field(default_factory=dict)
 
 
-def _dfree_certificate(G: Hypergraph3, budget: SearchBudget):
-    if G.n <= EXACT_DFREE_MAX_N:
-        res = max_D_free_set(G, budget)
-        method = "exact" if res.status == FOUND else "exact-budget"
-        S = extend_to_maximal_D_free(G, res.vertices)
-    else:
-        method = "greedy"
+def _dfree_certificate(G: Hypergraph3, threshold: float, budget: SearchBudget):
+    """The maximal D-free set S the driver branches on, its report fields,
+    and the quad catalog built on the way (None on the greedy path).
+
+    Up to ``EXACT_DFREE_MAX_N`` vertices, two decisions on one catalog,
+    each under ``budget``: is there a D-free set above 3n/4 (the space
+    barrier), and if not, one of ``ceil(threshold)`` vertices?  The first
+    witness found is extended to a maximal set.  When both are refuted or
+    run out of budget, S is the greedy maximal set, so a forced extremal
+    solve still gets a seed.  Larger instances only take the greedy set.
+    """
+    if G.n > EXACT_DFREE_MAX_N:
         S = extend_to_maximal_D_free(G, greedy_D_free_set(G))
-    return S, method
+        outcome = "witness" if len(S) >= threshold else "unknown"
+        return S, {"method": "greedy", "nodes": 0, "outcome": outcome}, None
+    cat = quad_catalog(G)
+    nodes = 0
+    statuses = []
+    for size in (3 * G.n // 4 + 1, math.ceil(threshold)):
+        res = decide_D_free_set(G, size, budget, cat)
+        nodes += res.nodes
+        statuses.append(res.status)
+        if res.status == FOUND:
+            S = extend_to_maximal_D_free(G, res.vertices)
+            outcome = "witness"
+            break
+    else:
+        S = extend_to_maximal_D_free(G, greedy_D_free_set(G))
+        outcome = "refuted" if res.status == INFEASIBLE else "exhausted"
+    method = "exact-budget" if EXHAUSTED in statuses else "exact"
+    return S, {"method": method, "nodes": nodes, "outcome": outcome}, cat
 
 
 def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverResult:
     """Run the layered strategy; the report explains every branch taken."""
     params = params or DriverParams()
+    if G.n > MAX_N:
+        raise InputError(f"the solver takes at most {MAX_N} vertices, got n={G.n}")
     if params.mode not in ("auto", "extremal", "absorb", "exact"):
         raise InputError(f"unknown mode {params.mode!r}")
     if G.n % 4:
@@ -156,17 +190,27 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
 
     extremal_instance = False
     S: tuple[int, ...] = ()
+    catalog = None
     if params.mode in ("auto", "extremal"):
         cert_budget = SearchBudget(min(params.node_limit, 2_000_000), min(params.time_limit, 10.0))
-        S, method = clocked("certificate", _dfree_certificate, G, cert_budget)
         threshold = (1 - eps) * (3 * G.n / 4)
+        S, fields, catalog = clocked("certificate", _dfree_certificate, G, threshold, cert_budget)
         extremal_instance = len(S) >= threshold
         report["dfree"] = {
             "size": len(S),
-            "method": method,
             "threshold": threshold,
             "extremal": extremal_instance,
+            **fields,
         }
+        # Space barrier: every copy of a perfect tiling needs a vertex
+        # outside the D-free set S, so |S| > 3n/4 leaves too few of them.
+        if 4 * len(S) > 3 * G.n:
+            if not is_D_free(G, S):
+                raise AssertionError("space-barrier set spans a copy")
+            report["dfree"]["vertices"] = list(S)
+            report["branch"] = "space-barrier"
+            report["attempts"].append({"branch": "space-barrier", "outcome": "infeasible"})
+            return finish("infeasible", None)
 
     if params.mode == "extremal" or (params.mode == "auto" and extremal_instance):
         try:
@@ -193,7 +237,7 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
             report["branch"] = "non-extremal"
             return finish("exhausted", None)
 
-    res = clocked("exact", perfect_tiling_exact, G, budget)
+    res = clocked("exact", perfect_tiling_exact, G, budget, catalog=catalog)
     report["branch"] = "exact-fallback"
     report["exact"] = {"status": res.status, "nodes": res.nodes, "optimal": res.optimal}
     if res.status == FOUND:
@@ -418,7 +462,13 @@ def _scan_worker(task: tuple) -> dict:
     t0 = time.perf_counter()
     result = solve_driver(G, DriverParams(seed=seed, collect_timings=False))
     ms = (time.perf_counter() - t0) * 1000
-    return {"n": n, "trial": trial, "solved": result.status == "tiled", "ms": ms}
+    return {
+        "n": n,
+        "trial": trial,
+        "solved": result.status == "tiled",
+        "ms": ms,
+        "branch": result.report["branch"],
+    }
 
 
 def _parse_n_range(parser: _Parser, spec: str) -> list[int]:
@@ -435,6 +485,15 @@ def _parse_n_range(parser: _Parser, spec: str) -> list[int]:
     if any(v % 4 for v in values):
         parser.error("--n-range values must be divisible by 4")
     return values
+
+
+# The branches an auto-mode solve can end in, each counted per scan line.
+SCAN_BRANCHES = ("extremal", "non-extremal", "exact-fallback", "space-barrier")
+
+
+def _nearest_rank(ordered: list[float], q: float) -> float:
+    """The q-quantile of an ascending list by the nearest-rank rule."""
+    return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
 
 
 def _cmd_scan(args, parser: _Parser) -> int:
@@ -463,7 +522,15 @@ def _cmd_scan(args, parser: _Parser) -> int:
             "fraction": solved / args.trials,
         }
         if not args.no_timings:
-            line["mean_ms"] = round(sum(r["ms"] for r in rows) / args.trials, 3)
+            ms = sorted(r["ms"] for r in rows)
+            line["mean_ms"] = round(sum(ms) / args.trials, 3)
+            line["p50_ms"] = round(_nearest_rank(ms, 0.5), 3)
+            line["p90_ms"] = round(_nearest_rank(ms, 0.9), 3)
+            line["max_ms"] = round(ms[-1], 3)
+            branches = dict.fromkeys(SCAN_BRANCHES, 0)
+            for r in rows:
+                branches[r["branch"]] += 1
+            line["branches"] = branches
         print(json.dumps(line, sort_keys=True))
     return 0
 

@@ -28,6 +28,13 @@ import itertools
 from dataclasses import dataclass, field
 
 
+# Largest vertex count the solver takes.  The driver scans all n(n-1)/2
+# pairs and works on n-bit masks, so a header n far above any instance it
+# can solve would run without bound; parsing rejects a vertex id this
+# large before it becomes a bit, and ``cli.solve_driver`` rejects such n.
+MAX_N = 10_000
+
+
 class InputError(ValueError):
     """An operation precondition on caller-supplied input failed."""
 

@@ -1,5 +1,5 @@
 """Exact solvers: perfect/maximum tiling search, maximum pattern-free
-sets, and 4-partite perfect matching.
+sets and the pattern-free decision, and 4-partite perfect matching.
 
 All tiling searches run on the quad catalog: the list of 4-sets that
 induce at least two edges, i.e. exactly the 4-sets a copy can occupy.
@@ -13,12 +13,21 @@ branching.  Two sound prunes keep structured instances tractable:
   This is what lets the search refute the tight lower-bound families at
   useful orders: there the whole catalog is hit by a side of size n/4 - 1.
 
-The three catalog searches share two greedy bounds.  ``_greedy_hitting``
-is the hitting set above; it also seeds the maximum D-free search, whose
+The catalog searches share two greedy bounds.  ``_greedy_hitting`` is
+the hitting set above; it also seeds the maximum D-free search, whose
 best set so far is the complement of a hitting set.  ``_greedy_packing``
 is a first-fit family of disjoint quads: the warm start of the maximum
-tiling search, and the lower bound of the D-free search, which must
+tiling search, and the lower bound of both D-free searches, which must
 remove one vertex from each of its quads.
+
+The driver asks whether a D-free set of a given size exists, not how
+large the largest is: ``decide_D_free_set`` is the bounded search tree of
+d-Hitting Set (Niedermeier and Rossmanith, 2003) with at most n - size
+removals.  It refutes a branch once its greedy packing needs more
+removals than are left and stops at the first witness, so on random
+instances near the codegree threshold it closes in a few hundred nodes
+where ``max_D_free_set`` takes thousands.  It can take the caller's
+catalog, as ``perfect_tiling_exact`` can, so one solve builds it once.
 
 Budgets cap explored nodes and wall-clock time; an exhausted budget is
 reported as ``exhausted`` and never as a proof.  The maximum searches
@@ -126,7 +135,9 @@ class TilingSearchResult:
 
 @dataclass
 class SetSearchResult:
-    status: str  # found (optimal) / exhausted (best effort)
+    # max_D_free_set: found (optimal) / exhausted (best effort).
+    # decide_D_free_set: found (a witness) / infeasible / exhausted (no set).
+    status: str
     vertices: tuple[int, ...]
     nodes: int
     elapsed: float
@@ -204,16 +215,19 @@ def _witness(G: Hypergraph3, cat: QuadCatalog, ids, perfect: bool) -> Tiling:
     return tiling
 
 
-def perfect_tiling_exact(G: Hypergraph3, budget: SearchBudget | None = None) -> TilingSearchResult:
+def perfect_tiling_exact(
+    G: Hypergraph3, budget: SearchBudget | None = None, catalog: QuadCatalog | None = None
+) -> TilingSearchResult:
     """Exact cover search for a perfect tiling.
 
     ``infeasible`` is returned only when the search space is exhausted,
-    ``exhausted`` when the budget ran out first.
+    ``exhausted`` when the budget ran out first.  ``catalog``, when
+    given, must be ``quad_catalog(G)``; it spares building it again.
     """
     if G.n % 4:
         raise InputError(f"perfect tiling needs 4 | n, got n={G.n}")
     budget = budget or SearchBudget()
-    cat = quad_catalog(G)
+    cat = quad_catalog(G) if catalog is None else catalog
     clock = _Clock(budget)
     full = (1 << G.n) - 1
     chosen: list[int] = []
@@ -355,7 +369,8 @@ def max_D_free_set(G: Hypergraph3, budget: SearchBudget | None = None) -> SetSea
     spanning 4-set; solved by branching on the four vertices of the first
     unhit quad, starting from the greedy hitting set and pruned by the
     greedy packing lower bound.  Intended for small orders (roughly
-    n <= 24).
+    n <= 24).  The driver does not call it: it only needs to know whether
+    a set of a given size exists, which ``decide_D_free_set`` answers.
     """
     budget = budget or SearchBudget()
     cat = quad_catalog(G)
@@ -397,6 +412,63 @@ def max_D_free_set(G: Hypergraph3, budget: SearchBudget | None = None) -> SetSea
         nodes=clock.nodes,
         elapsed=clock.elapsed,
     )
+
+
+def decide_D_free_set(
+    G: Hypergraph3,
+    size: int,
+    budget: SearchBudget | None = None,
+    catalog: QuadCatalog | None = None,
+) -> SetSearchResult:
+    """Whether G has a D-free set of at least ``size`` vertices.
+
+    The decision form of ``max_D_free_set``: a hitting set of at most
+    k = n - size vertices must meet every spanning quad.  The same
+    branching on the four vertices of the first unhit quad, but with the
+    removal cap k instead of the best set so far, so a branch dies as soon
+    as its greedy packing, capped at k - count + 1 quads, needs more
+    removals than are left; the search stops at the first witness.
+    ``found`` carries the witness (the vertices not removed, at least
+    ``size`` of them), ``infeasible`` is a proof that no such set exists,
+    and ``exhausted`` means the budget ran out first.  ``catalog``, when
+    given, must be ``quad_catalog(G)``.
+    """
+    budget = budget or SearchBudget()
+    clock = _Clock(budget)
+    k = G.n - size
+    if k < 0:
+        return SetSearchResult(status=INFEASIBLE, vertices=(), nodes=0, elapsed=clock.elapsed)
+    cat = quad_catalog(G) if catalog is None else catalog
+    witness = 0
+
+    def rec(removed: int, banned: int, count: int) -> str:
+        nonlocal witness
+        if clock.tick():
+            return EXHAUSTED
+        packing = _greedy_packing(cat, removed, k - count + 1)
+        if not packing:
+            witness = removed
+            return FOUND
+        if count + len(packing) > k:
+            return INFEASIBLE
+        earlier = 0
+        for v in cat.quads[packing[0]]:
+            vb = 1 << v
+            if banned & vb:
+                continue
+            sub = rec(removed | vb, banned | earlier, count + 1)
+            if sub != INFEASIBLE:
+                return sub
+            earlier |= vb
+        return INFEASIBLE
+
+    status = rec(0, 0, 0)
+    vertices = ()
+    if status == FOUND:
+        vertices = tuple(v for v in range(G.n) if not ((witness >> v) & 1))
+        if len(vertices) < size or not is_D_free(G, vertices):
+            raise AssertionError("D-free decision returned a witness that is too small or spans a copy")
+    return SetSearchResult(status=status, vertices=vertices, nodes=clock.nodes, elapsed=clock.elapsed)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .absorb import AbsorberFamily, leftover_bound, validate_family
-from .core import DCopy, Hypergraph3, InputError, Tiling, _fill
+from .core import MAX_N, DCopy, Hypergraph3, InputError, Tiling, _fill
+
+_MAX_DIGITS = len(str(MAX_N))
 
 
 @dataclass(frozen=True)
@@ -85,12 +87,18 @@ def parse_instance(text: str) -> Hypergraph3:
     known: dict[str, int] = {}
 
     def vertex(token: str) -> int:
+        # A token longer than MAX_N's digits would make int() slow or a
+        # bit 1 << x of unbounded size, so it stops here, as do ids >= MAX_N.
+        if len(token) > _MAX_DIGITS:
+            raise InputError(f"line {at}: vertex token of {len(token)} characters; ids are below {MAX_N}")
         try:
             x = int(token)
         except ValueError:
             raise InputError(f"line {at}: non-integer field in edge") from None
         if not 0 <= x < n:
             raise InputError(f"line {at}: vertex {x} outside 0..{n - 1}")
+        if x >= MAX_N:
+            raise InputError(f"line {at}: vertex {x} is not below MAX_N = {MAX_N}")
         known[token] = x
         return x
 

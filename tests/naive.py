@@ -29,6 +29,15 @@ def naive_is_D_free(edges, S) -> bool:
     return not naive_copy_pairs(edges, within=S)
 
 
+def naive_space_barrier(n, edges, S) -> bool:
+    """Whether S proves that no perfect tiling exists: S is a set of
+    vertices of the graph that spans no copy, and more than 3n/4 of them.
+    Each copy of a perfect tiling has a vertex outside S, and there are
+    n/4 copies but fewer than n/4 vertices outside S."""
+    S = set(S)
+    return S <= set(range(n)) and naive_is_D_free(edges, S) and 4 * len(S) > 3 * n
+
+
 def _spanning_quads(n, edges):
     """4-sets inducing at least 2 edges, recomputed by direct counting."""
     edge_set = {tuple(sorted(e)) for e in edges}
@@ -42,23 +51,29 @@ def _spanning_quads(n, edges):
 
 def naive_perfect_partition(n, edges):
     """Exhaustive search for a partition into spanning 4-sets; the lowest
-    uncovered vertex anchors each level, so each partition is visited once."""
+    uncovered vertex anchors each level, so each partition is visited once.
+    A covered set already known to leave no partition is not searched
+    again; that skips only repeated failures, so the answer is unchanged."""
     if n % 4:
         return None
     quads = _spanning_quads(n, edges)
+    dead = set()
 
     def rec(covered, chosen):
         if len(covered) == n:
             return list(chosen)
+        if covered in dead:
+            return None
         v = min(set(range(n)) - covered)
         for q in quads:
             if v in q and not (set(q) & covered):
                 found = rec(covered | set(q), chosen + [q])
                 if found is not None:
                     return found
+        dead.add(covered)
         return None
 
-    return rec(set(), [])
+    return rec(frozenset(), [])
 
 
 def naive_max_tiling_size(n, edges) -> int:

@@ -1,0 +1,197 @@
+"""The space-barrier verdict: a D-free set S with |S| > 3n/4 refutes a
+perfect tiling, because each copy needs a vertex outside S.  Every such
+verdict is checked here by the independent oracles in ``naive``."""
+
+import random
+import sys
+
+import pytest
+
+import dtiling
+from dtiling import (
+    DriverParams,
+    build,
+    construct_G0,
+    construct_G1,
+    extend_to_maximal_D_free,
+    greedy_D_free_set,
+    max_D_free_set,
+    planted_extremal,
+    random_codegree_instance,
+    solve_driver,
+)
+
+from naive import naive_perfect_partition, naive_space_barrier
+
+
+def relabelled(G, seed):
+    perm = list(range(G.n))
+    random.Random(seed).shuffle(perm)
+    return build(G.n, ([perm[v] for v in e] for e in G.edges))
+
+
+def solve(G, mode="auto"):
+    return solve_driver(G, DriverParams(mode=mode, collect_timings=False))
+
+
+def check_barrier_verdict(G, res):
+    """A space-barrier verdict must carry an S the naive oracle accepts;
+    up to 16 vertices the naive partition search confirms the refutation."""
+    report = res.report
+    assert report["branch"] == "space-barrier"
+    assert res.status == "infeasible" and res.tiling is None
+    S = report["dfree"]["vertices"]
+    assert report["dfree"]["size"] == len(S)
+    edges = sorted(G.edges)
+    assert naive_space_barrier(G.n, edges, S)
+    if G.n <= 16:
+        assert naive_perfect_partition(G.n, edges) is None
+
+
+G0_ORDERS = list(range(8, 41, 4))
+G1_ORDERS = [8, 16, 24, 32, 40]  # n/4 even: the top layer needs a Steiner system
+
+
+@pytest.mark.parametrize("n", G0_ORDERS)
+def test_g0_refuted_at_the_barrier(n):
+    G = relabelled(construct_G0(n), seed=n)
+    res = solve(G)
+    check_barrier_verdict(G, res)
+    assert res.report["attempts"] == [{"branch": "space-barrier", "outcome": "infeasible"}]
+
+
+@pytest.mark.parametrize("n", G1_ORDERS)
+def test_g1_refuted_at_the_barrier(n):
+    G = relabelled(construct_G1(n), seed=n)
+    res = solve(G)
+    check_barrier_verdict(G, res)
+    dfree = res.report["dfree"]
+    if n <= 24:
+        assert (dfree["method"], dfree["outcome"]) == ("exact", "witness")
+        assert dfree["nodes"] > 0
+    else:
+        assert (dfree["method"], dfree["nodes"]) == ("greedy", 0)
+
+
+def test_random_near_threshold_barrier_verdicts_hold():
+    rng = random.Random(20)
+    barriers = 0
+    for _ in range(100):
+        n = rng.choice([8, 12, 16, 20])
+        G = random_codegree_instance(n, n // 4 + rng.choice([-1, 0, 1]), rng.randrange(2**32))
+        res = solve(G)
+        if res.report["branch"] == "space-barrier":
+            barriers += 1
+            check_barrier_verdict(G, res)
+        else:
+            assert 4 * res.report["dfree"]["size"] <= 3 * n
+            assert "vertices" not in res.report["dfree"]
+    # At codegree n/4 - 1 and above no random instance reaches the barrier.
+    assert barriers == 0
+
+
+def test_sparse_random_barrier_exactly_when_the_optimum_passes_3n_4():
+    # Up to EXACT_DFREE_MAX_N vertices the driver decides the question
+    # exactly, so it reaches the barrier on every instance that has one.
+    rng = random.Random(3)
+    barriers = 0
+    for _ in range(60):
+        n = rng.choice([8, 12, 16])
+        G = random_codegree_instance(n, rng.choice([0, 1, 2]), rng.randrange(2**32))
+        res = solve(G)
+        above = 4 * len(max_D_free_set(G).vertices) > 3 * n
+        assert (res.report["branch"] == "space-barrier") == above
+        if above:
+            barriers += 1
+            check_barrier_verdict(G, res)
+    assert barriers >= 10
+
+
+@pytest.mark.parametrize(
+    "node_limit, fields",
+    [
+        # The barrier question refutes in 1 node, the threshold one in 210.
+        (10_000_000, {"method": "exact", "nodes": 211, "outcome": "refuted"}),
+        # Each decision gets the budget: 1 + 101 nodes, the last one over it.
+        (100, {"method": "exact-budget", "nodes": 102, "outcome": "exhausted"}),
+    ],
+)
+def test_undecided_certificate_falls_back_to_the_greedy_set(node_limit, fields):
+    G = random_codegree_instance(16, 4, 7)
+    res = solve_driver(G, DriverParams(node_limit=node_limit, collect_timings=False))
+    greedy = extend_to_maximal_D_free(G, greedy_D_free_set(G))
+    assert res.report["dfree"] == {"size": len(greedy), "threshold": 9.0, "extremal": False, **fields}
+    assert res.status == "tiled" and res.report["branch"] == "exact-fallback"
+
+
+def test_forced_extremal_mode_stops_at_the_barrier():
+    G = construct_G1(16)
+    check_barrier_verdict(G, solve(G, mode="extremal"))
+
+
+def test_exact_mode_still_refutes_by_search():
+    res = solve(construct_G0(16), mode="exact")
+    assert res.report["branch"] == "exact-fallback"
+    assert res.status == "infeasible" and "dfree" not in res.report
+
+
+def test_tileable_instances_stay_below_the_barrier():
+    for n in (16, 24, 40):
+        res = solve(planted_extremal(n))
+        assert res.status == "tiled" and res.report["branch"] == "extremal"
+        assert res.report["dfree"]["size"] == 3 * n // 4
+
+
+def patch_everywhere(monkeypatch, name, replacement):
+    """Replace ``dtiling.exact.<name>`` in every dtiling module that holds it."""
+    original = getattr(dtiling.exact, name)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name == "dtiling" or mod_name.startswith("dtiling."):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, replacement)
+    return original
+
+
+class TestCallCounts:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_codegree_instance(16, 3, 11),
+            lambda: random_codegree_instance(16, 5, 12),
+            lambda: random_codegree_instance(20, 4, 13),
+            lambda: random_codegree_instance(20, 6, 14),
+            lambda: relabelled(construct_G0(20), 1),
+            lambda: relabelled(construct_G1(24), 2),
+            lambda: relabelled(planted_extremal(24), 3),
+        ],
+        ids=["random16-3", "random16-5", "random20-4", "random20-6", "g0-20", "g1-24", "planted-24"],
+    )
+    def test_one_catalog_per_solve(self, make, monkeypatch):
+        # The certificate's decisions and the exact fallback share one
+        # catalog of G; the absorption layer's own subgraphs are not G.
+        G = make()
+        calls = []
+
+        def counting(H):
+            calls.append(H is G)
+            return original(H)
+
+        original = patch_everywhere(monkeypatch, "quad_catalog", counting)
+        res = solve(G)
+        assert res.status in ("tiled", "infeasible")
+        assert sum(calls) == 1
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: relabelled(construct_G0(32), 5), lambda: relabelled(construct_G1(40), 6)],
+        ids=["g0-32", "g1-40"],
+    )
+    def test_large_witnesses_need_no_search(self, make, monkeypatch):
+        for name in ("quad_catalog", "max_D_free_set", "perfect_tiling_exact"):
+
+            def refuse(*args, _name=name, **kwargs):
+                raise AssertionError(f"the barrier solve called {_name}")
+
+            patch_everywhere(monkeypatch, name, refuse)
+        G = make()
+        check_barrier_verdict(G, solve(G))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dtiling
 from dtiling import (
     DriverParams,
     complete_3graph,
@@ -119,6 +124,28 @@ class TestSolve:
     def test_bad_mode_rejected(self, tmp_path):
         assert run(["solve", "x", "--mode", "psychic"]) == 64
 
+    @pytest.mark.parametrize(
+        "text",
+        ["99999999999999999999 1\n0 1 99999999999999999998\n", "1000000000 0\n"],
+        ids=["huge-vertex-id", "huge-header-n"],
+    )
+    def test_unbounded_input_exits_64(self, tmp_path, text):
+        # In a subprocess under a timeout: before the input bound, the
+        # first raised OverflowError and the second never returned.
+        path = tmp_path / "inst.txt"
+        path.write_text(text)
+        src = str(Path(dtiling.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from dtiling.cli import main; sys.exit(main())",
+             "solve", str(path)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 64, proc.stderr
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
 
 class TestVerify:
     def test_round_trip_ok(self, tmp_path, capsys):
@@ -180,6 +207,14 @@ class TestScan:
         assert run(["scan", "--n-range", "8:8:4", "--trials", "1"]) == 0
         (line,) = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         assert "mean_ms" in line
+
+    def test_spread_and_branch_mix(self, capsys):
+        assert run(["scan", "--n-range", "8:12:4", "--trials", "3", "--d-offset", "-1"]) == 0
+        for line in map(json.loads, capsys.readouterr().out.splitlines()):
+            assert line["p50_ms"] <= line["p90_ms"] <= line["max_ms"]
+            assert line["max_ms"] >= line["mean_ms"]
+            assert set(line["branches"]) >= {"extremal", "non-extremal", "exact-fallback", "space-barrier"}
+            assert sum(line["branches"].values()) == 3
 
     def test_parallel_matches_serial(self, capsys):
         assert run(["scan", "--n-range", "8:8:4", "--trials", "2", "--no-timings"]) == 0

@@ -1,7 +1,11 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+
+import dtiling
 
 from dtiling import (
     InputError,
@@ -10,6 +14,7 @@ from dtiling import (
     complete_3graph,
     construct_G0,
     construct_G1,
+    decide_D_free_set,
     four_partite,
     four_partite_degree_stats,
     four_partite_of,
@@ -27,8 +32,11 @@ from dtiling import (
 )
 from dtiling.exact import _greedy_hitting, _greedy_packing
 
+from test_tileable import graphs
+
 from naive import (
     naive_four_partite_matching,
+    naive_is_D_free,
     naive_max_D_free,
     naive_max_tiling_size,
     naive_perfect_partition,
@@ -417,6 +425,153 @@ def test_pinned_searches(case, expected):
     res = max_D_free_set(G, SearchBudget(node_limit=1100))
     got["dfree"] = (res.status, res.nodes, res.vertices)
     assert got == expected
+
+
+# (status, nodes, witness) of the D-free decision on the pinned instances,
+# at the driver's two questions: ceil(t) for t = (1 - 0.25) * 3n/4, and
+# floor(3n/4) + 1, the space barrier.
+PINNED_DECISIONS = {
+    ("random", 8, 1, 0): {
+        "threshold": ("found", 27, (0, 2, 3, 4, 7)),
+        "barrier": ("infeasible", 5, ()),
+    },
+    ("random", 8, 2, 1): {
+        "threshold": ("infeasible", 35, ()),
+        "barrier": ("infeasible", 1, ()),
+    },
+    ("random", 10, 2, 2): {
+        "threshold": ("infeasible", 74, ()),
+        "barrier": ("infeasible", 5, ()),
+    },
+    ("random", 12, 2, 3): {
+        "threshold": ("infeasible", 86, ()),
+        "barrier": ("infeasible", 1, ()),
+    },
+    ("random", 12, 3, 4): {
+        "threshold": ("infeasible", 105, ()),
+        "barrier": ("infeasible", 5, ()),
+    },
+    ("random", 13, 3, 5): {
+        "threshold": ("infeasible", 70, ()),
+        "barrier": ("infeasible", 5, ()),
+    },
+    ("random", 16, 4, 7): {
+        "threshold": ("infeasible", 210, ()),
+        "barrier": ("infeasible", 1, ()),
+    },
+    ("random", 16, 5, 8): {
+        "threshold": ("infeasible", 210, ()),
+        "barrier": ("infeasible", 1, ()),
+    },
+    ("random", 20, 4, 9): {
+        "threshold": ("infeasible", 210, ()),
+        "barrier": ("infeasible", 5, ()),
+    },
+    ("random", 24, 6, 12): {
+        "threshold": ("infeasible", 353, ()),
+        "barrier": ("infeasible", 1, ()),
+    },
+    ("G0", 8): {
+        "threshold": ("found", 2, (1, 2, 3, 4, 5, 6, 7)),
+        "barrier": ("found", 2, (1, 2, 3, 4, 5, 6, 7)),
+    },
+    ("G0", 12): {
+        "threshold": ("found", 3, (2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+        "barrier": ("found", 3, (2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    },
+    ("G0", 16): {
+        "threshold": ("found", 4, (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)),
+        "barrier": ("found", 4, (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)),
+    },
+    ("G0", 20): {
+        "threshold": ("found", 5, (4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19)),
+        "barrier": ("found", 5, (4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19)),
+    },
+    ("G0", 24): {
+        "threshold": ("found", 6, (5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23)),
+        "barrier": ("found", 6, (5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23)),
+    },
+    ("G1", 8): {
+        "threshold": ("found", 2, (1, 2, 3, 4, 5, 6, 7)),
+        "barrier": ("found", 2, (1, 2, 3, 4, 5, 6, 7)),
+    },
+    ("G1", 16): {
+        "threshold": ("found", 4, (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)),
+        "barrier": ("found", 4, (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)),
+    },
+    ("G1", 24): {
+        "threshold": ("found", 6, (5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23)),
+        "barrier": ("found", 6, (5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23)),
+    },
+    ("planted", 16): {
+        "threshold": ("found", 5, (4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)),
+        "barrier": ("infeasible", 35, ()),
+    },
+    ("planted", 24): {
+        "threshold": ("found", 7, (6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23)),
+        "barrier": ("infeasible", 126, ()),
+    },
+}
+
+
+def decision_sizes(n):
+    return {"threshold": math.ceil(0.75 * 3 * n / 4), "barrier": 3 * n // 4 + 1}
+
+
+@pytest.mark.parametrize("case", list(PINNED_DECISIONS), ids=str)
+def test_pinned_decisions(case):
+    G = _pinned_graph(case)
+    got = {}
+    for name, size in decision_sizes(G.n).items():
+        res = decide_D_free_set(G, size, SearchBudget(node_limit=1100))
+        got[name] = (res.status, res.nodes, res.vertices)
+    assert got == PINNED_DECISIONS[case]
+    # The witnesses agree with the optimum pinned beside them.
+    optimum = len(dict(PINNED_SEARCHES)[case]["dfree"][2])
+    for name, size in decision_sizes(G.n).items():
+        assert (got[name][0] == "found") == (optimum >= size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=12))
+def test_decision_matches_the_optimum(data):
+    n, edges = data
+    G = build(n, edges)
+    optimum = len(max_D_free_set(G).vertices)
+    for size in range(n + 2):
+        res = decide_D_free_set(G, size)
+        assert res.status == ("found" if optimum >= size else "infeasible")
+        if res.status == "found":
+            assert len(res.vertices) >= size
+            assert naive_is_D_free(sorted(G.edges), res.vertices)
+        else:
+            assert res.vertices == ()
+
+
+class TestDecision:
+    def test_size_above_n_is_refuted_at_once(self):
+        res = decide_D_free_set(build(8, []), 9)
+        assert (res.status, res.nodes, res.vertices) == ("infeasible", 0, ())
+
+    def test_edgeless_has_every_size(self):
+        res = decide_D_free_set(build(8, []), 8)
+        assert (res.status, res.vertices) == ("found", tuple(range(8)))
+
+    def test_budget_exhaustion_flagged(self):
+        G = random_codegree_instance(20, 5, 1)
+        res = decide_D_free_set(G, 12, SearchBudget(node_limit=3))
+        assert (res.status, res.nodes, res.vertices) == ("exhausted", 4, ())
+
+    def test_catalog_is_reused(self, monkeypatch):
+        G = construct_G0(16)
+        cat = quad_catalog(G)
+
+        def refuse(G):
+            raise AssertionError("quad_catalog rebuilt")
+
+        monkeypatch.setattr(dtiling.exact, "quad_catalog", refuse)
+        assert decide_D_free_set(G, 13, catalog=cat).status == "found"
+        assert perfect_tiling_exact(G, catalog=cat).status == "infeasible"
 
 
 def complete_four_partite(m):

@@ -8,6 +8,7 @@ from dtiling import (
     AbsorptionParams,
     DriverParams,
     Hypergraph3,
+    MAX_N,
     InputError,
     build,
     build_absorbing_family,
@@ -233,6 +234,34 @@ class TestLineNumbers:
         G = parse_instance("1000000000 0\n")
         assert (G.n, G.m, G.edges) == (1000000000, 0, frozenset())
         assert G.pair_bits(0, 999999999) == 0 and G.degree(5) == 0
+
+
+class TestInputBound:
+    def test_huge_vertex_token_is_an_input_error(self):
+        # int() of this token works, but its bit 1 << w would not fit.
+        text = "99999999999999999999 1\n0 1 99999999999999999998\n"
+        with pytest.raises(InputError, match="line 2"):
+            parse_instance(text)
+
+    def test_token_longer_than_max_n_digits(self):
+        # Rejected by its length, before int(), though its value is 2.
+        text = f"{MAX_N + 1} 1\n0 1 {'0' * len(str(MAX_N))}2\n"
+        with pytest.raises(InputError, match="line 2: vertex token of 6 characters"):
+            parse_instance(text)
+
+    def test_vertex_at_max_n_rejected_even_below_n(self):
+        with pytest.raises(InputError, match="line 3.*MAX_N"):
+            parse_instance(f"# big\n{MAX_N + 5} 1\n0 1 {MAX_N}\n")
+
+    def test_vertex_just_below_max_n_accepted(self):
+        G = parse_instance(f"{MAX_N} 1\n0 1 {MAX_N - 1}\n")
+        assert G.has_edge(0, 1, MAX_N - 1)
+
+    def test_solve_driver_rejects_n_above_max_n(self):
+        # n = MAX_N + 1 is not divisible by 4 either, so without the bound
+        # this fails fast on the wrong message instead of running on.
+        with pytest.raises(InputError, match="at most"):
+            solve_driver(build(MAX_N + 1, []))
 
 
 # Lines that carry no content: they may appear anywhere.
