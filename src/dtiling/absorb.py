@@ -8,11 +8,11 @@ the local search leaves uncovered are handed to distinct family members,
 each re-tiled together with its 4-set, while idle members fall back to
 their cached own tilings.
 
-Two kernels split the work.  Every yes/no question (is S, or S + U,
-tileable?) goes to ``exact.tileable``, a search on vertex bitmasks that
-builds nothing.  ``induced_perfect_tiling`` runs only where a tiling is
-emitted: the cached own tiling of each kept member and the joint tiling
-of the member a leftover 4-set is handed to.
+Two kernels split the work, and neither copies a subgraph.  Every yes/no
+question (is S, or S + U, tileable?) goes to ``exact.tileable``.
+``induced_perfect_tiling``, the exact search on the set's vertex mask,
+runs only where a tiling is emitted: the cached own tiling of each kept
+member and the joint tiling of the member a leftover 4-set is handed to.
 
 Family construction follows the probabilistic recipe: draw a binomial
 number of uniform 8-sets, delete both sides of every overlapping pair,
@@ -39,8 +39,6 @@ from .core import (
     InputError,
     Tiling,
     bits_of,
-    induced_subgraph,
-    map_copy,
     mask_of,
     min_codegree,
     validate_tiling,
@@ -72,12 +70,9 @@ class AbsorptionFailure(RuntimeError):
 def induced_perfect_tiling(
     G: Hypergraph3, vertices, budget: SearchBudget | None = None
 ) -> Tiling | None:
-    """Perfect tiling of the induced subgraph, in original vertex ids."""
-    H, mapping = induced_subgraph(G, vertices)
-    res = perfect_tiling_exact(H, budget)
-    if res.status != FOUND:
-        return None
-    return Tiling.from_copies(map_copy(c, mapping) for c in res.tiling.copies)
+    """Perfect tiling of the subgraph induced on ``vertices``, or None."""
+    res = perfect_tiling_exact(G, budget, within=mask_of(vertices))
+    return res.tiling if res.status == FOUND else None
 
 
 def absorbs(G: Hypergraph3, S, U) -> bool:
@@ -105,17 +100,13 @@ def _emitted_tiling(G: Hypergraph3, vertices) -> Tiling:
 @dataclass(frozen=True)
 class AbsorptionParams:
     """Knobs for family construction; None fields are derived at build
-    time (sigma empirically, p from the desk-scale rate, omega from the
-    leftover bound formula alpha*sigma^2/128)."""
+    time (sigma empirically, p from the desk-scale rate)."""
 
     alpha: float = 0.3
     sigma: float | None = None
     p: float | None = None
-    omega: float | None = None
     seed: int = 0
     max_retries: int = 20
-    delta: float = 0.25
-    probe_limit: int = PROBE_LIMIT
     use_nominal_rate: bool = False
 
 
@@ -197,7 +188,7 @@ def build_absorbing_family(
     if not 0 < params.alpha < 1:
         raise InputError(f"alpha must lie in (0, 1), got {params.alpha}")
     rng = random.Random(params.seed)
-    stats: dict = {"attempts": [], "codegree_ok": min_codegree(G) >= params.delta * G.n}
+    stats: dict = {"attempts": [], "codegree_ok": 4 * min_codegree(G) >= G.n}
     if int(params.alpha * G.n) // 8 < 1:
         stats["reason"] = f"vertex budget alpha*n = {params.alpha * G.n:.2f} admits no 8-set"
         raise ConstructionFailure(stats)
@@ -208,7 +199,7 @@ def build_absorbing_family(
         p = nominal_sampling_rate(params.alpha, sigma, G.n)
     else:
         p = desk_sampling_rate(params.alpha, G.n)
-    omega = params.omega if params.omega is not None else leftover_bound(params.alpha, sigma)
+    omega = leftover_bound(params.alpha, sigma)
     stats.update({"sigma": sigma, "p": p, "omega": omega})
     total = math.comb(G.n, 8) if G.n >= 8 else 0
     max_members = int(params.alpha * G.n) // 8
@@ -233,7 +224,7 @@ def build_absorbing_family(
         members: list[tuple[int, ...]] = []
         tilings: list[Tiling] = []
         for s in disjoint:
-            if tileable(G, mask_of(s)) and _probed_absorption(G, s, rng, params):
+            if tileable(G, mask_of(s)) and _probed_absorption(G, s, rng):
                 members.append(s)
                 tilings.append(_emitted_tiling(G, s))
         record = {
@@ -260,10 +251,10 @@ def build_absorbing_family(
     raise ConstructionFailure(stats)
 
 
-def _probed_absorption(G, s, rng, params: AbsorptionParams) -> bool:
+def _probed_absorption(G, s, rng) -> bool:
     rest = sorted(set(range(G.n)) - set(s))
     s_mask = mask_of(s)
-    limit = min(params.probe_limit, math.comb(len(rest), 4))
+    limit = min(PROBE_LIMIT, math.comb(len(rest), 4))
     for _ in range(limit):
         U = rng.sample(rest, 4)
         # G[s] is already known tileable here, only the joint check remains.

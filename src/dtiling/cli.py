@@ -8,11 +8,12 @@ set.  When |S| > 3n/4 the instance is refuted at once by the space
 barrier: every copy of a perfect tiling needs a vertex outside S.  Else
 it runs the extremal pipeline when |S| >= t, otherwise sets aside an
 absorbing family, tiles the rest near-perfectly, and absorbs the
-leftover.  In auto mode any branch failure falls back to the exact
-solver; forced modes report their own stall instead.  Exit codes: 0
-tiled, 2 proven infeasible (by the space barrier or by the exact search),
-3 search exhausted or stalled, 64 usage errors and malformed or
-oversized input.
+leftover; those steps take their part of G as a vertex mask, so no
+subgraph is copied or relabelled.  In auto mode any branch failure
+falls back to the exact solver; forced modes report their own stall
+instead.  Exit codes: 0 tiled, 2 proven infeasible (by the space barrier
+or by the exact search), 3 search exhausted or stalled, 64 usage errors
+and malformed or oversized input.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .absorb import (
     ConstructionFailure,
     absorb_leftover,
     build_absorbing_family,
-    induced_perfect_tiling,
 )
 from .constructions import KINDS, ConstructionSpec, build_instance, random_codegree_instance
 from .core import (
@@ -39,9 +39,9 @@ from .core import (
     Hypergraph3,
     InputError,
     Tiling,
-    induced_subgraph,
+    bits_of,
     is_D_free,
-    map_copy,
+    mask_of,
     min_codegree,
     validate_tiling,
 )
@@ -270,18 +270,17 @@ def _try_absorb_branch(G, params, alpha, gamma, budget, report, clocked):
         "p": family.p,
         "omega": family.omega,
     }
-    rest = sorted(set(range(G.n)) - family.covered)
-    H, mapping = induced_subgraph(G, rest)
-    ls = clocked("local_search", near_perfect_tiling, H, gamma)
+    family_mask = mask_of(family.covered)
+    rest = ((1 << G.n) - 1) & ~family_mask
+    ls = clocked("local_search", near_perfect_tiling, G, gamma, within=rest)
     report["local_search"] = ls.report
-    partial = Tiling.from_copies(map_copy(c, mapping) for c in ls.tiling.copies)
-    leftover = sorted(set(rest) - set(partial.covered))
-    report["leftover"] = len(leftover)
+    leftover = rest & ~mask_of(ls.tiling.covered)
+    report["leftover"] = leftover.bit_count()
     try:
-        absorbed = clocked("absorb", absorb_leftover, G, family, leftover)
+        absorbed = clocked("absorb", absorb_leftover, G, family, bits_of(leftover))
         report["branch"] = "non-extremal"
         report["attempts"].append({"branch": "non-extremal", "outcome": "tiled"})
-        return Tiling.from_copies(partial.copies + absorbed.copies)
+        return Tiling.from_copies(ls.tiling.copies + absorbed.copies)
     except AbsorptionFailure as exc:
         report["attempts"].append(
             {
@@ -290,19 +289,24 @@ def _try_absorb_branch(G, params, alpha, gamma, budget, report, clocked):
                 "block": list(exc.block),
             }
         )
-        region = sorted(set(family.covered) | set(leftover))
-        if len(region) <= LEFTOVER_EXACT_CAP:
-            joint = clocked("absorb_exact", induced_perfect_tiling, G, region, budget)
-            if joint is not None:
-                report["branch"] = "non-extremal"
-                report["attempts"].append(
-                    {"branch": "non-extremal", "outcome": "tiled_by_leftover_exact"}
-                )
-                return Tiling.from_copies(partial.copies + joint.copies)
+        region = family_mask | leftover
+        status, nodes = "skipped", 0  # the region is above LEFTOVER_EXACT_CAP
+        if region.bit_count() <= LEFTOVER_EXACT_CAP:
+            res = clocked("absorb_exact", perfect_tiling_exact, G, budget, within=region)
+            status, nodes = res.status, res.nodes
         report["attempts"].append(
-            {"branch": "non-extremal", "outcome": "leftover_exact_failed", "region": len(region)}
+            {
+                "branch": "non-extremal",
+                "outcome": "tiled_by_leftover_exact" if status == FOUND else "leftover_exact_failed",
+                "region": region.bit_count(),
+                "status": status,
+                "nodes": nodes,
+            }
         )
-        return None
+        if status != FOUND:
+            return None
+        report["branch"] = "non-extremal"
+        return Tiling.from_copies(ls.tiling.copies + res.tiling.copies)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +509,10 @@ def _cmd_scan(args, parser: _Parser) -> int:
         for n in values
         for t in range(args.trials)
     ]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # A fork pool starts all its workers at once: never more than tasks.
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_worker, tasks))
     else:
         results = [_scan_worker(t) for t in tasks]

@@ -56,6 +56,15 @@ def mask_of(vertices) -> int:
     return m
 
 
+def vertex_mask(G: Hypergraph3, within: int | None) -> int:
+    """The vertex bitmask ``within``, or all of G when it is None."""
+    if within is None:
+        return (1 << G.n) - 1
+    if within < 0 or within >> G.n:
+        raise InputError(f"mask {within:#x} names vertices outside 0..{G.n - 1}")
+    return within
+
+
 @dataclass(frozen=True)
 class DCopy:
     """One placed copy: 4 vertices plus the two witnessing edges.
@@ -270,23 +279,17 @@ def iter_D_copies(G: Hypergraph3, within=None):
     Each unordered pair of edges sharing exactly two vertices is yielded
     exactly once, since the shared pair of such an edge pair is unique.
     """
-    if within is None:
-        pool = range(G.n)
-        wmask = (1 << G.n) - 1
-    else:
-        pool = sorted(set(within))
-        wmask = mask_of(pool)
-    for i, u in enumerate(pool):
-        for v in pool[i + 1 :]:
-            thirds = bits_of(G.pair_bits(u, v) & wmask)
-            for a, b in itertools.combinations(thirds, 2):
-                edge_a = tuple(sorted((u, v, a)))
-                edge_b = tuple(sorted((u, v, b)))
-                yield DCopy(
-                    vertices=tuple(sorted((u, v, a, b))),
-                    edge_a=min(edge_a, edge_b),
-                    edge_b=max(edge_a, edge_b),
-                )
+    wmask = (1 << G.n) - 1 if within is None else mask_of(within)
+    for u, v in itertools.combinations(bits_of(wmask), 2):
+        thirds = bits_of(G.pair_bits(u, v) & wmask)
+        for a, b in itertools.combinations(thirds, 2):
+            edge_a = tuple(sorted((u, v, a)))
+            edge_b = tuple(sorted((u, v, b)))
+            yield DCopy(
+                vertices=tuple(sorted((u, v, a, b))),
+                edge_a=min(edge_a, edge_b),
+                edge_b=max(edge_a, edge_b),
+            )
 
 
 def enumerate_D_copies(G: Hypergraph3, within=None) -> list[DCopy]:

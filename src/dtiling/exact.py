@@ -4,7 +4,9 @@ sets and the pattern-free decision, and 4-partite perfect matching.
 All tiling searches run on the quad catalog: the list of 4-sets that
 induce at least two edges, i.e. exactly the 4-sets a copy can occupy.
 Perfect tiling is exact cover over the catalog with fewest-options-first
-branching.  Two sound prunes keep structured instances tractable:
+branching; both run on a vertex mask ``within`` of G when asked, in G's
+own ids, so no caller copies a subgraph.  Two sound prunes keep
+structured instances tractable:
 
 * a vertex with no available quad kills the branch immediately;
 * a greedy vertex set hitting every available quad bounds the number of
@@ -62,6 +64,7 @@ from .core import (
     is_D_free,
     mask_of,
     validate_tiling,
+    vertex_mask,
 )
 
 FOUND = "found"
@@ -96,26 +99,23 @@ class QuadCatalog:
     by_vertex: tuple[tuple[int, ...], ...]
 
 
-def quad_catalog(G: Hypergraph3) -> QuadCatalog:
-    """Enumerate spanning 4-sets via pairs: {u,v} plus two cohabitants."""
+def quad_catalog(G: Hypergraph3, within: int | None = None) -> QuadCatalog:
+    """Enumerate spanning 4-sets via pairs: {u,v} plus two cohabitants,
+    all inside the vertex mask ``within`` (default: all of G)."""
+    within = vertex_mask(G, within)
     quads = set()
-    for u in range(G.n - 1):
-        for v in range(u + 1, G.n):
-            thirds = bits_of(G.pair_bits(u, v))
-            for a, b in itertools.combinations(thirds, 2):
-                quads.add(tuple(sorted((u, v, a, b))))
+    for u, v in itertools.combinations(bits_of(within), 2):
+        thirds = bits_of(G.pair_bits(u, v) & within)
+        for a, b in itertools.combinations(thirds, 2):
+            quads.add(tuple(sorted((u, v, a, b))))
     ordered = tuple(sorted(quads))
-    masks = []
     by_vertex: list[list[int]] = [[] for _ in range(G.n)]
     for i, q in enumerate(ordered):
-        m = 0
         for v in q:
-            m |= 1 << v
             by_vertex[v].append(i)
-        masks.append(m)
     return QuadCatalog(
         quads=ordered,
-        masks=tuple(masks),
+        masks=tuple(map(mask_of, ordered)),
         by_vertex=tuple(tuple(x) for x in by_vertex),
     )
 
@@ -206,30 +206,38 @@ def _greedy_packing(cat: QuadCatalog, blocked: int, cap: int | None = None) -> l
     return out
 
 
-def _witness(G: Hypergraph3, cat: QuadCatalog, ids, perfect: bool) -> Tiling:
-    """The tiling on the catalog quads ``ids``, revalidated against G."""
+def _witness(G: Hypergraph3, cat: QuadCatalog, ids, cover: int | None = None) -> Tiling:
+    """The tiling on the catalog quads ``ids``, revalidated against G; when
+    ``cover`` is given, it must cover exactly that vertex mask."""
     tiling = Tiling.from_copies(dcopy_from_quad(G, cat.quads[i]) for i in ids)
-    verdict = validate_tiling(G, tiling, require_perfect=perfect)
+    verdict = validate_tiling(G, tiling)
+    if cover is not None and mask_of(tiling.covered) != cover:
+        verdict.add(f"not perfect: does not cover exactly the {cover.bit_count()} mask vertices")
     if not verdict.ok:
         raise AssertionError(f"tiling search produced an invalid tiling: {verdict.violations}")
     return tiling
 
 
 def perfect_tiling_exact(
-    G: Hypergraph3, budget: SearchBudget | None = None, catalog: QuadCatalog | None = None
+    G: Hypergraph3,
+    budget: SearchBudget | None = None,
+    catalog: QuadCatalog | None = None,
+    within: int | None = None,
 ) -> TilingSearchResult:
-    """Exact cover search for a perfect tiling.
+    """Exact cover search for a perfect tiling of the subgraph induced on
+    the vertex mask ``within`` (default: all of G), in G's vertex ids.
 
     ``infeasible`` is returned only when the search space is exhausted,
     ``exhausted`` when the budget ran out first.  ``catalog``, when
-    given, must be ``quad_catalog(G)``; it spares building it again.
+    given, must be ``quad_catalog(G, within)``; it spares building it again.
     """
-    if G.n % 4:
-        raise InputError(f"perfect tiling needs 4 | n, got n={G.n}")
+    full = vertex_mask(G, within)
+    size = full.bit_count()
+    if size % 4:
+        raise InputError(f"perfect tiling needs 4 | n, got n={size}")
     budget = budget or SearchBudget()
-    cat = quad_catalog(G) if catalog is None else catalog
+    cat = quad_catalog(G, full) if catalog is None else catalog
     clock = _Clock(budget)
-    full = (1 << G.n) - 1
     chosen: list[int] = []
 
     def rec(covered: int) -> str:
@@ -239,7 +247,7 @@ def perfect_tiling_exact(
             return FOUND
         avail = _available(cat, covered)
         counts = _vertex_counts(cat, avail)
-        uncovered = G.n - covered.bit_count()
+        uncovered = size - covered.bit_count()
         if len(counts) < uncovered:  # some uncovered vertex is in no quad
             return INFEASIBLE
         needed = uncovered // 4
@@ -261,7 +269,7 @@ def perfect_tiling_exact(
         return EXHAUSTED if ran_out else INFEASIBLE
 
     status = rec(0)
-    tiling = _witness(G, cat, chosen, perfect=True) if status == FOUND else None
+    tiling = _witness(G, cat, chosen, cover=full) if status == FOUND else None
     return TilingSearchResult(status=status, tiling=tiling, nodes=clock.nodes, elapsed=clock.elapsed)
 
 
@@ -278,9 +286,7 @@ def tileable(G: Hypergraph3, mask: int) -> bool:
     recurses on what is left, memoised on the remaining mask.  A 16-vertex
     mask has fewer than 2^16 submasks, so no budget is needed.
     """
-    if mask < 0 or mask >> G.n:
-        raise InputError(f"mask {mask:#x} names vertices outside 0..{G.n - 1}")
-    size = mask.bit_count()
+    size = vertex_mask(G, mask).bit_count()
     if size > TILEABLE_MAX_VERTICES:
         raise InputError(f"tileable takes at most {TILEABLE_MAX_VERTICES} vertices, got {size}")
     if size % 4:
@@ -356,7 +362,7 @@ def max_tiling_exact(G: Hypergraph3, budget: SearchBudget | None = None) -> Tili
     ran_out = rec(0, 0)
     return TilingSearchResult(
         status=EXHAUSTED if ran_out else FOUND,
-        tiling=_witness(G, cat, best, perfect=False),
+        tiling=_witness(G, cat, best),
         nodes=clock.nodes,
         elapsed=clock.elapsed,
     )

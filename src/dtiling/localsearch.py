@@ -1,8 +1,9 @@
 """Greedy tiling plus augmentation moves toward a near-perfect tiling.
 
-The driver starts from the canonical greedy maximal tiling and repeatedly
-applies the first applicable move, each of which grows the tiling by
-exactly one copy:
+The search runs on a vertex mask ``within`` of G (the driver passes all
+vertices outside the absorbing family) and places copies in G's own ids.
+It starts from the canonical greedy maximal tiling and repeatedly applies
+the first applicable move, each of which grows the tiling by one copy:
 
 * grow: place a fresh copy entirely inside the uncovered set W;
 * split: a placed copy holding two W-big vertices u, v is traded for two
@@ -14,7 +15,7 @@ exactly one copy:
 
 A covered vertex is W-big when its link graph on W has at least 10 * |W|
 pairs.  That threshold (and the 50/gamma stopping bound) is deliberately
-loose at small orders; when the stopping bound is vacuous (>= n) the
+loose at small orders; when the stopping bound is vacuous (>= |within|) the
 search simply runs until perfect, stalled, or out of budget, and the
 report says so rather than claiming success.
 """
@@ -34,6 +35,7 @@ from .core import (
     link_of_vertex_on_set,
     mask_of,
     validate_tiling,
+    vertex_mask,
 )
 
 BIG_LINK_FACTOR = 10
@@ -54,10 +56,10 @@ class AugmentationMove:
     added: tuple[DCopy, ...]
 
 
-def classify_big_small(G: Hypergraph3, tiling: Tiling) -> BigSmallSplit:
-    """Split covered vertices by link size on the uncovered set."""
-    uncovered = sorted(set(range(G.n)) - tiling.covered)
-    wmask = mask_of(uncovered)
+def classify_big_small(G: Hypergraph3, tiling: Tiling, within: int | None = None) -> BigSmallSplit:
+    """Split covered vertices by link size on the uncovered part of ``within``."""
+    wmask = vertex_mask(G, within) & ~mask_of(tiling.covered)
+    uncovered = bits_of(wmask)
     threshold = BIG_LINK_FACTOR * len(uncovered)
     big, small = [], []
     for v in sorted(tiling.covered):
@@ -99,34 +101,28 @@ def _copy_from_hub_path(hub: int, path: tuple[int, int, int]) -> DCopy:
     )
 
 
-def greedy_tiling(G: Hypergraph3) -> Tiling:
-    """Maximal tiling taking the canonical-first available 4-set each time.
+def greedy_tiling(G: Hypergraph3, within: int | None = None) -> Tiling:
+    """Maximal tiling of ``within`` taking the canonical-first available 4-set each time.
 
     The lowest uncovered vertex owning a spanning 4-set is found by
     scanning candidate triples in ascending order, so no quad catalog is
     materialized.
     """
+    within = vertex_mask(G, within)
     covered = 0
     copies = []
-    v = 0
-    while v < G.n:
+    for v in bits_of(within):
         if (covered >> v) & 1:
-            v += 1
             continue
-        quad = _first_quad_at(G, v, covered)
-        if quad is None:
-            v += 1
-            continue
-        copies.append(dcopy_from_quad(G, quad))
-        covered |= mask_of(quad)
-        v += 1
+        quad = _first_quad_at(G, v, within & ~covered)
+        if quad is not None:
+            copies.append(dcopy_from_quad(G, quad))
+            covered |= mask_of(quad)
     return Tiling.from_copies(copies)
 
 
-def _first_quad_at(G: Hypergraph3, v: int, covered: int) -> tuple | None:
-    """Lexicographically smallest uncovered spanning 4-set with minimum v."""
-    full = (1 << G.n) - 1
-    free = full & ~covered
+def _first_quad_at(G: Hypergraph3, v: int, free: int) -> tuple | None:
+    """Lexicographically smallest spanning 4-set inside ``free`` with minimum v."""
     above_v = free & ~((1 << (v + 1)) - 1)
     for a in bits_of(above_v):
         above_a = above_v & ~((1 << (a + 1)) - 1)
@@ -143,8 +139,8 @@ def _first_quad_at(G: Hypergraph3, v: int, covered: int) -> tuple | None:
     return None
 
 
-def find_grow_move(G: Hypergraph3, tiling: Tiling) -> AugmentationMove | None:
-    uncovered = sorted(set(range(G.n)) - tiling.covered)
+def find_grow_move(G: Hypergraph3, tiling: Tiling, within: int | None = None) -> AugmentationMove | None:
+    uncovered = bits_of(vertex_mask(G, within) & ~mask_of(tiling.covered))
     for copy in iter_D_copies(G, within=uncovered):
         return AugmentationMove(kind="grow", removed=(), added=(copy,))
     return None
@@ -241,35 +237,33 @@ class LocalSearchResult:
     report: dict
 
 
-def near_perfect_tiling(
-    G: Hypergraph3, gamma: float, move_budget: int | None = None
-) -> LocalSearchResult:
-    """Greedy start, then grow > split > big_swap until the leftover
-    target 50/gamma is met, no move applies, or the budget runs out."""
+def near_perfect_tiling(G: Hypergraph3, gamma: float, within: int | None = None) -> LocalSearchResult:
+    """Greedy start on the vertex mask ``within`` (default: all of G), then
+    grow > split > big_swap until the leftover target 50/gamma is met, no
+    move applies, or one move per vertex of ``within`` has been spent."""
     if not 0 < gamma < 1:
         raise InputError(f"gamma must lie in (0, 1), got {gamma}")
-    if move_budget is None:
-        move_budget = G.n
+    within = vertex_mask(G, within)
+    size = within.bit_count()
     threshold = 50.0 / gamma
-    vacuous = threshold >= G.n
-    tiling = greedy_tiling(G)
-    trajectory = [G.n - len(tiling.covered)]
+    vacuous = threshold >= size
+    tiling = greedy_tiling(G, within)
+    trajectory = [size - len(tiling.covered)]
     moves = {"grow": 0, "split": 0, "big_swap": 0}
-    reason = None
     while True:
-        leftover = G.n - len(tiling.covered)
+        leftover = size - len(tiling.covered)
         if leftover == 0:
             reason = "perfect"
             break
         if not vacuous and leftover <= threshold:
             reason = "reached_target"
             break
-        if sum(moves.values()) >= move_budget:
+        if sum(moves.values()) >= size:
             reason = "budget"
             break
-        move = find_grow_move(G, tiling)
+        move = find_grow_move(G, tiling, within)
         if move is None:
-            split = classify_big_small(G, tiling)
+            split = classify_big_small(G, tiling, within)
             move = find_split_move(G, tiling, split)
             if move is None:
                 move = find_big_swap_move(G, tiling, split)
@@ -278,7 +272,7 @@ def near_perfect_tiling(
             break
         tiling = apply_move(G, tiling, move)
         moves[move.kind] += 1
-        trajectory.append(G.n - len(tiling.covered))
+        trajectory.append(size - len(tiling.covered))
     report = {
         "moves": moves,
         "leftover_trajectory": trajectory,

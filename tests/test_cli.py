@@ -222,6 +222,48 @@ class TestScan:
         assert run(["scan", "--n-range", "8:8:4", "--trials", "2", "--no-timings", "--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
 
+    @pytest.mark.parametrize("trials, workers", [(2, [2]), (1, [])])
+    def test_pool_never_exceeds_the_tasks(self, monkeypatch, capsys, trials, workers):
+        # A fork pool starts all of its workers at the first submit; this
+        # stand-in starts none and records how many were asked for.
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        # cli imports the pool from concurrent.futures at the call, which
+        # keeps multiprocessing out of the package import.
+        monkeypatch.setattr(dtiling.cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        argv = ["scan", "--n-range", "8:8:4", "--trials", str(trials), "--no-timings"]
+        assert run(argv + ["--jobs", "100000"]) == 0
+        assert asked == workers
+        parallel = capsys.readouterr().out
+        assert run(argv) == 0
+        assert capsys.readouterr().out == parallel
+
+    def test_package_import_leaves_out_multiprocessing(self):
+        # scan looks the pool up when it runs, so importing the package
+        # (part of every solve's set-up) does not load multiprocessing.
+        src = str(Path(dtiling.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, dtiling; print('multiprocessing' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.stdout.strip() == "False", proc.stderr
+
     @pytest.mark.parametrize(
         "spec", ["8:12", "a:b:4", "12:8:4", "0:8:4", "8:12:0", "9:13:4"]
     )

@@ -1,0 +1,183 @@
+"""Searches on a vertex mask of G agree with the same search run on the
+induced subgraph and mapped back: ``induced_subgraph`` plus ``map_copy``
+is the reference path, the ``within`` mask the one the solver takes."""
+
+import functools
+import itertools
+import random
+
+import pytest
+
+from dtiling import (
+    InputError,
+    SearchBudget,
+    Tiling,
+    build,
+    classify_big_small,
+    complete_3graph,
+    construct_G0,
+    construct_G1,
+    find_grow_move,
+    greedy_tiling,
+    induced_perfect_tiling,
+    induced_subgraph,
+    map_copy,
+    near_perfect_tiling,
+    perfect_tiling_exact,
+    planted_extremal,
+    quad_catalog,
+    random_codegree_instance,
+)
+from dtiling.core import mask_of
+from test_localsearch import big_swap_instance
+
+# Exhausted searches are compared too, so cap them by nodes only: a wall
+# clock stop would depend on the machine.
+BUDGET = SearchBudget(node_limit=100, time_limit=600.0)
+
+
+def mapped(tiling, mapping) -> Tiling:
+    return Tiling.from_copies(map_copy(c, mapping) for c in tiling.copies)
+
+
+def source(kind: str, rng: random.Random):
+    if kind == "random":
+        n = rng.choice([24, 32, 40])
+        return random_codegree_instance(n, rng.randint(2, n // 4 + 1), rng.randrange(10**6))
+    if kind == "planted":  # dense: keep its catalogs small
+        return planted_extremal(rng.choice([24, 32]))
+    n = rng.choice([24, 32, 40, 48])
+    return {"G0": construct_G0, "G1": construct_G1}[kind](n)
+
+
+def seeded_masks(count: int = 48):
+    """(G, sorted vertex list) pairs: 8 to 32 vertices, a multiple of 4,
+    drawn from random, G0, G1 and planted extremal instances in turn."""
+    rng = random.Random(2011)
+    kinds = ("random", "G0", "G1", "planted")
+    for i in range(count):
+        G = source(kinds[i % 4], rng)
+        size = rng.choice(range(8, min(G.n, 32) + 1, 4))
+        yield G, sorted(rng.sample(range(G.n), size))
+
+
+MASKS = list(seeded_masks())
+
+
+@functools.cache
+def searches(i: int):
+    """The perfect tiling search on mask i, by the reference path and on
+    the mask, plus the map from the induced subgraph's ids to G's."""
+    G, S = MASKS[i]
+    H, mapping = induced_subgraph(G, S)
+    return perfect_tiling_exact(H, BUDGET), perfect_tiling_exact(G, BUDGET, within=mask_of(S)), mapping
+
+
+@pytest.mark.parametrize("i", range(len(MASKS)))
+def test_perfect_tiling_matches_induced(i):
+    ref, got, mapping = searches(i)
+    assert (got.status, got.nodes) == (ref.status, ref.nodes)
+    if ref.tiling is None:
+        assert got.tiling is None
+    else:
+        assert got.tiling.copies == mapped(ref.tiling, mapping).copies
+        assert got.tiling.covered == frozenset(MASKS[i][1])
+
+
+def test_masks_reach_every_outcome():
+    statuses = {searches(i)[1].status for i in range(len(MASKS))}
+    assert statuses == {"found", "infeasible", "exhausted"}
+
+
+@pytest.mark.parametrize("G, S", MASKS[:12], ids=[f"mask{i}" for i in range(12)])
+def test_catalog_matches_induced(G, S):
+    H, mapping = induced_subgraph(G, S)
+    cat = quad_catalog(G, mask_of(S))
+    assert cat.quads == tuple(tuple(mapping[v] for v in q) for q in quad_catalog(H).quads)
+    assert all(not cat.by_vertex[v] for v in set(range(G.n)) - set(S))
+
+
+def test_induced_perfect_tiling_matches_reference():
+    G = random_codegree_instance(40, 10, 5)
+    S = list(range(3, 40, 3))[:12]
+    H, mapping = induced_subgraph(G, S)
+    ref = perfect_tiling_exact(H)
+    assert ref.status == "found"
+    assert induced_perfect_tiling(G, S).copies == mapped(ref.tiling, mapping).copies
+
+
+def embedded(base, extra: int, seed: int):
+    """``base`` placed on a random vertex subset of a larger graph, with
+    random edges that each touch a vertex outside that subset; returns the
+    graph and the subset, on which the induced subgraph is ``base``."""
+    rng = random.Random(seed)
+    n = base.n + extra
+    S = sorted(rng.sample(range(n), base.n))
+    outside = set(range(n)) - set(S)
+    edges = [tuple(S[v] for v in e) for e in base.edges]
+    edges += [t for t in itertools.combinations(range(n), 3) if set(t) & outside and rng.random() < 0.3]
+    return build(n, edges), S
+
+
+def split_instance():
+    """One seeded copy whose two hubs each see every pair of W: the
+    greedy tiling stops at that copy, and a split move trades it for two."""
+    W = range(4, 28)
+    edges = [(0, 1, 2), (0, 1, 3)]
+    edges += [(h, a, b) for h in (0, 1) for a, b in itertools.combinations(W, 2)]
+    return build(28, edges)
+
+
+LOCAL_CASES = [
+    (split_instance, "split"),
+    (big_swap_instance, "big_swap"),
+    (lambda: random_codegree_instance(20, 4, 3), None),
+    (lambda: complete_3graph(16), None),
+]
+
+
+@pytest.mark.parametrize("make, move", LOCAL_CASES, ids=["split", "big_swap", "random", "complete"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_near_perfect_matches_induced(make, move, seed):
+    G, S = embedded(make(), extra=6, seed=seed)
+    H, mapping = induced_subgraph(G, S)
+    ref = near_perfect_tiling(H, gamma=0.1)
+    got = near_perfect_tiling(G, gamma=0.1, within=mask_of(S))
+    assert got.report == ref.report
+    assert got.tiling.copies == mapped(ref.tiling, mapping).copies
+    if move is not None:
+        assert ref.report["moves"][move] >= 1
+
+
+def test_greedy_and_classify_match_induced():
+    G, S = embedded(big_swap_instance(), extra=6, seed=4)
+    H, mapping = induced_subgraph(G, S)
+    within = mask_of(S)
+    tiling = greedy_tiling(G, within)
+    assert tiling.copies == mapped(greedy_tiling(H), mapping).copies
+    split, ref = classify_big_small(G, tiling, within), classify_big_small(H, greedy_tiling(H))
+    assert split.big == frozenset(mapping[v] for v in ref.big)
+    assert split.uncovered == frozenset(mapping[v] for v in ref.uncovered)
+    assert find_grow_move(G, tiling, within) is None
+
+
+def test_mask_size_not_divisible_by_4():
+    G = complete_3graph(12)
+    with pytest.raises(InputError, match=r"4 \| n, got n=9"):
+        perfect_tiling_exact(G, within=mask_of(range(9)))
+    with pytest.raises(InputError):
+        induced_perfect_tiling(G, range(6))
+
+
+@pytest.mark.parametrize("mask", [-1, 1 << 12])
+def test_mask_outside_G(mask):
+    G = complete_3graph(12)
+    with pytest.raises(InputError, match="outside"):
+        perfect_tiling_exact(G, within=mask)
+    with pytest.raises(InputError, match="outside"):
+        near_perfect_tiling(G, gamma=0.1, within=mask)
+
+
+def test_empty_mask_is_tiled_by_nothing():
+    res = perfect_tiling_exact(complete_3graph(8), within=0)
+    assert res.status == "found" and res.tiling.size == 0
