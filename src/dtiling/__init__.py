@@ -20,8 +20,6 @@ from .absorb import (
     estimate_absorber_density,
     find_absorber_gadget,
     induced_perfect_tiling,
-    leftover_bound,
-    nominal_sampling_rate,
     validate_family,
 )
 from .cli import DriverParams, DriverResult, main, solve_driver

@@ -17,14 +17,13 @@ member and the joint tiling of the member a leftover 4-set is handed to.
 Family construction follows the probabilistic recipe: draw a binomial
 number of uniform 8-sets, delete both sides of every overlapping pair,
 keep only members that are tileable and absorb at least one probed 4-set,
-and retry with fresh randomness until the family is nonempty and uses at
-most alpha * n vertices.  The nominal sampling rate alpha*sigma/(16 n^7)
-is exposed for reference but is far below one expected member at any
-reachable order, so the default rate instead targets alpha*n/16 expected
-members, the family size the nominal rate reaches only asymptotically.
-The absorber
-density sigma defaults to an empirical estimate (fraction of absorbing
-(8-set, 4-set) pairs among 200 seeded draws, floored at 1e-3).
+and retry with fresh randomness, at most ``MAX_RETRIES`` times, until the
+family is nonempty and uses at most alpha * n vertices.  The paper's
+nominal rate alpha*sigma/(16 n^7) is far below one expected member at any
+reachable order, so the rate targets alpha*n/16 expected members, the
+family size the nominal rate reaches only asymptotically.  Since the rate
+does not depend on the absorber density sigma, a solve never estimates
+it; ``estimate_absorber_density`` remains a library function.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from .exact import FOUND, SearchBudget, perfect_tiling_exact, tileable
 SIGMA_SAMPLES = 200
 SIGMA_FLOOR = 1e-3
 PROBE_LIMIT = 500
+MAX_RETRIES = 20
 GADGET_SCAN_MAX_N = 16
 
 
@@ -99,37 +99,26 @@ def _emitted_tiling(G: Hypergraph3, vertices) -> Tiling:
 
 @dataclass(frozen=True)
 class AbsorptionParams:
-    """Knobs for family construction; None fields are derived at build
-    time (sigma empirically, p from the desk-scale rate)."""
+    """Family construction settings: the vertex budget fraction alpha,
+    which also sets the sampling rate, and the seed of the family's RNG."""
 
     alpha: float = 0.3
-    sigma: float | None = None
-    p: float | None = None
     seed: int = 0
-    max_retries: int = 20
-    use_nominal_rate: bool = False
-
-
-def nominal_sampling_rate(alpha: float, sigma: float, n: int) -> float:
-    """Reference sampling rate alpha*sigma/(16 n^7); vanishing at desk
-    scale, kept for runs that ask for it."""
-    return alpha * sigma / (16 * n**7)
 
 
 def desk_sampling_rate(alpha: float, n: int) -> float:
-    """Rate giving alpha*n/16 expected members, enough family to swallow
-    an omega*n leftover."""
+    """Rate giving alpha*n/16 expected members."""
     if n < 8:
         return 0.0
     return (alpha * n / 16) / math.comb(n, 8)
 
 
-def leftover_bound(alpha: float, sigma: float) -> float:
-    return alpha * sigma**2 / 128
-
-
 def estimate_absorber_density(G: Hypergraph3, rng: random.Random, samples: int = SIGMA_SAMPLES) -> float:
-    """Empirical fraction of absorbing (8-set, 4-set) draws, floored."""
+    """Empirical fraction of absorbing (8-set, 4-set) draws, floored.
+
+    The solve does not call this: the sampling rate does not depend on
+    the density, so it is a library function for analysis only.
+    """
     if G.n < 12:
         return SIGMA_FLOOR
     hits = 0
@@ -169,9 +158,7 @@ class AbsorberFamily:
     tilings: tuple[Tiling, ...]
     covered: frozenset[int]
     alpha: float
-    sigma: float
     p: float
-    omega: float
     seed: int
     stats: dict = field(default_factory=dict, compare=False)
 
@@ -188,23 +175,15 @@ def build_absorbing_family(
     if not 0 < params.alpha < 1:
         raise InputError(f"alpha must lie in (0, 1), got {params.alpha}")
     rng = random.Random(params.seed)
-    stats: dict = {"attempts": [], "codegree_ok": 4 * min_codegree(G) >= G.n}
-    if int(params.alpha * G.n) // 8 < 1:
+    stats: dict = {"attempts": []}
+    max_members = int(params.alpha * G.n) // 8
+    if max_members < 1:
         stats["reason"] = f"vertex budget alpha*n = {params.alpha * G.n:.2f} admits no 8-set"
         raise ConstructionFailure(stats)
-    sigma = params.sigma if params.sigma is not None else estimate_absorber_density(G, rng)
-    if params.p is not None:
-        p = params.p
-    elif params.use_nominal_rate:
-        p = nominal_sampling_rate(params.alpha, sigma, G.n)
-    else:
-        p = desk_sampling_rate(params.alpha, G.n)
-    omega = leftover_bound(params.alpha, sigma)
-    stats.update({"sigma": sigma, "p": p, "omega": omega})
-    total = math.comb(G.n, 8) if G.n >= 8 else 0
-    max_members = int(params.alpha * G.n) // 8
+    p = desk_sampling_rate(params.alpha, G.n)
+    total = math.comb(G.n, 8)
 
-    for attempt in range(params.max_retries):
+    for _ in range(MAX_RETRIES):
         drawn = _binomial_draw(rng, total, p)
         sampled: list[tuple[int, ...]] = []
         seen = set()
@@ -240,9 +219,7 @@ def build_absorbing_family(
                 tilings=tuple(tilings),
                 covered=covered,
                 alpha=params.alpha,
-                sigma=sigma,
                 p=p,
-                omega=omega,
                 seed=params.seed,
                 stats=stats,
             )

@@ -249,9 +249,7 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
 
 def _try_absorb_branch(G, params, alpha, gamma, budget, report, clocked):
     """Family + local search + absorption; None means the branch gave up."""
-    aparams = AbsorptionParams(
-        alpha=alpha, seed=params.seed, use_nominal_rate=params.paper_constants
-    )
+    aparams = AbsorptionParams(alpha=alpha, seed=params.seed)
     try:
         family = clocked("family", build_absorbing_family, G, aparams)
     except ConstructionFailure as exc:
@@ -266,9 +264,7 @@ def _try_absorb_branch(G, params, alpha, gamma, budget, report, clocked):
     report["family"] = {
         "members": len(family.members),
         "covered": len(family.covered),
-        "sigma": family.sigma,
         "p": family.p,
-        "omega": family.omega,
     }
     family_mask = mask_of(family.covered)
     rest = ((1 << G.n) - 1) & ~family_mask
@@ -485,6 +481,8 @@ def _parse_n_range(parser: _Parser, spec: str) -> list[int]:
         parser.error(f"--n-range fields must be integers, got {spec!r}")
     if step <= 0 or a > b or a <= 0:
         parser.error(f"--n-range needs 0 < A <= B and STEP > 0, got {spec!r}")
+    if b > MAX_N:
+        parser.error(f"--n-range values must be at most MAX_N = {MAX_N}, got B = {b}")
     values = list(range(a, b + 1, step))
     if any(v % 4 for v in values):
         parser.error("--n-range values must be divisible by 4")

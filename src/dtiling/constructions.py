@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .core import Hypergraph3, InputError, build
+from .core import MAX_N, Hypergraph3, InputError, build
 
 
 class UnsupportedOrderError(InputError):
@@ -213,7 +213,9 @@ def random_codegree_instance(
 
 
 def build_instance(spec: ConstructionSpec) -> Hypergraph3:
-    """Materialize a :class:`ConstructionSpec`."""
+    """Materialize a :class:`ConstructionSpec` of order at most ``MAX_N``."""
+    if spec.n > MAX_N:
+        raise InputError(f"instances have at most {MAX_N} vertices, got n={spec.n}")
     kind = spec.kind.lower()
     if kind == "g0":
         return construct_G0(spec.n)

@@ -3,18 +3,18 @@
 Instance files: a header line ``n m`` followed by m lines ``u v w`` with
 0 <= u < v < w < n.  Certificates: a header ``perfect k`` or ``partial s``
 followed by one line per copy listing its 4 vertices and the two witness
-edges, pipe-separated.  Family dumps: a header ``family m alpha sigma
-seed``, m lines of 8 member vertex ids, then the m cached member tilings
-as certificate blocks.  Lines starting with ``#`` and blank lines are
-ignored everywhere; writers emit canonical (sorted) order so equal
-objects serialize identically.
+edges, pipe-separated.  Family dumps: a header ``family m alpha seed``,
+m lines of 8 member vertex ids, then the m cached member tilings as
+certificate blocks; the sampling rate is not written.  Lines starting
+with ``#`` and blank lines are ignored everywhere; writers emit canonical
+(sorted) order so equal objects serialize identically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .absorb import AbsorberFamily, leftover_bound, validate_family
+from .absorb import AbsorberFamily, validate_family
 from .core import MAX_N, DCopy, Hypergraph3, InputError, Tiling, _fill
 
 _MAX_DIGITS = len(str(MAX_N))
@@ -138,9 +138,17 @@ def write_instance(G: Hypergraph3, path) -> None:
         fh.write(format_instance(G))
 
 
-def read_instance(path) -> Hypergraph3:
+def _read_text(path) -> str:
+    """The file's text; bytes that are not UTF-8 are an input error."""
     with open(path, encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
+def read_instance(path) -> Hypergraph3:
+    return parse_instance(_read_text(path))
 
 
 def _format_copy(c: DCopy) -> str:
@@ -202,16 +210,11 @@ def write_certificate(tiling: Tiling, path, kind: str = "partial") -> None:
 
 
 def read_certificate(path) -> Certificate:
-    with open(path, encoding="utf-8") as fh:
-        return parse_certificate(fh.read())
+    return parse_certificate(_read_text(path))
 
 
 def format_family(family: AbsorberFamily) -> str:
-    lines = [
-        "family {} {} {} {}".format(
-            len(family.members), repr(family.alpha), repr(family.sigma), family.seed
-        )
-    ]
+    lines = [f"family {len(family.members)} {family.alpha!r} {family.seed}"]
     lines.extend(" ".join(map(str, member)) for member in family.members)
     for own in family.tilings:
         lines.append(format_certificate(own, "partial").rstrip("\n"))
@@ -221,20 +224,18 @@ def format_family(family: AbsorberFamily) -> str:
 def parse_family(text: str) -> AbsorberFamily:
     """Rebuild a family from its dump.
 
-    The dump carries members, cached tilings, alpha, sigma, and seed; the
-    sampling rate is not serialized (reads back as 0.0) and omega is
-    rederived from alpha and sigma.
+    The dump carries members, cached tilings, alpha, and seed; the
+    sampling rate is not serialized and reads back as 0.0.
     """
     lines = _Lines(text)
     lineno, header = lines.next("family header")
     parts = header.split()
-    if len(parts) != 5 or parts[0] != "family":
-        raise InputError(f"line {lineno}: bad family header {header!r}")
+    if len(parts) != 4 or parts[0] != "family":
+        raise InputError(f"line {lineno}: bad family header {header!r}, expected 'family m alpha seed'")
     try:
         m = int(parts[1])
         alpha = float(parts[2])
-        sigma = float(parts[3])
-        seed = int(parts[4])
+        seed = int(parts[3])
     except ValueError:
         raise InputError(f"line {lineno}: bad family header fields") from None
     members = []
@@ -259,9 +260,7 @@ def parse_family(text: str) -> AbsorberFamily:
         tilings=tuple(tilings),
         covered=covered,
         alpha=alpha,
-        sigma=sigma,
         p=0.0,
-        omega=leftover_bound(alpha, sigma),
         seed=seed,
     )
 
@@ -273,8 +272,7 @@ def write_family(family: AbsorberFamily, path) -> None:
 
 def read_family(path, G: Hypergraph3 | None = None) -> AbsorberFamily:
     """Load a family dump; when G is given the invariants are rechecked."""
-    with open(path, encoding="utf-8") as fh:
-        family = parse_family(fh.read())
+    family = parse_family(_read_text(path))
     if G is not None:
         validate_family(G, family)
     return family

@@ -21,11 +21,10 @@ from dtiling import (
     find_absorber_gadget,
     format_family,
     induced_perfect_tiling,
-    leftover_bound,
-    nominal_sampling_rate,
     random_codegree_instance,
     validate_family,
 )
+from dtiling import absorb
 
 GADGET_EDGES = [
     (0, 1, 4),
@@ -126,15 +125,9 @@ class TestFindGadget:
 
 
 class TestRates:
-    def test_nominal_is_tiny(self):
-        assert nominal_sampling_rate(0.3, 1.0, 40) == 0.3 / (16 * 40**7)
-
     def test_desk_scale(self):
         assert desk_sampling_rate(0.3, 40) == pytest.approx((0.3 * 40 / 16) / math.comb(40, 8))
         assert desk_sampling_rate(0.3, 7) == 0.0
-
-    def test_leftover_bound(self):
-        assert leftover_bound(0.3, 0.5) == 0.3 * 0.25 / 128
 
     def test_density_complete_is_one(self):
         assert estimate_absorber_density(complete_3graph(16), random.Random(0), samples=40) == 1.0
@@ -151,7 +144,6 @@ class TestFamily:
         assert 1 <= len(family.members) <= int(0.3 * 40) // 8
         assert len(family.covered) == 8 * len(family.members)
         assert len(family.covered) <= 0.3 * 40
-        assert family.sigma == 1.0
         validate_family(G, family)
         assert family.stats["attempts"]
 
@@ -162,46 +154,57 @@ class TestFamily:
         assert f1.members == f2.members
 
     @pytest.mark.parametrize(
-        "seed, sigma, drawn, text",
+        "seed, drawn, text",
         [
-            # Probes in two rejected attempts feed the draws of the third.
+            # Both draws of the first attempt overlap and are deleted; the
+            # retry keeps its single draw.
             (
                 0,
-                1.0,
-                [2, 2, 1],
-                "family 1 0.3 1.0 0\n"
-                "15 17 18 25 27 30 31 33\n"
+                [2, 1],
+                "family 1 0.3 0\n"
+                "4 6 9 16 19 34 38 45\n"
                 "partial 2\n"
-                "15 17 18 30 | 15 17 30 | 15 18 30\n"
-                "25 27 31 33 | 25 27 31 | 25 31 33\n",
+                "4 6 16 34 | 4 6 34 | 4 16 34\n"
+                "9 19 38 45 | 9 19 38 | 9 38 45\n",
             ),
-            # One of the 200 sigma draws does not absorb.
+            # The first attempt keeps its single draw.
             (
                 5,
-                0.995,
-                [2, 2, 2, 3, 1],
-                "family 1 0.3 0.995 5\n"
-                "10 12 17 25 28 30 31 43\n"
+                [1],
+                "family 1 0.3 5\n"
+                "1 15 22 29 33 41 44 47\n"
                 "partial 2\n"
-                "10 17 28 30 | 10 17 28 | 17 28 30\n"
-                "12 25 31 43 | 12 25 31 | 12 31 43\n",
+                "1 15 22 29 | 1 15 22 | 1 22 29\n"
+                "33 41 44 47 | 33 41 44 | 33 44 47\n",
+            ),
+            # The first attempt keeps two members, one more than the vertex
+            # budget allows, so its probe draws feed the retry's draws.
+            (
+                23,
+                [2, 1],
+                "family 1 0.3 23\n"
+                "2 3 11 13 22 23 27 37\n"
+                "partial 2\n"
+                "2 3 11 13 | 2 3 11 | 2 3 13\n"
+                "22 23 27 37 | 22 23 27 | 22 27 37\n",
             ),
         ],
-        ids=["seed0", "seed5"],
+        ids=["seed0", "seed5", "seed23"],
     )
-    def test_golden_random_48(self, seed, sigma, drawn, text):
-        # Pinned output of the family RNG stream (sigma draws, binomial
-        # sizes, 8-set samples, probe 4-sets).  Rerun determinism cannot
-        # see a change that moves the stream; this test does.
+    def test_golden_random_48(self, seed, drawn, text):
+        # Pinned output of the family RNG stream (binomial sizes, 8-set
+        # samples, probe 4-sets).  Rerun determinism cannot see a change
+        # that moves the stream; this test does.
         G = random_codegree_instance(48, 16, seed=seed)
         family = build_absorbing_family(G, AbsorptionParams(seed=seed))
-        assert family.sigma == sigma
         assert [a["drawn"] for a in family.stats["attempts"]] == drawn
         assert format_family(family) == text
 
-    def test_zero_rate_exhausts_retries(self):
+    def test_zero_rate_exhausts_retries(self, monkeypatch):
+        monkeypatch.setattr(absorb, "desk_sampling_rate", lambda alpha, n: 0.0)
+        monkeypatch.setattr(absorb, "MAX_RETRIES", 3)
         with pytest.raises(ConstructionFailure) as exc:
-            build_absorbing_family(complete_3graph(40), AbsorptionParams(p=0.0, max_retries=3))
+            build_absorbing_family(complete_3graph(40), AbsorptionParams())
         assert len(exc.value.stats["attempts"]) == 3
 
     def test_small_n_fails_early(self):
@@ -222,9 +225,7 @@ class TestFamily:
             tilings=family.tilings + family.tilings,
             covered=family.covered,
             alpha=family.alpha,
-            sigma=family.sigma,
             p=family.p,
-            omega=family.omega,
             seed=family.seed,
         )
         with pytest.raises(InputError):
@@ -239,9 +240,7 @@ def manual_family():
         tilings=(Tiling.from_copies([c0, c1]),),
         covered=frozenset(range(8)),
         alpha=0.3,
-        sigma=1.0,
         p=0.1,
-        omega=0.5,
         seed=0,
     )
 

@@ -8,6 +8,7 @@ import pytest
 
 import dtiling
 from dtiling import (
+    MAX_N,
     DriverParams,
     complete_3graph,
     construct_G1,
@@ -21,6 +22,7 @@ from dtiling import (
     validate_tiling,
     write_instance,
 )
+from dtiling.cli import PAPER_ALPHA
 
 
 def run(argv):
@@ -29,6 +31,19 @@ def run(argv):
         return main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+def run_subprocess(argv):
+    """The CLI in a fresh interpreter under a timeout, for runs that
+    could hang or exhaust memory if a bound were missing."""
+    src = str(Path(dtiling.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from dtiling.cli import main; sys.exit(main())", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
 
 
 class TestGen:
@@ -53,6 +68,22 @@ class TestGen:
 
     def test_unknown_kind_rejected(self):
         assert run(["gen", "--kind", "complete3p", "--n", "9"]) == 64
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--kind", "g0", "--n", str(MAX_N + 4)],
+            ["gen", "--kind", "random", "--n", str(MAX_N + 4)],
+            ["scan", "--n-range", f"{MAX_N}:{MAX_N + 4}:4"],
+        ],
+        ids=["gen-g0", "gen-random", "scan"],
+    )
+    def test_order_above_max_n_exits_64(self, argv):
+        # In a subprocess under a timeout: building an order this large
+        # runs for seconds and can exhaust memory.
+        proc = run_subprocess(argv)
+        assert proc.returncode == 64, proc.stderr
+        assert str(MAX_N) in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestSolve:
@@ -118,6 +149,18 @@ class TestSolve:
         report = json.loads(capsys.readouterr().out)
         assert report["warnings"]
 
+    def test_paper_constants_fail_the_vertex_budget(self, tmp_path, capsys):
+        # With the paper's alpha no family fits any order the solver
+        # takes, so the paper's nominal sampling rate is never reached.
+        assert int(PAPER_ALPHA * MAX_N) // 8 == 0
+        path = self.write(tmp_path, random_codegree_instance(48, 16, 0))
+        # Forced into the branch, which skips the exact fallback.
+        assert run(["solve", path, "--paper-constants", "--mode", "absorb"]) == 3
+        [attempt] = json.loads(capsys.readouterr().out)["attempts"]
+        assert attempt["branch"] == "non-extremal"
+        assert attempt["outcome"] == "family_construction_failure"
+        assert "admits no 8-set" in attempt["reason"]
+
     def test_missing_file_is_usage_error(self, capsys):
         assert run(["solve", "/nonexistent/inst.txt"]) == 64
 
@@ -134,15 +177,7 @@ class TestSolve:
         # first raised OverflowError and the second never returned.
         path = tmp_path / "inst.txt"
         path.write_text(text)
-        src = str(Path(dtiling.__file__).resolve().parent.parent)
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from dtiling.cli import main; sys.exit(main())",
-             "solve", str(path)],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        proc = run_subprocess(["solve", str(path)])
         assert proc.returncode == 64, proc.stderr
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from dtiling import (
+    MAX_N,
     ConstructionSpec,
     InputError,
     UnsupportedOrderError,
@@ -171,3 +172,8 @@ class TestDispatch:
     def test_complete3p_divisibility(self):
         with pytest.raises(InputError):
             build_instance(ConstructionSpec("complete3p", 8))
+
+    @pytest.mark.parametrize("kind", ["g0", "g1", "sts", "complete", "random", "planted"])
+    def test_order_above_max_n(self, kind):
+        with pytest.raises(InputError, match=f"at most {MAX_N}"):
+            build_instance(ConstructionSpec(kind, MAX_N + 3))

@@ -1,3 +1,6 @@
+import contextlib
+import functools
+import io
 import random
 
 import pytest
@@ -18,7 +21,7 @@ from dtiling import (
     format_family,
     format_instance,
     greedy_tiling,
-    leftover_bound,
+    main,
     parse_certificate,
     parse_family,
     parse_instance,
@@ -153,12 +156,10 @@ class TestFamilyText:
         assert loaded.members == family.members
         assert loaded.tilings == family.tilings
         assert loaded.alpha == family.alpha
-        assert loaded.sigma == family.sigma
         assert loaded.seed == family.seed
         assert loaded.covered == family.covered
-        # the sampling rate is not serialized; omega is rederived
+        # the sampling rate is not serialized
         assert loaded.p == 0.0
-        assert loaded.omega == leftover_bound(family.alpha, family.sigma)
 
     def test_file_round_trip_with_validation(self, tmp_path):
         G = complete_3graph(40)
@@ -169,7 +170,15 @@ class TestFamilyText:
 
     def test_bad_header(self):
         with pytest.raises(InputError, match="family header"):
-            parse_family("household 1 0.3 1.0 0\n")
+            parse_family("household 1 0.3 0\n")
+
+    def test_five_field_header_is_rejected(self):
+        # The older header still carried the absorber density sigma.
+        text = format_family(self.build_family())
+        assert text.startswith("family 1 0.3 3\n")
+        old = "# dump\n" + text.replace("family 1 0.3 3", "family 1 0.3 1.0 3", 1)
+        with pytest.raises(InputError, match="line 2: bad family header"):
+            parse_family(old)
 
     def test_member_must_be_ascending(self):
         family = self.build_family()
@@ -289,14 +298,15 @@ def instance_texts(draw):
     return "\n".join(out) + draw(st.sampled_from(["", "\n", "\r\n"]))
 
 
-def mutate(text: str, rnd: random.Random) -> str:
-    """One to three small edits: a character inserted, deleted or
-    replaced, or a line dropped, repeated or swapped with another."""
+def mutate(text: str, rnd: random.Random, chars: str = "0123456789 -+_#x\t\r\n") -> str:
+    """One to three small edits: a character of ``chars`` inserted, a
+    character deleted or replaced, or a line dropped, repeated or swapped
+    with another."""
     for _ in range(rnd.randint(1, 3)):
         lines = text.split("\n")
         i, j = rnd.randrange(len(lines)), rnd.randrange(len(lines))
         pos = rnd.randrange(len(text) + 1)
-        char = rnd.choice("0123456789 -+_#x\t\r\n")
+        char = rnd.choice(chars)
         kind = rnd.randrange(6)
         if kind == 0:
             text = text[:pos] + char + text[pos:]
@@ -335,6 +345,59 @@ class TestParserAgainstNaive:
         else:
             G = parse_instance(text)
             assert (G.n, G.m, G.edges) == (expected[0], len(expected[1]), expected[1])
+
+
+# Edits for the certificate and family formats also reach their
+# separators and the family header's float.
+TEXT_CHARS = "0123456789 -+_#x\t\r\n|.e"
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_bases() -> tuple[Hypergraph3, str, str]:
+    """A tileable instance, a certificate of it and a family dump of it."""
+    G = random_codegree_instance(40, 14, 0)
+    tiling = perfect_tiling_exact(G).tiling
+    family = build_absorbing_family(G, AbsorptionParams(seed=0))
+    return G, format_certificate(tiling, "perfect"), format_family(family)
+
+
+@pytest.fixture(scope="class")
+def verify_dir(tmp_path_factory):
+    """A folder holding the fuzz instance as ``inst.txt``."""
+    folder = tmp_path_factory.mktemp("verify")
+    write_instance(fuzz_bases()[0], folder / "inst.txt")
+    return folder
+
+
+class TestParserFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_mutated_certificate_parses_or_raises_input_error(self, rnd):
+        with contextlib.suppress(InputError):
+            parse_certificate(mutate(fuzz_bases()[1], rnd, TEXT_CHARS))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_mutated_family_parses_or_raises_input_error(self, rnd):
+        with contextlib.suppress(InputError):
+            parse_family(mutate(fuzz_bases()[2], rnd, TEXT_CHARS))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_verify_on_mutated_certificate_exits_0_or_1(self, verify_dir, rnd):
+        cert = verify_dir / "cert.txt"
+        cert.write_text(mutate(fuzz_bases()[1], rnd, TEXT_CHARS), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = main(["verify", str(verify_dir / "inst.txt"), "--cert", str(cert)])
+        assert code in (0, 1)
+        assert "Traceback" not in out.getvalue()
+
+    def test_verify_on_undecodable_certificate_exits_1(self, verify_dir, capsys):
+        cert = verify_dir / "undecodable.txt"
+        cert.write_bytes(b"\xff" + fuzz_bases()[1].encode())
+        assert main(["verify", str(verify_dir / "inst.txt"), "--cert", str(cert)]) == 1
+        assert "not UTF-8" in capsys.readouterr().out
 
 
 class TestNoEdgeSet:

@@ -2,8 +2,10 @@
 the rest of G, absorption, and the exact search on the family plus the
 leftover when absorption fails."""
 
+import importlib
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +35,7 @@ def expected_report(n, edges, codegree, dfree_size, p, leftover):
             "size": dfree_size,
             "threshold": 27.0 if n == 48 else 36.0,
         },
-        "family": {"covered": 8, "members": 1, "omega": 0.00234375, "p": p, "sigma": 1.0},
+        "family": {"covered": 8, "members": 1, "p": p},
         "instance": {"edges": edges, "min_codegree": codegree, "n": n},
         "leftover": leftover,
         "local_search": {
@@ -64,17 +66,17 @@ GOLDEN = [
         (48, 16, 0),
         expected_report(48, 9028, 16, 5, P48, 0),
         "perfect 12\n"
-        "0 1 2 4 | 0 1 4 | 1 2 4\n"
-        "3 5 6 7 | 3 5 6 | 5 6 7\n"
-        "8 9 10 12 | 8 9 12 | 9 10 12\n"
-        "11 13 14 16 | 11 13 14 | 11 13 16\n"
-        "15 17 18 30 | 15 17 30 | 15 18 30\n"
-        "19 20 21 23 | 19 20 21 | 19 21 23\n"
-        "22 24 26 28 | 22 24 26 | 22 24 28\n"
-        "25 27 31 33 | 25 27 31 | 25 31 33\n"
-        "29 32 34 35 | 29 34 35 | 32 34 35\n"
-        "36 37 38 39 | 36 37 38 | 36 37 39\n"
-        "40 41 42 45 | 40 41 45 | 40 42 45\n"
+        "0 1 2 5 | 0 1 5 | 0 2 5\n"
+        "3 7 8 10 | 3 7 8 | 3 7 10\n"
+        "4 6 16 34 | 4 6 34 | 4 16 34\n"
+        "9 19 38 45 | 9 19 38 | 9 38 45\n"
+        "11 12 13 14 | 11 12 13 | 11 13 14\n"
+        "15 17 18 22 | 15 17 22 | 15 18 22\n"
+        "20 21 23 24 | 20 21 23 | 20 23 24\n"
+        "25 26 27 28 | 25 26 28 | 25 27 28\n"
+        "29 30 31 32 | 29 30 31 | 29 31 32\n"
+        "33 35 36 42 | 33 35 42 | 33 36 42\n"
+        "37 39 40 41 | 37 39 41 | 39 40 41\n"
         "43 44 46 47 | 43 44 46 | 43 44 47\n",
     ),
     (
@@ -82,17 +84,17 @@ GOLDEN = [
         expected_report(48, 9031, 16, 6, P48, 0),
         "perfect 12\n"
         "0 1 2 3 | 0 1 2 | 0 2 3\n"
-        "4 5 6 7 | 4 5 7 | 4 6 7\n"
-        "8 9 10 11 | 8 9 10 | 8 9 11\n"
-        "12 13 14 16 | 12 13 14 | 12 13 16\n"
-        "15 17 30 31 | 15 17 30 | 15 30 31\n"
-        "18 25 27 33 | 18 25 27 | 25 27 33\n"
-        "19 20 21 22 | 19 20 21 | 19 20 22\n"
-        "23 24 26 28 | 23 24 26 | 23 24 28\n"
-        "29 32 34 35 | 29 32 35 | 29 34 35\n"
-        "36 37 38 40 | 36 37 40 | 36 38 40\n"
-        "39 41 42 47 | 39 41 47 | 39 42 47\n"
-        "43 44 45 46 | 43 44 46 | 43 45 46\n",
+        "4 6 9 16 | 4 6 9 | 4 6 16\n"
+        "5 7 8 10 | 5 7 8 | 5 7 10\n"
+        "11 12 13 14 | 11 12 13 | 11 12 14\n"
+        "15 17 18 20 | 15 17 18 | 15 17 20\n"
+        "19 34 38 45 | 19 34 45 | 19 38 45\n"
+        "21 22 23 24 | 21 23 24 | 22 23 24\n"
+        "25 26 27 28 | 25 27 28 | 26 27 28\n"
+        "29 30 31 33 | 29 30 33 | 29 31 33\n"
+        "32 35 36 40 | 32 35 40 | 32 36 40\n"
+        "37 39 41 42 | 37 39 41 | 37 41 42\n"
+        "43 44 46 47 | 43 44 46 | 44 46 47\n",
     ),
     (
         # The local search leaves one 4-set, which the member absorbs.
@@ -100,17 +102,17 @@ GOLDEN = [
         expected_report(48, 9147, 16, 5, P48, 4),
         "perfect 12\n"
         "0 1 2 3 | 0 1 2 | 0 2 3\n"
-        "4 5 6 7 | 4 5 7 | 4 6 7\n"
-        "8 9 10 11 | 8 9 10 | 8 9 11\n"
-        "12 13 14 16 | 12 13 14 | 12 14 16\n"
-        "15 17 18 33 | 15 17 18 | 15 17 33\n"
-        "19 20 21 22 | 19 21 22 | 20 21 22\n"
-        "23 24 26 28 | 23 24 26 | 23 26 28\n"
-        "25 30 31 46 | 25 30 31 | 25 30 46\n"
-        "27 44 45 47 | 27 44 45 | 27 44 47\n"
-        "29 32 34 35 | 29 32 35 | 29 34 35\n"
-        "36 37 38 42 | 36 38 42 | 37 38 42\n"
-        "39 40 41 43 | 39 41 43 | 40 41 43\n",
+        "4 6 9 19 | 4 6 9 | 4 6 19\n"
+        "5 7 8 11 | 5 7 11 | 5 8 11\n"
+        "10 12 13 18 | 10 12 18 | 10 13 18\n"
+        "14 15 17 20 | 14 15 20 | 15 17 20\n"
+        "16 34 43 44 | 16 34 43 | 16 34 44\n"
+        "21 22 23 24 | 21 22 23 | 21 23 24\n"
+        "25 26 27 29 | 25 26 27 | 25 26 29\n"
+        "28 30 31 32 | 28 30 31 | 28 31 32\n"
+        "33 35 36 37 | 33 35 36 | 33 36 37\n"
+        "38 45 46 47 | 38 45 46 | 38 46 47\n"
+        "39 40 41 42 | 39 40 42 | 39 41 42\n",
     ),
     (
         (64, 22, 0),
@@ -118,20 +120,20 @@ GOLDEN = [
         "perfect 16\n"
         "0 1 2 9 | 0 1 9 | 1 2 9\n"
         "3 4 5 7 | 3 4 5 | 3 5 7\n"
-        "6 8 12 15 | 6 8 15 | 8 12 15\n"
-        "10 11 14 16 | 10 11 14 | 11 14 16\n"
-        "13 17 18 19 | 13 17 18 | 13 17 19\n"
-        "20 21 22 25 | 20 21 25 | 21 22 25\n"
-        "23 30 34 50 | 23 30 50 | 23 34 50\n"
-        "24 26 27 28 | 24 26 27 | 24 26 28\n"
-        "29 31 32 33 | 29 31 33 | 31 32 33\n"
-        "35 36 37 38 | 35 36 38 | 36 37 38\n"
-        "39 40 41 42 | 39 40 41 | 39 40 42\n"
-        "43 44 45 55 | 43 45 55 | 44 45 55\n"
-        "46 47 48 52 | 46 47 48 | 46 47 52\n"
-        "49 51 53 54 | 49 51 53 | 51 53 54\n"
-        "56 57 58 59 | 56 57 59 | 56 58 59\n"
-        "60 61 62 63 | 60 61 62 | 60 61 63\n",
+        "6 8 10 15 | 6 8 15 | 8 10 15\n"
+        "11 12 13 17 | 11 12 17 | 12 13 17\n"
+        "14 18 19 21 | 14 18 21 | 18 19 21\n"
+        "16 26 30 35 | 16 26 30 | 26 30 35\n"
+        "20 22 23 25 | 20 22 23 | 20 23 25\n"
+        "24 27 29 31 | 24 27 29 | 24 27 31\n"
+        "28 33 55 61 | 28 33 55 | 28 33 61\n"
+        "32 34 36 37 | 32 34 36 | 32 34 37\n"
+        "38 39 40 41 | 38 39 40 | 38 40 41\n"
+        "42 43 44 45 | 42 43 44 | 42 43 45\n"
+        "46 47 48 50 | 46 47 48 | 46 47 50\n"
+        "49 51 52 53 | 49 51 53 | 51 52 53\n"
+        "54 56 57 59 | 54 56 59 | 54 57 59\n"
+        "58 60 62 63 | 58 60 62 | 58 62 63\n",
     ),
 ]
 
@@ -145,20 +147,60 @@ def test_golden(args, report, cert):
     assert format_certificate(result.tiling, "perfect") == cert
 
 
-@pytest.fixture
-def no_relabel(monkeypatch):
-    """Make ``induced_subgraph`` and ``map_copy`` raise wherever the
-    package holds them: the solve works on vertex masks of G."""
-    originals = {name: getattr(dtiling.core, name) for name in ("induced_subgraph", "map_copy")}
+def refuse_everywhere(monkeypatch, source, names, message):
+    """Make the functions ``names`` of module ``source`` raise wherever
+    the package holds them."""
+    originals = {name: getattr(source, name) for name in names}
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the solve copied or relabelled a subgraph")
+        raise AssertionError(message)
 
     for modname, module in list(sys.modules.items()):
         if modname == "dtiling" or modname.startswith("dtiling."):
             for name, fn in originals.items():
                 if getattr(module, name, None) is fn:
                     monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.fixture
+def no_relabel(monkeypatch):
+    """The solve works on vertex masks of G: it never copies or relabels
+    a subgraph."""
+    refuse_everywhere(
+        monkeypatch,
+        dtiling.core,
+        ("induced_subgraph", "map_copy"),
+        "the solve copied or relabelled a subgraph",
+    )
+
+
+def benchmark_workloads(monkeypatch):
+    """The ``perfbench`` workload generators, imported from their file:
+    ``perfbench`` is not a package."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    return importlib.import_module("workloads")
+
+
+@pytest.mark.parametrize("workload", ["threshold", "dense", "planted"])
+def test_solve_never_estimates_sigma(monkeypatch, workload):
+    # The sampling rate does not depend on the absorber density, so no
+    # solve estimates it, whatever branch it ends in.
+    refuse_everywhere(
+        monkeypatch,
+        dtiling.absorb,
+        ("estimate_absorber_density",),
+        "the solve estimated the absorber density",
+    )
+    workloads = benchmark_workloads(monkeypatch)
+    for inst in workloads.generate(dtiling, workload, 0):
+        G = dtiling.parse_instance(inst.text)
+        result = solve_driver(G, DriverParams(collect_timings=False))
+        if inst.expect == workloads.DECIDED:
+            assert result.status in ("tiled", "infeasible"), inst.id
+        else:
+            assert result.status == inst.expect, inst.id
+        if result.tiling is not None:
+            assert validate_tiling(G, result.tiling, require_perfect=True).ok, inst.id
 
 
 @pytest.mark.parametrize("args", [(48, 16, 0), (48, 16, 8), (64, 22, 0)])
