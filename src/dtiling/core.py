@@ -25,7 +25,9 @@ values.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import lshift
 
 
 # Largest vertex count the solver takes.  The driver scans all n(n-1)/2
@@ -188,33 +190,35 @@ class Hypergraph3:
         return f"Hypergraph3(n={self.n}, m={self.m})"
 
 
-def _fill(triples, on_repeat=None) -> tuple[dict, int]:
-    """Pair index of validated ascending triples ``a < b < c``, and the
-    number of distinct ones.  A repeated triple is skipped, after a call
-    to ``on_repeat(a, b, c)`` when that is given."""
-    links: dict[int, dict[int, int]] = {}
-    get = links.get
-    m = 0
+def _fill(triples) -> tuple[dict, int]:
+    """Pair index of ascending triples ``a < b < c``, given in any order
+    and possibly repeated, and the number of distinct ones.
+
+    Each pair's third vertices are first collected in a list; each list
+    then becomes its bitset in one C-level ``sum`` of shifted bits, stored
+    under both orders of the pair.  A repeated entry carries, leaving
+    fewer set bits than entries, and only then is the sum redone over the
+    distinct entries.  Each distinct triple sets one bit in each of its
+    three pairs, so the distinct count is a third of all set bits.
+    """
+    thirds = defaultdict(lambda: defaultdict(list))  # thirds[a][b], a < b: the c of {a, b, c}
     for a, b, c in triples:
-        ra = get(a)
-        if ra is None:
-            ra = links[a] = {}
-        rb = get(b)
-        if rb is None:
-            rb = links[b] = {}
-        rc = get(c)
-        if rc is None:
-            rc = links[c] = {}
-        ab = ra.get(b, 0)
-        if (ab >> c) & 1:
-            if on_repeat is not None:
-                on_repeat(a, b, c)
-            continue
-        ra[b] = rb[a] = ab | (1 << c)
-        ra[c] = rc[a] = ra.get(c, 0) | (1 << b)
-        rb[c] = rc[b] = rb.get(c, 0) | (1 << a)
-        m += 1
-    return links, m
+        ra = thirds[a]
+        ra[b].append(c)
+        ra[c].append(b)
+        thirds[b][c].append(a)
+    links: dict[int, dict[int, int]] = {}
+    row_of = links.setdefault
+    set_bits = 0
+    for a, row in thirds.items():
+        ra = row_of(a, {})
+        for b, cs in row.items():
+            bits = sum(map(lshift, itertools.repeat(1), cs))
+            if bits.bit_count() < len(cs):  # a repeated third vertex carried
+                bits = sum(map(lshift, itertools.repeat(1), set(cs)))
+            ra[b] = row_of(b, {})[a] = bits
+            set_bits += bits.bit_count()
+    return links, set_bits // 3
 
 
 def build(n: int, triples) -> Hypergraph3:

@@ -1,7 +1,14 @@
 """Text formats: instances, tiling certificates, absorber-family dumps.
 
 Instance files: a header line ``n m`` followed by m lines ``u v w`` with
-0 <= u < v < w < n.  Certificates: a header ``perfect k`` or ``partial s``
+0 <= u < v < w < n.  ``parse_instance`` has two paths.  Text in
+canonical form, as ``format_instance`` writes it (single spaces, decimal
+ids without leading zeros, a newline after every line, n <= MAX_N, no
+repeated edge; the edge lines may come in any order), is read in bulk:
+its shape is checked in C, it is tokenised in chunks through one table
+of the n canonical ids, and the triples go straight to the pair-index
+filler.  Everything else, and every error, takes the line-by-line
+reader, so each ``InputError`` names its line.  Certificates: a header ``perfect k`` or ``partial s``
 followed by one line per copy listing its 4 vertices and the two witness
 edges, pipe-separated.  Family dumps: a header ``family m alpha seed``,
 m lines of 8 member vertex ids, then the m cached member tilings as
@@ -13,6 +20,7 @@ with ``#`` and blank lines are ignored everywhere; writers emit canonical
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lt
 
 from .absorb import AbsorberFamily, validate_family
 from .core import MAX_N, DCopy, Hypergraph3, InputError, Tiling, _fill
@@ -67,7 +75,73 @@ def format_instance(G: Hypergraph3) -> str:
 
 
 def parse_instance(text: str) -> Hypergraph3:
-    """Parse instance text in one pass; every error names its line."""
+    """Parse instance text; every error names its line.
+
+    Text in canonical form (what ``format_instance`` writes, with the
+    edge lines in any order) is read in bulk; all other text is read line
+    by line, which is where every error is raised.
+    """
+    G = _parse_canonical(text)
+    return _parse_lines(text) if G is None else G
+
+
+# Characters of body text tokenised at a time.  Splitting the whole text
+# would hold every token string at once (13 MB for 83k edges); a chunk
+# of ids below 100 holds about 25,000 of them, some 1 MB.
+_CHUNK = 1 << 16
+
+
+def _parse_canonical(text: str) -> Hypergraph3 | None:
+    """The instance, when ``text`` is in canonical form; else None.
+
+    Canonical form is the header ``n m`` with n <= MAX_N, then m lines
+    ``u v w`` of decimal ids in 0..n-1 without leading zeros, with
+    u < v < w, no two lines equal, single spaces and a newline ending
+    every line.
+    """
+    head, _, body = text.partition("\n")
+    fields = head.split(" ")
+    if len(fields) != 2:
+        return None
+    n_field, m_field = fields
+    if not (n_field.isascii() and n_field.isdigit() and len(n_field) <= _MAX_DIGITS):
+        return None
+    n = int(n_field)
+    if n > MAX_N:
+        return None
+    # The shape, checked in C: with the digits taken out, every edge line
+    # is two spaces and a newline.  Any other character, non-ASCII ones
+    # included, survives as itself or as "?".  Comparing m as text spares
+    # int() on an unbounded header field.
+    shape = body.encode("ascii", "replace").translate(None, b"0123456789")
+    m = len(shape) // 3
+    if m_field != str(m) or shape != b"  \n" * m:
+        return None
+    # The table holds exactly the canonical ids, so a lookup also checks
+    # the range and rejects "07" or "+1".  An empty token, from a leading
+    # or doubled space, shows as a token count short of 3m.
+    table = {str(i): i for i in range(n)}
+    ids: list[int] = []
+    start = 0
+    while start < len(body):
+        end = body.find("\n", start + _CHUNK) + 1 or len(body)
+        try:
+            ids += map(table.__getitem__, body[start:end].split())
+        except KeyError:
+            return None
+        start = end
+    if len(ids) != 3 * m:
+        return None
+    us, vs, ws = ids[0::3], ids[1::3], ids[2::3]
+    del ids
+    if not (all(map(lt, us, vs)) and all(map(lt, vs, ws))):
+        return None
+    links, distinct = _fill(zip(us, vs, ws))
+    return Hypergraph3(n, m, links) if distinct == m else None
+
+
+def _parse_lines(text: str) -> Hypergraph3:
+    """Parse instance text one line at a time, raising at the first bad line."""
     rows = text.splitlines()
     numbered = enumerate(rows, start=1)
     end = len(rows) + 1  # the line where missing content was due
@@ -122,13 +196,28 @@ def parse_instance(text: str) -> Hypergraph3:
             count += 1
             yield u, v, w
 
-    def repeated(u, v, w):
-        raise InputError(
-            f"line {at}: edge {u} {v} {w} repeats an earlier line, so not all {m} edges are distinct"
-        )
+    def check_repeats(stop: int) -> None:
+        # The fill finds repeats only once all edges are in; a repeat among
+        # the edge lines before line ``stop`` is the first error to report.
+        seen = set()
+        for row in range(lineno + 1, stop):
+            fields = rows[row - 1].split()
+            if fields and fields[0][0] != "#":
+                u, v, w = map(int, fields)
+                if (u, v, w) in seen:
+                    raise InputError(
+                        f"line {row}: edge {u} {v} {w} repeats an earlier line, so not all {m} edges are distinct"
+                    )
+                seen.add((u, v, w))
 
-    links, filled = _fill(edges(), repeated)
-    if filled < m:
+    try:
+        links, distinct = _fill(edges())
+    except InputError:
+        check_repeats(at)
+        raise
+    if distinct < count:
+        check_repeats(at + 1)
+    if count < m:
         raise InputError(f"line {end}: unexpected end of input, expected edge line 'u v w'")
     return Hypergraph3(n, m, links)
 

@@ -262,7 +262,10 @@ def near_perfect_tiling(G: Hypergraph3, gamma: float, within: int | None = None)
             reason = "budget"
             break
         move = find_grow_move(G, tiling, within)
-        if move is None:
+        # A W-big vertex needs BIG_LINK_FACTOR * |W| link pairs among the
+        # C(|W|, 2) pairs of W, so while |W| <= 2 * BIG_LINK_FACTOR no
+        # vertex is big and neither move below can apply.
+        if move is None and leftover > 2 * BIG_LINK_FACTOR:
             split = classify_big_small(G, tiling, within)
             move = find_split_move(G, tiling, split)
             if move is None:

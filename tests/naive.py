@@ -122,6 +122,17 @@ def naive_four_partite_matching(parts, edges):
     return None
 
 
+def naive_pair_index(triples):
+    """Each vertex's map from every vertex it shares a triple with to the
+    set of third vertices completing that triple."""
+    index = {}
+    for t in triples:
+        for u, v in itertools.permutations(t, 2):
+            (w,) = set(t) - {u, v}
+            index.setdefault(u, {}).setdefault(v, set()).add(w)
+    return index
+
+
 def naive_parse_instance(text):
     """``(n, edges)`` of instance text, or ``ValueError``.
 

@@ -24,9 +24,9 @@ from dtiling import (
     steiner_triple_system,
     validate_tiling,
 )
-from dtiling.core import bits_of, mask_of
+from dtiling.core import _fill, bits_of, mask_of
 
-from naive import naive_copy_pairs, naive_is_D_free
+from naive import naive_copy_pairs, naive_is_D_free, naive_pair_index
 
 
 def triples_strategy(max_n=10):
@@ -236,6 +236,43 @@ def test_edges_and_degrees_from_the_index(data):
     assert list(G.triples()) == sorted(set(triples))
     for v in range(n):
         assert G.degree(v) == sum(v in t for t in set(triples))
+
+
+def index_as_sets(links):
+    return {u: {v: set(bits_of(bits)) for v, bits in row.items()} for u, row in links.items()}
+
+
+class TestFill:
+    # n up to 80 puts third vertices past one machine word.
+    @settings(max_examples=150, deadline=None)
+    @given(triples_strategy(max_n=80), st.randoms(use_true_random=False))
+    def test_matches_naive_pair_index(self, data, rnd):
+        n, triples = data
+        triples = triples + [t for t in triples if rnd.random() < 0.5]
+        rnd.shuffle(triples)
+        links, m = _fill(triples)
+        assert m == len(set(triples))
+        assert index_as_sets(links) == naive_pair_index(triples)
+
+    @settings(max_examples=100, deadline=None)
+    @given(triples_strategy(max_n=80), st.randoms(use_true_random=False))
+    def test_build_collapses_repeats_in_any_vertex_order(self, data, rnd):
+        n, triples = data
+        fed = [rnd.sample(t, 3) for t in triples + [t for t in triples if rnd.random() < 0.5]]
+        G = build(n, fed)
+        assert G.m == len(set(triples))
+        assert index_as_sets(G._links) == naive_pair_index(triples)
+
+    @settings(max_examples=100, deadline=None)
+    @given(triples_strategy(max_n=80), st.data())
+    def test_induced_subgraph_index(self, data, draw):
+        n, triples = data
+        S = sorted(draw.draw(st.sets(st.integers(0, n - 1), max_size=n)))
+        H, mapping = induced_subgraph(build(n, triples), S)
+        local = {v: i for i, v in enumerate(S)}
+        inside = {tuple(local[v] for v in t) for t in triples if set(t) <= set(S)}
+        assert mapping == tuple(S) and (H.n, H.m) == (len(S), len(inside))
+        assert index_as_sets(H._links) == naive_pair_index(inside)
 
 
 class TestInduced:

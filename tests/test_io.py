@@ -2,6 +2,8 @@ import contextlib
 import functools
 import io
 import random
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,7 @@ from dtiling import (
     write_family,
     write_instance,
 )
+from dtiling import io as text_io
 
 from naive import naive_parse_instance
 
@@ -211,6 +214,121 @@ class TestFamilyText:
             read_family(path, build(40, []))
 
 
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def edges_of(*lines):
+    return frozenset(tuple(map(int, line.split())) for line in lines)
+
+
+class TestBulkReader:
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            pytest.param(
+                "4 2\n0 1 2\n0 1 2\n",
+                "line 3: edge 0 1 2 repeats an earlier line, so not all 2 edges are distinct",
+                id="duplicate",
+            ),
+            pytest.param("4 2\n0 1 2\n0 1 4\n", "line 3: vertex 4 outside 0..3", id="id-above-n"),
+            pytest.param(
+                "4 2\n0 1 2\n0 2 1\n",
+                "line 3: edge must be strictly increasing, got 0 2 1",
+                id="descending",
+            ),
+            pytest.param(
+                f"{MAX_N + 5} 1\n0 1 {MAX_N}\n",
+                f"line 2: vertex {MAX_N} is not below MAX_N = {MAX_N}",
+                id="id-at-max-n",
+            ),
+            pytest.param(
+                "8 2\n0 1 2\n0 1 07\n",
+                (8, edges_of("0 1 2", "0 1 7")),
+                id="leading-zero",
+            ),
+            pytest.param("4 2\n0 +1 2\n0 1 3\n", (4, edges_of("0 1 2", "0 1 3")), id="plus-sign"),
+            pytest.param("4 2\n0\t1 2\n0 1 3\n", (4, edges_of("0 1 2", "0 1 3")), id="tab"),
+            pytest.param("4 2\r\n0 1 2\r\n0 1 3\r\n", (4, edges_of("0 1 2", "0 1 3")), id="crlf"),
+            pytest.param(
+                "4 1\n0 1 2\n0 1 3\n",
+                "line 3: trailing content after 1 edges",
+                id="trailing-edge-line",
+            ),
+            pytest.param(
+                "4 3\n0 1 2\n0 1 3\n",
+                "line 4: unexpected end of input, expected edge line 'u v w'",
+                id="missing-edge-line",
+            ),
+            pytest.param("4 2\n# c\n0 1 2\n0 1 3\n", (4, edges_of("0 1 2", "0 1 3")), id="comment"),
+            pytest.param("4 2\n0 1 2\n\n0 1 3\n", (4, edges_of("0 1 2", "0 1 3")), id="blank-line"),
+            pytest.param(
+                "4 2\n0 1 2 3\n0 1\n",
+                "line 2: expected 3 fields for edge, got 4",
+                id="4-and-2-fields",
+            ),
+            pytest.param(
+                "4 2\n0 1 2\n 0 1\n",
+                "line 3: expected 3 fields for edge, got 2",
+                id="leading-space",
+            ),
+            pytest.param(
+                "4 2\n0 1 2\n0 1 3",
+                (4, edges_of("0 1 2", "0 1 3")),
+                id="no-final-newline",
+            ),
+            pytest.param(
+                "4 1\n0 1 \ud800\n",
+                "line 2: non-integer field in edge",
+                id="lone-surrogate",
+            ),
+            # A repeat is reported before any error on a later line.
+            pytest.param(
+                "4 2\n0 1 2\n0 1 2\n0 1 3\n",
+                "line 3: edge 0 1 2 repeats an earlier line, so not all 2 edges are distinct",
+                id="repeat-then-trailing",
+            ),
+            pytest.param(
+                "4 3\n0 1 2\n0 1 2\n",
+                "line 3: edge 0 1 2 repeats an earlier line, so not all 3 edges are distinct",
+                id="repeat-then-missing",
+            ),
+        ],
+    )
+    def test_canonical_looking_text_is_read_line_by_line(self, text, expected):
+        assert text_io._parse_canonical(text) is None
+        if isinstance(expected, str):
+            with pytest.raises(InputError, match=f"^{re.escape(expected)}$"):
+                parse_instance(text)
+        else:
+            G = parse_instance(text)
+            assert (G.n, G.edges) == expected and G.m == len(expected[1])
+
+    @pytest.mark.parametrize("workload", ["dense", "planted"])
+    def test_benchmark_texts_are_read_in_bulk(self, monkeypatch, benchmark_instances, workload):
+        texts = [inst.text for inst in benchmark_instances(workload, 0)]
+        by_line = [text_io._parse_lines(text) for text in texts]
+
+        def refuse(text):
+            raise AssertionError("read line by line")
+
+        monkeypatch.setattr(text_io, "_parse_lines", refuse)
+        for text, H in zip(texts, by_line):
+            G = parse_instance(text)
+            assert (G.n, G.m, G._links) == (H.n, H.m, H._links)
+
+    def test_bulk_memory_stays_below_a_whole_text_token_list(self, benchmark_instances):
+        # A list of all the tokens of this text alone traces about 13 MB.
+        (text,) = [inst.text for inst in benchmark_instances("planted", 0) if inst.id == "planted-n96-0"]
+        G, peak = traced_peak(parse_instance, text)
+        assert G.n == 96 and peak <= 8_000_000
+
+
 class TestLineNumbers:
     def test_error_cites_physical_line(self):
         # edges start on line 3 because of the comment
@@ -237,10 +355,15 @@ class TestLineNumbers:
         with pytest.raises(InputError, match=line):
             parse_instance(text)
 
-    def test_huge_header_without_edges(self):
+    def test_huge_header_without_edges(self, monkeypatch):
         # The pair index holds only vertices that lie on an edge, so a
-        # header's vertex count costs no memory.
-        G = parse_instance("1000000000 0\n")
+        # header's vertex count costs no memory.  n > MAX_N leaves the
+        # bulk reader before it builds its table of n ids.
+        read = []
+        line_reader = text_io._parse_lines
+        monkeypatch.setattr(text_io, "_parse_lines", lambda text: read.append(text) or line_reader(text))
+        G, peak = traced_peak(parse_instance, "1000000000 0\n")
+        assert read == ["1000000000 0\n"] and peak < 100_000
         assert (G.n, G.m, G.edges) == (1000000000, 0, frozenset())
         assert G.pair_bits(0, 999999999) == 0 and G.degree(5) == 0
 
@@ -279,7 +402,9 @@ FILLER = st.sampled_from(["", "   ", "\t", "# comment", "  # 1 2 3", "#"])
 
 @st.composite
 def instance_texts(draw):
-    """Instance text for n <= 16 with comment and blank lines mixed in."""
+    """Instance text for n <= 16: as ``format_instance`` writes it, in
+    canonical form with the edges in drawn order, or with comment and
+    blank lines mixed in."""
     n = draw(st.integers(0, 16))
     triples = draw(
         st.lists(
@@ -291,6 +416,11 @@ def instance_texts(draw):
         else st.just([])
     )
     lines = [f"{n} {len(triples)}"] + [" ".join(map(str, t)) for t in triples]
+    style = draw(st.sampled_from(["format_instance", "canonical", "filler"]))
+    if style == "format_instance":
+        return format_instance(build(n, triples))
+    if style == "canonical":  # the bulk reader's form, edges in drawn order
+        return "\n".join(lines) + "\n"
     out = []
     for line in lines:
         out += draw(st.lists(FILLER, max_size=2)) + [line]

@@ -5,6 +5,7 @@ import pytest
 from dtiling import (
     AugmentationMove,
     DCopy,
+    DriverParams,
     InputError,
     Tiling,
     apply_move,
@@ -18,10 +19,13 @@ from dtiling import (
     find_two_path,
     greedy_tiling,
     near_perfect_tiling,
+    parse_instance,
     perfect_tiling_exact,
     random_codegree_instance,
+    solve_driver,
     validate_tiling,
 )
+from dtiling import localsearch
 
 
 def seed_copy(quad, ea, eb):
@@ -196,3 +200,37 @@ class TestNearPerfect:
             assert result.report["leftover"] % 4 == 0
             assert result.report["leftover"] <= 8
         assert checked == 10
+
+
+# The local search's leftover on each ``dense`` benchmark instance, in
+# workload order, per workload seed.
+DENSE_LEFTOVERS = {
+    0: [0, 0, 4, 4, 0, 0, 4, 0, 0],
+    1: [0, 0, 0, 0, 0, 0, 0, 0, 0],
+    2: [4, 0, 0, 4, 0, 4, 4, 4, 0],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DENSE_LEFTOVERS))
+def test_dense_reports_stall_without_classifying(monkeypatch, benchmark_instances, seed):
+    # Nothing is W-big while |W| <= 20, so a stall at leftover 4 ends the
+    # search without classifying the covered vertices.
+    def refuse(*args, **kwargs):
+        raise AssertionError("classified big and small vertices at a small leftover")
+
+    monkeypatch.setattr(localsearch, "classify_big_small", refuse)
+    reports = [
+        solve_driver(parse_instance(inst.text), DriverParams(collect_timings=False)).report["local_search"]
+        for inst in benchmark_instances("dense", seed)
+    ]
+    assert reports == [
+        {
+            "moves": {"grow": 0, "split": 0, "big_swap": 0},
+            "leftover_trajectory": [leftover],
+            "leftover": leftover,
+            "stopping_reason": "stalled" if leftover else "perfect",
+            "target_leftover": 500.0,
+            "target_vacuous": True,
+        }
+        for leftover in DENSE_LEFTOVERS[seed]
+    ]

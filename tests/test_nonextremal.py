@@ -2,10 +2,8 @@
 the rest of G, absorption, and the exact search on the family plus the
 leftover when absorption fails."""
 
-import importlib
 import json
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -174,15 +172,8 @@ def no_relabel(monkeypatch):
     )
 
 
-def benchmark_workloads(monkeypatch):
-    """The ``perfbench`` workload generators, imported from their file:
-    ``perfbench`` is not a package."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    return importlib.import_module("workloads")
-
-
 @pytest.mark.parametrize("workload", ["threshold", "dense", "planted"])
-def test_solve_never_estimates_sigma(monkeypatch, workload):
+def test_solve_never_estimates_sigma(monkeypatch, benchmark_workloads, benchmark_instances, workload):
     # The sampling rate does not depend on the absorber density, so no
     # solve estimates it, whatever branch it ends in.
     refuse_everywhere(
@@ -191,11 +182,10 @@ def test_solve_never_estimates_sigma(monkeypatch, workload):
         ("estimate_absorber_density",),
         "the solve estimated the absorber density",
     )
-    workloads = benchmark_workloads(monkeypatch)
-    for inst in workloads.generate(dtiling, workload, 0):
+    for inst in benchmark_instances(workload, 0):
         G = dtiling.parse_instance(inst.text)
         result = solve_driver(G, DriverParams(collect_timings=False))
-        if inst.expect == workloads.DECIDED:
+        if inst.expect == benchmark_workloads.DECIDED:
             assert result.status in ("tiled", "infeasible"), inst.id
         else:
             assert result.status == inst.expect, inst.id
