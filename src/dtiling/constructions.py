@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .core import MAX_N, Hypergraph3, InputError, build
+from .core import MAX_N, Hypergraph3, InputError, _fill, bits_of, build
 
 
 class UnsupportedOrderError(InputError):
@@ -104,6 +104,12 @@ def _split_sizes(n: int) -> tuple[int, int]:
     return n // 4 - 1, n - (n // 4 - 1)
 
 
+def _meeting_first(n: int, a: int):
+    """The triples of 0..n-1 that meet the first ``a`` vertices, streamed
+    so that ``build`` never holds them all."""
+    return (t for t in itertools.combinations(range(n), 3) if t[0] < a)
+
+
 def construct_G0(n: int) -> Hypergraph3:
     """Tight non-tileable instance: all triples meeting the first n/4 - 1
     vertices; the remaining bulk induces nothing at all.
@@ -114,10 +120,7 @@ def construct_G0(n: int) -> Hypergraph3:
     a, _ = _split_sizes(n)
     if a < 1:
         raise InputError(f"order {n} leaves an empty small side")
-    triples = [
-        t for t in itertools.combinations(range(n), 3) if t[0] < a
-    ]
-    return build(n, triples)
+    return build(n, _meeting_first(n, a))
 
 
 def construct_G1(n: int) -> Hypergraph3:
@@ -133,11 +136,9 @@ def construct_G1(n: int) -> Hypergraph3:
         raise InputError(
             f"order {n} has odd n/4: bulk order {b} admits no Steiner system"
         )
-    triples = [t for t in itertools.combinations(range(n), 3) if t[0] < a]
     sts = steiner_triple_system(b)
-    for e in sorted(sts.edges):
-        triples.append(tuple(v + a for v in e))
-    return build(n, triples)
+    top = (tuple(v + a for v in e) for e in sts.triples())
+    return build(n, itertools.chain(_meeting_first(n, a), top))
 
 
 def planted_extremal(n: int) -> Hypergraph3:
@@ -145,9 +146,7 @@ def planted_extremal(n: int) -> Hypergraph3:
     first n/4 vertices; the bulk (3n/4 vertices) is pattern-free."""
     if n <= 0 or n % 4:
         raise InputError(f"order must be a positive multiple of 4, got {n}")
-    a = n // 4
-    triples = [t for t in itertools.combinations(range(n), 3) if t[0] < a]
-    return build(n, triples)
+    return build(n, _meeting_first(n, n // 4))
 
 
 def complete_3graph(n: int) -> Hypergraph3:
@@ -182,34 +181,32 @@ def random_codegree_instance(
         raise InputError(f"target codegree {d} impossible at order {n}")
     rng = random.Random(seed)
     p = 0.0 if d == 0 else min(1.0, (d + 2 * math.isqrt(d)) / max(1, n - 2))
-    chosen = [t for t in itertools.combinations(range(n), 3) if rng.random() < p]
-    thirds: dict[tuple[int, int], set[int]] = {}
+    # The pair index is filled straight from the sample and repaired in
+    # place: each pair's third vertices are already one bitset.
+    links, m = _fill(t for t in itertools.combinations(range(n), 3) if rng.random() < p)
 
-    def note(u, v, w):
-        thirds.setdefault((u, v), set()).add(w)
+    def add(x: int, y: int, z: int) -> None:
+        bits = links.setdefault(x, {}).get(y, 0) | (1 << z)
+        links[x][y] = links.setdefault(y, {})[x] = bits
 
-    for a, b, c in chosen:
-        note(a, b, c)
-        note(a, c, b)
-        note(b, c, a)
+    everyone = (1 << n) - 1
     repairs = 0
     for u in range(n - 1):
         for v in range(u + 1, n):
-            have = thirds.get((u, v), set())
-            missing = d - len(have)
+            have = links.get(u, {}).get(v, 0)
+            missing = d - have.bit_count()
             if missing <= 0:
                 continue
-            pool = [w for w in range(n) if w not in have and w != u and w != v]
+            pool = bits_of(everyone & ~have & ~(1 << u) & ~(1 << v))
             for w in rng.sample(pool, missing):
-                chosen.append(tuple(sorted((u, v, w))))
-                note(u, v, w)
-                note(min(u, w), max(u, w), v)
-                note(min(v, w), max(v, w), u)
+                add(u, v, w)
+                add(u, w, v)
+                add(v, w, u)
                 repairs += 1
     if stats_out is not None:
         stats_out["repairs"] = repairs
         stats_out["rate"] = p
-    return build(n, chosen)
+    return Hypergraph3(n, m + repairs, links)
 
 
 def build_instance(spec: ConstructionSpec) -> Hypergraph3:

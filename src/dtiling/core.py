@@ -6,8 +6,9 @@ shares an edge with to the bitset (a plain Python int) of third vertices,
 so codegree queries, edge tests and neighborhood intersections are single
 word operations even at a few hundred vertices.  Edges as sorted triples
 are derived from the index only when a caller asks for them.  ``build``
-(any iterable of triples), ``io.parse_instance`` (text) and
-``induced_subgraph`` all fill the index through one private filler.
+(any iterable of triples), ``io.parse_instance`` (text),
+``induced_subgraph`` and ``random_codegree_instance`` all fill the index
+through one private filler.
 
 The tiling pattern used throughout the package is the 3-graph on four
 vertices whose two triples share exactly two vertices.  ``DCopy`` records
@@ -27,7 +28,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import lshift
+from operator import lshift, lt
 
 
 # Largest vertex count the solver takes.  The driver scans all n(n-1)/2
@@ -229,18 +230,43 @@ def build(n: int, triples) -> Hypergraph3:
     """
     if n < 0:
         raise InputError(f"vertex count must be nonnegative, got {n}")
-
-    def canonical():
-        for t in triples:
-            t = tuple(sorted(t))
-            if len(t) != 3 or not t[0] < t[1] < t[2]:
-                raise InputError(f"triple {t} does not have 3 distinct vertices")
-            if t[0] < 0 or t[2] >= n:
-                raise InputError(f"triple {t} has a vertex outside 0..{n - 1}")
-            yield t
-
-    links, m = _fill(canonical())
+    links, m = _fill(itertools.chain.from_iterable(_canonical_chunks(triples, n)))
     return Hypergraph3(n, m, links)
+
+
+def _canonical_chunks(triples, n: int):
+    """Yield the triples as ascending triples, a few hundred at a time,
+    after checking that each has three distinct vertices in ``0..n-1``.
+
+    A chunk is checked in C (``_in_order``); only a chunk that fails is
+    sorted triple by triple and checked again, and only a chunk that
+    fails that is walked in Python, to name its first offending triple.
+    Small chunks keep few containers alive at once, so they rarely
+    trigger a garbage collection.
+    """
+    it = iter(triples)
+    while chunk := list(itertools.islice(it, 256)):
+        if not _in_order(chunk, n):
+            chunk = list(map(sorted, chunk))
+            if not _in_order(chunk, n):
+                for t in map(tuple, chunk):
+                    if len(t) != 3 or not t[0] < t[1] < t[2]:
+                        raise InputError(f"triple {t} does not have 3 distinct vertices")
+                    if t[0] < 0 or t[2] >= n:
+                        raise InputError(f"triple {t} has a vertex outside 0..{n - 1}")
+        yield chunk
+
+
+def _in_order(chunk: list, n: int) -> bool:
+    """Whether every member of ``chunk`` is a triple ``a, b, c`` with
+    0 <= a < b < c < n: lengths, then columns, each in one C-level pass."""
+    try:
+        if set(map(len, chunk)) != {3}:
+            return False
+        a, b, c = zip(*chunk)
+        return all(map(lt, a, b)) and all(map(lt, b, c)) and min(a) >= 0 and max(c) < n
+    except TypeError:  # a member without a length, or vertices that do not compare
+        return False
 
 
 def codegree(G: Hypergraph3, u: int, v: int) -> int:

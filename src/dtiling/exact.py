@@ -1,26 +1,40 @@
 """Exact solvers: perfect/maximum tiling search, maximum pattern-free
 sets and the pattern-free decision, and 4-partite perfect matching.
 
-All tiling searches run on the quad catalog: the list of 4-sets that
-induce at least two edges, i.e. exactly the 4-sets a copy can occupy.
-Perfect tiling is exact cover over the catalog with fewest-options-first
-branching; both run on a vertex mask ``within`` of G when asked, in G's
-own ids, so no caller copies a subgraph.  Two sound prunes keep
-structured instances tractable:
+All tiling searches run on the quad catalog: the 4-sets that induce at
+least two edges, i.e. exactly the 4-sets a copy can occupy, listed in
+lexicographic order.  ``quad_catalog`` builds it without a sort: for each
+triple a < b < c, the fourth vertices d > c are one word operation on the
+pair bitsets (with abc an edge one more of abd, acd, bcd suffices, else
+two of them).  It can be built on a vertex mask ``within`` of G, in G's
+own ids, so no caller copies a subgraph.
 
-* a vertex with no available quad kills the branch immediately;
-* a greedy vertex set hitting every available quad bounds the number of
+The catalog stores one incidence bitset per vertex over quad ids: bit i
+of ``inc[v]`` is set iff v is in quad i.  Each search carries the quads
+still usable as one int, the live set, so a node updates it with one
+operation instead of rescanning the catalog: placing quad i leaves
+``alive & ~(inc[a] | inc[b] | inc[c] | inc[d])`` and removing vertex v
+leaves ``alive & ~inc[v]``.  A vertex's options are
+``(alive & inc[v]).bit_count()``, and its live quads, ascending, are
+``bits_of(alive & inc[v])``.
+
+Perfect tiling is exact cover over the catalog with fewest-options-first
+branching.  Two sound prunes keep structured instances tractable:
+
+* a vertex with no live quad kills the branch immediately;
+* a greedy vertex set hitting every live quad bounds the number of
   further disjoint quads (each placed quad spends one hitting vertex), so
   branches whose requirement exceeds that bound die without expansion.
   This is what lets the search refute the tight lower-bound families at
   useful orders: there the whole catalog is hit by a side of size n/4 - 1.
 
-The catalog searches share two greedy bounds.  ``_greedy_hitting`` is
-the hitting set above; it also seeds the maximum D-free search, whose
-best set so far is the complement of a hitting set.  ``_greedy_packing``
-is a first-fit family of disjoint quads: the warm start of the maximum
-tiling search, and the lower bound of both D-free searches, which must
-remove one vertex from each of its quads.
+The four catalog searches share these bitset helpers and two greedy
+bounds.  ``_greedy_hitting`` is the hitting set above; it also seeds the
+maximum D-free search, whose best set so far is the complement of a
+hitting set.  ``_greedy_packing`` is a first-fit family of disjoint
+quads, each the lowest live id: the warm start of the maximum tiling
+search, and the lower bound of both D-free searches, which must remove
+one vertex from each of its quads.
 
 The driver asks whether a D-free set of a given size exists, not how
 large the largest is: ``decide_D_free_set`` is the bounded search tree of
@@ -52,7 +66,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
@@ -92,32 +105,58 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class QuadCatalog:
-    """All spanning 4-sets of a graph plus a per-vertex incidence index."""
+    """All spanning 4-sets of a graph in lexicographic order, with one
+    incidence bitset per vertex of the graph: bit i of ``inc[v]`` is set
+    iff v is in quad i, so ``bits_of(inc[v])`` lists v's quad ids
+    ascending."""
 
     quads: tuple[tuple[int, int, int, int], ...]
-    masks: tuple[int, ...]
-    by_vertex: tuple[tuple[int, ...], ...]
+    inc: tuple[int, ...]
+
+    @property
+    def all_quads(self) -> int:
+        """The live set of a search's root: every quad id."""
+        return (1 << len(self.quads)) - 1
 
 
 def quad_catalog(G: Hypergraph3, within: int | None = None) -> QuadCatalog:
-    """Enumerate spanning 4-sets via pairs: {u,v} plus two cohabitants,
-    all inside the vertex mask ``within`` (default: all of G)."""
+    """The spanning 4-sets inside the vertex mask ``within`` (default: all
+    of G), in G's ids and lexicographic order.
+
+    For each triple a < b < c of the mask, the fourth vertices d > c with
+    {a, b, c, d} spanning a copy are one word operation on the pair
+    bitsets, the rule ``tileable`` uses: with abc an edge one more of abd,
+    acd, bcd suffices, else two of them.  So each quad comes out once and
+    in order, with no set and no sort.
+    """
     within = vertex_mask(G, within)
-    quads = set()
-    for u, v in itertools.combinations(bits_of(within), 2):
-        thirds = bits_of(G.pair_bits(u, v) & within)
-        for a, b in itertools.combinations(thirds, 2):
-            quads.add(tuple(sorted((u, v, a, b))))
-    ordered = tuple(sorted(quads))
-    by_vertex: list[list[int]] = [[] for _ in range(G.n)]
-    for i, q in enumerate(ordered):
-        for v in q:
-            by_vertex[v].append(i)
-    return QuadCatalog(
-        quads=ordered,
-        masks=tuple(map(mask_of, ordered)),
-        by_vertex=tuple(tuple(x) for x in by_vertex),
-    )
+    verts = bits_of(within)
+    rows = [[G.pair_bits(u, v) & within for v in verts] for u in verts]
+    quads: list[tuple[int, int, int, int]] = []
+    for i, a in enumerate(verts):
+        ra = rows[i]
+        for j in range(i + 1, len(verts)):
+            b, ab = verts[j], ra[j]
+            for c, ac, bc in zip(verts[j + 1 :], ra[j + 1 :], rows[j][j + 1 :]):
+                fourth = (ab | ac | bc) if (ab >> c) & 1 else (ab & (ac | bc)) | (ac & bc)
+                fourth &= -(2 << c)  # d > c
+                while fourth:
+                    low = fourth & -fourth
+                    quads.append((a, b, c, low.bit_length() - 1))
+                    fourth ^= low
+    return QuadCatalog(quads=tuple(quads), inc=_incidence(G.n, verts, quads))
+
+
+def _incidence(n: int, verts: list[int], quads: list) -> tuple[int, ...]:
+    """``inc[v]`` for v in 0..n-1: each vertex of ``verts`` writes a '1' at
+    its quads' ids into a string of '0's, read as one binary int."""
+    cols: list[bytearray | None] = [None] * n
+    if quads:
+        for v in verts:
+            cols[v] = bytearray(b"0") * len(quads)
+    for i, (a, b, c, d) in enumerate(quads):
+        cols[a][i] = cols[b][i] = cols[c][i] = cols[d][i] = 49  # ord("1")
+    return tuple(0 if col is None else int(col[::-1], 2) for col in cols)
 
 
 @dataclass
@@ -164,45 +203,48 @@ class _Clock:
         return time.perf_counter() - self.start
 
 
-def _available(cat: QuadCatalog, blocked: int) -> list[int]:
-    """Ids of the quads that avoid every vertex of ``blocked``."""
-    masks = cat.masks
-    return [i for i in range(len(masks)) if not (masks[i] & blocked)]
+def _kill(cat: QuadCatalog, i: int) -> int:
+    """The quads that meet quad i, itself included, as a bitset over ids."""
+    inc = cat.inc
+    a, b, c, d = cat.quads[i]
+    return inc[a] | inc[b] | inc[c] | inc[d]
 
 
-def _vertex_counts(cat: QuadCatalog, ids) -> Counter:
-    """How many of the quads ``ids`` hold each vertex; a vertex in none of
-    them is absent."""
-    return Counter(itertools.chain.from_iterable(map(cat.quads.__getitem__, ids)))
+def _counts(cat: QuadCatalog, alive: int, verts) -> list[int]:
+    """How many quads of the live set ``alive`` hold each vertex of ``verts``."""
+    inc = cat.inc
+    return [(alive & inc[v]).bit_count() for v in verts]
 
 
-def _greedy_hitting(cat: QuadCatalog, alive, cap: int | None = None) -> int:
-    """Vertex mask hitting every quad of ``alive``, picked greedily by most
-    quads hit (lowest vertex on ties); stops early at ``cap`` vertices.
+def _greedy_hitting(cat: QuadCatalog, alive: int, verts, cap: int | None = None) -> int:
+    """Vertex mask hitting every quad of the live set ``alive``, picked
+    greedily by most quads hit (lowest vertex on ties) from ``verts``,
+    ascending and holding every vertex of a live quad; stops early at
+    ``cap`` vertices.
 
     Any family of disjoint quads spends one hitting vertex per member, so
     the popcount bounds how many more copies fit among ``alive``.
     """
     hit = 0
     while alive and hit.bit_count() != cap:
-        counts = _vertex_counts(cat, alive)
-        pb = 1 << min(counts, key=lambda v: (-counts[v], v))
-        hit |= pb
-        alive = [i for i in alive if not (cat.masks[i] & pb)]
+        counts = _counts(cat, alive, verts)
+        v = verts[counts.index(max(counts))]
+        hit |= 1 << v
+        alive &= ~cat.inc[v]
     return hit
 
 
-def _greedy_packing(cat: QuadCatalog, blocked: int, cap: int | None = None) -> list[int]:
-    """First-fit disjoint quads avoiding ``blocked``, in catalog order;
-    stops early at ``cap`` quads.  The first one is the first quad of the
-    catalog that avoids ``blocked``."""
+def _greedy_packing(cat: QuadCatalog, alive: int, cap: int | None = None) -> list[int]:
+    """First-fit disjoint quads of the live set ``alive``, in catalog
+    order; stops early at ``cap`` quads.  Each next quad is the lowest
+    live id, so the first one is the first live quad of the catalog."""
     out = []
-    for i, m in enumerate(cat.masks):
-        if not (m & blocked):
-            out.append(i)
-            if len(out) == cap:
-                break
-            blocked |= m
+    while alive:
+        i = (alive & -alive).bit_length() - 1
+        out.append(i)
+        if len(out) == cap:
+            break
+        alive &= ~_kill(cat, i)
     return out
 
 
@@ -237,29 +279,33 @@ def perfect_tiling_exact(
         raise InputError(f"perfect tiling needs 4 | n, got n={size}")
     budget = budget or SearchBudget()
     cat = quad_catalog(G, full) if catalog is None else catalog
+    if len(cat.inc) != G.n:
+        raise InputError(f"catalog has {len(cat.inc)} vertices, the graph {G.n}")
+    for v in bits_of(((1 << G.n) - 1) & ~full):
+        if cat.inc[v]:
+            raise InputError(f"catalog has a quad on vertex {v}, outside the mask")
+    inc = cat.inc
     clock = _Clock(budget)
     chosen: list[int] = []
 
-    def rec(covered: int) -> str:
+    def rec(covered: int, alive: int) -> str:
         if clock.tick():
             return EXHAUSTED
         if covered == full:
             return FOUND
-        avail = _available(cat, covered)
-        counts = _vertex_counts(cat, avail)
-        uncovered = size - covered.bit_count()
-        if len(counts) < uncovered:  # some uncovered vertex is in no quad
+        free = bits_of(full & ~covered)
+        counts = _counts(cat, alive, free)
+        fewest = min(counts)
+        if not fewest:  # some uncovered vertex is in no live quad
             return INFEASIBLE
-        needed = uncovered // 4
-        if len(avail) <= _HITTING_CAP and _greedy_hitting(cat, avail, needed).bit_count() < needed:
+        needed = len(free) // 4
+        if alive.bit_count() <= _HITTING_CAP and _greedy_hitting(cat, alive, free, needed).bit_count() < needed:
             return INFEASIBLE
-        v = min(counts, key=lambda x: (counts[x], x))  # fewest options
+        v = free[counts.index(fewest)]  # fewest options, lowest on ties
         ran_out = False
-        for i in cat.by_vertex[v]:
-            if cat.masks[i] & covered:
-                continue
+        for i in bits_of(alive & inc[v]):
             chosen.append(i)
-            sub = rec(covered | cat.masks[i])
+            sub = rec(covered | mask_of(cat.quads[i]), alive & ~_kill(cat, i))
             if sub == FOUND:
                 return FOUND
             chosen.pop()
@@ -268,7 +314,7 @@ def perfect_tiling_exact(
                 break
         return EXHAUSTED if ran_out else INFEASIBLE
 
-    status = rec(0)
+    status = rec(0, cat.all_quads)
     tiling = _witness(G, cat, chosen, cover=full) if status == FOUND else None
     return TilingSearchResult(status=status, tiling=tiling, nodes=clock.nodes, elapsed=clock.elapsed)
 
@@ -328,38 +374,37 @@ def max_tiling_exact(G: Hypergraph3, budget: SearchBudget | None = None) -> Tili
     """
     budget = budget or SearchBudget()
     cat = quad_catalog(G)
+    inc = cat.inc
     clock = _Clock(budget)
-    best: list[int] = _greedy_packing(cat, 0)
+    best: list[int] = _greedy_packing(cat, cat.all_quads)
     chosen: list[int] = []
 
-    def rec(covered: int, skipped: int) -> bool:
+    def rec(free: int, alive: int) -> bool:
         """Returns True when the budget ran out inside this subtree."""
         nonlocal best
         if clock.tick():
             return True
-        blocked = covered | skipped
-        avail = _available(cat, blocked)
-        counts = _vertex_counts(cat, avail)  # its keys: the vertices still usable
-        if not counts:
+        verts = bits_of(free)
+        options = [(c, v) for c, v in zip(_counts(cat, alive, verts), verts) if c]
+        if not options:
             if len(chosen) > len(best):
                 best = list(chosen)
             return False
+        usable = [v for _, v in options]
         gap = len(best) - len(chosen) + 1  # improvement still required
-        bound = min(len(counts) // 4, _greedy_hitting(cat, avail, gap).bit_count())
+        bound = min(len(usable) // 4, _greedy_hitting(cat, alive, usable, gap).bit_count())
         if bound < gap:
             return False
-        v = min(counts, key=lambda x: (counts[x], x))  # fewest options
-        for i in cat.by_vertex[v]:
-            if cat.masks[i] & blocked:
-                continue
+        v = min(options)[1]  # fewest options, lowest on ties
+        for i in bits_of(alive & inc[v]):
             chosen.append(i)
-            ran_out = rec(covered | cat.masks[i], skipped)
+            ran_out = rec(free & ~mask_of(cat.quads[i]), alive & ~_kill(cat, i))
             chosen.pop()
             if ran_out:
                 return True
-        return rec(covered, skipped | (1 << v))
+        return rec(free & ~(1 << v), alive & ~inc[v])
 
-    ran_out = rec(0, 0)
+    ran_out = rec((1 << G.n) - 1, cat.all_quads)
     return TilingSearchResult(
         status=EXHAUSTED if ran_out else FOUND,
         tiling=_witness(G, cat, best),
@@ -381,10 +426,10 @@ def max_D_free_set(G: Hypergraph3, budget: SearchBudget | None = None) -> SetSea
     budget = budget or SearchBudget()
     cat = quad_catalog(G)
     clock = _Clock(budget)
-    best_removed = _greedy_hitting(cat, range(len(cat.masks)))
+    best_removed = _greedy_hitting(cat, cat.all_quads, range(G.n))
     best_count = best_removed.bit_count()
 
-    def rec(removed: int, banned: int, count: int) -> bool:
+    def rec(removed: int, alive: int, banned: int, count: int) -> bool:
         nonlocal best_removed, best_count
         if clock.tick():
             return True
@@ -392,7 +437,7 @@ def max_D_free_set(G: Hypergraph3, budget: SearchBudget | None = None) -> SetSea
             return False
         # Each packed quad needs a removal of its own; the first packed
         # quad is the first unhit one, the quad to branch on.
-        packing = _greedy_packing(cat, removed, best_count - count)
+        packing = _greedy_packing(cat, alive, best_count - count)
         if not packing:
             best_removed, best_count = removed, count
             return False
@@ -403,12 +448,12 @@ def max_D_free_set(G: Hypergraph3, budget: SearchBudget | None = None) -> SetSea
             vb = 1 << v
             if banned & vb:
                 continue
-            if rec(removed | vb, banned | earlier, count + 1):
+            if rec(removed | vb, alive & ~cat.inc[v], banned | earlier, count + 1):
                 return True
             earlier |= vb
         return False
 
-    ran_out = rec(0, 0, 0)
+    ran_out = rec(0, cat.all_quads, 0, 0)
     vertices = tuple(v for v in range(G.n) if not ((best_removed >> v) & 1))
     if not is_D_free(G, vertices):
         raise AssertionError("maximum D-free search returned a set that spans a copy")
@@ -447,11 +492,11 @@ def decide_D_free_set(
     cat = quad_catalog(G) if catalog is None else catalog
     witness = 0
 
-    def rec(removed: int, banned: int, count: int) -> str:
+    def rec(removed: int, alive: int, banned: int, count: int) -> str:
         nonlocal witness
         if clock.tick():
             return EXHAUSTED
-        packing = _greedy_packing(cat, removed, k - count + 1)
+        packing = _greedy_packing(cat, alive, k - count + 1)
         if not packing:
             witness = removed
             return FOUND
@@ -462,13 +507,13 @@ def decide_D_free_set(
             vb = 1 << v
             if banned & vb:
                 continue
-            sub = rec(removed | vb, banned | earlier, count + 1)
+            sub = rec(removed | vb, alive & ~cat.inc[v], banned | earlier, count + 1)
             if sub != INFEASIBLE:
                 return sub
             earlier |= vb
         return INFEASIBLE
 
-    status = rec(0, 0, 0)
+    status = rec(0, cat.all_quads, 0, 0)
     vertices = ()
     if status == FOUND:
         vertices = tuple(v for v in range(G.n) if not ((witness >> v) & 1))

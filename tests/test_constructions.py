@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -22,6 +23,7 @@ from dtiling import (
     random_codegree_instance,
     steiner_triple_system,
 )
+from dtiling.io import format_instance
 
 
 def assert_is_sts(G, m):
@@ -135,6 +137,24 @@ class TestRandom:
         random_codegree_instance(16, 4, 0, stats_out=stats)
         assert stats["repairs"] >= 0
         assert 0.0 <= stats["rate"] <= 1.0
+
+    @pytest.mark.parametrize(
+        "n, d, seed, repairs, digest",
+        [
+            (8, 1, 0, 0, "b5dcb907df8fd67ea4ef3c885df4de0bd481a6dce8102375f6cc7c8d5a2c0e14"),
+            (20, 5, 1, 6, "5ad1edc8c0fabc7d5d71a0214b61417fa137f9c31e34f0a6d5e09b96894ecb5c"),
+            (24, 6, 12, 6, "380b455e023a565d21d0c383be856f2e0a0f1204375bf49b21b27b6be10d00a5"),
+            (48, 16, 0, 11, "08f0ded855b510dc59826f01585b55ef2652e10534480ec0aa394399bb825f05"),
+            (64, 22, 3, 36, "813b78970f6a058e30e2e21d9357ba44cacc94a1df44247d1c4b15972c02f104"),
+            (96, 32, 7, 94, "6ef193d0244eedda97c1158cc9d7eda15cd877c2435bc5b8eda1c87a1dcb67e7"),
+        ],
+    )
+    def test_output_pinned(self, n, d, seed, repairs, digest):
+        # The instance text and repair count of seeded instances: the
+        # random draws, their order and the repair pools must not move.
+        stats = {}
+        text = format_instance(random_codegree_instance(n, d, seed, stats_out=stats))
+        assert (stats["repairs"], hashlib.sha256(text.encode()).hexdigest()) == (repairs, digest)
 
 
 class TestComplete:

@@ -61,6 +61,25 @@ class TestBuild:
         with pytest.raises(InputError):
             build(4, [(0, 0, 1)])
 
+    @pytest.mark.parametrize("at", [0, 255, 256, 700])
+    def test_errors_name_the_first_offending_triple(self, at):
+        # Valid triples in both vertex orders around two bad ones: the
+        # message names the first bad one, wherever its chunk begins.
+        good = [(0, 1, 2), (3, 1, 2), (1, 2, 3)] * 300
+        for bad, message in (((2, 2, 1), r"triple \(1, 2, 2\) does not have 3 distinct"),
+                             ((9, 1, 0), r"triple \(0, 1, 9\) has a vertex outside 0..4"),
+                             ((0, 1), r"triple \(0, 1\) does not have 3 distinct")):
+            triples = good[:at] + [bad, (4, 3, 3)] + good[at:]
+            with pytest.raises(InputError, match=message):
+                build(5, triples)
+            with pytest.raises(InputError, match=message):
+                build(5, iter(triples))
+
+    def test_any_iterable_triples(self):
+        G = build(5, [iter((2, 1, 0)), {1, 2, 3}, [4, 3, 2], (0, 1, 2)])
+        assert G.edges == {(0, 1, 2), (1, 2, 3), (2, 3, 4)}
+        assert G.m == 3
+
     def test_pair_bits_consistency(self):
         G = build(5, [(0, 1, 2), (0, 2, 3), (1, 3, 4)])
         for u, v in itertools.combinations(range(5), 2):

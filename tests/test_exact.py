@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dtiling
 
@@ -30,11 +31,13 @@ from dtiling import (
     steiner_triple_system,
     validate_tiling,
 )
-from dtiling.exact import _greedy_hitting, _greedy_packing
+from dtiling.core import bits_of, mask_of
+from dtiling.exact import _counts, _greedy_hitting, _greedy_packing
 
 from test_tileable import graphs
 
 from naive import (
+    _spanning_quads,
     naive_four_partite_matching,
     naive_is_D_free,
     naive_max_D_free,
@@ -58,8 +61,21 @@ class TestCatalog:
 
     def test_incidence_index(self):
         cat = quad_catalog(complete_3graph(6))
-        for v, ids in enumerate(cat.by_vertex):
-            assert all(v in cat.quads[i] for i in ids)
+        assert len(cat.inc) == 6
+        for v, bits in enumerate(cat.inc):
+            assert bits_of(bits) == [i for i, q in enumerate(cat.quads) if v in q]
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_n=12), st.integers(0, 2**12 - 1))
+def test_catalog_matches_naive_on_masks(data, bits):
+    n, edges = data
+    G = build(n, edges)
+    S = [v for v in range(n) if (bits >> v) & 1]
+    local = [tuple(S.index(v) for v in e) for e in G.edges if set(e) <= set(S)]
+    cat = quad_catalog(G, mask_of(S))
+    assert cat.quads == tuple(tuple(S[v] for v in q) for q in sorted(_spanning_quads(len(S), local)))
+    assert [bits_of(x) for x in cat.inc] == [[i for i, q in enumerate(cat.quads) if v in q] for v in range(n)]
 
 
 class TestPerfect:
@@ -88,6 +104,27 @@ class TestPerfect:
     def test_budget_exhaustion_flagged(self):
         res = perfect_tiling_exact(complete_3graph(16), SearchBudget(node_limit=1))
         assert res.status == "exhausted"
+
+    def test_catalog_outside_the_mask_is_refused(self):
+        for seed in range(10):
+            G = random_codegree_instance(16, 4, seed)
+            mask = mask_of(random.Random(seed).sample(range(16), 12))
+            with pytest.raises(InputError, match="outside the mask"):
+                perfect_tiling_exact(G, catalog=quad_catalog(G), within=mask)
+            # the catalog of the mask itself is taken
+            res = perfect_tiling_exact(G, catalog=quad_catalog(G, mask), within=mask)
+            assert res.status == perfect_tiling_exact(G, within=mask).status
+        with pytest.raises(InputError, match="vertices"):
+            perfect_tiling_exact(complete_3graph(8), catalog=quad_catalog(complete_3graph(12)))
+
+    def test_dense_planted_mask_nodes_pinned(self):
+        # 8 of the 10 side vertices of planted_extremal(40) and 24 bulk
+        # vertices: tileable, and dense enough that the catalog has tens of
+        # thousands of quads, so a node must not rescan it.
+        G = planted_extremal(40)
+        S = list(range(8)) + list(range(10, 34))
+        res = perfect_tiling_exact(G, SearchBudget(node_limit=400, time_limit=600.0), within=mask_of(S))
+        assert (res.status, res.nodes) == ("exhausted", 401)
 
 
 class TestMaxTiling:
@@ -178,22 +215,62 @@ class TestGreedyBounds:
         for _ in range(25):
             n = rng.randint(8, 20)
             cat = quad_catalog(random_codegree_instance(n, rng.randint(1, n // 4 + 1), rng.randrange(10**6)))
-            hit = _greedy_hitting(cat, range(len(cat.masks)))
-            assert all(m & hit for m in cat.masks)
-            packing = _greedy_packing(cat, 0)
+            masks = [mask_of(q) for q in cat.quads]
+            hit = _greedy_hitting(cat, cat.all_quads, range(n))
+            assert all(m & hit for m in masks)
+            packing = _greedy_packing(cat, cat.all_quads)
             assert len(packing) <= hit.bit_count()
             used = 0
             for i in packing:
-                assert not cat.masks[i] & used
-                used |= cat.masks[i]
+                assert not masks[i] & used
+                used |= masks[i]
             # the caps cut the same greedy runs short
             cap = rng.randint(1, 4)
-            assert _greedy_hitting(cat, range(len(cat.masks)), cap).bit_count() == min(cap, hit.bit_count())
+            assert _greedy_hitting(cat, cat.all_quads, range(n), cap).bit_count() == min(cap, hit.bit_count())
             blocked = rng.getrandbits(n) & rng.getrandbits(n)
-            free = [i for i, m in enumerate(cat.masks) if not m & blocked]
-            capped = _greedy_packing(cat, blocked, cap)
-            assert capped == _greedy_packing(cat, blocked)[:cap]
+            free = [i for i, m in enumerate(masks) if not m & blocked]
+            alive = sum(1 << i for i in free)
+            capped = _greedy_packing(cat, alive, cap)
+            assert capped == _greedy_packing(cat, alive)[:cap]
             assert capped[:1] == free[:1]
+
+    def test_bitset_helpers_match_list_scans(self):
+        """Counts, greedy hitting set and first-fit packing on the live int
+        agree with plain scans over a list of live quad ids."""
+
+        def counts(quads, live, verts):
+            return [sum(v in quads[i] for i in live) for v in verts]
+
+        def hitting(quads, live, n, cap):
+            hit = set()
+            while live and len(hit) != cap:
+                c = counts(quads, live, range(n))
+                v = c.index(max(c))
+                hit.add(v)
+                live = [i for i in live if v not in quads[i]]
+            return mask_of(hit)
+
+        def packing(quads, live, cap):
+            out, used = [], set()
+            for i in live:
+                if not used & set(quads[i]):
+                    out.append(i)
+                    if len(out) == cap:
+                        break
+                    used |= set(quads[i])
+            return out
+
+        rng = random.Random(41)
+        for _ in range(25):
+            n = rng.randint(8, 16)
+            cat = quad_catalog(random_codegree_instance(n, rng.randint(1, n // 4 + 1), rng.randrange(10**6)))
+            live = [i for i in range(len(cat.quads)) if rng.random() < 0.6]
+            alive = sum(1 << i for i in live)
+            verts = sorted(rng.sample(range(n), rng.randint(1, n)))
+            cap = rng.choice([None, 1, 2, 3])
+            assert _counts(cat, alive, verts) == counts(cat.quads, live, verts)
+            assert _greedy_hitting(cat, alive, range(n), cap) == hitting(cat.quads, live, n, cap)
+            assert _greedy_packing(cat, alive, cap) == packing(cat.quads, live, cap)
 
 
 # (status, nodes, witness) of the three catalog searches on seeded

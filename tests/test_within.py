@@ -44,8 +44,8 @@ def source(kind: str, rng: random.Random):
     if kind == "random":
         n = rng.choice([24, 32, 40])
         return random_codegree_instance(n, rng.randint(2, n // 4 + 1), rng.randrange(10**6))
-    if kind == "planted":  # dense: keep its catalogs small
-        return planted_extremal(rng.choice([24, 32]))
+    if kind == "planted":
+        return planted_extremal(rng.choice([24, 32, 40]))
     n = rng.choice([24, 32, 40, 48])
     return {"G0": construct_G0, "G1": construct_G1}[kind](n)
 
@@ -94,7 +94,7 @@ def test_catalog_matches_induced(G, S):
     H, mapping = induced_subgraph(G, S)
     cat = quad_catalog(G, mask_of(S))
     assert cat.quads == tuple(tuple(mapping[v] for v in q) for q in quad_catalog(H).quads)
-    assert all(not cat.by_vertex[v] for v in set(range(G.n)) - set(S))
+    assert all(not cat.inc[v] for v in set(range(G.n)) - set(S))
 
 
 def test_induced_perfect_tiling_matches_reference():
