@@ -18,7 +18,6 @@ from .absorb import (
     build_absorbing_family,
     desk_sampling_rate,
     estimate_absorber_density,
-    find_absorber_gadget,
     induced_perfect_tiling,
     validate_family,
 )

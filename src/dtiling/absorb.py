@@ -28,7 +28,6 @@ it; ``estimate_absorber_density`` remains a library function.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -37,9 +36,7 @@ from .core import (
     Hypergraph3,
     InputError,
     Tiling,
-    bits_of,
     mask_of,
-    min_codegree,
     validate_tiling,
 )
 from .exact import FOUND, SearchBudget, perfect_tiling_exact, tileable
@@ -48,7 +45,6 @@ SIGMA_SAMPLES = 200
 SIGMA_FLOOR = 1e-3
 PROBE_LIMIT = 500
 MAX_RETRIES = 20
-GADGET_SCAN_MAX_N = 16
 
 
 class ConstructionFailure(RuntimeError):
@@ -252,84 +248,6 @@ def validate_family(G: Hypergraph3, family: AbsorberFamily) -> None:
             raise InputError(f"cached tiling invalid for member {s}")
     if len(seen) > family.alpha * G.n:
         raise InputError("family exceeds its vertex budget")
-
-
-def find_absorber_gadget(G: Hypergraph3, U, seed: int = 0, attempts: int = 200):
-    """Constructive absorber for U: pick joint neighbourhoods V1 of the
-    first two and V2 of the last two U vertices, restrict to sample sets
-    W1, W2 and the pair-reachable W3, then look for a complete tripartite
-    triple system on 3+3+3 vertices; its vertices minus one W3 vertex form
-    the absorber.  Falls back to an exhaustive 8-set scan at small orders;
-    returns None when nothing verifies.
-    """
-    U = sorted(set(U))
-    if len(U) != 4:
-        raise InputError(f"need |U| = 4, got {len(U)}")
-    if any(not 0 <= v < G.n for v in U):
-        raise InputError("U out of range")
-    rng = random.Random(seed)
-    u1, u2, u3, u4 = U
-    umask = sum(1 << v for v in U)
-    v1 = G.pair_bits(u1, u2) & ~((1 << u3) | (1 << u4))
-    v2 = G.pair_bits(u3, u4)
-    target = max(3, math.ceil(min_codegree(G) / 3))
-    w1 = _sample_bits(rng, v1, target)
-    w2 = _sample_bits(rng, v2 & ~w1 & ~((1 << u1) | (1 << u2)), target)
-    v3 = 0
-    for a in bits_of(v1):
-        for b in bits_of(v2):
-            if a != b:
-                v3 |= G.pair_bits(a, b)
-    w3 = v3 & ~w1 & ~w2 & ~umask
-    if min(w1.bit_count(), w2.bit_count(), w3.bit_count()) >= 3:
-        found = _search_tripartite(G, rng, w1, w2, w3, attempts)
-        if found is not None:
-            a1, a2, thirds = found
-            s = tuple(sorted(a1 + a2 + thirds[1:]))  # drop the pivot third
-            if not set(s) & set(U) and absorbs(G, s, U):
-                return s
-    if G.n <= GADGET_SCAN_MAX_N:
-        rest = sorted(set(range(G.n)) - set(U))
-        for s in itertools.combinations(rest, 8):
-            if absorbs(G, s, U):
-                return s
-    return None
-
-
-def _sample_bits(rng: random.Random, mask: int, size: int) -> int:
-    pool = bits_of(mask)
-    if len(pool) <= size:
-        return mask
-    return sum(1 << v for v in rng.sample(pool, size))
-
-
-def _search_tripartite(G, rng, w1, w2, w3, attempts):
-    """Randomized pivot triple in W1, exhaustive extension: common third
-    sets over W2 candidates until three W2 vertices share three thirds."""
-    pool1 = bits_of(w1)
-    pool2 = bits_of(w2)
-    for _ in range(attempts):
-        a1 = tuple(sorted(rng.sample(pool1, 3)))
-        cands = []
-        for b in pool2:
-            thirds = w3
-            for a in a1:
-                thirds &= G.pair_bits(a, b)
-                if not thirds:
-                    break
-            if thirds and thirds.bit_count() >= 1:
-                cands.append((b, thirds))
-        if len(cands) < 3:
-            continue
-        checked = 0
-        for (b1, t1), (b2, t2), (b3, t3) in itertools.combinations(cands, 3):
-            checked += 1
-            if checked > 2000:
-                break
-            common = t1 & t2 & t3
-            if common.bit_count() >= 3:
-                return (a1, (b1, b2, b3), tuple(bits_of(common)[:3]))
-    return None
 
 
 def absorb_leftover(G: Hypergraph3, family: AbsorberFamily, W) -> Tiling:

@@ -106,31 +106,34 @@ def _dfree_certificate(G: Hypergraph3, threshold: float, budget: SearchBudget):
     and the quad catalog built on the way (None on the greedy path).
 
     Up to ``EXACT_DFREE_MAX_N`` vertices, two decisions on one catalog,
-    each under ``budget``: is there a D-free set above 3n/4 (the space
-    barrier), and if not, one of ``ceil(threshold)`` vertices?  The first
-    witness found is extended to a maximal set.  When both are refuted or
-    run out of budget, S is the greedy maximal set, so a forced extremal
-    solve still gets a seed.  Larger instances only take the greedy set.
+    sharing ``budget``: is there a D-free set above 3n/4 (the space
+    barrier), and if not, one of ``ceil(threshold)`` vertices?  The second
+    gets what the first left of the budget, and is not asked when nothing
+    is left.  The first witness found is extended to a maximal set.  When
+    both are refuted or the budget runs out, S is the greedy maximal set,
+    so a forced extremal solve still gets a seed.  Larger instances only
+    take the greedy set.
     """
     if G.n > EXACT_DFREE_MAX_N:
         S = extend_to_maximal_D_free(G, greedy_D_free_set(G))
         outcome = "witness" if len(S) >= threshold else "unknown"
         return S, {"method": "greedy", "nodes": 0, "outcome": outcome}, None
     cat = quad_catalog(G)
-    nodes = 0
-    statuses = []
+    nodes, seconds = 0, 0.0
     for size in (3 * G.n // 4 + 1, math.ceil(threshold)):
-        res = decide_D_free_set(G, size, budget, cat)
-        nodes += res.nodes
-        statuses.append(res.status)
-        if res.status == FOUND:
-            S = extend_to_maximal_D_free(G, res.vertices)
-            outcome = "witness"
+        left = budget.remainder(nodes, seconds)
+        if left is None:
+            status = EXHAUSTED
             break
-    else:
-        S = extend_to_maximal_D_free(G, greedy_D_free_set(G))
-        outcome = "refuted" if res.status == INFEASIBLE else "exhausted"
-    method = "exact-budget" if EXHAUSTED in statuses else "exact"
+        res = decide_D_free_set(G, size, left, cat)
+        nodes += res.nodes
+        seconds += res.elapsed
+        status = res.status
+        if status != INFEASIBLE:
+            break
+    S = extend_to_maximal_D_free(G, res.vertices if status == FOUND else greedy_D_free_set(G))
+    outcome = {FOUND: "witness", INFEASIBLE: "refuted", EXHAUSTED: "exhausted"}[status]
+    method = "exact-budget" if status == EXHAUSTED else "exact"
     return S, {"method": method, "nodes": nodes, "outcome": outcome}, cat
 
 

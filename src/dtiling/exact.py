@@ -28,22 +28,21 @@ branching.  Two sound prunes keep structured instances tractable:
   This is what lets the search refute the tight lower-bound families at
   useful orders: there the whole catalog is hit by a side of size n/4 - 1.
 
-The four catalog searches share these bitset helpers and two greedy
-bounds.  ``_greedy_hitting`` is the hitting set above; it also seeds the
-maximum D-free search, whose best set so far is the complement of a
-hitting set.  ``_greedy_packing`` is a first-fit family of disjoint
-quads, each the lowest live id: the warm start of the maximum tiling
-search, and the lower bound of both D-free searches, which must remove
-one vertex from each of its quads.
+The three catalog searches share these bitset helpers and two greedy
+bounds.  ``_greedy_hitting`` is the hitting set above; its complement is
+also the first D-free set of ``max_D_free_set``.  ``_greedy_packing`` is
+a first-fit family of disjoint quads, each the lowest live id: the warm
+start of the maximum tiling search, and the lower bound of the D-free
+decision, which must remove one vertex from each of its quads.
 
 The driver asks whether a D-free set of a given size exists, not how
 large the largest is: ``decide_D_free_set`` is the bounded search tree of
 d-Hitting Set (Niedermeier and Rossmanith, 2003) with at most n - size
 removals.  It refutes a branch once its greedy packing needs more
-removals than are left and stops at the first witness, so on random
-instances near the codegree threshold it closes in a few hundred nodes
-where ``max_D_free_set`` takes thousands.  It can take the caller's
-catalog, as ``perfect_tiling_exact`` can, so one solve builds it once.
+removals than are left and stops at the first witness.  It can take the
+caller's catalog, as ``perfect_tiling_exact`` can, so one solve builds it
+once.  ``max_D_free_set`` is a loop of these questions, each asking for
+one vertex more than the last witness, under one shared budget.
 
 Budgets cap explored nodes and wall-clock time; an exhausted budget is
 reported as ``exhausted`` and never as a proof.  The maximum searches
@@ -92,8 +91,10 @@ _HITTING_CAP = 100_000
 @dataclass
 class SearchBudget:
     """Node and wall-clock caps for one budgeted search: the three catalog
-    searches and the 4-partite matching.  ``tileable`` and stage Q of the
-    extremal pipeline run without a budget."""
+    searches and the 4-partite matching.  A run of searches shares one
+    budget by passing each the ``remainder`` of the last, as
+    ``max_D_free_set`` does.  ``tileable`` and stage Q of the extremal
+    pipeline run without a budget."""
 
     node_limit: int = 10_000_000
     time_limit: float = 60.0
@@ -101,6 +102,12 @@ class SearchBudget:
     def __post_init__(self):
         if self.node_limit <= 0 or self.time_limit <= 0:
             raise InputError("search budget must be positive")
+
+    def remainder(self, nodes: int, seconds: float) -> SearchBudget | None:
+        """What is left after searches that spent ``nodes`` nodes and
+        ``seconds`` seconds of this budget, or None when nothing is."""
+        nodes, seconds = self.node_limit - nodes, self.time_limit - seconds
+        return SearchBudget(nodes, seconds) if nodes > 0 and seconds > 0 else None
 
 
 @dataclass(frozen=True)
@@ -174,7 +181,8 @@ class TilingSearchResult:
 
 @dataclass
 class SetSearchResult:
-    # max_D_free_set: found (optimal) / exhausted (best effort).
+    # max_D_free_set: found (optimal) / exhausted (best effort); nodes and
+    # elapsed are summed over all its decision questions.
     # decide_D_free_set: found (a witness) / infeasible / exhausted (no set).
     status: str
     vertices: tuple[int, ...]
@@ -416,53 +424,31 @@ def max_tiling_exact(G: Hypergraph3, budget: SearchBudget | None = None) -> Tili
 def max_D_free_set(G: Hypergraph3, budget: SearchBudget | None = None) -> SetSearchResult:
     """Maximum vertex set inducing no copy.
 
-    Equivalent to deleting a minimum set of vertices hitting every
-    spanning 4-set; solved by branching on the four vertices of the first
-    unhit quad, starting from the greedy hitting set and pruned by the
-    greedy packing lower bound.  Intended for small orders (roughly
-    n <= 24).  The driver does not call it: it only needs to know whether
-    a set of a given size exists, which ``decide_D_free_set`` answers.
+    A loop of ``decide_D_free_set`` questions on one catalog: starting
+    from the complement of the greedy hitting set, it asks for one vertex
+    more than the best set so far until a question is refuted (the best
+    set is the optimum) or runs out of budget (the best set is best
+    effort).  All questions share ``budget``: each gets what its
+    predecessors left.  Intended for small orders (roughly n <= 24).  The
+    driver does not call it: it only needs to know whether a set of a
+    given size exists, which ``decide_D_free_set`` answers.
     """
     budget = budget or SearchBudget()
     cat = quad_catalog(G)
-    clock = _Clock(budget)
-    best_removed = _greedy_hitting(cat, cat.all_quads, range(G.n))
-    best_count = best_removed.bit_count()
-
-    def rec(removed: int, alive: int, banned: int, count: int) -> bool:
-        nonlocal best_removed, best_count
-        if clock.tick():
-            return True
-        if count >= best_count:
-            return False
-        # Each packed quad needs a removal of its own; the first packed
-        # quad is the first unhit one, the quad to branch on.
-        packing = _greedy_packing(cat, alive, best_count - count)
-        if not packing:
-            best_removed, best_count = removed, count
-            return False
-        if count + len(packing) >= best_count:
-            return False
-        earlier = 0
-        for v in cat.quads[packing[0]]:
-            vb = 1 << v
-            if banned & vb:
-                continue
-            if rec(removed | vb, alive & ~cat.inc[v], banned | earlier, count + 1):
-                return True
-            earlier |= vb
-        return False
-
-    ran_out = rec(0, cat.all_quads, 0, 0)
-    vertices = tuple(v for v in range(G.n) if not ((best_removed >> v) & 1))
-    if not is_D_free(G, vertices):
+    start = time.perf_counter()
+    hit = _greedy_hitting(cat, cat.all_quads, range(G.n))
+    best = tuple(v for v in range(G.n) if not ((hit >> v) & 1))
+    status, nodes = EXHAUSTED, 0
+    while (left := budget.remainder(nodes, time.perf_counter() - start)) is not None:
+        res = decide_D_free_set(G, len(best) + 1, left, cat)
+        nodes += res.nodes
+        if res.status != FOUND:
+            status = FOUND if res.status == INFEASIBLE else EXHAUSTED
+            break
+        best = res.vertices
+    if not is_D_free(G, best):
         raise AssertionError("maximum D-free search returned a set that spans a copy")
-    return SetSearchResult(
-        status=EXHAUSTED if ran_out else FOUND,
-        vertices=vertices,
-        nodes=clock.nodes,
-        elapsed=clock.elapsed,
-    )
+    return SetSearchResult(status=status, vertices=best, nodes=nodes, elapsed=time.perf_counter() - start)
 
 
 def decide_D_free_set(
@@ -473,12 +459,11 @@ def decide_D_free_set(
 ) -> SetSearchResult:
     """Whether G has a D-free set of at least ``size`` vertices.
 
-    The decision form of ``max_D_free_set``: a hitting set of at most
-    k = n - size vertices must meet every spanning quad.  The same
-    branching on the four vertices of the first unhit quad, but with the
-    removal cap k instead of the best set so far, so a branch dies as soon
-    as its greedy packing, capped at k - count + 1 quads, needs more
-    removals than are left; the search stops at the first witness.
+    A hitting set of at most k = n - size vertices must meet every
+    spanning quad.  The search branches on the four vertices of the first
+    unhit quad, and a branch dies as soon as its greedy packing, capped at
+    k - count + 1 quads, needs more removals than are left; the search
+    stops at the first witness.
     ``found`` carries the witness (the vertices not removed, at least
     ``size`` of them), ``infeasible`` is a proof that no such set exists,
     and ``exhausted`` means the budget ran out first.  ``catalog``, when

@@ -18,7 +18,6 @@ from dtiling import (
     complete_3graph,
     desk_sampling_rate,
     estimate_absorber_density,
-    find_absorber_gadget,
     format_family,
     induced_perfect_tiling,
     random_codegree_instance,
@@ -95,33 +94,6 @@ class TestGadgetGraph:
             H = build(12, set(edges) | {extra})
             if absorbs(G, range(8), (8, 9, 10, 11)):
                 assert absorbs(H, range(8), (8, 9, 10, 11))
-
-
-class TestFindGadget:
-    def test_scan_recovers_planted_absorber(self):
-        s = find_absorber_gadget(gadget(), U)
-        assert s == S_U
-
-    def test_edgeless_has_none(self):
-        assert find_absorber_gadget(build(16, []), (0, 1, 2, 3)) is None
-
-    def test_complete_20_randomized_path(self):
-        G = complete_3graph(20)
-        s = find_absorber_gadget(G, U, seed=1)
-        assert s is not None and len(s) == 8
-        assert not set(s) & set(U)
-        assert absorbs(G, s, U)
-
-    def test_deterministic_per_seed(self):
-        G = complete_3graph(20)
-        assert find_absorber_gadget(G, U, seed=5) == find_absorber_gadget(G, U, seed=5)
-
-    def test_random_dense_results_verify(self):
-        for seed in range(8):
-            G = random_codegree_instance(13, 5, seed=seed)
-            s = find_absorber_gadget(G, U, seed=seed)
-            if s is not None:
-                assert absorbs(G, s, U)
 
 
 class TestRates:

@@ -112,8 +112,9 @@ def test_sparse_random_barrier_exactly_when_the_optimum_passes_3n_4():
     [
         # The barrier question refutes in 1 node, the threshold one in 210.
         (10_000_000, {"method": "exact", "nodes": 211, "outcome": "refuted"}),
-        # Each decision gets the budget: 1 + 101 nodes, the last one over it.
-        (100, {"method": "exact-budget", "nodes": 102, "outcome": "exhausted"}),
+        # The decisions share the budget: the barrier question spends 1
+        # node, the threshold one the 99 left plus the tick over them.
+        (100, {"method": "exact-budget", "nodes": 101, "outcome": "exhausted"}),
     ],
 )
 def test_undecided_certificate_falls_back_to_the_greedy_set(node_limit, fields):
@@ -122,6 +123,17 @@ def test_undecided_certificate_falls_back_to_the_greedy_set(node_limit, fields):
     greedy = extend_to_maximal_D_free(G, greedy_D_free_set(G))
     assert res.report["dfree"] == {"size": len(greedy), "threshold": 9.0, "extremal": False, **fields}
     assert res.status == "tiled" and res.report["branch"] == "exact-fallback"
+
+
+def test_a_spent_certificate_budget_skips_the_second_question():
+    # The barrier question refutes in the one node allowed, which leaves
+    # nothing to ask the threshold question with.
+    G = random_codegree_instance(16, 4, 7)
+    res = solve_driver(G, DriverParams(node_limit=1, collect_timings=False))
+    greedy = extend_to_maximal_D_free(G, greedy_D_free_set(G))
+    fields = {"method": "exact-budget", "nodes": 1, "outcome": "exhausted"}
+    assert res.report["dfree"] == {"size": len(greedy), "threshold": 9.0, "extremal": False, **fields}
+    assert res.status == "exhausted"
 
 
 def test_forced_extremal_mode_stops_at_the_barrier():

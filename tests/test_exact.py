@@ -208,6 +208,23 @@ class TestMaxDFree:
             assert res.status == "found"
             assert len(res.vertices) == len(naive_max_D_free(n, G.edges))
 
+    def test_one_budget_for_all_questions(self):
+        # Every decision question spends the same 50 nodes; the last one
+        # may tick once past them before it reports the stop.
+        G = random_codegree_instance(20, 5, 1)
+        res = max_D_free_set(G, SearchBudget(node_limit=50))
+        assert res.status == "exhausted"
+        assert res.nodes <= 51
+        assert is_D_free(G, res.vertices)
+        assert len(res.vertices) >= 5
+
+    def test_budget_remainder(self):
+        budget = SearchBudget(node_limit=10, time_limit=1.0)
+        assert budget.remainder(4, 0.25) == SearchBudget(node_limit=6, time_limit=0.75)
+        assert budget.remainder(10, 0.0) is None
+        assert budget.remainder(11, 0.0) is None
+        assert budget.remainder(0, 1.0) is None
+
 
 class TestGreedyBounds:
     def test_hitting_hits_and_packing_stays_below(self):
@@ -273,10 +290,11 @@ class TestGreedyBounds:
             assert _greedy_packing(cat, alive, cap) == packing(cat.quads, live, cap)
 
 
-# (status, nodes, witness) of the three catalog searches on seeded
-# instances, with perfect and D-free searches capped at 1,100 nodes and
-# maximum tiling at 250.  Any change to branching order, bounds or node
-# accounting moves these figures.
+# (status, nodes, witness) of the perfect and maximum tiling searches and
+# of the maximum D-free set (nodes summed over its decision questions) on
+# seeded instances, with perfect and D-free searches capped at 1,100 nodes
+# and maximum tiling at 250.  Any change to branching order, bounds or
+# node accounting moves these figures.
 PINNED_SEARCHES = [
     (
         ("random", 8, 1, 0),
@@ -306,7 +324,7 @@ PINNED_SEARCHES = [
         {
             "perfect": ("found", 4, ((0, 1, 2, 3), (4, 5, 6, 10), (7, 8, 9, 11))),
             "max": ("found", 1, ((0, 1, 2, 3), (4, 5, 6, 10), (7, 8, 9, 11))),
-            "dfree": ("found", 229, (0, 2, 6, 7, 10, 11)),
+            "dfree": ("found", 286, (0, 2, 6, 7, 10, 11)),
         },
     ),
     (
@@ -614,7 +632,7 @@ def test_pinned_decisions(case):
 def test_decision_matches_the_optimum(data):
     n, edges = data
     G = build(n, edges)
-    optimum = len(max_D_free_set(G).vertices)
+    optimum = len(naive_max_D_free(n, G.edges))
     for size in range(n + 2):
         res = decide_D_free_set(G, size)
         assert res.status == ("found" if optimum >= size else "infeasible")
