@@ -27,7 +27,6 @@ from .constructions import (
     UnsupportedOrderError,
     build_instance,
     complete_3graph,
-    complete_3partite,
     construct_G0,
     construct_G1,
     planted_extremal,
@@ -44,7 +43,6 @@ from .core import (
     build,
     codegree,
     dcopy_from_quad,
-    enumerate_D_copies,
     induced_subgraph,
     is_D_free,
     iter_D_copies,
@@ -79,16 +77,12 @@ from .extremal import (
 from .io import (
     Certificate,
     format_certificate,
-    format_family,
     format_instance,
     parse_certificate,
-    parse_family,
     parse_instance,
     read_certificate,
-    read_family,
     read_instance,
     write_certificate,
-    write_family,
     write_instance,
 )
 from .localsearch import (

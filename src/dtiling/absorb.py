@@ -155,7 +155,6 @@ class AbsorberFamily:
     covered: frozenset[int]
     alpha: float
     p: float
-    seed: int
     stats: dict = field(default_factory=dict, compare=False)
 
 
@@ -216,7 +215,6 @@ def build_absorbing_family(
                 covered=covered,
                 alpha=params.alpha,
                 p=p,
-                seed=params.seed,
                 stats=stats,
             )
             validate_family(G, family)

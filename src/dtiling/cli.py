@@ -88,8 +88,8 @@ class DriverParams:
     alpha: float = 0.3
     gamma: float = 0.1
     seed: int = 0
-    node_limit: int = 10_000_000
-    time_limit: float = 60.0
+    node_limit: int = SearchBudget.node_limit
+    time_limit: float = SearchBudget.time_limit
     paper_constants: bool = False
     collect_timings: bool = True
 
@@ -323,7 +323,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     gen = sub.add_parser("gen", help="write a constructed instance")
-    gen.add_argument("--kind", required=True, choices=[k for k in KINDS if k != "complete3p"])
+    gen.add_argument("--kind", required=True, choices=KINDS)
     gen.add_argument("--n", required=True, type=int, help="order (STS: number of points)")
     gen.add_argument("--d", type=int, default=None, help="target min codegree (kind=random)")
     gen.add_argument("--seed", type=int, default=0)
@@ -331,13 +331,13 @@ def _build_parser() -> _Parser:
 
     solve = sub.add_parser("solve", help="run the layered driver")
     solve.add_argument("file", help="instance file, or - for stdin")
-    solve.add_argument("--mode", choices=["auto", "extremal", "absorb", "exact"], default="auto")
-    solve.add_argument("--alpha", type=float, default=0.3)
-    solve.add_argument("--gamma", type=float, default=0.1)
-    solve.add_argument("--eps", type=float, default=0.25)
-    solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--node-limit", type=int, default=10_000_000)
-    solve.add_argument("--time-limit", type=float, default=60.0)
+    solve.add_argument("--mode", choices=["auto", "extremal", "absorb", "exact"], default=DriverParams.mode)
+    solve.add_argument("--alpha", type=float, default=DriverParams.alpha)
+    solve.add_argument("--gamma", type=float, default=DriverParams.gamma)
+    solve.add_argument("--eps", type=float, default=DriverParams.eps)
+    solve.add_argument("--seed", type=int, default=DriverParams.seed)
+    solve.add_argument("--node-limit", type=int, default=DriverParams.node_limit)
+    solve.add_argument("--time-limit", type=float, default=DriverParams.time_limit)
     solve.add_argument("--cert", default=None, help="certificate output path")
     solve.add_argument("--paper-constants", action="store_true")
     solve.add_argument("--no-timings", action="store_true", help="omit timings for byte-stable output")
@@ -357,8 +357,8 @@ def _build_parser() -> _Parser:
 
     oracle = sub.add_parser("oracle", help="exact solver only (ground truth)")
     oracle.add_argument("file", help="instance file, or - for stdin")
-    oracle.add_argument("--node-limit", type=int, default=10_000_000)
-    oracle.add_argument("--time-limit", type=float, default=60.0)
+    oracle.add_argument("--node-limit", type=int, default=SearchBudget.node_limit)
+    oracle.add_argument("--time-limit", type=float, default=SearchBudget.time_limit)
     oracle.add_argument("--cert", default=None)
 
     return parser

@@ -3,8 +3,8 @@
 Covers the tight lower-bound families (a small side A whose removal
 leaves a pattern-free bulk, optionally topped up with a Steiner triple
 system), Steiner triple systems themselves for every admissible order,
-complete and complete 3-partite graphs, and seeded random instances with
-a repaired minimum codegree.
+complete graphs, and seeded random instances with a repaired minimum
+codegree.
 
 Steiner systems come from the two classical quasigroup constructions
 (Bose for orders divisible by 3, Skolem for the rest), so no block
@@ -35,7 +35,7 @@ class ConstructionSpec:
     target_codegree: int | None = None
 
 
-KINDS = ("g0", "g1", "sts", "complete", "complete3p", "random", "planted")
+KINDS = ("g0", "g1", "sts", "complete", "random", "planted")
 
 
 def steiner_triple_system(m: int) -> Hypergraph3:
@@ -155,16 +155,6 @@ def complete_3graph(n: int) -> Hypergraph3:
     return build(n, itertools.combinations(range(n), 3))
 
 
-def complete_3partite(a: int, b: int, c: int) -> Hypergraph3:
-    """Complete 3-partite 3-graph; parts are consecutive vertex ranges."""
-    if min(a, b, c) < 0:
-        raise InputError("part sizes must be nonnegative")
-    n = a + b + c
-    parts = (range(a), range(a, a + b), range(a + b, n))
-    triples = itertools.product(*parts)
-    return build(n, triples)
-
-
 def random_codegree_instance(
     n: int, d: int, seed: int, stats_out: dict | None = None
 ) -> Hypergraph3:
@@ -222,11 +212,6 @@ def build_instance(spec: ConstructionSpec) -> Hypergraph3:
         return steiner_triple_system(spec.n)
     if kind == "complete":
         return complete_3graph(spec.n)
-    if kind == "complete3p":
-        if spec.n % 3:
-            raise InputError(f"complete3p needs order divisible by 3, got {spec.n}")
-        part = spec.n // 3
-        return complete_3partite(part, part, part)
     if kind == "random":
         d = spec.target_codegree if spec.target_codegree is not None else 0
         return random_codegree_instance(spec.n, d, spec.seed)

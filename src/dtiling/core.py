@@ -183,10 +183,6 @@ class Hypergraph3:
         row = self._links.get(v)
         return 0 if row is None else sum(x.bit_count() for x in row.values()) // 2
 
-    @property
-    def vertices(self) -> range:
-        return range(self.n)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Hypergraph3(n={self.n}, m={self.m})"
 
@@ -320,10 +316,6 @@ def iter_D_copies(G: Hypergraph3, within=None):
                 edge_a=min(edge_a, edge_b),
                 edge_b=max(edge_a, edge_b),
             )
-
-
-def enumerate_D_copies(G: Hypergraph3, within=None) -> list[DCopy]:
-    return list(iter_D_copies(G, within))
 
 
 def quad_spans_D(G: Hypergraph3, quad) -> bool:

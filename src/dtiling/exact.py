@@ -100,7 +100,9 @@ class SearchBudget:
     time_limit: float = 60.0
 
     def __post_init__(self):
-        if self.node_limit <= 0 or self.time_limit <= 0:
+        # Written as "not > 0" so that NaN, which fails every comparison,
+        # is refused too.
+        if not (self.node_limit > 0 and self.time_limit > 0):
             raise InputError("search budget must be positive")
 
     def remainder(self, nodes: int, seconds: float) -> SearchBudget | None:

@@ -82,10 +82,6 @@ class PipelineState:
     diagnostics: list[dict] = field(default_factory=list)
     matching_stats: dict = field(default_factory=dict)
 
-    @property
-    def y_q(self) -> frozenset:
-        return frozenset(v for c in self.q_copies for v in c.vertices) & frozenset(self.partition.y)
-
     def used(self, copies) -> set[int]:
         return {v for c in copies for v in c.vertices}
 

@@ -1,4 +1,4 @@
-"""Text formats: instances, tiling certificates, absorber-family dumps.
+"""Text formats: instances and tiling certificates.
 
 Instance files: a header line ``n m`` followed by m lines ``u v w`` with
 0 <= u < v < w < n.  ``parse_instance`` has two paths.  Text in
@@ -8,13 +8,13 @@ repeated edge; the edge lines may come in any order), is read in bulk:
 its shape is checked in C, it is tokenised in chunks through one table
 of the n canonical ids, and the triples go straight to the pair-index
 filler.  Everything else, and every error, takes the line-by-line
-reader, so each ``InputError`` names its line.  Certificates: a header ``perfect k`` or ``partial s``
-followed by one line per copy listing its 4 vertices and the two witness
-edges, pipe-separated.  Family dumps: a header ``family m alpha seed``,
-m lines of 8 member vertex ids, then the m cached member tilings as
-certificate blocks; the sampling rate is not written.  Lines starting
-with ``#`` and blank lines are ignored everywhere; writers emit canonical
-(sorted) order so equal objects serialize identically.
+reader, so each ``InputError`` names its line.
+
+Certificates: a header ``perfect k`` or ``partial s`` followed by one
+line per copy listing its 4 vertices and the two witness edges,
+pipe-separated.  Lines starting with ``#`` and blank lines are ignored
+everywhere; writers emit canonical (sorted) order so equal objects
+serialize identically.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import lt
 
-from .absorb import AbsorberFamily, validate_family
 from .core import MAX_N, DCopy, Hypergraph3, InputError, Tiling, _fill
 
 _MAX_DIGITS = len(str(MAX_N))
@@ -269,7 +268,8 @@ def format_certificate(tiling: Tiling, kind: str = "partial") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_certificate_block(lines: _Lines) -> Certificate:
+def parse_certificate(text: str) -> Certificate:
+    lines = _Lines(text)
     lineno, header = lines.next("certificate header 'perfect k' or 'partial s'")
     parts = header.split()
     if len(parts) != 2 or parts[0] not in ("perfect", "partial"):
@@ -281,12 +281,7 @@ def _parse_certificate_block(lines: _Lines) -> Certificate:
     if count < 0:
         raise InputError(f"line {lineno}: negative copy count")
     copies = [_parse_copy(*lines.next("copy line")) for _ in range(count)]
-    return Certificate(kind=parts[0], tiling=Tiling.from_copies(copies))
-
-
-def parse_certificate(text: str) -> Certificate:
-    lines = _Lines(text)
-    cert = _parse_certificate_block(lines)
+    cert = Certificate(kind=parts[0], tiling=Tiling.from_copies(copies))
     if not lines.exhausted():
         lineno, _ = lines.next("")
         raise InputError(f"line {lineno}: trailing content after certificate")
@@ -300,68 +295,3 @@ def write_certificate(tiling: Tiling, path, kind: str = "partial") -> None:
 
 def read_certificate(path) -> Certificate:
     return parse_certificate(_read_text(path))
-
-
-def format_family(family: AbsorberFamily) -> str:
-    lines = [f"family {len(family.members)} {family.alpha!r} {family.seed}"]
-    lines.extend(" ".join(map(str, member)) for member in family.members)
-    for own in family.tilings:
-        lines.append(format_certificate(own, "partial").rstrip("\n"))
-    return "\n".join(lines) + "\n"
-
-
-def parse_family(text: str) -> AbsorberFamily:
-    """Rebuild a family from its dump.
-
-    The dump carries members, cached tilings, alpha, and seed; the
-    sampling rate is not serialized and reads back as 0.0.
-    """
-    lines = _Lines(text)
-    lineno, header = lines.next("family header")
-    parts = header.split()
-    if len(parts) != 4 or parts[0] != "family":
-        raise InputError(f"line {lineno}: bad family header {header!r}, expected 'family m alpha seed'")
-    try:
-        m = int(parts[1])
-        alpha = float(parts[2])
-        seed = int(parts[3])
-    except ValueError:
-        raise InputError(f"line {lineno}: bad family header fields") from None
-    members = []
-    for _ in range(m):
-        lineno, line = lines.next("member line of 8 ids")
-        ids = _ints(lineno, line, 8, "member")
-        if sorted(set(ids)) != ids:
-            raise InputError(f"line {lineno}: member ids must be distinct and ascending")
-        members.append(tuple(ids))
-    tilings = [_parse_certificate_block(lines).tiling for _ in range(m)]
-    if not lines.exhausted():
-        lineno, _ = lines.next("")
-        raise InputError(f"line {lineno}: trailing content after family")
-    for member, own in zip(members, tilings):
-        if set(own.covered) != set(member):
-            raise InputError(f"cached tiling does not cover member {member}")
-    covered = frozenset(v for member in members for v in member)
-    if len(covered) != 8 * m:
-        raise InputError("family members must be pairwise disjoint")
-    return AbsorberFamily(
-        members=tuple(members),
-        tilings=tuple(tilings),
-        covered=covered,
-        alpha=alpha,
-        p=0.0,
-        seed=seed,
-    )
-
-
-def write_family(family: AbsorberFamily, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_family(family))
-
-
-def read_family(path, G: Hypergraph3 | None = None) -> AbsorberFamily:
-    """Load a family dump; when G is given the invariants are rechecked."""
-    family = parse_family(_read_text(path))
-    if G is not None:
-        validate_family(G, family)
-    return family

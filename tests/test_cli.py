@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from dtiling import (
     validate_tiling,
     write_instance,
 )
-from dtiling.cli import PAPER_ALPHA
+from dtiling.cli import PAPER_ALPHA, _build_parser
 
 
 def run(argv):
@@ -166,6 +167,25 @@ class TestSolve:
 
     def test_bad_mode_rejected(self, tmp_path):
         assert run(["solve", "x", "--mode", "psychic"]) == 64
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    @pytest.mark.parametrize("value", ["nan", "0"])
+    def test_time_limit_must_be_positive(self, tmp_path, capsys, command, value):
+        # NaN passes a "<= 0" check and would leave every search without
+        # a time cap.
+        path = self.write(tmp_path, complete_3graph(12))
+        assert run([command, path, f"--time-limit={value}"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    def test_parser_defaults_are_the_driver_defaults(self):
+        args = _build_parser().parse_args(["solve", "x"])
+        shared = [f.name for f in fields(DriverParams) if hasattr(args, f.name)]
+        assert len(shared) == 8
+        assert {name: getattr(args, name) for name in shared} == {
+            name: getattr(DriverParams(), name) for name in shared
+        }
 
     @pytest.mark.parametrize(
         "text",

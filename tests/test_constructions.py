@@ -11,11 +11,10 @@ from dtiling import (
     build_instance,
     codegree,
     complete_3graph,
-    complete_3partite,
     construct_G0,
     construct_G1,
-    enumerate_D_copies,
     is_D_free,
+    iter_D_copies,
     max_tiling_exact,
     min_codegree,
     perfect_tiling_exact,
@@ -82,7 +81,7 @@ class TestLowerBoundConstructions:
 
     def test_every_copy_meets_a(self):
         for G, a in [(construct_G0(12), 2), (construct_G1(8), 1)]:
-            for copy in enumerate_D_copies(G):
+            for copy in iter_D_copies(G):
                 assert any(v < a for v in copy.vertices)
 
     def test_g1_max_tiling_short_of_perfect(self):
@@ -161,16 +160,6 @@ class TestComplete:
     def test_complete_count(self):
         assert len(complete_3graph(6).edges) == 20
 
-    def test_three_partite_counts(self):
-        assert len(complete_3partite(3, 3, 3).edges) == 27
-        assert len(complete_3partite(1, 1, 1).edges) == 1
-
-    def test_three_partite_transversal(self):
-        G = complete_3partite(2, 2, 2)
-        parts = [{0, 1}, {2, 3}, {4, 5}]
-        for e in G.edges:
-            assert all(len(set(e) & p) == 1 for p in parts)
-
 
 class TestDispatch:
     def test_kinds_route(self):
@@ -179,7 +168,6 @@ class TestDispatch:
         assert build_instance(ConstructionSpec("sts", 9)).n == 9
         assert build_instance(ConstructionSpec("complete", 6)).n == 6
         assert build_instance(ConstructionSpec("planted", 8)).n == 8
-        assert build_instance(ConstructionSpec("complete3p", 9)).n == 9
 
     def test_random_kind_uses_target(self):
         G = build_instance(ConstructionSpec("random", 16, seed=1, target_codegree=4))
@@ -188,10 +176,6 @@ class TestDispatch:
     def test_unknown_kind(self):
         with pytest.raises(InputError):
             build_instance(ConstructionSpec("mystery", 8))
-
-    def test_complete3p_divisibility(self):
-        with pytest.raises(InputError):
-            build_instance(ConstructionSpec("complete3p", 8))
 
     @pytest.mark.parametrize("kind", ["g0", "g1", "sts", "complete", "random", "planted"])
     def test_order_above_max_n(self, kind):

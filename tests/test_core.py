@@ -14,9 +14,9 @@ from dtiling import (
     complete_3graph,
     construct_G0,
     dcopy_from_quad,
-    enumerate_D_copies,
     induced_subgraph,
     is_D_free,
+    iter_D_copies,
     link_of_vertex_on_set,
     map_copy,
     min_codegree,
@@ -137,20 +137,20 @@ class TestCopies:
     def test_k4_count(self):
         # oracle: all C(4,2) = 6 pairs of K4's edges share 2 vertices
         G = complete_3graph(4)
-        copies = enumerate_D_copies(G)
+        copies = list(iter_D_copies(G))
         assert len(copies) == 6
         assert len(copies) == len(naive_copy_pairs(G.edges))
         assert all(c.well_formed() for c in copies)
 
     def test_sts_no_copies(self):
-        assert enumerate_D_copies(steiner_triple_system(9)) == []
+        assert list(iter_D_copies(steiner_triple_system(9))) == []
 
     def test_disjoint_edges(self):
-        assert enumerate_D_copies(build(6, [(0, 1, 2), (3, 4, 5)])) == []
+        assert list(iter_D_copies(build(6, [(0, 1, 2), (3, 4, 5)]))) == []
 
     def test_within_restriction(self):
         G = complete_3graph(6)
-        within = enumerate_D_copies(G, within={0, 1, 2, 3})
+        within = list(iter_D_copies(G, within={0, 1, 2, 3}))
         assert len(within) == 6
         assert all(set(c.vertices) <= {0, 1, 2, 3} for c in within)
 
@@ -339,7 +339,7 @@ def test_copy_count_relabel_invariant(data, rnd):
     perm = list(range(n))
     rnd.shuffle(perm)
     relabeled = build(n, [tuple(sorted(perm[v] for v in e)) for e in G.edges])
-    assert len(enumerate_D_copies(G)) == len(enumerate_D_copies(relabeled))
+    assert len(list(iter_D_copies(G))) == len(list(iter_D_copies(relabeled)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -358,4 +358,4 @@ def test_enumeration_matches_naive_on_random_instances():
         pool = list(itertools.combinations(range(n), 3))
         triples = rng.sample(pool, k=min(len(pool), rng.randint(0, 20)))
         G = build(n, triples)
-        assert len(enumerate_D_copies(G)) == len(naive_copy_pairs(G.edges))
+        assert len(list(iter_D_copies(G))) == len(naive_copy_pairs(G.edges))

@@ -876,6 +876,10 @@ class TestBudget:
             SearchBudget(node_limit=0)
         with pytest.raises(InputError):
             SearchBudget(time_limit=-1)
+        with pytest.raises(InputError):
+            SearchBudget(time_limit=float("nan"))
+        with pytest.raises(InputError):
+            SearchBudget(node_limit=float("nan"))
 
     def test_witnesses_validate(self):
         G = random_codegree_instance(12, 3, 4)

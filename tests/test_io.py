@@ -10,33 +10,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtiling import (
-    AbsorptionParams,
     DriverParams,
     Hypergraph3,
     MAX_N,
     InputError,
     build,
-    build_absorbing_family,
     complete_3graph,
     construct_G1,
     format_certificate,
-    format_family,
     format_instance,
     greedy_tiling,
     main,
     parse_certificate,
-    parse_family,
     parse_instance,
     perfect_tiling_exact,
     planted_extremal,
     random_codegree_instance,
     read_certificate,
-    read_family,
     read_instance,
     solve_driver,
     validate_tiling,
     write_certificate,
-    write_family,
     write_instance,
 )
 from dtiling import io as text_io
@@ -147,71 +141,6 @@ class TestCertificateText:
         write_certificate(tiling, path, "perfect")
         cert = read_certificate(path)
         assert cert.kind == "perfect" and cert.tiling == tiling
-
-
-class TestFamilyText:
-    def build_family(self):
-        return build_absorbing_family(complete_3graph(40), AbsorptionParams(seed=3))
-
-    def test_round_trip(self):
-        family = self.build_family()
-        loaded = parse_family(format_family(family))
-        assert loaded.members == family.members
-        assert loaded.tilings == family.tilings
-        assert loaded.alpha == family.alpha
-        assert loaded.seed == family.seed
-        assert loaded.covered == family.covered
-        # the sampling rate is not serialized
-        assert loaded.p == 0.0
-
-    def test_file_round_trip_with_validation(self, tmp_path):
-        G = complete_3graph(40)
-        family = build_absorbing_family(G, AbsorptionParams(seed=3))
-        path = tmp_path / "family.txt"
-        write_family(family, path)
-        assert read_family(path, G).members == family.members
-
-    def test_bad_header(self):
-        with pytest.raises(InputError, match="family header"):
-            parse_family("household 1 0.3 0\n")
-
-    def test_five_field_header_is_rejected(self):
-        # The older header still carried the absorber density sigma.
-        text = format_family(self.build_family())
-        assert text.startswith("family 1 0.3 3\n")
-        old = "# dump\n" + text.replace("family 1 0.3 3", "family 1 0.3 1.0 3", 1)
-        with pytest.raises(InputError, match="line 2: bad family header"):
-            parse_family(old)
-
-    def test_member_must_be_ascending(self):
-        family = self.build_family()
-        lines = format_family(family).splitlines()
-        ids = lines[1].split()
-        lines[1] = " ".join(ids[::-1])
-        with pytest.raises(InputError, match="ascending"):
-            parse_family("\n".join(lines) + "\n")
-
-    def test_tiling_must_cover_member(self):
-        family = self.build_family()
-        lines = format_family(family).splitlines()
-        member = [int(v) for v in lines[1].split()]
-        free = next(v for v in range(40) if v not in member)
-        member[-1] = max(member[-1], free) if free > member[-2] else member[-1]
-        lines[1] = " ".join(map(str, sorted(set(member[:-1]) | {39})))
-        with pytest.raises(InputError, match="cover"):
-            parse_family("\n".join(lines) + "\n")
-
-    def test_trailing_content(self):
-        family = self.build_family()
-        with pytest.raises(InputError, match="trailing"):
-            parse_family(format_family(family) + "0 1 2\n")
-
-    def test_validation_against_wrong_graph(self, tmp_path):
-        family = self.build_family()
-        path = tmp_path / "family.txt"
-        write_family(family, path)
-        with pytest.raises(InputError):
-            read_family(path, build(40, []))
 
 
 def traced_peak(fn, *args):
@@ -477,18 +406,17 @@ class TestParserAgainstNaive:
             assert (G.n, G.m, G.edges) == (expected[0], len(expected[1]), expected[1])
 
 
-# Edits for the certificate and family formats also reach their
-# separators and the family header's float.
+# Edits for the certificate format also reach its separators, and "."
+# and "e" make fields that are not integers.
 TEXT_CHARS = "0123456789 -+_#x\t\r\n|.e"
 
 
 @functools.lru_cache(maxsize=None)
-def fuzz_bases() -> tuple[Hypergraph3, str, str]:
-    """A tileable instance, a certificate of it and a family dump of it."""
+def fuzz_bases() -> tuple[Hypergraph3, str]:
+    """A tileable instance and a certificate of it."""
     G = random_codegree_instance(40, 14, 0)
     tiling = perfect_tiling_exact(G).tiling
-    family = build_absorbing_family(G, AbsorptionParams(seed=0))
-    return G, format_certificate(tiling, "perfect"), format_family(family)
+    return G, format_certificate(tiling, "perfect")
 
 
 @pytest.fixture(scope="class")
@@ -505,12 +433,6 @@ class TestParserFuzz:
     def test_mutated_certificate_parses_or_raises_input_error(self, rnd):
         with contextlib.suppress(InputError):
             parse_certificate(mutate(fuzz_bases()[1], rnd, TEXT_CHARS))
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.randoms(use_true_random=False))
-    def test_mutated_family_parses_or_raises_input_error(self, rnd):
-        with contextlib.suppress(InputError):
-            parse_family(mutate(fuzz_bases()[2], rnd, TEXT_CHARS))
 
     @settings(max_examples=50, deadline=None)
     @given(st.randoms(use_true_random=False))
