@@ -110,12 +110,12 @@ def _dfree_certificate(G: Hypergraph3, threshold: float, budget: SearchBudget):
     barrier), and if not, one of ``ceil(threshold)`` vertices?  The second
     gets what the first left of the budget, and is not asked when nothing
     is left.  The first witness found is extended to a maximal set.  When
-    both are refuted or the budget runs out, S is the greedy maximal set,
-    so a forced extremal solve still gets a seed.  Larger instances only
-    take the greedy set.
+    both are refuted or the budget runs out, S is the greedy set, so a
+    forced extremal solve still gets a seed.  Larger instances only take
+    the greedy set, which is maximal as it stands.
     """
     if G.n > EXACT_DFREE_MAX_N:
-        S = extend_to_maximal_D_free(G, greedy_D_free_set(G))
+        S = greedy_D_free_set(G)
         outcome = "witness" if len(S) >= threshold else "unknown"
         return S, {"method": "greedy", "nodes": 0, "outcome": outcome}, None
     cat = quad_catalog(G)
@@ -131,7 +131,7 @@ def _dfree_certificate(G: Hypergraph3, threshold: float, budget: SearchBudget):
         status = res.status
         if status != INFEASIBLE:
             break
-    S = extend_to_maximal_D_free(G, res.vertices if status == FOUND else greedy_D_free_set(G))
+    S = extend_to_maximal_D_free(G, res.vertices) if status == FOUND else greedy_D_free_set(G)
     outcome = {FOUND: "witness", INFEASIBLE: "refuted", EXHAUSTED: "exhausted"}[status]
     method = "exact-budget" if status == EXHAUSTED else "exact"
     return S, {"method": method, "nodes": nodes, "outcome": outcome}, cat

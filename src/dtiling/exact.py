@@ -35,14 +35,19 @@ a first-fit family of disjoint quads, each the lowest live id: the warm
 start of the maximum tiling search, and the lower bound of the D-free
 decision, which must remove one vertex from each of its quads.
 
+Each search can take the caller's catalog, checked by ``_catalog_on``,
+so one solve builds it once.  The maximum tiling search packs only the
+quads of the catalog it is given: stage Q of the extremal pipeline is
+that search on a catalog of the quads with one poor (Y) vertex and three
+of the D-free set.
+
 The driver asks whether a D-free set of a given size exists, not how
 large the largest is: ``decide_D_free_set`` is the bounded search tree of
 d-Hitting Set (Niedermeier and Rossmanith, 2003) with at most n - size
 removals.  It refutes a branch once its greedy packing needs more
-removals than are left and stops at the first witness.  It can take the
-caller's catalog, as ``perfect_tiling_exact`` can, so one solve builds it
-once.  ``max_D_free_set`` is a loop of these questions, each asking for
-one vertex more than the last witness, under one shared budget.
+removals than are left and stops at the first witness.  ``max_D_free_set``
+is a loop of these questions, each asking for one vertex more than the
+last witness, under one shared budget.
 
 Budgets cap explored nodes and wall-clock time; an exhausted budget is
 reported as ``exhausted`` and never as a proof.  The maximum searches
@@ -58,7 +63,8 @@ first-part vertex, one bitset of part-4 vertices for each (part 2, part 3)
 pair.  ``four_partite_of`` fills the links straight from the pair index
 with one word operation per transversal triple, and the perfect matching
 and the degree statistics work on those bitsets, never on a list of
-transversal 4-sets.
+transversal 4-sets: on a planted instance there are m^4 of them (331,776
+at n = 96), and the link search takes m + 1 nodes.
 """
 
 from __future__ import annotations
@@ -93,8 +99,8 @@ class SearchBudget:
     """Node and wall-clock caps for one budgeted search: the three catalog
     searches and the 4-partite matching.  A run of searches shares one
     budget by passing each the ``remainder`` of the last, as
-    ``max_D_free_set`` does.  ``tileable`` and stage Q of the extremal
-    pipeline run without a budget."""
+    ``max_D_free_set`` does, and stage T of the extremal pipeline gets
+    what stage Q left.  Only ``tileable`` runs without a budget."""
 
     node_limit: int = 10_000_000
     time_limit: float = 60.0
@@ -258,6 +264,19 @@ def _greedy_packing(cat: QuadCatalog, alive: int, cap: int | None = None) -> lis
     return out
 
 
+def _catalog_on(G: Hypergraph3, full: int, catalog: QuadCatalog | None) -> QuadCatalog:
+    """``catalog``, checked to be one of G with no quad outside the vertex
+    mask ``full``, or ``quad_catalog(G, full)`` when it is None."""
+    if catalog is None:
+        return quad_catalog(G, full)
+    if len(catalog.inc) != G.n:
+        raise InputError(f"catalog has {len(catalog.inc)} vertices, the graph {G.n}")
+    for v in bits_of(((1 << G.n) - 1) & ~full):
+        if catalog.inc[v]:
+            raise InputError(f"catalog has a quad on vertex {v}, outside the mask")
+    return catalog
+
+
 def _witness(G: Hypergraph3, cat: QuadCatalog, ids, cover: int | None = None) -> Tiling:
     """The tiling on the catalog quads ``ids``, revalidated against G; when
     ``cover`` is given, it must cover exactly that vertex mask."""
@@ -288,12 +307,7 @@ def perfect_tiling_exact(
     if size % 4:
         raise InputError(f"perfect tiling needs 4 | n, got n={size}")
     budget = budget or SearchBudget()
-    cat = quad_catalog(G, full) if catalog is None else catalog
-    if len(cat.inc) != G.n:
-        raise InputError(f"catalog has {len(cat.inc)} vertices, the graph {G.n}")
-    for v in bits_of(((1 << G.n) - 1) & ~full):
-        if cat.inc[v]:
-            raise InputError(f"catalog has a quad on vertex {v}, outside the mask")
+    cat = _catalog_on(G, full, catalog)
     inc = cat.inc
     clock = _Clock(budget)
     chosen: list[int] = []
@@ -375,15 +389,21 @@ def tileable(G: Hypergraph3, mask: int) -> bool:
     return rec(mask)
 
 
-def max_tiling_exact(G: Hypergraph3, budget: SearchBudget | None = None) -> TilingSearchResult:
+def max_tiling_exact(
+    G: Hypergraph3,
+    budget: SearchBudget | None = None,
+    catalog: QuadCatalog | None = None,
+) -> TilingSearchResult:
     """Branch and bound for a maximum tiling (any leftover allowed).
 
     Branches cover the fewest-options vertex with each of its available
     quads, or abandon it; the greedy warm start plus the hitting-set bound
-    close symmetric instances at the root.
+    close symmetric instances at the root.  Only the quads of ``catalog``
+    (default: ``quad_catalog(G)``) are packed, so the root's free set is
+    the vertices in one of them.
     """
     budget = budget or SearchBudget()
-    cat = quad_catalog(G)
+    cat = _catalog_on(G, (1 << G.n) - 1, catalog)
     inc = cat.inc
     clock = _Clock(budget)
     best: list[int] = _greedy_packing(cat, cat.all_quads)
@@ -414,7 +434,7 @@ def max_tiling_exact(G: Hypergraph3, budget: SearchBudget | None = None) -> Tili
                 return True
         return rec(free & ~(1 << v), alive & ~inc[v])
 
-    ran_out = rec((1 << G.n) - 1, cat.all_quads)
+    ran_out = rec(sum(1 << v for v, row in enumerate(inc) if row), cat.all_quads)
     return TilingSearchResult(
         status=EXHAUSTED if ran_out else FOUND,
         tiling=_witness(G, cat, best),
@@ -476,7 +496,7 @@ def decide_D_free_set(
     k = G.n - size
     if k < 0:
         return SetSearchResult(status=INFEASIBLE, vertices=(), nodes=0, elapsed=clock.elapsed)
-    cat = quad_catalog(G) if catalog is None else catalog
+    cat = _catalog_on(G, (1 << G.n) - 1, catalog)
     witness = 0
 
     def rec(removed: int, alive: int, banned: int, count: int) -> str:

@@ -6,7 +6,8 @@ link covers: the rich ones (X, link at least a (1-alpha) fraction) behave
 like the small side of the tight construction, the poor ones (Y) are few.
 Four stages then assemble a perfect tiling:
 
-* Q: a maximum collection of copies using one Y vertex + three Z vertices;
+* Q: a maximum collection of copies using one Y vertex + three Z vertices,
+  found by the budgeted maximum tiling search of ``exact``;
 * R: each Y vertex missed by Q, one X vertex and two Z vertices, glued by
   edges {x,y,z1} and {x,z1,z2};
 * S: exactly max(q - ell, 0) copies on two X + two Z vertices (ell is the
@@ -26,6 +27,7 @@ callers treat as "this instance is not in the regime" and fall back.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .core import (
     DCopy,
@@ -40,14 +42,14 @@ from .core import (
 )
 from .exact import (
     FOUND,
+    QuadCatalog,
     SearchBudget,
+    _incidence,
     four_partite_degree_stats,
     four_partite_of,
     four_partite_perfect_matching,
+    max_tiling_exact,
 )
-
-# Exact maximum search for stage Q is affordable up to this many Y vertices.
-Q_EXACT_LIMIT = 12
 
 
 class StageFailure(RuntimeError):
@@ -124,7 +126,8 @@ def extend_to_maximal_D_free(G: Hypergraph3, S0) -> tuple[int, ...]:
 
 def greedy_D_free_set(G: Hypergraph3) -> tuple[int, ...]:
     """Heuristic large pattern-free set: insert vertices by ascending edge
-    degree (cheap proxy for how entangled a vertex is), keep what fits."""
+    degree (cheap proxy for how entangled a vertex is), keep what fits.
+    A rejected vertex stays rejected as the set grows, so it is maximal."""
     order = sorted(range(G.n), key=lambda v: (G.degree(v), v))
     zlist: list[int] = []
     zmask = 0
@@ -202,73 +205,44 @@ def _z_pair_x_link_ok(G: Hypergraph3, zlist, xs, alpha: float) -> bool:
     return True
 
 
-def _y_quads(G: Hypergraph3, y: int, zmask: int, zlist) -> list[tuple[int, ...]]:
-    """4-sets spanning a copy with vertex y plus three Z vertices."""
+def _one_y_catalog(G: Hypergraph3, ys, zs) -> QuadCatalog:
+    """The catalog of the 4-sets spanning a copy on one vertex y of ``ys``
+    and three of ``zs``, in lexicographic order.  Two of the copy's edges
+    pass through y, {y, z, a} and {y, z, b}, or one does, {y, z1, z2}, and
+    the other is the Z edge {z1, z2, z3}."""
+    ymask, zmask = mask_of(ys), mask_of(zs)
     quads = set()
-    for z in zlist:
-        thirds = bits_of(G.pair_bits(y, z) & zmask)
-        for i, a in enumerate(thirds):
-            for b in thirds[i + 1 :]:
+    for y in ys:
+        for z in zs:
+            for a, b in combinations(bits_of(G.pair_bits(y, z) & zmask), 2):
                 quads.add(tuple(sorted((y, z, a, b))))
-    yb = 1 << y
-    for i, z1 in enumerate(zlist):
-        for z2 in zlist[i + 1 :]:
-            bits = G.pair_bits(z1, z2)
-            if bits & yb:
-                for z3 in bits_of(bits & zmask):
-                    quads.add(tuple(sorted((y, z1, z2, z3))))
-    return sorted(quads)
+    for z1, z2 in combinations(zs, 2):
+        bits = G.pair_bits(z1, z2)
+        for y in bits_of(bits & ymask):
+            for z3 in bits_of(bits & zmask):
+                quads.add(tuple(sorted((y, z1, z2, z3))))
+    quads = sorted(quads)
+    return QuadCatalog(quads=tuple(quads), inc=_incidence(G.n, bits_of(ymask | zmask), quads))
 
 
-def build_Q(G: Hypergraph3, state: PipelineState) -> None:
-    """Maximum tiling by copies on one Y vertex and three Z vertices.
-
-    Exact (branch and bound over per-Y quad choices) while |Y| stays
-    small; greedy first-fit beyond that, with the mode recorded.
+def build_Q(
+    G: Hypergraph3, state: PipelineState, budget: SearchBudget | None = None
+) -> SearchBudget | None:
+    """Maximum tiling by copies on one Y vertex and three Z vertices: a
+    maximum packing of those quads (no search when Y is empty).
+    ``q_mode`` is ``exhausted`` when ``budget`` stopped the search, and Q
+    is then the best packing found so far.  Returns what the search left
+    of ``budget``, None when nothing is.
     """
     part = state.partition
-    zmask = mask_of(part.z)
-    zlist = list(part.z)
-    per_y = {y: _y_quads(G, y, zmask, zlist) for y in part.y}
-    ys = list(part.y)
-    k = G.n // 4
-    state.ell = k - len(part.x)
-    if len(ys) <= Q_EXACT_LIMIT:
-        state.q_mode = "exact"
-        best: list[tuple[int, ...]] = []
-
-        def rec(idx: int, used: int, acc: list[tuple[int, ...]]):
-            nonlocal best
-            if len(acc) + (len(ys) - idx) <= len(best):
-                return
-            if idx == len(ys):
-                if len(acc) > len(best):
-                    best = list(acc)
-                return
-            y = ys[idx]
-            for quad in per_y[y]:
-                qm = mask_of(quad)
-                if qm & used:
-                    continue
-                acc.append(quad)
-                rec(idx + 1, used | qm, acc)
-                acc.pop()
-            rec(idx + 1, used, acc)
-
-        rec(0, 0, [])
-        chosen = best
-    else:
-        state.q_mode = "greedy"
-        chosen = []
-        used = 0
-        for y in ys:
-            for quad in per_y[y]:
-                qm = mask_of(quad)
-                if not (qm & used):
-                    chosen.append(quad)
-                    used |= qm
-                    break
-    state.q_copies = [dcopy_from_quad(G, quad) for quad in sorted(chosen)]
+    budget = budget or SearchBudget()
+    state.ell = G.n // 4 - len(part.x)
+    state.q_mode, nodes, left = "exact", 0, budget
+    if part.y:
+        res = max_tiling_exact(G, budget, catalog=_one_y_catalog(G, part.y, part.z))
+        state.q_mode = "exact" if res.optimal else "exhausted"
+        state.q_copies = list(res.tiling.copies)
+        nodes, left = res.nodes, budget.remainder(res.nodes, res.elapsed)
     state.q = len(state.q_copies)
     for c in state.q_copies:
         if len(set(c.vertices) & set(part.z)) != 3 or len(set(c.vertices) & set(part.y)) != 1:
@@ -277,9 +251,10 @@ def build_Q(G: Hypergraph3, state: PipelineState) -> None:
         {
             "name": "q_covers_deficit",
             "ok": state.q >= state.ell,
-            "detail": {"q": state.q, "ell": state.ell, "mode": state.q_mode},
+            "detail": {"q": state.q, "ell": state.ell, "mode": state.q_mode, "nodes": nodes},
         }
     )
+    return left
 
 
 def build_R(G: Hypergraph3, state: PipelineState) -> None:
@@ -385,11 +360,12 @@ def build_S(G: Hypergraph3, state: PipelineState) -> None:
         )
 
 
-def build_T(G: Hypergraph3, state: PipelineState, budget: SearchBudget | None = None) -> Tiling:
+def build_T(G: Hypergraph3, state: PipelineState, budget: SearchBudget | None) -> Tiling:
     """Finish with an exact 4-partite matching on the X remainder and
     three ascending Z slices.  The 4-partite graph is built from the pair
     index (``four_partite_of``), so its edges are exactly the transversal
-    4-sets that span a copy."""
+    4-sets that span a copy.  ``budget`` is what stage Q's search left,
+    None when nothing is."""
     part = state.partition
     used = (
         state.used(state.q_copies)
@@ -420,6 +396,8 @@ def build_T(G: Hypergraph3, state: PipelineState, budget: SearchBudget | None = 
             "detail": dict(state.matching_stats),
         }
     )
+    if budget is None:
+        raise StageFailure("T", "4-partite matching exhausted: stage Q spent the budget")
     res = four_partite_perfect_matching(H, budget)
     if res.status != FOUND:
         raise StageFailure("T", f"4-partite matching {res.status}")
@@ -449,7 +427,7 @@ def run_extremal_pipeline(
     state.diagnostics.extend(part.diagnostics)
     k = G.n // 4
     eps0 = alpha**3
-    build_Q(G, state)
+    left = build_Q(G, state, budget)
     state.diagnostics.append(
         {
             "name": "deficit_range",
@@ -466,7 +444,7 @@ def run_extremal_pipeline(
             "detail": {"q": state.q, "ell": state.ell},
         }
     )
-    tiling = build_T(G, state, budget)
+    tiling = build_T(G, state, left)
     report = {
         "alpha": alpha,
         "sizes": {

@@ -160,3 +160,33 @@ def naive_parse_instance(text):
             raise ValueError("bad or repeated edge")
         edges.add((u, v, w))
     return n, frozenset(edges)
+
+
+def naive_max_y_packing(n, edges, ys, zs) -> int:
+    """Maximum number of disjoint 4-sets, each one vertex of ``ys`` plus
+    three of ``zs`` inducing at least 2 edges, by memoized search that
+    gives the ys in turn a 4-set or none."""
+    edge_set = {tuple(sorted(e)) for e in edges}
+    ys = sorted(ys)
+    options = []
+    for y in ys:
+        row = []
+        for trio in itertools.combinations(sorted(zs), 3):
+            quad = tuple(sorted((y,) + trio))
+            if sum(1 for t in itertools.combinations(quad, 3) if t in edge_set) >= 2:
+                row.append(sum(1 << z for z in trio))
+        options.append(row)
+
+    @lru_cache(maxsize=None)
+    def rec(i: int, used: int) -> int:
+        if i == len(ys):
+            return 0
+        best = rec(i + 1, used)  # ys[i] gets no 4-set
+        for mask in options[i]:
+            if not (mask & used):
+                best = max(best, 1 + rec(i + 1, used | mask))
+        return best
+
+    result = rec(0, 0)
+    rec.cache_clear()
+    return result

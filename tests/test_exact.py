@@ -20,6 +20,7 @@ from dtiling import (
     four_partite_degree_stats,
     four_partite_of,
     four_partite_perfect_matching,
+    induced_subgraph,
     is_D_free,
     max_D_free_set,
     max_tiling_exact,
@@ -32,7 +33,7 @@ from dtiling import (
     validate_tiling,
 )
 from dtiling.core import bits_of, mask_of
-from dtiling.exact import _counts, _greedy_hitting, _greedy_packing
+from dtiling.exact import QuadCatalog, _counts, _greedy_hitting, _greedy_packing, _incidence
 
 from test_tileable import graphs
 
@@ -160,6 +161,33 @@ class TestMaxTiling:
             res = max_tiling_exact(G)
             assert res.optimal
             assert res.tiling.size == naive_max_tiling_size(n, G.edges)
+
+    def test_catalog_is_checked(self):
+        G = random_codegree_instance(16, 4, 3)
+        with pytest.raises(InputError, match="catalog has 8 vertices"):
+            max_tiling_exact(G, catalog=quad_catalog(complete_3graph(8)))
+        H, _ = induced_subgraph(G, range(4, 16))
+        res = max_tiling_exact(G, catalog=quad_catalog(G, mask_of(range(4, 16))))
+        assert res.tiling.size == max_tiling_exact(H).tiling.size
+
+    def test_packs_only_the_catalog_quads(self):
+        # A maximum packing of a random subset of the quads, checked
+        # against a brute force over every family of them.
+        rng = random.Random(8)
+        for _ in range(20):
+            G = random_codegree_instance(12, rng.randint(1, 3), rng.randrange(10**6))
+            kept = [quad for quad in quad_catalog(G).quads if rng.random() < 0.05]
+            res = max_tiling_exact(G, catalog=QuadCatalog(tuple(kept), _incidence(G.n, range(G.n), kept)))
+            assert {c.vertices for c in res.tiling.copies} <= set(kept)
+            masks = [mask_of(quad) for quad in kept]
+
+            def best(j, used):
+                if j == len(masks):
+                    return 0
+                skip = best(j + 1, used)
+                return skip if masks[j] & used else max(skip, 1 + best(j + 1, used | masks[j]))
+
+            assert res.optimal and res.tiling.size == best(0, 0)
 
     def test_perfect_agrees_with_max(self):
         rng = random.Random(5)
@@ -656,6 +684,14 @@ class TestDecision:
         G = random_codegree_instance(20, 5, 1)
         res = decide_D_free_set(G, 12, SearchBudget(node_limit=3))
         assert (res.status, res.nodes, res.vertices) == ("exhausted", 4, ())
+
+    def test_foreign_catalog_is_refused(self):
+        # A catalog of K8 holds none of G0(16)'s quads; taken as G0(16)'s
+        # own, the decision would refute a set that exists.
+        G = construct_G0(16)
+        assert decide_D_free_set(G, 13).status == "found"
+        with pytest.raises(InputError, match="catalog has 8 vertices"):
+            decide_D_free_set(G, 13, catalog=quad_catalog(complete_3graph(8)))
 
     def test_catalog_is_reused(self, monkeypatch):
         G = construct_G0(16)

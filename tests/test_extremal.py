@@ -5,10 +5,14 @@ import sys
 import pytest
 
 import dtiling.core
+import dtiling.exact
+import dtiling.extremal
 
 from dtiling import (
     InputError,
+    SearchBudget,
     StageFailure,
+    Tiling,
     build,
     complete_3graph,
     construct_G0,
@@ -19,12 +23,21 @@ from dtiling import (
     is_D_free,
     partition_XYZ,
     planted_extremal,
+    random_codegree_instance,
     run_extremal_pipeline,
     validate_tiling,
 )
-from dtiling.extremal import PipelineState, build_Q, build_R, build_S, build_T
+from dtiling.extremal import (
+    PipelineState,
+    XYZPartition,
+    _one_y_catalog,
+    build_Q,
+    build_R,
+    build_S,
+    build_T,
+)
 
-from naive import naive_is_D_free
+from naive import naive_is_D_free, naive_max_y_packing
 
 
 def z_full_link_edges(xs, zs):
@@ -223,6 +236,118 @@ class TestInfeasibleInstance:
             run_extremal_pipeline(build(6, []), tuple(range(6)))
 
 
+def y_quads(G, ys, zs):
+    """The 4-sets of one y and three zs inducing at least two edges, in
+    lexicographic order."""
+    return sorted(
+        tuple(sorted((y,) + trio))
+        for y in ys
+        for trio in itertools.combinations(zs, 3)
+        if sum(G.has_edge(*t) for t in itertools.combinations(sorted((y,) + trio), 3)) >= 2
+    )
+
+
+def y_quads_first_fit(G, ys, zs):
+    """The 4-sets of ``y_quads``, taken first-fit."""
+    used, out = set(), []
+    for quad in y_quads(G, ys, zs):
+        if not used & set(quad):
+            out.append(quad)
+            used |= set(quad)
+    return out
+
+
+def many_poor_vertices():
+    """random_codegree_instance(28, 2, 5) around its greedy D-free set: 19
+    poor vertices and 9 in Z, so X is empty."""
+    G = random_codegree_instance(28, 2, 5)
+    return G, partition_XYZ(G, greedy_D_free_set(G), alpha=0.3)
+
+
+class TestStageQ:
+    def test_matches_naive_packing(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            n = rng.choice([8, 12, 16])
+            G = random_codegree_instance(n, rng.randint(1, n // 4 + 1), rng.randrange(10**6))
+            ys = sorted(rng.sample(range(n), rng.randint(1, min(6, n - 3))))
+            rest = [v for v in range(n) if v not in ys]
+            zs = sorted(rng.sample(rest, rng.randint(3, len(rest))))
+            xs = tuple(v for v in rest if v not in zs)
+            state = PipelineState(partition=XYZPartition(z=tuple(zs), x=xs, y=tuple(ys), alpha=0.3))
+            assert _one_y_catalog(G, ys, zs).quads == tuple(y_quads(G, ys, zs))
+            build_Q(G, state)
+            assert state.q_mode == "exact"
+            assert state.q == naive_max_y_packing(n, G.edges, ys, zs)
+            assert validate_tiling(G, Tiling.from_copies(state.q_copies)).ok
+
+    def test_beats_first_fit_above_twelve(self):
+        # 19 poor vertices, beyond the old exact range of 12 Y vertices.
+        # The per-Y first-fit used there placed 2 copies, as does the
+        # lexicographic first-fit; the maximum is 3, which covers Z.
+        G, part = many_poor_vertices()
+        assert (len(part.x), len(part.y), len(part.z)) == (0, 19, 9)
+        assert len(y_quads_first_fit(G, part.y, part.z)) == 2
+        state = PipelineState(partition=part)
+        build_Q(G, state)
+        assert [c.vertices for c in state.q_copies] == [(0, 5, 9, 24), (6, 7, 12, 15), (8, 13, 16, 18)]
+        assert state.q_mode == "exact"
+        assert state.q == naive_max_y_packing(G.n, G.edges, part.y, part.z)
+        assert state.diagnostics[-1]["detail"] == {"q": 3, "ell": 7, "mode": "exact", "nodes": 361}
+
+    def test_budget_stop_keeps_the_warm_start(self):
+        G, part = many_poor_vertices()
+        state = PipelineState(partition=part)
+        assert build_Q(G, state, SearchBudget(node_limit=1)) is None
+        assert state.q_mode == "exhausted"
+        assert [c.vertices for c in state.q_copies] == y_quads_first_fit(G, part.y, part.z)
+        assert state.diagnostics[-1]["detail"] == {"q": 2, "ell": 7, "mode": "exhausted", "nodes": 2}
+
+    def test_returns_what_its_search_left(self):
+        G, part = many_poor_vertices()
+        left = build_Q(G, PipelineState(partition=part), SearchBudget(node_limit=1000, time_limit=10.0))
+        assert left.node_limit == 1000 - 361 and 0 < left.time_limit < 10.0
+        G = planted_extremal(32)
+        budget = SearchBudget(node_limit=5)
+        state = PipelineState(partition=partition_XYZ(G, range(8, 32), alpha=0.3))
+        assert build_Q(G, state, budget) is budget  # Y is empty: no search
+        build_R(G, state)
+        build_S(G, state)
+        with pytest.raises(StageFailure, match="stage Q spent the budget"):
+            build_T(G, state, None)
+
+    @pytest.mark.parametrize("node_limit", [1, 3])
+    def test_pipeline_under_a_tiny_budget(self, node_limit):
+        # Stage T gets what stage Q's search left of the budget: each run
+        # tiles, revalidated, or raises StageFailure.
+        poor, part = many_poor_vertices()
+        for G, Z in [(r_stage_gadget(), range(4, 12)), (s_stage_gadget(), range(4, 12)), (poor, part.z)]:
+            try:
+                tiling, _ = run_extremal_pipeline(G, Z, budget=SearchBudget(node_limit=node_limit))
+            except StageFailure:
+                continue
+            assert validate_tiling(G, tiling, require_perfect=True).ok
+
+    def test_no_catalog_without_y(self, monkeypatch):
+        # With Y empty stage Q places nothing, so it builds no catalog and
+        # runs no search.
+        original = dtiling.exact.quad_catalog
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("stage Q built a catalog or searched with Y empty")
+
+        for name, module in list(sys.modules.items()):
+            if name == "dtiling" or name.startswith("dtiling."):
+                if getattr(module, "quad_catalog", None) is original:
+                    monkeypatch.setattr(module, "quad_catalog", refuse)
+        monkeypatch.setattr(dtiling.extremal, "_one_y_catalog", refuse)
+        monkeypatch.setattr(dtiling.extremal, "max_tiling_exact", refuse)
+        G = planted_extremal(64)
+        tiling, report = run_extremal_pipeline(G, range(16, 64))
+        assert validate_tiling(G, tiling, require_perfect=True).ok
+        assert report["stages"]["q"] == 0 and report["stages"]["q_mode"] == "exact"
+
+
 def relabelled_planted(n, seed):
     """planted_extremal(n) under a seeded vertex permutation, with the
     image of its pattern-free bulk."""
@@ -234,10 +359,10 @@ def relabelled_planted(n, seed):
 
 def run_stages(G, Z):
     state = PipelineState(partition=partition_XYZ(G, Z, alpha=0.3))
-    build_Q(G, state)
+    left = build_Q(G, state)
     build_R(G, state)
     build_S(G, state)
-    return state, build_T(G, state)
+    return state, build_T(G, state, left)
 
 
 CERT_48 = (
