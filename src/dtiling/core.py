@@ -8,7 +8,9 @@ word operations even at a few hundred vertices.  Edges as sorted triples
 are derived from the index only when a caller asks for them.  ``build``
 (any iterable of triples), ``io.parse_instance`` (text),
 ``induced_subgraph`` and ``random_codegree_instance`` all fill the index
-through one private filler.
+through one private filler, ``_fill(n, triples)``: each caller knows the
+vertex count, and the filler sums each pair's bitset from a table of the
+n powers of two that lives only for that call.
 
 The tiling pattern used throughout the package is the 3-graph on four
 vertices whose two triples share exactly two vertices.  ``DCopy`` records
@@ -28,7 +30,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import lshift, lt
+from operator import lt
 
 
 # Largest vertex count the solver takes.  The driver scans all n(n-1)/2
@@ -187,32 +189,37 @@ class Hypergraph3:
         return f"Hypergraph3(n={self.n}, m={self.m})"
 
 
-def _fill(triples) -> tuple[dict, int]:
-    """Pair index of ascending triples ``a < b < c``, given in any order
-    and possibly repeated, and the number of distinct ones.
+def _fill(n: int, triples) -> tuple[dict, int]:
+    """Pair index of ascending triples ``a < b < c`` of ``0..n-1``, given
+    in any order and possibly repeated, and the number of distinct ones.
 
-    Each pair's third vertices are first collected in a list; each list
-    then becomes its bitset in one C-level ``sum`` of shifted bits, stored
-    under both orders of the pair.  A repeated entry carries, leaving
-    fewer set bits than entries, and only then is the sum redone over the
-    distinct entries.  Each distinct triple sets one bit in each of its
-    three pairs, so the distinct count is a third of all set bits.
+    Each pair's third vertices are first collected in a list, in one row
+    per vertex; each list then becomes its bitset in one C-level ``sum``
+    over a table of the n powers of two, built for this call (n²/16
+    bytes, 6 MB at ``MAX_N``, so callers keep n at most that), and is
+    stored under both orders of the pair.  A repeated entry carries,
+    leaving fewer set bits than entries, and only then is the sum redone
+    over the distinct entries.  Each distinct triple sets one bit in each
+    of its three pairs, so the distinct count is a third of all set bits.
     """
-    thirds = defaultdict(lambda: defaultdict(list))  # thirds[a][b], a < b: the c of {a, b, c}
+    thirds = [defaultdict(list) for _ in range(n)]  # thirds[a][b], a < b: the c of {a, b, c}
     for a, b, c in triples:
         ra = thirds[a]
         ra[b].append(c)
         ra[c].append(b)
         thirds[b][c].append(a)
+    power = [1 << i for i in range(n)].__getitem__
     links: dict[int, dict[int, int]] = {}
     row_of = links.setdefault
     set_bits = 0
-    for a, row in thirds.items():
+    for a, row in enumerate(thirds):
+        if not row:
+            continue
         ra = row_of(a, {})
         for b, cs in row.items():
-            bits = sum(map(lshift, itertools.repeat(1), cs))
+            bits = sum(map(power, cs))
             if bits.bit_count() < len(cs):  # a repeated third vertex carried
-                bits = sum(map(lshift, itertools.repeat(1), set(cs)))
+                bits = sum(map(power, set(cs)))
             ra[b] = row_of(b, {})[a] = bits
             set_bits += bits.bit_count()
     return links, set_bits // 3
@@ -222,11 +229,14 @@ def build(n: int, triples) -> Hypergraph3:
     """Build a hypergraph from an iterable of 3-element vertex sets.
 
     Duplicates collapse silently (set semantics); degenerate or
-    out-of-range triples are rejected.
+    out-of-range triples are rejected.  As in parsed text, vertex ids
+    stop below ``MAX_N`` even when n is larger, which bounds the filler's
+    table of powers.
     """
     if n < 0:
         raise InputError(f"vertex count must be nonnegative, got {n}")
-    links, m = _fill(itertools.chain.from_iterable(_canonical_chunks(triples, n)))
+    top = min(n, MAX_N)
+    links, m = _fill(top, itertools.chain.from_iterable(_canonical_chunks(triples, top)))
     return Hypergraph3(n, m, links)
 
 
@@ -276,13 +286,12 @@ def codegree(G: Hypergraph3, u: int, v: int) -> int:
 
 def min_codegree(G: Hypergraph3) -> int:
     """Minimum codegree over all unordered pairs; 0 when n < 2."""
-    if G.n < 2:
+    # A pair with no edge has no entry, so unless all n rows hold all
+    # n - 1 partners some codegree is 0.
+    rows = G._links.values()
+    if G.n < 2 or len(rows) < G.n or any(len(row) < G.n - 1 for row in rows):
         return 0
-    return min(
-        G.pair_bits(u, v).bit_count()
-        for u in range(G.n - 1)
-        for v in range(u + 1, G.n)
-    )
+    return min(min(map(int.bit_count, row.values())) for row in rows)
 
 
 def link_of_vertex_on_set(G: Hypergraph3, v: int, W) -> set[tuple[int, int]]:
@@ -396,7 +405,7 @@ def induced_subgraph(G: Hypergraph3, vertices) -> tuple[Hypergraph3, tuple[int, 
                 for w in bits_of(G.pair_bits(u, v) & vmask & -(2 << v)):
                     yield i, j, index[w]
 
-    links, m = _fill(local_triples())
+    links, m = _fill(len(verts), local_triples())
     return Hypergraph3(len(verts), m, links), tuple(verts)
 
 

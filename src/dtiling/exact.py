@@ -35,11 +35,11 @@ a first-fit family of disjoint quads, each the lowest live id: the warm
 start of the maximum tiling search, and the lower bound of the D-free
 decision, which must remove one vertex from each of its quads.
 
-Each search can take the caller's catalog, checked by ``_catalog_on``,
-so one solve builds it once.  The maximum tiling search packs only the
-quads of the catalog it is given: stage Q of the extremal pipeline is
-that search on a catalog of the quads with one poor (Y) vertex and three
-of the D-free set.
+Each search can take the caller's catalog, checked by ``_catalog_on``
+to be one listed on the very graph searched, so one solve builds it
+once.  The maximum tiling search packs only the quads of the catalog it
+is given: stage Q of the extremal pipeline is that search on a catalog
+of the quads with one poor (Y) vertex and three of the D-free set.
 
 The driver asks whether a D-free set of a given size exists, not how
 large the largest is: ``decide_D_free_set`` is the bounded search tree of
@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     Hypergraph3,
@@ -123,10 +123,12 @@ class QuadCatalog:
     """All spanning 4-sets of a graph in lexicographic order, with one
     incidence bitset per vertex of the graph: bit i of ``inc[v]`` is set
     iff v is in quad i, so ``bits_of(inc[v])`` lists v's quad ids
-    ascending."""
+    ascending.  ``graph`` is the graph the quads were listed on; a search
+    takes the catalog only for that very graph."""
 
     quads: tuple[tuple[int, int, int, int], ...]
     inc: tuple[int, ...]
+    graph: Hypergraph3 = field(compare=False, repr=False)
 
     @property
     def all_quads(self) -> int:
@@ -159,7 +161,7 @@ def quad_catalog(G: Hypergraph3, within: int | None = None) -> QuadCatalog:
                     low = fourth & -fourth
                     quads.append((a, b, c, low.bit_length() - 1))
                     fourth ^= low
-    return QuadCatalog(quads=tuple(quads), inc=_incidence(G.n, verts, quads))
+    return QuadCatalog(quads=tuple(quads), inc=_incidence(G.n, verts, quads), graph=G)
 
 
 def _incidence(n: int, verts: list[int], quads: list) -> tuple[int, ...]:
@@ -266,11 +268,15 @@ def _greedy_packing(cat: QuadCatalog, alive: int, cap: int | None = None) -> lis
 
 def _catalog_on(G: Hypergraph3, full: int, catalog: QuadCatalog | None) -> QuadCatalog:
     """``catalog``, checked to be one of G with no quad outside the vertex
-    mask ``full``, or ``quad_catalog(G, full)`` when it is None."""
+    mask ``full``, or ``quad_catalog(G, full)`` when it is None.  A
+    catalog of another graph, even an equal one, is refused: its quads
+    are not checked against G."""
     if catalog is None:
         return quad_catalog(G, full)
     if len(catalog.inc) != G.n:
         raise InputError(f"catalog has {len(catalog.inc)} vertices, the graph {G.n}")
+    if catalog.graph is not G:
+        raise InputError("catalog was built on another graph")
     for v in bits_of(((1 << G.n) - 1) & ~full):
         if catalog.inc[v]:
             raise InputError(f"catalog has a quad on vertex {v}, outside the mask")

@@ -16,6 +16,14 @@ Four stages then assemble a perfect tiling:
 * T: an exact perfect matching in the 4-partite 4-graph on the X
   remainder and three equal Z slices, one copy per matched 4-set.
 
+Z itself comes from one incremental grower, ``_grow_D_free``: the
+degree-order greedy set, the extension of a seed in id order and the
+maximality check of ``partition_XYZ`` all grow a set one vertex at a
+time.  Besides Z's mask the grower keeps ``blocked``, the third vertices
+of the pairs of Z whose thirds already meet Z: a vertex in it would be
+the private vertex of a new copy, so it is refused with one bit test,
+and each other candidate costs O(|Z|) pair lookups to test and to add.
+
 Every stage picks smallest-id candidates first, so runs are
 deterministic.  Inequality checks along the way are diagnostics: they are
 reported, not enforced, because at desk scale the asymptotic regime is
@@ -36,7 +44,6 @@ from .core import (
     Tiling,
     bits_of,
     dcopy_from_quad,
-    is_D_free,
     mask_of,
     validate_tiling,
 )
@@ -88,66 +95,71 @@ class PipelineState:
         return {v for c in copies for v in c.vertices}
 
 
-def _check_no_new_copy(G: Hypergraph3, zmask: int, zlist: list[int], v: int) -> bool:
-    """True iff adding v to the pattern-free set Z keeps it pattern-free.
+def _grow_D_free(G: Hypergraph3, Z, order) -> tuple[int, ...] | None:
+    """Z grown by each vertex of ``order``, in turn, that keeps it
+    pattern-free; None when Z itself spans a copy.
 
-    A new copy must involve v: either v sits in the shared pair (some
-    z with two common cohabitants inside Z) or v is a private vertex of a
-    shared pair inside Z that already has another cohabitant.
+    A new copy must involve the added vertex v: either v sits in its
+    shared pair (some z in Z with two thirds of {v, z} in Z), or v is a
+    private vertex of a pair of Z whose thirds already meet Z.  The
+    second case is one bit test on ``blocked``, the union of the third
+    vertices of those pairs, so a candidate costs O(|Z|) pair lookups.
+    Adding v can only make pairs {v, z} and {z, w}, w the one third of
+    {v, z} in Z, meet Z, so the update costs O(|Z|) as well.  Only the
+    seed's own ``blocked`` takes one scan over its pairs.
     """
-    vb = 1 << v
-    for z in zlist:
-        if (G.pair_bits(v, z) & zmask).bit_count() >= 2:
-            return False
+    pair_bits = G.pair_bits
+    zlist = sorted(set(Z))
+    zmask = mask_of(zlist)
+    blocked = 0
     for i, z1 in enumerate(zlist):
         for z2 in zlist[i + 1 :]:
-            bits = G.pair_bits(z1, z2)
-            if (bits & vb) and (bits & zmask):
-                return False
-    return True
+            bits = pair_bits(z1, z2)
+            inside = bits & zmask
+            if inside:
+                if inside & (inside - 1):
+                    return None
+                blocked |= bits
+    for v in order:
+        if ((zmask | blocked) >> v) & 1:
+            continue
+        grown = blocked
+        for z in zlist:
+            bits = pair_bits(v, z)
+            inside = bits & zmask
+            if inside:
+                if inside & (inside - 1):  # {v, z} would be a shared pair
+                    break
+                # {v, z} and {z, w}, w its one third in Z, now meet the set
+                grown |= bits | pair_bits(z, inside.bit_length() - 1)
+        else:
+            zlist.append(v)
+            zmask |= 1 << v
+            blocked = grown
+    return tuple(sorted(zlist))
 
 
 def extend_to_maximal_D_free(G: Hypergraph3, S0) -> tuple[int, ...]:
     """Grow a pattern-free set to a maximal one, ascending vertex order."""
-    S0 = sorted(set(S0))
-    if not is_D_free(G, S0):
+    Z = _grow_D_free(G, S0, range(G.n))
+    if Z is None:
         raise InputError("seed set already contains a copy")
-    zlist = list(S0)
-    zmask = mask_of(zlist)
-    for v in range(G.n):
-        if (zmask >> v) & 1:
-            continue
-        if _check_no_new_copy(G, zmask, zlist, v):
-            zlist.append(v)
-            zlist.sort()
-            zmask |= 1 << v
-    return tuple(zlist)
+    return Z
 
 
 def greedy_D_free_set(G: Hypergraph3) -> tuple[int, ...]:
     """Heuristic large pattern-free set: insert vertices by ascending edge
     degree (cheap proxy for how entangled a vertex is), keep what fits.
-    A rejected vertex stays rejected as the set grows, so it is maximal."""
-    order = sorted(range(G.n), key=lambda v: (G.degree(v), v))
-    zlist: list[int] = []
-    zmask = 0
-    for v in order:
-        if _check_no_new_copy(G, zmask, zlist, v):
-            zlist.append(v)
-            zlist.sort()
-            zmask |= 1 << v
-    return tuple(zlist)
+    The set carries the ``blocked`` mask of ``_grow_D_free``, so each
+    vertex costs O(|Z|) pair lookups, O(n·|Z|) in all.  A rejected vertex
+    stays rejected as the set grows, so it is maximal."""
+    return _grow_D_free(G, (), sorted(range(G.n), key=lambda v: (G.degree(v), v)))
 
 
 def _is_maximal_D_free(G: Hypergraph3, Z) -> bool:
-    zlist = sorted(Z)
-    zmask = mask_of(zlist)
-    if not is_D_free(G, zlist):
-        return False
-    return all(
-        (zmask >> v) & 1 or not _check_no_new_copy(G, zmask, zlist, v)
-        for v in range(G.n)
-    )
+    """Whether Z is pattern-free and growing it adds no vertex."""
+    grown = _grow_D_free(G, Z, range(G.n))
+    return grown is not None and len(grown) == len(set(Z))
 
 
 def _link_pair_count(G: Hypergraph3, v: int, zmask: int, zlist) -> int:
@@ -222,7 +234,7 @@ def _one_y_catalog(G: Hypergraph3, ys, zs) -> QuadCatalog:
             for z3 in bits_of(bits & zmask):
                 quads.add(tuple(sorted((y, z1, z2, z3))))
     quads = sorted(quads)
-    return QuadCatalog(quads=tuple(quads), inc=_incidence(G.n, bits_of(ymask | zmask), quads))
+    return QuadCatalog(quads=tuple(quads), inc=_incidence(G.n, bits_of(ymask | zmask), quads), graph=G)
 
 
 def build_Q(

@@ -135,7 +135,7 @@ def _parse_canonical(text: str) -> Hypergraph3 | None:
     del ids
     if not (all(map(lt, us, vs)) and all(map(lt, vs, ws))):
         return None
-    links, distinct = _fill(zip(us, vs, ws))
+    links, distinct = _fill(n, zip(us, vs, ws))
     return Hypergraph3(n, m, links) if distinct == m else None
 
 
@@ -210,7 +210,9 @@ def _parse_lines(text: str) -> Hypergraph3:
                 seen.add((u, v, w))
 
     try:
-        links, distinct = _fill(edges())
+        # Every id is below MAX_N, and with no edge line nothing is
+        # filled, so a huge header costs no rows and no table of powers.
+        links, distinct = _fill(min(n, MAX_N) if m else 0, edges())
     except InputError:
         check_repeats(at)
         raise

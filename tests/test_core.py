@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +22,12 @@ from dtiling import (
     map_copy,
     min_codegree,
     quad_spans_D,
+    random_codegree_instance,
     steiner_triple_system,
     validate_tiling,
 )
-from dtiling.core import _fill, bits_of, mask_of
+from dtiling.core import MAX_N, _fill, bits_of, mask_of
+from dtiling.io import _parse_canonical, _parse_lines
 
 from naive import naive_copy_pairs, naive_is_D_free, naive_pair_index
 
@@ -112,6 +115,18 @@ class TestCodegree:
     def test_tiny_orders(self):
         assert min_codegree(build(0, [])) == 0
         assert min_codegree(build(1, [])) == 0
+        assert min_codegree(complete_3graph(3)) == 1
+        assert min_codegree(build(3, [])) == 0
+        assert min_codegree(complete_3graph(4)) == 2
+        assert min_codegree(build(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])) == 1  # pair {1, 2}: only 0
+
+    def test_matches_every_pair(self):
+        rng = random.Random(4)
+        graphs = [complete_3graph(n) for n in range(2, 9)] + [construct_G0(n) for n in (8, 12, 16)]
+        graphs += [random_codegree_instance(n, rng.randint(0, n // 3), rng.randrange(10**6)) for n in range(5, 30)]
+        for G in graphs:
+            pairs = itertools.combinations(range(G.n), 2)
+            assert min_codegree(G) == min(codegree(G, u, v) for u, v in pairs)
 
 
 class TestLink:
@@ -269,7 +284,7 @@ class TestFill:
         n, triples = data
         triples = triples + [t for t in triples if rnd.random() < 0.5]
         rnd.shuffle(triples)
-        links, m = _fill(triples)
+        links, m = _fill(n, triples)
         assert m == len(set(triples))
         assert index_as_sets(links) == naive_pair_index(triples)
 
@@ -292,6 +307,35 @@ class TestFill:
         inside = {tuple(local[v] for v in t) for t in triples if set(t) <= set(S)}
         assert mapping == tuple(S) and (H.n, H.m) == (len(S), len(inside))
         assert index_as_sets(H._links) == naive_pair_index(inside)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: _parse_canonical("10000 1\n0 1 9999\n"),
+            lambda: _parse_lines("10000 1\n0 1 9999\n"),
+            lambda: build(10_000, [(0, 1, 9_999)]),
+        ],
+        ids=["canonical-text", "line-reader", "build"],
+    )
+    def test_max_n_table_is_per_call(self, make):
+        # At n = MAX_N the fill's rows and table of powers take 7.9 MB at
+        # their peak (8.9 MB with the bulk reader's table of ids), and
+        # nothing of them outlives the call.
+        assert MAX_N == 10_000
+        tracemalloc.start()
+        try:
+            G = make()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (G.n, G.m) == (10_000, 1) and G.has_edge(0, 1, 9_999)
+        assert peak < 10_000_000 and kept < 20_000
+
+    def test_build_ids_stop_below_max_n(self):
+        # As in parsed text, so a large n does not size the table of powers.
+        with pytest.raises(InputError, match=f"outside 0..{MAX_N - 1}"):
+            build(MAX_N + 1, [(0, 1, MAX_N)])
+        assert build(MAX_N + 1, [(0, 1, MAX_N - 1)]).m == 1
 
 
 class TestInduced:

@@ -118,6 +118,14 @@ class TestPerfect:
         with pytest.raises(InputError, match="vertices"):
             perfect_tiling_exact(complete_3graph(8), catalog=quad_catalog(complete_3graph(12)))
 
+    def test_catalog_of_another_graph_is_refused(self):
+        # G0(16)'s catalog lacks quads of K16; taken as K16's own, the
+        # search refuted a tiling that exists.
+        K = complete_3graph(16)
+        with pytest.raises(InputError, match="another graph"):
+            perfect_tiling_exact(K, catalog=quad_catalog(construct_G0(16)))
+        assert perfect_tiling_exact(K, catalog=quad_catalog(K)).status == "found"
+
     def test_dense_planted_mask_nodes_pinned(self):
         # 8 of the 10 side vertices of planted_extremal(40) and 24 bulk
         # vertices: tileable, and dense enough that the catalog has tens of
@@ -177,7 +185,7 @@ class TestMaxTiling:
         for _ in range(20):
             G = random_codegree_instance(12, rng.randint(1, 3), rng.randrange(10**6))
             kept = [quad for quad in quad_catalog(G).quads if rng.random() < 0.05]
-            res = max_tiling_exact(G, catalog=QuadCatalog(tuple(kept), _incidence(G.n, range(G.n), kept)))
+            res = max_tiling_exact(G, catalog=QuadCatalog(tuple(kept), _incidence(G.n, range(G.n), kept), G))
             assert {c.vertices for c in res.tiling.copies} <= set(kept)
             masks = [mask_of(quad) for quad in kept]
 
@@ -692,6 +700,16 @@ class TestDecision:
         assert decide_D_free_set(G, 13).status == "found"
         with pytest.raises(InputError, match="catalog has 8 vertices"):
             decide_D_free_set(G, 13, catalog=quad_catalog(complete_3graph(8)))
+
+    def test_catalog_of_another_graph_is_refused(self):
+        # K16 has every quad of G0(16) and more; taken as G0(16)'s own
+        # catalog, the decision refuted a set that exists.
+        G = construct_G0(16)
+        with pytest.raises(InputError, match="another graph"):
+            decide_D_free_set(G, 13, catalog=quad_catalog(complete_3graph(16)))
+        with pytest.raises(InputError, match="another graph"):
+            decide_D_free_set(G, 13, catalog=quad_catalog(construct_G0(16)))
+        assert decide_D_free_set(G, 13, catalog=quad_catalog(G)).status == "found"
 
     def test_catalog_is_reused(self, monkeypatch):
         G = construct_G0(16)

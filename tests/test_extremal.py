@@ -92,6 +92,85 @@ class TestGreedySet:
                     Z.append(v)
             assert greedy_D_free_set(build(n, triples)) == tuple(sorted(Z))
 
+    @pytest.mark.parametrize("n", [48, 64, 80, 96])
+    def test_pinned_on_relabelled_planted(self, n):
+        # Recorded before the grower kept a blocked mask: the greedy set
+        # is the image of the bulk under both relabellings.
+        for seed in (0, 1):
+            G, bulk = relabelled_planted(n, seed)
+            assert greedy_D_free_set(G) == bulk
+
+    @pytest.mark.parametrize(
+        "args, Z",
+        [
+            ((28, 2, 28), (2, 4, 7, 11, 12, 15, 19, 25, 26, 27)),
+            ((36, 3, 36), (0, 4, 6, 12, 18, 19, 23, 26, 27)),
+            ((44, 3, 44), (7, 16, 17, 18, 20, 23, 37, 39, 41, 43)),
+            ((52, 4, 52), (1, 2, 15, 26, 27, 35, 36, 40, 44, 47)),
+            ((64, 4, 64), (3, 16, 20, 24, 32, 36, 49, 54, 57, 58)),
+        ],
+    )
+    def test_pinned_on_random_instances(self, args, Z):
+        # Recorded before the grower kept a blocked mask.
+        assert greedy_D_free_set(random_codegree_instance(*args)) == Z
+
+
+def random_triples(rng, n):
+    pool = list(itertools.combinations(range(n), 3))
+    return rng.sample(pool, rng.randint(0, min(3 * n, len(pool))))
+
+
+def naive_extension(triples, n, seed):
+    """``seed`` grown in id order by every vertex that keeps it
+    pattern-free, each step recounted from the triples."""
+    Z = sorted(seed)
+    for v in range(n):
+        if v not in Z and naive_is_D_free(triples, Z + [v]):
+            Z.append(v)
+    return tuple(sorted(Z))
+
+
+def naive_is_maximal(triples, n, S):
+    return naive_is_D_free(triples, S) and all(
+        not naive_is_D_free(triples, list(S) + [v]) for v in range(n) if v not in S
+    )
+
+
+class TestGrowerMatchesNaive:
+    def test_extension_of_a_random_free_seed(self):
+        rng = random.Random(12)
+        for _ in range(60):
+            n = rng.randint(5, 12)
+            triples = random_triples(rng, n)
+            # a random subset of a pattern-free set is pattern-free
+            free = naive_extension(triples, n, ())
+            seed = [v for v in rng.sample(range(n), n) if v in free and rng.random() < 0.5]
+            assert extend_to_maximal_D_free(build(n, triples), seed) == naive_extension(triples, n, seed)
+
+    def test_partition_accepts_exactly_the_maximal_sets(self):
+        rng = random.Random(13)
+        verdicts = []
+        for _ in range(60):
+            n = rng.randint(5, 12)
+            triples = random_triples(rng, n)
+            G = build(n, triples)
+            free = naive_extension(triples, n, rng.sample(range(n), 1))
+            for S in (
+                free,
+                free[1:],
+                tuple(sorted(set(free) | {rng.randrange(n)})),
+                tuple(sorted(rng.sample(range(n), rng.randint(0, n)))),
+            ):
+                maximal = naive_is_maximal(triples, n, S)
+                try:
+                    part = partition_XYZ(G, S, alpha=0.3)
+                except InputError:
+                    assert not maximal
+                else:
+                    assert maximal and part.z == S
+                verdicts.append(maximal)
+        assert 0 < sum(verdicts) < len(verdicts)
+
 
 class TestPartition:
     def test_planted_8(self):
