@@ -58,13 +58,19 @@ found so far; the perfect tiling search has no partial answer to return.
 straight from the pair index, without building a subgraph or a catalog;
 it is what the absorption layer asks thousands of times per family.
 
-The 4-partite 4-graph of the extremal T stage is stored as links: per
-first-part vertex, one bitset of part-4 vertices for each (part 2, part 3)
-pair.  ``four_partite_of`` fills the links straight from the pair index
-with one word operation per transversal triple, and the perfect matching
-and the degree statistics work on those bitsets, never on a list of
-transversal 4-sets: on a planted instance there are m^4 of them (331,776
-at n = 96), and the link search takes m + 1 nodes.
+The 4-partite 4-graph of the extremal T stage is stored as one bitset
+per first-part vertex, its link: the (part 2, part 3) pairs in sorted
+order, each a block of W bits holding its part-4 completions, with W one
+more than the largest part-2 or part-4 id.  ``four_partite_of`` fills the
+m blocks of one (v, a) at once with a few operations on m-block ints: d
+completes (v, a, b) when it is in two of the pair bitsets of va, vb and
+ab, or in one of them with vab an edge.  The degree statistics are bit
+counts and bit-sliced counters over the m links, and the perfect
+matching carries the still free positions as one mask.  So the three do
+O(m^2) wide word operations and never list transversal 4-sets: on a
+planted instance there are m^4 of them (331,776 at n = 96), and the
+search takes m + 1 nodes.  The layout follows the broadword tricks and
+bit-sliced counters of Knuth, TAOCP Vol. 4A, 7.1.3.
 """
 
 from __future__ import annotations
@@ -537,27 +543,33 @@ def decide_D_free_set(
 
 @dataclass(frozen=True)
 class FourPartite4Graph:
-    """4-partite 4-graph on four equal disjoint parts, stored as links.
+    """4-partite 4-graph on four equal disjoint parts of size m, stored as
+    one bitset per first-part vertex.
 
-    ``links[i]`` is the link of the i-th first-part vertex v: one entry
-    ``(a, b, dmask)`` per pair a in part 2, b in part 3 that v extends,
-    ascending by (a, b), where ``dmask`` is the nonzero bitset of part-4
-    vertices d making (v, a, b, d) an edge.  Vertices are nonnegative
-    integer ids, so a bitset over them is one int.
+    Let a_0 < ... < a_{m-1} and b_0 < ... < b_{m-1} be parts 2 and 3
+    sorted, and W one more than the largest part-2 or part-4 id.  Then
+    ``links[i]`` is the link of the i-th first-part vertex v: the edge
+    (v, a_r, b_s, d) is bit ``(r*m + s)*W + d`` of it.  So every (part 2,
+    part 3) pair owns a W-bit block holding its part-4 completions, and
+    ascending bit order is ascending (a, b, d).  Vertices are nonnegative
+    integer ids.
     """
 
     parts: tuple[tuple[int, ...], ...]
-    links: tuple[tuple[tuple[int, int, int], ...], ...]
+    links: tuple[int, ...]
 
     @property
     def edges(self) -> frozenset[tuple[int, int, int, int]]:
         """The edges as transversal 4-tuples in part order."""
-        return frozenset(
-            (v, a, b, d)
-            for v, row in zip(self.parts[0], self.links)
-            for a, b, dmask in row
-            for d in bits_of(dmask)
-        )
+        second, third, w = _layout(self.parts)
+        m = len(second)
+        out = set()
+        for v, row in zip(self.parts[0], self.links):
+            for bit in bits_of(row):
+                block, d = divmod(bit, w)
+                r, s = divmod(block, m)
+                out.add((v, second[r], third[s], d))
+        return frozenset(out)
 
 
 def _checked_parts(parts) -> tuple[tuple[int, ...], ...]:
@@ -577,20 +589,32 @@ def _checked_parts(parts) -> tuple[tuple[int, ...], ...]:
     return parts
 
 
+def _layout(parts) -> tuple[list[int], list[int], int]:
+    """Parts 2 and 3 sorted, and the block width W of the links."""
+    return sorted(parts[1]), sorted(parts[2]), 1 + max(parts[1] + parts[3], default=0)
+
+
+def _ones(count: int, stride: int) -> int:
+    """Bit j*stride set for each j < count."""
+    return ((1 << count * stride) - 1) // ((1 << stride) - 1) if count else 0
+
+
 def four_partite(parts, edges) -> FourPartite4Graph:
     """Validated constructor from an edge list: 4 equal disjoint parts,
     transversal edges given in part order."""
     parts = _checked_parts(parts)
+    second, third, w = _layout(parts)
+    m = len(second)
+    rank2 = {a: r for r, a in enumerate(second)}
+    rank3 = {b: s for s, b in enumerate(third)}
     members = [set(p) for p in parts]
-    grouped: dict[int, dict[tuple[int, int], int]] = {v: {} for v in parts[0]}
+    rows = dict.fromkeys(parts[0], 0)
     for e in edges:
         e = tuple(e)
         if len(e) != 4 or any(e[i] not in members[i] for i in range(4)):
             raise InputError(f"edge {e} is not transversal in part order")
-        row = grouped[e[0]]
-        row[e[1], e[2]] = row.get((e[1], e[2]), 0) | (1 << e[3])
-    links = tuple(tuple((a, b, d) for (a, b), d in sorted(row.items())) for row in grouped.values())
-    return FourPartite4Graph(parts=parts, links=links)
+        rows[e[0]] |= 1 << ((rank2[e[1]] * m + rank3[e[2]]) * w + e[3])
+    return FourPartite4Graph(parts=parts, links=tuple(rows.values()))
 
 
 def four_partite_of(G: Hypergraph3, parts) -> FourPartite4Graph:
@@ -599,32 +623,46 @@ def four_partite_of(G: Hypergraph3, parts) -> FourPartite4Graph:
 
     For v, a, b in the first three parts, {v, a, b, d} spans a copy iff two
     of its four triples are edges; with vab an edge one more of vad, vbd,
-    abd suffices, else two of them.  So each link entry is one word
-    operation on the pair bitsets, masked to part 4: m^3 of them in all.
+    abd suffices, else two of them.  So one int of m blocks holds the
+    part-4 completions of (v, a, b_j) for every j at once:
+    ``maj(va, vb, ab) | (vab & (va | vb | ab))``, where block j of ``va``,
+    ``vb`` and ``ab`` holds the part-4 vertices of ``pair(v, a)``,
+    ``pair(v, b_j)`` and ``pair(a, b_j)``, and ``vab`` holds part 4 in the
+    blocks of the b_j with v a b_j an edge.  ``vb`` is built once per v and
+    ``ab`` once per a, so the graph costs O(m^2) operations on m-block
+    ints.
     """
     parts = _checked_parts(parts)
     if any(v >= G.n for p in parts for v in p):
         raise InputError(f"part vertices must lie in 0..{G.n - 1}")
-    first, second, third, fourth = parts
-    part4 = mask_of(fourth)
-    second, third = sorted(second), sorted(third)
+    second, third, w = _layout(parts)
+    m = len(second)
+    span = m * w  # the blocks of one part-2 vertex
+    part4 = mask_of(parts[3])
+    ones = _ones(m, w)  # bit j*W for each j < m
+    lanes = part4 * ones
+    low = (1 << w) - 1
     pair = G.pair_bits
-    ab_rows = [[pair(a, b) & part4 for b in third] for a in second]
+
+    def blocks(u: int, mask: int) -> int:
+        """Block j holds ``pair(u, b_j) & mask``."""
+        out = 0
+        for b in reversed(third):
+            out = (out << w) | (pair(u, b) & mask)
+        return out
+
+    ab_rows = [blocks(a, part4) for a in second]
     links = []
-    for v in first:
-        vbs = [pair(v, b) & part4 for b in third]
-        row = []
-        for a, ab_row in zip(second, ab_rows):
-            va_thirds = pair(v, a)
-            va = va_thirds & part4
-            for b, vb, ab in zip(third, vbs, ab_row):
-                if (va_thirds >> b) & 1:
-                    dmask = va | vb | ab
-                else:
-                    dmask = (va & vb) | (ab & (va | vb))
-                if dmask:
-                    row.append((a, b, dmask))
-        links.append(tuple(row))
+    for v in parts[0]:
+        vb_low = blocks(v, low)  # bit a of block j: v a b_j is an edge
+        vb = vb_low & lanes
+        row = 0
+        for a, ab in zip(reversed(second), reversed(ab_rows)):
+            va = (pair(v, a) & part4) * ones
+            vab = ((vb_low >> a) & ones) * part4
+            either = va | vb
+            row = (row << span) | (va & vb) | (ab & either) | (vab & (either | ab))
+        links.append(row)
     return FourPartite4Graph(parts=parts, links=tuple(links))
 
 
@@ -641,47 +679,48 @@ def four_partite_perfect_matching(
 ) -> MatchingResult:
     """Backtracking over the first part in index order.
 
-    Each first-part vertex tries its edges in ascending vertex order, i.e.
-    its link entries by (a, b) and then the free part-4 vertices of each
-    ``dmask``.  Before descending, every still unmatched first-part vertex
-    must keep at least one fully free edge, otherwise the branch dies.
+    The search carries ``free``, the link positions whose part-2, part-3
+    and part-4 vertices are all unmatched.  Each first-part vertex tries
+    the set bits of ``link & free`` in ascending order, i.e. its edges in
+    ascending (a, b, d).  Placing (a, b, d) clears a's m blocks, b's
+    block in each of them and d's bit in every block.  Before descending,
+    every still unmatched first-part vertex must keep a free position,
+    otherwise the branch dies.
     """
     budget = budget or SearchBudget()
     clock = _Clock(budget)
-    m = len(H.parts[0])
+    second, third, w = _layout(H.parts)
+    m = len(second)
     links = H.links
+    span = m * w  # the blocks of one part-2 vertex
+    a_blocks = (1 << span) - 1
+    b_blocks = ((1 << w) - 1) * _ones(m, span)
+    d_bits = _ones(m * m, w)
     picked: list[tuple[int, int, int]] = []
 
-    def feasible(i: int, used: int) -> bool:
-        for k in range(i, m):
-            for a, b, dmask in links[k]:
-                if not ((used >> a) & 1 or (used >> b) & 1) and dmask & ~used:
-                    break
-            else:
-                return False
-        return True
-
-    def rec(i: int, used: int) -> str:
+    def rec(i: int, free: int) -> str:
         if clock.tick():
             return EXHAUSTED
         if i == m:
             return FOUND
-        if not feasible(i, used):
+        if not all(links[k] & free for k in range(i, m)):
             return INFEASIBLE
-        for a, b, dmask in links[i]:
-            if (used >> a) & 1 or (used >> b) & 1:
-                continue
-            for d in bits_of(dmask & ~used):
-                picked.append((a, b, d))
-                sub = rec(i + 1, used | (1 << a) | (1 << b) | (1 << d))
-                if sub == FOUND:
-                    return FOUND
-                picked.pop()
-                if sub == EXHAUSTED:
-                    return EXHAUSTED
+        options = links[i] & free
+        while options:
+            low = options & -options
+            options ^= low
+            block, d = divmod(low.bit_length() - 1, w)
+            r, s = divmod(block, m)
+            picked.append((second[r], third[s], d))
+            sub = rec(i + 1, free & ~((a_blocks << r * span) | (b_blocks << s * w) | (d_bits << d)))
+            if sub == FOUND:
+                return FOUND
+            picked.pop()
+            if sub == EXHAUSTED:
+                return EXHAUSTED
         return INFEASIBLE
 
-    status = rec(0, 0)
+    status = rec(0, (1 << m * span) - 1)
     matching = None
     if status == FOUND:
         matching = tuple((v,) + abd for v, abd in zip(H.parts[0], picked))
@@ -705,27 +744,24 @@ def four_partite_degree_stats(H: FourPartite4Graph, gamma: float = 0.5) -> dict:
     """Minimum degrees into the first part and from it, plus the
     sufficient matching condition m*d1 + m^3*d234 >= (1+gamma)m^4.
 
-    A triple (a, b, d) has degree the number of links whose (a, b) entry
-    holds d, so each (a, b) keeps bit-sliced counters over part 4 and
-    adds every ``dmask`` with a ripple carry."""
+    A first-part vertex has degree the bit count of its link.  A triple
+    (a, b, d) has degree the number of links holding its bit, so the
+    links are added into bit-sliced counters with a ripple carry; the
+    lanes are part 4 in every (a, b) block, and a triple in no edge is a
+    zero lane."""
     m = len(H.parts[0])
-    d1 = min((sum(dmask.bit_count() for _, _, dmask in row) for row in H.links), default=0)
-    counters: dict[tuple[int, int], list[int]] = {}
-    for row in H.links:
-        for a, b, carry in row:
-            planes = counters.setdefault((a, b), [])
-            for k, plane in enumerate(planes):
-                planes[k] = plane ^ carry
-                carry &= plane
-                if not carry:
-                    break
-            else:
-                planes.append(carry)
-    if len(counters) < m * m:
-        d234 = 0  # some (a, b) pair, hence some triple, lies in no edge
-    else:
-        part4 = mask_of(H.parts[3])
-        d234 = min((_lane_min(planes, part4) for planes in counters.values()), default=0)
+    d1 = min((row.bit_count() for row in H.links), default=0)
+    planes: list[int] = []
+    for carry in H.links:
+        for k, plane in enumerate(planes):
+            planes[k] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            planes.append(carry)
+    w = _layout(H.parts)[2]
+    d234 = _lane_min(planes, mask_of(H.parts[3]) * _ones(m * m, w))
     lhs = m * d1 + m**3 * d234
     rhs = (1 + gamma) * m**4
     return {

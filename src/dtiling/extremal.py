@@ -377,7 +377,7 @@ def build_T(G: Hypergraph3, state: PipelineState, budget: SearchBudget | None) -
     three ascending Z slices.  The 4-partite graph is built from the pair
     index (``four_partite_of``), so its edges are exactly the transversal
     4-sets that span a copy.  ``budget`` is what stage Q's search left,
-    None when nothing is."""
+    None when nothing is; then the stage fails before building anything."""
     part = state.partition
     used = (
         state.used(state.q_copies)
@@ -399,6 +399,8 @@ def build_T(G: Hypergraph3, state: PipelineState, budget: SearchBudget | None) -
         if not verdict.ok:
             raise StageFailure("T", "; ".join(verdict.violations))
         return tiling
+    if budget is None:
+        raise StageFailure("T", "4-partite matching exhausted: stage Q spent the budget")
     H = four_partite_of(G, (free_x, free_z[:m], free_z[m : 2 * m], free_z[2 * m :]))
     state.matching_stats = four_partite_degree_stats(H, gamma=0.5)
     state.diagnostics.append(
@@ -408,8 +410,6 @@ def build_T(G: Hypergraph3, state: PipelineState, budget: SearchBudget | None) -
             "detail": dict(state.matching_stats),
         }
     )
-    if budget is None:
-        raise StageFailure("T", "4-partite matching exhausted: stage Q spent the budget")
     res = four_partite_perfect_matching(H, budget)
     if res.status != FOUND:
         raise StageFailure("T", f"4-partite matching {res.status}")

@@ -783,6 +783,36 @@ class TestFourPartite:
         assert stats["condition_met"]
 
 
+# (status, nodes, matching) of each search in test_pinned_search_order.
+PINNED_MATCHINGS = [
+    ("infeasible", 5, None),
+    ("found", 25, ((25, 2, 3, 31), (24, 11, 5, 16), (22, 10, 19, 8), (21, 27, 9, 20))),
+    ("infeasible", 23, None),
+    ("found", 22,
+     ((30, 7, 0, 12), (20, 4, 8, 26), (14, 15, 1, 9), (18, 29, 3, 31), (25, 21, 5, 10), (17, 11, 19, 23))),
+    ("found", 6, ((6, 10, 1, 15), (12, 11, 19, 13), (3, 25, 7, 20))),
+    ("found", 14, ((20, 8, 6, 11), (0, 2, 16, 15), (19, 9, 4, 17), (23, 18, 22, 3))),
+    ("found", 7, ((2, 9, 4, 1), (16, 15, 25, 7), (24, 17, 8, 14), (19, 21, 12, 20), (10, 27, 26, 5))),
+    ("found", 36,
+     ((14, 4, 3, 1), (12, 8, 0, 6), (20, 15, 7, 16), (11, 13, 10, 22), (23, 17, 9, 19), (2, 21, 5, 18))),
+    ("infeasible", 8, None),
+    ("found", 7, ((7, 0, 17, 3), (5, 9, 24, 26), (22, 10, 25, 8), (4, 23, 6, 19))),
+    ("infeasible", 61, None),
+    ("found", 106,
+     ((5, 8, 6, 1), (2, 12, 4, 7), (23, 19, 22, 15), (17, 18, 10, 0), (3, 13, 16, 14), (21, 20, 9, 11))),
+    ("found", 4, ((9, 14, 15, 3), (25, 18, 12, 8), (27, 22, 21, 24))),
+    ("found", 11, ((14, 1, 25, 8), (15, 11, 21, 29), (28, 24, 7, 9), (20, 5, 13, 27))),
+    ("found", 16, ((17, 10, 16, 11), (9, 14, 2, 20), (0, 18, 13, 19), (5, 15, 4, 7), (6, 21, 22, 3))),
+    ("found", 22,
+     ((25, 3, 16, 7), (21, 8, 17, 10), (15, 12, 0, 4), (1, 14, 19, 11), (22, 5, 18, 27), (2, 9, 24, 20))),
+    ("found", 6, ((17, 7, 0, 12), (10, 27, 15, 18), (14, 22, 1, 20))),
+    ("infeasible", 5, None),
+    ("found", 9, ((3, 2, 0, 13), (8, 12, 5, 19), (22, 11, 20, 18), (21, 10, 23, 1), (7, 17, 6, 15))),
+    ("found", 58,
+     ((6, 1, 2, 4), (24, 14, 8, 17), (18, 23, 0, 15), (10, 22, 5, 27), (13, 12, 9, 19), (26, 20, 7, 25))),
+]
+
+
 def random_parts(rng, n, m):
     """Four disjoint m-sets of 0..n-1, each in shuffled order."""
     pool = rng.sample(range(n), 4 * m)
@@ -822,15 +852,43 @@ class TestFourPartiteOf:
         # the D-free bulk alone spans nothing
         assert four_partite_of(G, [z[:9], z[9:18], z[18:27], z[27:]]).edges == frozenset()
 
-    def test_link_rows_are_sorted_and_masked(self):
+    def test_decoded_edges_are_transversal(self):
         rng = random.Random(4)
         G = random_codegree_instance(24, 7, 3)
         parts = random_parts(rng, 24, 5)
-        part4 = sum(1 << d for d in parts[3])
-        for row in four_partite_of(G, parts).links:
-            assert [(a, b) for a, b, _ in row] == sorted((a, b) for a, b, _ in row)
-            assert all(a in parts[1] and b in parts[2] for a, b, _ in row)
-            assert all(dmask and not dmask & ~part4 for _, _, dmask in row)
+        H = four_partite_of(G, parts)
+        edges = H.edges
+        assert edges
+        for e in edges:
+            assert all(e[i] in parts[i] for i in range(4))
+        assert sum(row.bit_count() for row in H.links) == len(edges)
+
+    def test_single_vertex_parts(self):
+        G = complete_3graph(8)
+        for parts in ([[5], [1], [7], [0]], [[0], [6], [2], [4]]):
+            H = four_partite_of(G, parts)
+            assert H.edges == quad_sweep(G, parts) == {tuple(p[0] for p in parts)}
+            stats = four_partite_degree_stats(H)
+            assert (stats["m"], stats["min_degree_part1"], stats["min_degree_triple"]) == (1, 1, 1)
+            res = four_partite_perfect_matching(H)
+            assert res.matching == (tuple(p[0] for p in parts),) and res.nodes == 2
+        H = four_partite_of(steiner_triple_system(9), [[0], [1], [2], [3]])
+        assert H.edges == frozenset() and four_partite_perfect_matching(H).status == "infeasible"
+
+    def test_pinned_search_order(self):
+        # Status, node count and matching of the search on seeded graphs
+        # read off random instances, as the (a, b, dmask) tuple links
+        # produced them; five are infeasible.  The bitset links must try
+        # edges in the same order.
+        rng = random.Random(44)
+        got = []
+        for trial in range(20):
+            m = 3 + trial % 4
+            n = rng.choice([24, 28, 32])
+            G = random_codegree_instance(n, rng.randint(1, 4), rng.randint(0, 10**6))
+            res = four_partite_perfect_matching(four_partite_of(G, random_parts(rng, n, m)))
+            got.append((res.status, res.nodes, res.matching))
+        assert got == PINNED_MATCHINGS
 
     def test_agrees_with_edge_list_adapter(self):
         rng = random.Random(8)
@@ -855,6 +913,29 @@ class TestFourPartiteLinks:
         parts = [rng.sample(range(i * 5, (i + 1) * 5), 5) for i in range(4)]
         edges = set(rng.sample(list(itertools.product(*parts)), 150))
         assert four_partite(parts, edges).edges == edges
+
+    def test_sparse_shuffled_ids(self):
+        # Parts drawn from 0..200 in shuffled order: the part-2 and part-4
+        # ids set the block width, and part-1 and part-3 ids may exceed it.
+        rng = random.Random(53)
+        for trial in range(30):
+            m = 1 + trial % 5
+            ids = rng.sample(range(201), 4 * m)
+            parts = [ids[i * m : (i + 1) * m] for i in range(4)]
+            pool = list(itertools.product(*parts))
+            k = rng.randint(0, len(pool)) if trial % 3 else len(pool) - rng.randint(0, m)
+            edges = set(rng.sample(pool, k=k))
+            H = four_partite(parts, edges)
+            assert H.edges == edges
+            stats = four_partite_degree_stats(H)
+            assert (stats["min_degree_part1"], stats["min_degree_triple"]) == naive_degree_stats(parts, edges)
+            res = four_partite_perfect_matching(H)
+            if res.status == "found":
+                assert set(res.matching) <= edges
+                for i in range(4):
+                    assert {e[i] for e in res.matching} == set(parts[i])
+            if m <= 4:  # the brute force takes seconds to refute m = 5
+                assert (res.status == "found") == (naive_four_partite_matching(parts, edges) is not None)
 
     def test_rejects_negative_vertex(self):
         with pytest.raises(InputError):

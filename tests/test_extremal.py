@@ -516,6 +516,36 @@ class TestStageT:
         assert state.matching_stats == dict(matching, gamma=0.5, condition_met=True)
         assert format_certificate(tiling, "perfect") == cert
 
+    def test_planted_96(self):
+        # Measured with the (a, b, dmask) tuple links: one matching step
+        # per X vertex along the planted diagonal.
+        state, _ = run_stages(planted_extremal(96), tuple(range(24, 96)))
+        assert [c.vertices for c in state.t_copies] == [(i, 24 + i, 48 + i, 72 + i) for i in range(24)]
+        stats = state.matching_stats
+        assert {k: stats[k] for k in ("m", "min_degree_part1", "min_degree_triple", "nodes")} == {
+            "m": 24,
+            "min_degree_part1": 13824,
+            "min_degree_triple": 24,
+            "nodes": 25,
+        }
+
+    def test_no_graph_without_budget(self, monkeypatch):
+        # With no budget left stage T fails before building its 4-partite
+        # graph or reporting its degree condition.
+        def refuse(*args, **kwargs):
+            raise AssertionError("stage T built its graph with no budget left")
+
+        monkeypatch.setattr(dtiling.extremal, "four_partite_of", refuse)
+        G = planted_extremal(32)
+        state = PipelineState(partition=partition_XYZ(G, range(8, 32), alpha=0.3))
+        build_Q(G, state)
+        build_R(G, state)
+        build_S(G, state)
+        diagnostics = list(state.diagnostics)
+        with pytest.raises(StageFailure, match="stage Q spent the budget"):
+            build_T(G, state, None)
+        assert state.diagnostics == diagnostics and state.matching_stats == {}
+
     def test_no_quad_sweep(self, monkeypatch):
         # Stage T reads its 4-partite graph off the pair index; testing the
         # m^4 transversal 4-sets one at a time is what it replaced.
