@@ -4,7 +4,7 @@ pattern (two edges sharing two vertices), under codegree-style density.
 The package provides the data model (`core`), extremal and design-based
 instance generators (`constructions`), exact solvers and oracles
 (`exact`), the staged pipeline for near-extremal instances (`extremal`),
-local-search near-perfect tiling (`localsearch`), randomized absorption
+the greedy near-perfect tiling (`localsearch`), randomized absorption
 (`absorb`), text formats (`io`), and a layered driver plus CLI (`cli`).
 """
 
@@ -46,7 +46,6 @@ from .core import (
     induced_subgraph,
     is_D_free,
     iter_D_copies,
-    link_of_vertex_on_set,
     map_copy,
     min_codegree,
     quad_spans_D,
@@ -85,18 +84,6 @@ from .io import (
     write_certificate,
     write_instance,
 )
-from .localsearch import (
-    AugmentationMove,
-    BigSmallSplit,
-    LocalSearchResult,
-    apply_move,
-    classify_big_small,
-    find_big_swap_move,
-    find_grow_move,
-    find_split_move,
-    find_two_path,
-    greedy_tiling,
-    near_perfect_tiling,
-)
+from .localsearch import LocalSearchResult, greedy_tiling, near_perfect_tiling
 
 __all__ = [name for name in dir() if not name.startswith("_")]

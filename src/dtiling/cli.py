@@ -7,9 +7,9 @@ extremal threshold t = (1 - eps) 3n/4?), and above that it takes a greedy
 set.  When |S| > 3n/4 the instance is refuted at once by the space
 barrier: every copy of a perfect tiling needs a vertex outside S.  Else
 it runs the extremal pipeline when |S| >= t, otherwise sets aside an
-absorbing family, tiles the rest near-perfectly, and absorbs the
-leftover; those steps take their part of G as a vertex mask, so no
-subgraph is copied or relabelled.  In auto mode any branch failure
+absorbing family, tiles the rest by the greedy maximal tiling, and
+absorbs the leftover; those steps take their part of G as a vertex mask,
+so no subgraph is copied or relabelled.  In auto mode any branch failure
 falls back to the exact solver; forced modes report their own stall
 instead.  Exit codes: 0 tiled, 2 proven infeasible (by the space barrier
 or by the exact search), 3 search exhausted or stalled, 64 usage errors
@@ -86,7 +86,6 @@ class DriverParams:
     mode: str = "auto"  # auto | extremal | absorb | exact
     eps: float = 0.25
     alpha: float = 0.3
-    gamma: float = 0.1
     seed: int = 0
     node_limit: int = SearchBudget.node_limit
     time_limit: float = SearchBudget.time_limit
@@ -146,15 +145,15 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
         raise InputError(f"unknown mode {params.mode!r}")
     if G.n % 4:
         raise InputError(f"perfect tiling needs 4 | n, got n={G.n}")
-    eps, alpha, gamma = params.eps, params.alpha, params.gamma
+    eps, alpha = params.eps, params.alpha
     warnings: list[str] = []
     if params.paper_constants:
-        eps, alpha, gamma = PAPER_EPS0, PAPER_ALPHA, PAPER_ALPHA
+        eps, alpha = PAPER_EPS0, PAPER_ALPHA
         warnings.append(
-            "paper constants installed (eps=1e-18, alpha=gamma=1e-6); "
+            "paper constants installed (eps=1e-18, alpha=1e-6); "
             "randomized stages will usually no-op at feasible n"
         )
-    for name, value in (("eps", eps), ("alpha", alpha), ("gamma", gamma)):
+    for name, value in (("eps", eps), ("alpha", alpha)):
         if not 0 < value < 1:
             raise InputError(f"{name} must lie in (0, 1), got {value}")
 
@@ -164,7 +163,6 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
             "mode": params.mode,
             "eps": eps,
             "alpha": alpha,
-            "gamma": gamma,
             "seed": params.seed,
             "paper_constants": params.paper_constants,
         },
@@ -233,7 +231,7 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
                 return finish("exhausted", None)
 
     if params.mode == "absorb" or (params.mode == "auto" and not extremal_instance):
-        outcome = _try_absorb_branch(G, params, alpha, gamma, budget, report, clocked)
+        outcome = _try_absorb_branch(G, params, alpha, budget, report, clocked)
         if outcome is not None:
             return finish("tiled", outcome)
         if params.mode == "absorb":
@@ -250,8 +248,8 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
     return finish("infeasible" if res.status == INFEASIBLE else "exhausted", None)
 
 
-def _try_absorb_branch(G, params, alpha, gamma, budget, report, clocked):
-    """Family + local search + absorption; None means the branch gave up."""
+def _try_absorb_branch(G, params, alpha, budget, report, clocked):
+    """Family + greedy tiling + absorption; None means the branch gave up."""
     aparams = AbsorptionParams(alpha=alpha, seed=params.seed)
     try:
         family = clocked("family", build_absorbing_family, G, aparams)
@@ -271,7 +269,7 @@ def _try_absorb_branch(G, params, alpha, gamma, budget, report, clocked):
     }
     family_mask = mask_of(family.covered)
     rest = ((1 << G.n) - 1) & ~family_mask
-    ls = clocked("local_search", near_perfect_tiling, G, gamma, within=rest)
+    ls = clocked("local_search", near_perfect_tiling, G, within=rest)
     report["local_search"] = ls.report
     leftover = rest & ~mask_of(ls.tiling.covered)
     report["leftover"] = leftover.bit_count()
@@ -333,7 +331,6 @@ def _build_parser() -> _Parser:
     solve.add_argument("file", help="instance file, or - for stdin")
     solve.add_argument("--mode", choices=["auto", "extremal", "absorb", "exact"], default=DriverParams.mode)
     solve.add_argument("--alpha", type=float, default=DriverParams.alpha)
-    solve.add_argument("--gamma", type=float, default=DriverParams.gamma)
     solve.add_argument("--eps", type=float, default=DriverParams.eps)
     solve.add_argument("--seed", type=int, default=DriverParams.seed)
     solve.add_argument("--node-limit", type=int, default=DriverParams.node_limit)
@@ -394,7 +391,6 @@ def _cmd_solve(args) -> int:
         mode=args.mode,
         eps=args.eps,
         alpha=args.alpha,
-        gamma=args.gamma,
         seed=args.seed,
         node_limit=args.node_limit,
         time_limit=args.time_limit,

@@ -294,20 +294,6 @@ def min_codegree(G: Hypergraph3) -> int:
     return min(min(map(int.bit_count, row.values())) for row in rows)
 
 
-def link_of_vertex_on_set(G: Hypergraph3, v: int, W) -> set[tuple[int, int]]:
-    """Pairs {w, w'} inside W that form an edge together with v."""
-    W = set(W)
-    if v in W:
-        raise InputError(f"vertex {v} must not belong to the ground set")
-    wmask = mask_of(W)
-    link = set()
-    for w in sorted(W):
-        for w2 in bits_of(G.pair_bits(v, w) & wmask):
-            if w2 > w:
-                link.add((w, w2))
-    return link
-
-
 def iter_D_copies(G: Hypergraph3, within=None):
     """Yield copies in canonical order: by shared pair, then private pair.
 

@@ -218,9 +218,7 @@ class _Clock:
         self.nodes += 1
         if self.nodes > self.budget.node_limit:
             return True
-        if self.nodes % 256 == 0 and time.perf_counter() > self.deadline:
-            return True
-        return False
+        return time.perf_counter() > self.deadline
 
     @property
     def elapsed(self) -> float:

@@ -182,7 +182,7 @@ class TestSolve:
     def test_parser_defaults_are_the_driver_defaults(self):
         args = _build_parser().parse_args(["solve", "x"])
         shared = [f.name for f in fields(DriverParams) if hasattr(args, f.name)]
-        assert len(shared) == 8
+        assert len(shared) == 7
         assert {name: getattr(args, name) for name in shared} == {
             name: getattr(DriverParams(), name) for name in shared
         }

@@ -18,7 +18,6 @@ from dtiling import (
     induced_subgraph,
     is_D_free,
     iter_D_copies,
-    link_of_vertex_on_set,
     map_copy,
     min_codegree,
     quad_spans_D,
@@ -127,25 +126,6 @@ class TestCodegree:
         for G in graphs:
             pairs = itertools.combinations(range(G.n), 2)
             assert min_codegree(G) == min(codegree(G, u, v) for u, v in pairs)
-
-
-class TestLink:
-    def test_complete(self):
-        G = complete_3graph(5)
-        assert link_of_vertex_on_set(G, 0, {1, 2, 3}) == {(1, 2), (1, 3), (2, 3)}
-
-    def test_edgeless(self):
-        G = build(6, [])
-        assert link_of_vertex_on_set(G, 0, {1, 2, 3, 4}) == set()
-
-    def test_direct_read_off(self):
-        G = build(4, [(0, 1, 2), (0, 2, 3)])
-        assert link_of_vertex_on_set(G, 0, {1, 2, 3}) == {(1, 2), (2, 3)}
-
-    def test_v_in_w(self):
-        G = complete_3graph(5)
-        with pytest.raises(InputError):
-            link_of_vertex_on_set(G, 1, {1, 2})
 
 
 class TestCopies:

@@ -106,6 +106,13 @@ class TestPerfect:
         res = perfect_tiling_exact(complete_3graph(16), SearchBudget(node_limit=1))
         assert res.status == "exhausted"
 
+    def test_time_limit_is_read_at_every_node(self):
+        # Unbudgeted, this search takes 541 nodes; a node on a large
+        # catalog can cost a good part of a second, so the clock must not
+        # wait for a count of nodes before it stops the search.
+        res = perfect_tiling_exact(planted_extremal(32), SearchBudget(time_limit=1e-9))
+        assert (res.status, res.nodes) == ("exhausted", 1)
+
     def test_catalog_outside_the_mask_is_refused(self):
         for seed in range(10):
             G = random_codegree_instance(16, 4, seed)

@@ -21,7 +21,7 @@ from dtiling import cli
 
 def expected_report(n, edges, codegree, dfree_size, p, leftover):
     """The full driver report of an auto-mode solve that ends in the
-    non-extremal branch with one absorbing member and no local-search move."""
+    non-extremal branch with one absorbing member."""
     return {
         "attempts": [{"branch": "non-extremal", "outcome": "tiled"}],
         "branch": "non-extremal",
@@ -36,18 +36,10 @@ def expected_report(n, edges, codegree, dfree_size, p, leftover):
         "family": {"covered": 8, "members": 1, "p": p},
         "instance": {"edges": edges, "min_codegree": codegree, "n": n},
         "leftover": leftover,
-        "local_search": {
-            "leftover": leftover,
-            "leftover_trajectory": [leftover],
-            "moves": {"big_swap": 0, "grow": 0, "split": 0},
-            "stopping_reason": "stalled" if leftover else "perfect",
-            "target_leftover": 500.0,
-            "target_vacuous": True,
-        },
+        "local_search": {"leftover": leftover},
         "params": {
             "alpha": 0.3,
             "eps": 0.25,
-            "gamma": 0.1,
             "mode": "auto",
             "paper_constants": False,
             "seed": 0,

@@ -13,11 +13,9 @@ from dtiling import (
     SearchBudget,
     Tiling,
     build,
-    classify_big_small,
     complete_3graph,
     construct_G0,
     construct_G1,
-    find_grow_move,
     greedy_tiling,
     induced_perfect_tiling,
     induced_subgraph,
@@ -29,7 +27,6 @@ from dtiling import (
     random_codegree_instance,
 )
 from dtiling.core import mask_of
-from test_localsearch import big_swap_instance
 
 # Exhausted searches are compared too, so cap them by nodes only: a wall
 # clock stop would depend on the machine.
@@ -119,46 +116,35 @@ def embedded(base, extra: int, seed: int):
     return build(n, edges), S
 
 
-def split_instance():
-    """One seeded copy whose two hubs each see every pair of W: the
-    greedy tiling stops at that copy, and a split move trades it for two."""
-    W = range(4, 28)
-    edges = [(0, 1, 2), (0, 1, 3)]
-    edges += [(h, a, b) for h in (0, 1) for a, b in itertools.combinations(W, 2)]
-    return build(28, edges)
+LOCAL_CASES = [lambda: random_codegree_instance(20, 4, 3), lambda: complete_3graph(16)]
 
 
-LOCAL_CASES = [
-    (split_instance, "split"),
-    (big_swap_instance, "big_swap"),
-    (lambda: random_codegree_instance(20, 4, 3), None),
-    (lambda: complete_3graph(16), None),
-]
-
-
-@pytest.mark.parametrize("make, move", LOCAL_CASES, ids=["split", "big_swap", "random", "complete"])
+@pytest.mark.parametrize("make", LOCAL_CASES, ids=["random", "complete"])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_near_perfect_matches_induced(make, move, seed):
+def test_near_perfect_matches_induced(make, seed):
     G, S = embedded(make(), extra=6, seed=seed)
     H, mapping = induced_subgraph(G, S)
-    ref = near_perfect_tiling(H, gamma=0.1)
-    got = near_perfect_tiling(G, gamma=0.1, within=mask_of(S))
+    ref = near_perfect_tiling(H)
+    got = near_perfect_tiling(G, within=mask_of(S))
     assert got.report == ref.report
     assert got.tiling.copies == mapped(ref.tiling, mapping).copies
-    if move is not None:
-        assert ref.report["moves"][move] >= 1
 
 
-def test_greedy_and_classify_match_induced():
-    G, S = embedded(big_swap_instance(), extra=6, seed=4)
+def hub_instance():
+    """Two seeded copies, each carrying one hub that sees every pair of
+    the 24 other vertices, and a third copy among the non-hub vertices of
+    the two: the greedy tiling takes the first two and strands the third."""
+    W = range(8, 32)
+    edges = [(0, 1, 2), (0, 1, 3), (4, 5, 6), (4, 5, 7)]
+    edges += [(h, a, b) for h in (0, 4) for a, b in itertools.combinations(W, 2)]
+    edges += [(1, 2, 5), (1, 2, 6)]
+    return build(32, edges)
+
+
+def test_greedy_matches_induced():
+    G, S = embedded(hub_instance(), extra=6, seed=4)
     H, mapping = induced_subgraph(G, S)
-    within = mask_of(S)
-    tiling = greedy_tiling(G, within)
-    assert tiling.copies == mapped(greedy_tiling(H), mapping).copies
-    split, ref = classify_big_small(G, tiling, within), classify_big_small(H, greedy_tiling(H))
-    assert split.big == frozenset(mapping[v] for v in ref.big)
-    assert split.uncovered == frozenset(mapping[v] for v in ref.uncovered)
-    assert find_grow_move(G, tiling, within) is None
+    assert greedy_tiling(G, mask_of(S)).copies == mapped(greedy_tiling(H), mapping).copies
 
 
 def test_mask_size_not_divisible_by_4():
@@ -175,7 +161,7 @@ def test_mask_outside_G(mask):
     with pytest.raises(InputError, match="outside"):
         perfect_tiling_exact(G, within=mask)
     with pytest.raises(InputError, match="outside"):
-        near_perfect_tiling(G, gamma=0.1, within=mask)
+        near_perfect_tiling(G, within=mask)
 
 
 def test_empty_mask_is_tiled_by_nothing():
