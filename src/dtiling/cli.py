@@ -11,9 +11,13 @@ absorbing family, tiles the rest by the greedy maximal tiling, and
 absorbs the leftover; those steps take their part of G as a vertex mask,
 so no subgraph is copied or relabelled.  In auto mode any branch failure
 falls back to the exact solver; forced modes report their own stall
-instead.  Exit codes: 0 tiled, 2 proven infeasible (by the space barrier
-or by the exact search), 3 search exhausted or stalled, 64 usage errors
-and malformed or oversized input.
+instead.  One ``SearchBudget``, made when the solve starts, is the node
+pool and deadline of every search in it: the certificate's decisions,
+stages Q and T, the leftover search and the fallback.  Building the quad
+catalog and the absorption layer's own searches run outside it.  Exit
+codes: 0 tiled, 2 proven infeasible (by the space barrier or by the
+exact search), 3 search exhausted or stalled, 64 usage errors and
+malformed or oversized input.
 """
 
 from __future__ import annotations
@@ -105,40 +109,34 @@ def _dfree_certificate(G: Hypergraph3, threshold: float, budget: SearchBudget):
     and the quad catalog built on the way (None on the greedy path).
 
     Up to ``EXACT_DFREE_MAX_N`` vertices, two decisions on one catalog,
-    sharing ``budget``: is there a D-free set above 3n/4 (the space
-    barrier), and if not, one of ``ceil(threshold)`` vertices?  The second
-    gets what the first left of the budget, and is not asked when nothing
-    is left.  The first witness found is extended to a maximal set.  When
-    both are refuted or the budget runs out, S is the greedy set, so a
-    forced extremal solve still gets a seed.  Larger instances only take
-    the greedy set, which is maximal as it stands.
+    both ticking the solve's ``budget``: is there a D-free set above 3n/4
+    (the space barrier), and if not, one of ``ceil(threshold)`` vertices?
+    The first witness found is extended to a maximal set.  When both are
+    refuted or the budget runs out, S is the greedy set, so a forced
+    extremal solve still gets a seed.  Larger instances only take the
+    greedy set, which is maximal as it stands.
     """
     if G.n > EXACT_DFREE_MAX_N:
         S = greedy_D_free_set(G)
         outcome = "witness" if len(S) >= threshold else "unknown"
         return S, {"method": "greedy", "nodes": 0, "outcome": outcome}, None
     cat = quad_catalog(G)
-    nodes, seconds = 0, 0.0
+    first = budget.nodes
     for size in (3 * G.n // 4 + 1, math.ceil(threshold)):
-        left = budget.remainder(nodes, seconds)
-        if left is None:
-            status = EXHAUSTED
+        res = decide_D_free_set(G, size, budget, cat)
+        if res.status != INFEASIBLE:
             break
-        res = decide_D_free_set(G, size, left, cat)
-        nodes += res.nodes
-        seconds += res.elapsed
-        status = res.status
-        if status != INFEASIBLE:
-            break
-    S = extend_to_maximal_D_free(G, res.vertices) if status == FOUND else greedy_D_free_set(G)
-    outcome = {FOUND: "witness", INFEASIBLE: "refuted", EXHAUSTED: "exhausted"}[status]
-    method = "exact-budget" if status == EXHAUSTED else "exact"
-    return S, {"method": method, "nodes": nodes, "outcome": outcome}, cat
+    S = extend_to_maximal_D_free(G, res.vertices) if res.status == FOUND else greedy_D_free_set(G)
+    outcome = {FOUND: "witness", INFEASIBLE: "refuted", EXHAUSTED: "exhausted"}[res.status]
+    method = "exact-budget" if res.status == EXHAUSTED else "exact"
+    return S, {"method": method, "nodes": budget.nodes - first, "outcome": outcome}, cat
 
 
 def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverResult:
-    """Run the layered strategy; the report explains every branch taken."""
+    """Run the layered strategy under one search budget; the report
+    explains every branch taken."""
     params = params or DriverParams()
+    budget = SearchBudget(params.node_limit, params.time_limit)
     if G.n > MAX_N:
         raise InputError(f"the solver takes at most {MAX_N} vertices, got n={G.n}")
     if params.mode not in ("auto", "extremal", "absorb", "exact"):
@@ -170,7 +168,6 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
         "warnings": warnings,
     }
     timings: dict[str, float] = {}
-    budget = SearchBudget(params.node_limit, params.time_limit)
 
     def clocked(name: str, fn, *args, **kwargs):
         t0 = time.perf_counter()
@@ -193,9 +190,8 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
     S: tuple[int, ...] = ()
     catalog = None
     if params.mode in ("auto", "extremal"):
-        cert_budget = SearchBudget(min(params.node_limit, 2_000_000), min(params.time_limit, 10.0))
         threshold = (1 - eps) * (3 * G.n / 4)
-        S, fields, catalog = clocked("certificate", _dfree_certificate, G, threshold, cert_budget)
+        S, fields, catalog = clocked("certificate", _dfree_certificate, G, threshold, budget)
         extremal_instance = len(S) >= threshold
         report["dfree"] = {
             "size": len(S),
@@ -272,7 +268,6 @@ def _try_absorb_branch(G, params, alpha, budget, report, clocked):
     ls = clocked("local_search", near_perfect_tiling, G, within=rest)
     report["local_search"] = ls.report
     leftover = rest & ~mask_of(ls.tiling.covered)
-    report["leftover"] = leftover.bit_count()
     try:
         absorbed = clocked("absorb", absorb_leftover, G, family, bits_of(leftover))
         report["branch"] = "non-extremal"
@@ -333,8 +328,12 @@ def _build_parser() -> _Parser:
     solve.add_argument("--alpha", type=float, default=DriverParams.alpha)
     solve.add_argument("--eps", type=float, default=DriverParams.eps)
     solve.add_argument("--seed", type=int, default=DriverParams.seed)
-    solve.add_argument("--node-limit", type=int, default=DriverParams.node_limit)
-    solve.add_argument("--time-limit", type=float, default=DriverParams.time_limit)
+    solve.add_argument(
+        "--node-limit", type=int, default=DriverParams.node_limit, help="search nodes for the whole solve"
+    )
+    solve.add_argument(
+        "--time-limit", type=float, default=DriverParams.time_limit, help="deadline in seconds for the whole solve"
+    )
     solve.add_argument("--cert", default=None, help="certificate output path")
     solve.add_argument("--paper-constants", action="store_true")
     solve.add_argument("--no-timings", action="store_true", help="omit timings for byte-stable output")
@@ -400,12 +399,11 @@ def _cmd_solve(args) -> int:
     result = solve_driver(G, params)
     report = result.report
     if result.tiling is not None:
-        kind = "perfect" if len(result.tiling.covered) == G.n else "partial"
-        text = format_certificate(result.tiling, kind)
+        text = format_certificate(result.tiling, "perfect")
         if args.cert:
-            write_certificate(result.tiling, args.cert, kind)
+            write_certificate(result.tiling, args.cert, "perfect")
             reread = read_certificate(args.cert)
-            verdict = validate_tiling(G, reread.tiling, require_perfect=kind == "perfect")
+            verdict = validate_tiling(G, reread.tiling, require_perfect=True)
             if not verdict.ok:
                 raise AssertionError(f"written certificate failed revalidation: {verdict.violations}")
             report["certificate"] = args.cert

@@ -47,12 +47,15 @@ d-Hitting Set (Niedermeier and Rossmanith, 2003) with at most n - size
 removals.  It refutes a branch once its greedy packing needs more
 removals than are left and stops at the first witness.  ``max_D_free_set``
 is a loop of these questions, each asking for one vertex more than the
-last witness, under one shared budget.
+last witness, on one budget.
 
-Budgets cap explored nodes and wall-clock time; an exhausted budget is
-reported as ``exhausted`` and never as a proof.  The maximum searches
-still return their best effort then, the largest tiling or D-free set
-found so far; the perfect tiling search has no partial answer to return.
+A ``SearchBudget`` is a pool of nodes and a deadline, and every search
+ticks the budget it is given once per node: searches handed the same
+budget share it, so the driver holds one for the whole solve.  An
+exhausted budget is reported as ``exhausted`` and never as a proof.  The
+maximum searches still return their best effort then, the largest tiling
+or D-free set found so far; the perfect tiling search has no partial
+answer to return.
 
 ``tileable`` answers the yes/no question for sets of at most 16 vertices
 straight from the pair index, without building a subgraph or a catalog;
@@ -102,26 +105,35 @@ _HITTING_CAP = 100_000
 
 @dataclass
 class SearchBudget:
-    """Node and wall-clock caps for one budgeted search: the three catalog
-    searches and the 4-partite matching.  A run of searches shares one
-    budget by passing each the ``remainder`` of the last, as
-    ``max_D_free_set`` does, and stage T of the extremal pipeline gets
-    what stage Q left.  Only ``tileable`` runs without a budget."""
+    """A pool of ``node_limit`` search nodes and a deadline ``time_limit``
+    seconds after the budget is made, spent by every search it is handed:
+    the three catalog searches and the 4-partite matching.  ``nodes``
+    counts the nodes spent so far, across searches, so searches that share
+    a budget share its pool and its deadline.  Only ``tileable`` runs
+    without a budget."""
 
     node_limit: int = 10_000_000
     time_limit: float = 60.0
+    nodes: int = field(default=0, init=False, compare=False)
+    deadline: float = field(default=0.0, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # Written as "not > 0" so that NaN, which fails every comparison,
         # is refused too.
         if not (self.node_limit > 0 and self.time_limit > 0):
             raise InputError("search budget must be positive")
+        self.deadline = time.perf_counter() + self.time_limit
 
-    def remainder(self, nodes: int, seconds: float) -> SearchBudget | None:
-        """What is left after searches that spent ``nodes`` nodes and
-        ``seconds`` seconds of this budget, or None when nothing is."""
-        nodes, seconds = self.node_limit - nodes, self.time_limit - seconds
-        return SearchBudget(nodes, seconds) if nodes > 0 and seconds > 0 else None
+    def tick(self) -> bool:
+        """Count one node; True when it is past the pool or the deadline."""
+        self.nodes += 1
+        return self.nodes > self.node_limit or time.perf_counter() > self.deadline
+
+    @property
+    def spent(self) -> bool:
+        """Whether the pool or the deadline has run out: the next search
+        would stop at its first node."""
+        return self.nodes >= self.node_limit or time.perf_counter() > self.deadline
 
 
 @dataclass(frozen=True)
@@ -204,25 +216,6 @@ class SetSearchResult:
     vertices: tuple[int, ...]
     nodes: int
     elapsed: float
-
-
-class _Clock:
-    def __init__(self, budget: SearchBudget):
-        self.budget = budget
-        self.start = time.perf_counter()
-        self.deadline = self.start + budget.time_limit
-        self.nodes = 0
-
-    def tick(self) -> bool:
-        """Count a node; True when the budget just ran out."""
-        self.nodes += 1
-        if self.nodes > self.budget.node_limit:
-            return True
-        return time.perf_counter() > self.deadline
-
-    @property
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.start
 
 
 def _kill(cat: QuadCatalog, i: int) -> int:
@@ -319,11 +312,11 @@ def perfect_tiling_exact(
     budget = budget or SearchBudget()
     cat = _catalog_on(G, full, catalog)
     inc = cat.inc
-    clock = _Clock(budget)
+    tick, first, start = budget.tick, budget.nodes, time.perf_counter()
     chosen: list[int] = []
 
     def rec(covered: int, alive: int) -> str:
-        if clock.tick():
+        if tick():
             return EXHAUSTED
         if covered == full:
             return FOUND
@@ -350,7 +343,9 @@ def perfect_tiling_exact(
 
     status = rec(0, cat.all_quads)
     tiling = _witness(G, cat, chosen, cover=full) if status == FOUND else None
-    return TilingSearchResult(status=status, tiling=tiling, nodes=clock.nodes, elapsed=clock.elapsed)
+    return TilingSearchResult(
+        status=status, tiling=tiling, nodes=budget.nodes - first, elapsed=time.perf_counter() - start
+    )
 
 
 TILEABLE_MAX_VERTICES = 16
@@ -415,14 +410,14 @@ def max_tiling_exact(
     budget = budget or SearchBudget()
     cat = _catalog_on(G, (1 << G.n) - 1, catalog)
     inc = cat.inc
-    clock = _Clock(budget)
+    tick, first, start = budget.tick, budget.nodes, time.perf_counter()
     best: list[int] = _greedy_packing(cat, cat.all_quads)
     chosen: list[int] = []
 
     def rec(free: int, alive: int) -> bool:
         """Returns True when the budget ran out inside this subtree."""
         nonlocal best
-        if clock.tick():
+        if tick():
             return True
         verts = bits_of(free)
         options = [(c, v) for c, v in zip(_counts(cat, alive, verts), verts) if c]
@@ -448,8 +443,8 @@ def max_tiling_exact(
     return TilingSearchResult(
         status=EXHAUSTED if ran_out else FOUND,
         tiling=_witness(G, cat, best),
-        nodes=clock.nodes,
-        elapsed=clock.elapsed,
+        nodes=budget.nodes - first,
+        elapsed=time.perf_counter() - start,
     )
 
 
@@ -460,27 +455,26 @@ def max_D_free_set(G: Hypergraph3, budget: SearchBudget | None = None) -> SetSea
     from the complement of the greedy hitting set, it asks for one vertex
     more than the best set so far until a question is refuted (the best
     set is the optimum) or runs out of budget (the best set is best
-    effort).  All questions share ``budget``: each gets what its
-    predecessors left.  Intended for small orders (roughly n <= 24).  The
-    driver does not call it: it only needs to know whether a set of a
-    given size exists, which ``decide_D_free_set`` answers.
+    effort).  All questions tick ``budget``.  Intended for small orders
+    (roughly n <= 24).  The driver does not call it: it only needs to know
+    whether a set of a given size exists, which ``decide_D_free_set``
+    answers.
     """
     budget = budget or SearchBudget()
     cat = quad_catalog(G)
-    start = time.perf_counter()
+    first, start = budget.nodes, time.perf_counter()
     hit = _greedy_hitting(cat, cat.all_quads, range(G.n))
     best = tuple(v for v in range(G.n) if not ((hit >> v) & 1))
-    status, nodes = EXHAUSTED, 0
-    while (left := budget.remainder(nodes, time.perf_counter() - start)) is not None:
-        res = decide_D_free_set(G, len(best) + 1, left, cat)
-        nodes += res.nodes
-        if res.status != FOUND:
-            status = FOUND if res.status == INFEASIBLE else EXHAUSTED
-            break
+    while (res := decide_D_free_set(G, len(best) + 1, budget, cat)).status == FOUND:
         best = res.vertices
     if not is_D_free(G, best):
         raise AssertionError("maximum D-free search returned a set that spans a copy")
-    return SetSearchResult(status=status, vertices=best, nodes=nodes, elapsed=time.perf_counter() - start)
+    return SetSearchResult(
+        status=FOUND if res.status == INFEASIBLE else EXHAUSTED,
+        vertices=best,
+        nodes=budget.nodes - first,
+        elapsed=time.perf_counter() - start,
+    )
 
 
 def decide_D_free_set(
@@ -502,16 +496,16 @@ def decide_D_free_set(
     given, must be ``quad_catalog(G)``.
     """
     budget = budget or SearchBudget()
-    clock = _Clock(budget)
+    tick, first, start = budget.tick, budget.nodes, time.perf_counter()
     k = G.n - size
     if k < 0:
-        return SetSearchResult(status=INFEASIBLE, vertices=(), nodes=0, elapsed=clock.elapsed)
+        return SetSearchResult(status=INFEASIBLE, vertices=(), nodes=0, elapsed=time.perf_counter() - start)
     cat = _catalog_on(G, (1 << G.n) - 1, catalog)
     witness = 0
 
     def rec(removed: int, alive: int, banned: int, count: int) -> str:
         nonlocal witness
-        if clock.tick():
+        if tick():
             return EXHAUSTED
         packing = _greedy_packing(cat, alive, k - count + 1)
         if not packing:
@@ -536,7 +530,9 @@ def decide_D_free_set(
         vertices = tuple(v for v in range(G.n) if not ((witness >> v) & 1))
         if len(vertices) < size or not is_D_free(G, vertices):
             raise AssertionError("D-free decision returned a witness that is too small or spans a copy")
-    return SetSearchResult(status=status, vertices=vertices, nodes=clock.nodes, elapsed=clock.elapsed)
+    return SetSearchResult(
+        status=status, vertices=vertices, nodes=budget.nodes - first, elapsed=time.perf_counter() - start
+    )
 
 
 @dataclass(frozen=True)
@@ -686,7 +682,7 @@ def four_partite_perfect_matching(
     otherwise the branch dies.
     """
     budget = budget or SearchBudget()
-    clock = _Clock(budget)
+    tick, first, start = budget.tick, budget.nodes, time.perf_counter()
     second, third, w = _layout(H.parts)
     m = len(second)
     links = H.links
@@ -697,7 +693,7 @@ def four_partite_perfect_matching(
     picked: list[tuple[int, int, int]] = []
 
     def rec(i: int, free: int) -> str:
-        if clock.tick():
+        if tick():
             return EXHAUSTED
         if i == m:
             return FOUND
@@ -722,7 +718,9 @@ def four_partite_perfect_matching(
     matching = None
     if status == FOUND:
         matching = tuple((v,) + abd for v, abd in zip(H.parts[0], picked))
-    return MatchingResult(status=status, matching=matching, nodes=clock.nodes, elapsed=clock.elapsed)
+    return MatchingResult(
+        status=status, matching=matching, nodes=budget.nodes - first, elapsed=time.perf_counter() - start
+    )
 
 
 def _lane_min(planes: list[int], lanes: int) -> int:

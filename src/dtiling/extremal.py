@@ -237,24 +237,21 @@ def _one_y_catalog(G: Hypergraph3, ys, zs) -> QuadCatalog:
     return QuadCatalog(quads=tuple(quads), inc=_incidence(G.n, bits_of(ymask | zmask), quads), graph=G)
 
 
-def build_Q(
-    G: Hypergraph3, state: PipelineState, budget: SearchBudget | None = None
-) -> SearchBudget | None:
+def build_Q(G: Hypergraph3, state: PipelineState, budget: SearchBudget | None = None) -> None:
     """Maximum tiling by copies on one Y vertex and three Z vertices: a
-    maximum packing of those quads (no search when Y is empty).
-    ``q_mode`` is ``exhausted`` when ``budget`` stopped the search, and Q
-    is then the best packing found so far.  Returns what the search left
-    of ``budget``, None when nothing is.
+    maximum packing of those quads (no search when Y is empty).  The
+    search ticks ``budget``, which stage T then shares; ``q_mode`` is
+    ``exhausted`` when the budget stopped it, and Q is then the best
+    packing found so far.
     """
     part = state.partition
-    budget = budget or SearchBudget()
     state.ell = G.n // 4 - len(part.x)
-    state.q_mode, nodes, left = "exact", 0, budget
+    state.q_mode, nodes = "exact", 0
     if part.y:
         res = max_tiling_exact(G, budget, catalog=_one_y_catalog(G, part.y, part.z))
         state.q_mode = "exact" if res.optimal else "exhausted"
         state.q_copies = list(res.tiling.copies)
-        nodes, left = res.nodes, budget.remainder(res.nodes, res.elapsed)
+        nodes = res.nodes
     state.q = len(state.q_copies)
     for c in state.q_copies:
         if len(set(c.vertices) & set(part.z)) != 3 or len(set(c.vertices) & set(part.y)) != 1:
@@ -266,7 +263,6 @@ def build_Q(
             "detail": {"q": state.q, "ell": state.ell, "mode": state.q_mode, "nodes": nodes},
         }
     )
-    return left
 
 
 def build_R(G: Hypergraph3, state: PipelineState) -> None:
@@ -372,12 +368,13 @@ def build_S(G: Hypergraph3, state: PipelineState) -> None:
         )
 
 
-def build_T(G: Hypergraph3, state: PipelineState, budget: SearchBudget | None) -> Tiling:
+def build_T(G: Hypergraph3, state: PipelineState, budget: SearchBudget) -> Tiling:
     """Finish with an exact 4-partite matching on the X remainder and
     three ascending Z slices.  The 4-partite graph is built from the pair
     index (``four_partite_of``), so its edges are exactly the transversal
-    4-sets that span a copy.  ``budget`` is what stage Q's search left,
-    None when nothing is; then the stage fails before building anything."""
+    4-sets that span a copy.  The matching ticks ``budget``, the one stage
+    Q's search spent from; when it is already spent the stage fails before
+    building anything."""
     part = state.partition
     used = (
         state.used(state.q_copies)
@@ -399,8 +396,8 @@ def build_T(G: Hypergraph3, state: PipelineState, budget: SearchBudget | None) -
         if not verdict.ok:
             raise StageFailure("T", "; ".join(verdict.violations))
         return tiling
-    if budget is None:
-        raise StageFailure("T", "4-partite matching exhausted: stage Q spent the budget")
+    if budget.spent:
+        raise StageFailure("T", "4-partite matching exhausted: the budget is already spent")
     H = four_partite_of(G, (free_x, free_z[:m], free_z[m : 2 * m], free_z[2 * m :]))
     state.matching_stats = four_partite_degree_stats(H, gamma=0.5)
     state.diagnostics.append(
@@ -431,7 +428,8 @@ def run_extremal_pipeline(
     budget: SearchBudget | None = None,
 ) -> tuple[Tiling, dict]:
     """Partition around Z and run the four stages; returns the validated
-    perfect tiling and a JSON-friendly run report."""
+    perfect tiling and a JSON-friendly run report.  Stages Q and T search
+    on one budget, ``budget`` or a fresh ``SearchBudget``."""
     if G.n % 4:
         raise InputError(f"perfect tiling needs 4 | n, got n={G.n}")
     part = partition_XYZ(G, Z, alpha)
@@ -439,7 +437,8 @@ def run_extremal_pipeline(
     state.diagnostics.extend(part.diagnostics)
     k = G.n // 4
     eps0 = alpha**3
-    left = build_Q(G, state, budget)
+    budget = budget or SearchBudget()
+    build_Q(G, state, budget)
     state.diagnostics.append(
         {
             "name": "deficit_range",
@@ -456,7 +455,7 @@ def run_extremal_pipeline(
             "detail": {"q": state.q, "ell": state.ell},
         }
     )
-    tiling = build_T(G, state, left)
+    tiling = build_T(G, state, budget)
     report = {
         "alpha": alpha,
         "sizes": {

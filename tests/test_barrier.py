@@ -112,8 +112,10 @@ def test_sparse_random_barrier_exactly_when_the_optimum_passes_3n_4():
     [
         # The barrier question refutes in 1 node, the threshold one in 210.
         (10_000_000, {"method": "exact", "nodes": 211, "outcome": "refuted"}),
-        # The decisions share the budget: the barrier question spends 1
-        # node, the threshold one the 99 left plus the tick over them.
+        # The decisions share the solve's budget: the barrier question
+        # spends 1 node, the threshold one the 99 left plus the tick over
+        # them.  That spends the budget, so the fallback stops at its
+        # first node.
         (100, {"method": "exact-budget", "nodes": 101, "outcome": "exhausted"}),
     ],
 )
@@ -122,16 +124,22 @@ def test_undecided_certificate_falls_back_to_the_greedy_set(node_limit, fields):
     res = solve_driver(G, DriverParams(node_limit=node_limit, collect_timings=False))
     greedy = extend_to_maximal_D_free(G, greedy_D_free_set(G))
     assert res.report["dfree"] == {"size": len(greedy), "threshold": 9.0, "extremal": False, **fields}
-    assert res.status == "tiled" and res.report["branch"] == "exact-fallback"
+    assert res.report["branch"] == "exact-fallback"
+    if fields["outcome"] == "exhausted":
+        assert res.status == "exhausted"
+        assert res.report["exact"] == {"status": "exhausted", "nodes": 1, "optimal": False}
+    else:
+        assert res.status == "tiled"
 
 
-def test_a_spent_certificate_budget_skips_the_second_question():
-    # The barrier question refutes in the one node allowed, which leaves
-    # nothing to ask the threshold question with.
+def test_a_spent_certificate_budget_stops_the_second_question_at_once():
+    # The barrier question refutes in the one node allowed, so the
+    # threshold question is asked on a spent budget and stops at its first
+    # tick.
     G = random_codegree_instance(16, 4, 7)
     res = solve_driver(G, DriverParams(node_limit=1, collect_timings=False))
     greedy = extend_to_maximal_D_free(G, greedy_D_free_set(G))
-    fields = {"method": "exact-budget", "nodes": 1, "outcome": "exhausted"}
+    fields = {"method": "exact-budget", "nodes": 2, "outcome": "exhausted"}
     assert res.report["dfree"] == {"size": len(greedy), "threshold": 9.0, "extremal": False, **fields}
     assert res.status == "exhausted"
 

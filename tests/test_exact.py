@@ -261,13 +261,6 @@ class TestMaxDFree:
         assert is_D_free(G, res.vertices)
         assert len(res.vertices) >= 5
 
-    def test_budget_remainder(self):
-        budget = SearchBudget(node_limit=10, time_limit=1.0)
-        assert budget.remainder(4, 0.25) == SearchBudget(node_limit=6, time_limit=0.75)
-        assert budget.remainder(10, 0.0) is None
-        assert budget.remainder(11, 0.0) is None
-        assert budget.remainder(0, 1.0) is None
-
 
 class TestGreedyBounds:
     def test_hitting_hits_and_packing_stays_below(self):
@@ -1022,6 +1015,22 @@ class TestBudget:
             SearchBudget(time_limit=float("nan"))
         with pytest.raises(InputError):
             SearchBudget(node_limit=float("nan"))
+
+    def test_searches_share_one_pool(self):
+        # Each search reports its own nodes and the budget counts them all:
+        # the decision stops one tick past the 3 nodes of the pool, and a
+        # search handed the spent budget stops at its first tick.
+        G = random_codegree_instance(20, 5, 1)
+        budget = SearchBudget(node_limit=3, time_limit=600.0)
+        res = decide_D_free_set(G, 12, budget)
+        assert (res.status, res.nodes, budget.nodes, budget.spent) == ("exhausted", 4, 4, True)
+        res = max_tiling_exact(G, budget)
+        assert (res.status, res.nodes, budget.nodes) == ("exhausted", 1, 5)
+        assert budget == SearchBudget(node_limit=3, time_limit=600.0)
+
+    def test_deadline_runs_from_when_the_budget_is_made(self):
+        budget = SearchBudget(time_limit=1e-9)
+        assert budget.spent and budget.nodes == 0
 
     def test_witnesses_validate(self):
         G = random_codegree_instance(12, 3, 4)

@@ -377,28 +377,38 @@ class TestStageQ:
     def test_budget_stop_keeps_the_warm_start(self):
         G, part = many_poor_vertices()
         state = PipelineState(partition=part)
-        assert build_Q(G, state, SearchBudget(node_limit=1)) is None
-        assert state.q_mode == "exhausted"
+        budget = SearchBudget(node_limit=1)
+        build_Q(G, state, budget)
+        assert budget.spent and state.q_mode == "exhausted"
         assert [c.vertices for c in state.q_copies] == y_quads_first_fit(G, part.y, part.z)
         assert state.diagnostics[-1]["detail"] == {"q": 2, "ell": 7, "mode": "exhausted", "nodes": 2}
 
-    def test_returns_what_its_search_left(self):
-        G, part = many_poor_vertices()
-        left = build_Q(G, PipelineState(partition=part), SearchBudget(node_limit=1000, time_limit=10.0))
-        assert left.node_limit == 1000 - 361 and 0 < left.time_limit < 10.0
-        G = planted_extremal(32)
-        budget = SearchBudget(node_limit=5)
-        state = PipelineState(partition=partition_XYZ(G, range(8, 32), alpha=0.3))
-        assert build_Q(G, state, budget) is budget  # Y is empty: no search
-        build_R(G, state)
-        build_S(G, state)
-        with pytest.raises(StageFailure, match="stage Q spent the budget"):
-            build_T(G, state, None)
+    def test_stage_T_searches_on_what_stage_Q_spent(self):
+        # Stage Q's search spends 361 nodes of the budget.  Stage T of
+        # planted_extremal(32) then matches its m = 8 X vertices in m + 1
+        # nodes on the same budget, and stops when the pool is one short.
+        for node_limit, tiles in ((361 + 9, True), (361 + 8, False)):
+            G, part = many_poor_vertices()
+            budget = SearchBudget(node_limit=node_limit, time_limit=600.0)
+            build_Q(G, PipelineState(partition=part), budget)
+            assert budget.nodes == 361
+            G = planted_extremal(32)
+            state = PipelineState(partition=partition_XYZ(G, range(8, 32), alpha=0.3))
+            build_Q(G, state, budget)  # Y is empty: no search
+            assert budget.nodes == 361
+            build_R(G, state)
+            build_S(G, state)
+            if tiles:
+                assert validate_tiling(G, build_T(G, state, budget), require_perfect=True).ok
+                assert state.matching_stats["nodes"] == 9
+            else:
+                with pytest.raises(StageFailure, match="4-partite matching exhausted"):
+                    build_T(G, state, budget)
 
     @pytest.mark.parametrize("node_limit", [1, 3])
     def test_pipeline_under_a_tiny_budget(self, node_limit):
-        # Stage T gets what stage Q's search left of the budget: each run
-        # tiles, revalidated, or raises StageFailure.
+        # Stages Q and T share the budget: each run tiles, revalidated, or
+        # raises StageFailure.
         poor, part = many_poor_vertices()
         for G, Z in [(r_stage_gadget(), range(4, 12)), (s_stage_gadget(), range(4, 12)), (poor, part.z)]:
             try:
@@ -438,10 +448,11 @@ def relabelled_planted(n, seed):
 
 def run_stages(G, Z):
     state = PipelineState(partition=partition_XYZ(G, Z, alpha=0.3))
-    left = build_Q(G, state)
+    budget = SearchBudget()
+    build_Q(G, state, budget)
     build_R(G, state)
     build_S(G, state)
-    return state, build_T(G, state, left)
+    return state, build_T(G, state, budget)
 
 
 CERT_48 = (
@@ -530,8 +541,8 @@ class TestStageT:
         }
 
     def test_no_graph_without_budget(self, monkeypatch):
-        # With no budget left stage T fails before building its 4-partite
-        # graph or reporting its degree condition.
+        # With the shared budget spent stage T fails before building its
+        # 4-partite graph or reporting its degree condition.
         def refuse(*args, **kwargs):
             raise AssertionError("stage T built its graph with no budget left")
 
@@ -542,8 +553,10 @@ class TestStageT:
         build_R(G, state)
         build_S(G, state)
         diagnostics = list(state.diagnostics)
-        with pytest.raises(StageFailure, match="stage Q spent the budget"):
-            build_T(G, state, None)
+        budget = SearchBudget(node_limit=1)
+        budget.tick()
+        with pytest.raises(StageFailure, match="the budget is already spent"):
+            build_T(G, state, budget)
         assert state.diagnostics == diagnostics and state.matching_stats == {}
 
     def test_no_quad_sweep(self, monkeypatch):

@@ -35,7 +35,6 @@ def expected_report(n, edges, codegree, dfree_size, p, leftover):
         },
         "family": {"covered": 8, "members": 1, "p": p},
         "instance": {"edges": edges, "min_codegree": codegree, "n": n},
-        "leftover": leftover,
         "local_search": {"leftover": leftover},
         "params": {
             "alpha": 0.3,

@@ -28,9 +28,12 @@ from dtiling import (
 )
 from dtiling.core import mask_of
 
-# Exhausted searches are compared too, so cap them by nodes only: a wall
-# clock stop would depend on the machine.
-BUDGET = SearchBudget(node_limit=100, time_limit=600.0)
+
+def budget() -> SearchBudget:
+    """A fresh budget per search, so no search spends another's nodes.
+    Exhausted searches are compared too, so it caps them by nodes only: a
+    wall clock stop would depend on the machine."""
+    return SearchBudget(node_limit=100, time_limit=600.0)
 
 
 def mapped(tiling, mapping) -> Tiling:
@@ -67,7 +70,7 @@ def searches(i: int):
     the mask, plus the map from the induced subgraph's ids to G's."""
     G, S = MASKS[i]
     H, mapping = induced_subgraph(G, S)
-    return perfect_tiling_exact(H, BUDGET), perfect_tiling_exact(G, BUDGET, within=mask_of(S)), mapping
+    return perfect_tiling_exact(H, budget()), perfect_tiling_exact(G, budget(), within=mask_of(S)), mapping
 
 
 @pytest.mark.parametrize("i", range(len(MASKS)))
