@@ -18,7 +18,6 @@ from .absorb import (
     build_absorbing_family,
     desk_sampling_rate,
     estimate_absorber_density,
-    induced_perfect_tiling,
     validate_family,
 )
 from .cli import DriverParams, DriverResult, main, solve_driver
@@ -59,6 +58,7 @@ from .exact import (
     four_partite_degree_stats,
     four_partite_of,
     four_partite_perfect_matching,
+    induced_perfect_tiling,
     max_D_free_set,
     max_tiling_exact,
     perfect_tiling_exact,

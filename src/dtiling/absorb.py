@@ -8,11 +8,12 @@ the local search leaves uncovered are handed to distinct family members,
 each re-tiled together with its 4-set, while idle members fall back to
 their cached own tilings.
 
-Two kernels split the work, and neither copies a subgraph.  Every yes/no
-question (is S, or S + U, tileable?) goes to ``exact.tileable``.
-``induced_perfect_tiling``, the exact search on the set's vertex mask,
-runs only where a tiling is emitted: the cached own tiling of each kept
-member and the joint tiling of the member a leftover 4-set is handed to.
+One kernel answers every set, with no subgraph copy, quad catalog or
+search budget: the exact small-set search of ``exact.tileable`` on the
+set's vertex mask.  The probes ask ``tileable``; where a tiling is kept
+(each member's cached own tiling, and the joint tiling of the member a
+leftover 4-set is handed to) the same search returns it through
+``exact.induced_perfect_tiling``.
 
 Family construction follows the probabilistic recipe: draw a binomial
 number of uniform 8-sets, delete both sides of every overlapping pair,
@@ -39,7 +40,7 @@ from .core import (
     mask_of,
     validate_tiling,
 )
-from .exact import FOUND, SearchBudget, perfect_tiling_exact, tileable
+from .exact import induced_perfect_tiling, tileable
 
 SIGMA_SAMPLES = 200
 SIGMA_FLOOR = 1e-3
@@ -63,14 +64,6 @@ class AbsorptionFailure(RuntimeError):
         self.block = block
 
 
-def induced_perfect_tiling(
-    G: Hypergraph3, vertices, budget: SearchBudget | None = None
-) -> Tiling | None:
-    """Perfect tiling of the subgraph induced on ``vertices``, or None."""
-    res = perfect_tiling_exact(G, budget, within=mask_of(vertices))
-    return res.tiling if res.status == FOUND else None
-
-
 def absorbs(G: Hypergraph3, S, U) -> bool:
     """Exact absorption test: G[S] and G[S + U] both perfectly tileable."""
     S, U = set(S), set(U)
@@ -82,15 +75,6 @@ def absorbs(G: Hypergraph3, S, U) -> bool:
         raise InputError("S or U out of range")
     s_mask = mask_of(S)
     return tileable(G, s_mask) and tileable(G, s_mask | mask_of(U))
-
-
-def _emitted_tiling(G: Hypergraph3, vertices) -> Tiling:
-    """Tiling of a set ``tileable`` already accepted; a refusal here means
-    the two kernels disagree."""
-    tiling = induced_perfect_tiling(G, vertices)
-    if tiling is None:
-        raise AssertionError(f"tileable accepted {sorted(vertices)} but the exact search found no tiling")
-    return tiling
 
 
 @dataclass(frozen=True)
@@ -198,9 +182,10 @@ def build_absorbing_family(
         members: list[tuple[int, ...]] = []
         tilings: list[Tiling] = []
         for s in disjoint:
-            if tileable(G, mask_of(s)) and _probed_absorption(G, s, rng):
+            own = induced_perfect_tiling(G, s)
+            if own is not None and _probed_absorption(G, s, rng):
                 members.append(s)
-                tilings.append(_emitted_tiling(G, s))
+                tilings.append(own)
         record = {
             "drawn": drawn,
             "after_overlap": len(disjoint),
@@ -252,8 +237,8 @@ def absorb_leftover(G: Hypergraph3, family: AbsorberFamily, W) -> Tiling:
     """Tile the family's vertices together with the leftover W.
 
     W is chunked into ascending 4-sets; each chunk goes to the first
-    unused member that absorbs it (re-tiled exactly), remaining members
-    contribute their cached tilings.
+    unused member whose union with it has a perfect tiling, and that
+    tiling is kept; remaining members contribute their cached tilings.
     """
     W = sorted(set(W))
     if set(W) & family.covered:
@@ -268,14 +253,13 @@ def absorb_leftover(G: Hypergraph3, family: AbsorberFamily, W) -> Tiling:
     used: set[int] = set()
     copies = []
     for block in blocks:
-        b_mask = mask_of(block)
         for idx, member in enumerate(family.members):
-            if idx not in used and tileable(G, mask_of(member) | b_mask):
+            if idx not in used and (joint := induced_perfect_tiling(G, (*member, *block))) is not None:
                 break
         else:
             raise AbsorptionFailure(block)
         used.add(idx)
-        copies.extend(_emitted_tiling(G, set(family.members[idx]) | set(block)).copies)
+        copies.extend(joint.copies)
     for idx, own in enumerate(family.tilings):
         if idx not in used:
             copies.extend(own.copies)
@@ -283,5 +267,5 @@ def absorb_leftover(G: Hypergraph3, family: AbsorberFamily, W) -> Tiling:
     verdict = validate_tiling(G, tiling)
     expected = set(family.covered) | set(W)
     if not verdict.ok or set(tiling.covered) != expected:
-        raise InputError(f"leftover absorption produced an invalid tiling: {verdict.violations}")
+        raise AssertionError(f"leftover absorption produced an invalid tiling: {verdict.violations}")
     return tiling

@@ -13,9 +13,9 @@ so no subgraph is copied or relabelled.  In auto mode any branch failure
 falls back to the exact solver; forced modes report their own stall
 instead.  One ``SearchBudget``, made when the solve starts, is the node
 pool and deadline of every search in it: the certificate's decisions,
-stages Q and T, the leftover search and the fallback.  Building the quad
-catalog and the absorption layer's own searches run outside it.  Exit
-codes: 0 tiled, 2 proven infeasible (by the space barrier or by the
+stages Q and T, the leftover search and the fallback, which stops at
+once on a spent budget.  Only building the quad catalog runs outside
+it.  Exit codes: 0 tiled, 2 proven infeasible (by the space barrier or by the
 exact search), 3 search exhausted or stalled, 64 usage errors and
 malformed or oversized input.
 """
@@ -351,12 +351,6 @@ def _build_parser() -> _Parser:
     scan.add_argument("--jobs", type=int, default=1)
     scan.add_argument("--no-timings", action="store_true")
 
-    oracle = sub.add_parser("oracle", help="exact solver only (ground truth)")
-    oracle.add_argument("file", help="instance file, or - for stdin")
-    oracle.add_argument("--node-limit", type=int, default=SearchBudget.node_limit)
-    oracle.add_argument("--time-limit", type=float, default=SearchBudget.time_limit)
-    oracle.add_argument("--cert", default=None)
-
     return parser
 
 
@@ -431,22 +425,6 @@ def _cmd_verify(args) -> int:
     for line in verdict.violations:
         print(line)
     return 1
-
-
-def _cmd_oracle(args) -> int:
-    G = _load_instance(args.file)
-    res = perfect_tiling_exact(G, SearchBudget(args.node_limit, args.time_limit))
-    report = {
-        "n": G.n,
-        "status": res.status,
-        "nodes": res.nodes,
-        "copies": res.tiling.size if res.tiling is not None else None,
-    }
-    if args.cert and res.tiling is not None:
-        write_certificate(res.tiling, args.cert, "perfect")
-        report["certificate"] = args.cert
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return {FOUND: EXIT_TILED, INFEASIBLE: EXIT_INFEASIBLE, EXHAUSTED: EXIT_EXHAUSTED}[res.status]
 
 
 def _scan_seed(base: int, n: int, trial: int) -> int:
@@ -550,8 +528,6 @@ def main(argv=None) -> int:
             return _cmd_verify(args)
         if args.command == "scan":
             return _cmd_scan(args, parser)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -57,9 +57,9 @@ maximum searches still return their best effort then, the largest tiling
 or D-free set found so far; the perfect tiling search has no partial
 answer to return.
 
-``tileable`` answers the yes/no question for sets of at most 16 vertices
-straight from the pair index, without building a subgraph or a catalog;
-it is what the absorption layer asks thousands of times per family.
+Sets of at most 16 vertices have their own search on the pair index,
+with no subgraph, catalog or budget: ``tileable`` and
+``induced_perfect_tiling``, the absorption layer's only kernel.
 
 The 4-partite 4-graph of the extremal T stage is stored as one bitset
 per first-part vertex, its link: the (part 2, part 3) pairs in sorted
@@ -102,6 +102,9 @@ EXHAUSTED = "exhausted"
 # density the bound never fires and the scan cost dominates.
 _HITTING_CAP = 100_000
 
+# The gamma of the sufficient matching condition in the degree statistics.
+MATCHING_GAMMA = 0.5
+
 
 @dataclass
 class SearchBudget:
@@ -109,8 +112,8 @@ class SearchBudget:
     seconds after the budget is made, spent by every search it is handed:
     the three catalog searches and the 4-partite matching.  ``nodes``
     counts the nodes spent so far, across searches, so searches that share
-    a budget share its pool and its deadline.  Only ``tileable`` runs
-    without a budget."""
+    a budget share its pool and its deadline.  Only the small-set search
+    of ``tileable`` and ``induced_perfect_tiling`` runs without a budget."""
 
     node_limit: int = 10_000_000
     time_limit: float = 60.0
@@ -280,10 +283,10 @@ def _catalog_on(G: Hypergraph3, full: int, catalog: QuadCatalog | None) -> QuadC
     return catalog
 
 
-def _witness(G: Hypergraph3, cat: QuadCatalog, ids, cover: int | None = None) -> Tiling:
-    """The tiling on the catalog quads ``ids``, revalidated against G; when
-    ``cover`` is given, it must cover exactly that vertex mask."""
-    tiling = Tiling.from_copies(dcopy_from_quad(G, cat.quads[i]) for i in ids)
+def _witness(G: Hypergraph3, quads, cover: int | None = None) -> Tiling:
+    """The tiling on ``quads``, revalidated against G; when ``cover`` is
+    given, it must cover exactly that vertex mask."""
+    tiling = Tiling.from_copies(dcopy_from_quad(G, q) for q in quads)
     verdict = validate_tiling(G, tiling)
     if cover is not None and mask_of(tiling.covered) != cover:
         verdict.add(f"not perfect: does not cover exactly the {cover.bit_count()} mask vertices")
@@ -302,7 +305,8 @@ def perfect_tiling_exact(
     the vertex mask ``within`` (default: all of G), in G's vertex ids.
 
     ``infeasible`` is returned only when the search space is exhausted,
-    ``exhausted`` when the budget ran out first.  ``catalog``, when
+    ``exhausted`` when the budget ran out first; a budget already spent
+    stops at the root, before the catalog is built.  ``catalog``, when
     given, must be ``quad_catalog(G, within)``; it spares building it again.
     """
     full = vertex_mask(G, within)
@@ -310,9 +314,12 @@ def perfect_tiling_exact(
     if size % 4:
         raise InputError(f"perfect tiling needs 4 | n, got n={size}")
     budget = budget or SearchBudget()
+    tick, first, start = budget.tick, budget.nodes, time.perf_counter()
+    if budget.spent:  # the root node stops: build no catalog for it
+        tick()
+        return TilingSearchResult(status=EXHAUSTED, tiling=None, nodes=1, elapsed=time.perf_counter() - start)
     cat = _catalog_on(G, full, catalog)
     inc = cat.inc
-    tick, first, start = budget.tick, budget.nodes, time.perf_counter()
     chosen: list[int] = []
 
     def rec(covered: int, alive: int) -> str:
@@ -342,7 +349,7 @@ def perfect_tiling_exact(
         return EXHAUSTED if ran_out else INFEASIBLE
 
     status = rec(0, cat.all_quads)
-    tiling = _witness(G, cat, chosen, cover=full) if status == FOUND else None
+    tiling = _witness(G, [cat.quads[i] for i in chosen], cover=full) if status == FOUND else None
     return TilingSearchResult(
         status=status, tiling=tiling, nodes=budget.nodes - first, elapsed=time.perf_counter() - start
     )
@@ -351,23 +358,24 @@ def perfect_tiling_exact(
 TILEABLE_MAX_VERTICES = 16
 
 
-def tileable(G: Hypergraph3, mask: int) -> bool:
-    """Whether the subgraph induced on the vertex bitmask ``mask`` has a
-    perfect tiling; exact, for masks of at most 16 vertices.
+def _small_tiling(G: Hypergraph3, mask: int) -> list[tuple[int, int, int, int]] | None:
+    """The quads of a perfect tiling of the subgraph induced on the vertex
+    bitmask ``mask``, or None; exact, for masks of at most 16 vertices.
 
     Depth-first search on ``G.pair_bits`` with no subgraph or catalog:
     the lowest vertex v of the remaining mask joins each 3-subset {a, b, c}
     of the rest whose quad induces at least two edges, and the search
-    recurses on what is left, memoised on the remaining mask.  A 16-vertex
-    mask has fewer than 2^16 submasks, so no budget is needed.
+    recurses on what is left.  The memo maps each remaining mask to the
+    quad that tiled it (0 if none did), so the tiling is read back from
+    it.  A 16-vertex mask has fewer than 2^16 submasks: no budget needed.
     """
     size = vertex_mask(G, mask).bit_count()
     if size > TILEABLE_MAX_VERTICES:
-        raise InputError(f"tileable takes at most {TILEABLE_MAX_VERTICES} vertices, got {size}")
+        raise InputError(f"the small-set search takes at most {TILEABLE_MAX_VERTICES} vertices, got {size}")
     if size % 4:
-        return False
+        return None
     pair = {(a, b): G.pair_bits(a, b) & mask for a, b in itertools.combinations(bits_of(mask), 2)}
-    memo: dict[int, bool] = {0: True}
+    memo: dict[int, int] = {}
 
     def quads_through_lowest(rest: int):
         low = rest & -rest
@@ -387,11 +395,35 @@ def tileable(G: Hypergraph3, mask: int) -> bool:
                     yield low | (1 << a) | (1 << b) | (1 << c)
 
     def rec(rest: int) -> bool:
+        if not rest:
+            return True
         if rest not in memo:
-            memo[rest] = any(rec(rest ^ q) for q in quads_through_lowest(rest))
-        return memo[rest]
+            memo[rest] = next((q for q in quads_through_lowest(rest) if rec(rest ^ q)), 0)
+        return memo[rest] != 0
 
-    return rec(mask)
+    if not rec(mask):
+        return None
+    quads = []
+    while mask:
+        quads.append(tuple(bits_of(memo[mask])))
+        mask ^= memo[mask]
+    return quads
+
+
+def tileable(G: Hypergraph3, mask: int) -> bool:
+    """Whether the subgraph induced on the vertex bitmask ``mask`` has a
+    perfect tiling; exact, for masks of at most 16 vertices."""
+    return _small_tiling(G, mask) is not None
+
+
+def induced_perfect_tiling(G: Hypergraph3, vertices) -> Tiling | None:
+    """Perfect tiling of the subgraph induced on ``vertices``, at most 16
+    of them, or None: the search of ``tileable``, revalidated against G."""
+    mask = mask_of(vertices)
+    if mask.bit_count() % 4:
+        raise InputError(f"perfect tiling needs 4 | n, got n={mask.bit_count()}")
+    quads = _small_tiling(G, mask)
+    return None if quads is None else _witness(G, quads, cover=mask)
 
 
 def max_tiling_exact(
@@ -442,7 +474,7 @@ def max_tiling_exact(
     ran_out = rec(sum(1 << v for v, row in enumerate(inc) if row), cat.all_quads)
     return TilingSearchResult(
         status=EXHAUSTED if ran_out else FOUND,
-        tiling=_witness(G, cat, best),
+        tiling=_witness(G, [cat.quads[i] for i in best]),
         nodes=budget.nodes - first,
         elapsed=time.perf_counter() - start,
     )
@@ -736,9 +768,10 @@ def _lane_min(planes: list[int], lanes: int) -> int:
     return value
 
 
-def four_partite_degree_stats(H: FourPartite4Graph, gamma: float = 0.5) -> dict:
+def four_partite_degree_stats(H: FourPartite4Graph) -> dict:
     """Minimum degrees into the first part and from it, plus the
-    sufficient matching condition m*d1 + m^3*d234 >= (1+gamma)m^4.
+    sufficient matching condition m*d1 + m^3*d234 >= (1+gamma)m^4, with
+    gamma = ``MATCHING_GAMMA``.
 
     A first-part vertex has degree the bit count of its link.  A triple
     (a, b, d) has degree the number of links holding its bit, so the
@@ -759,12 +792,12 @@ def four_partite_degree_stats(H: FourPartite4Graph, gamma: float = 0.5) -> dict:
     w = _layout(H.parts)[2]
     d234 = _lane_min(planes, mask_of(H.parts[3]) * _ones(m * m, w))
     lhs = m * d1 + m**3 * d234
-    rhs = (1 + gamma) * m**4
+    rhs = (1 + MATCHING_GAMMA) * m**4
     return {
         "m": m,
         "min_degree_part1": d1,
         "min_degree_triple": d234,
-        "gamma": gamma,
+        "gamma": MATCHING_GAMMA,
         "lhs": lhs,
         "rhs": rhs,
         "condition_met": lhs >= rhs,

@@ -399,7 +399,7 @@ def build_T(G: Hypergraph3, state: PipelineState, budget: SearchBudget) -> Tilin
     if budget.spent:
         raise StageFailure("T", "4-partite matching exhausted: the budget is already spent")
     H = four_partite_of(G, (free_x, free_z[:m], free_z[m : 2 * m], free_z[2 * m :]))
-    state.matching_stats = four_partite_degree_stats(H, gamma=0.5)
+    state.matching_stats = four_partite_degree_stats(H)
     state.diagnostics.append(
         {
             "name": "matching_degree_condition",

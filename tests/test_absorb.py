@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -22,8 +23,9 @@ from dtiling import (
     induced_perfect_tiling,
     random_codegree_instance,
     validate_family,
+    validate_tiling,
 )
-from dtiling import absorb
+from dtiling import absorb, exact
 
 GADGET_EDGES = [
     (0, 1, 4),
@@ -135,8 +137,8 @@ class TestFamily:
                 [2, 1],
                 (4, 6, 9, 16, 19, 34, 38, 45),
                 "partial 2\n"
-                "4 6 16 34 | 4 6 34 | 4 16 34\n"
-                "9 19 38 45 | 9 19 38 | 9 38 45\n",
+                "4 6 9 38 | 4 6 9 | 4 6 38\n"
+                "16 19 34 45 | 16 19 34 | 16 19 45\n",
             ),
             # The first attempt keeps its single draw.
             (
@@ -242,6 +244,39 @@ class TestLeftover:
         assert exc.value.block == (8, 9, 10, 11)
 
 
+class TestOneKernel:
+    """Absorption asks the small-set search only: it builds no quad
+    catalog and makes no search budget."""
+
+    @pytest.fixture
+    def no_catalog_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("absorption reached the catalog search")
+
+        monkeypatch.setattr(exact, "quad_catalog", refuse)
+        monkeypatch.setattr(exact, "SearchBudget", refuse)
+
+    def test_family_and_leftover(self, no_catalog_search):
+        G = random_codegree_instance(48, 16, 0)
+        family = build_absorbing_family(G, AbsorptionParams(seed=0))
+        (member,) = family.members
+        free = sorted(set(range(G.n)) - family.covered)
+        W = next(U for U in itertools.combinations(free, 4) if absorbs(G, member, U))
+        tiling = absorb_leftover(G, family, W)
+        assert tiling.covered == family.covered | set(W)
+        assert validate_tiling(G, tiling).ok
+
+    def test_a_bad_joint_tiling_is_a_program_fault(self, monkeypatch):
+        # The final self-check catches a tiling that misses the block: a
+        # fault inside the program, not malformed input.
+        G = complete_3graph(40)
+        family = build_absorbing_family(G, AbsorptionParams(seed=3))
+        monkeypatch.setattr(absorb, "induced_perfect_tiling", lambda G, vertices: family.tilings[0])
+        W = sorted(set(range(40)) - family.covered)[:4]
+        with pytest.raises(AssertionError, match="invalid tiling"):
+            absorb_leftover(G, family, W)
+
+
 class TestInducedTiling:
     def test_original_ids(self):
         G = complete_3graph(16)
@@ -251,3 +286,7 @@ class TestInducedTiling:
 
     def test_infeasible_is_none(self):
         assert induced_perfect_tiling(build(8, []), range(8)) is None
+
+    def test_more_than_sixteen_vertices(self):
+        with pytest.raises(InputError, match="at most 16"):
+            induced_perfect_tiling(complete_3graph(20), range(20))

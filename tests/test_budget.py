@@ -14,7 +14,7 @@ from dtiling import (
     random_codegree_instance,
     solve_driver,
 )
-from dtiling import cli, extremal
+from dtiling import cli, exact, extremal
 
 INSTANCES = {
     "G0(16)": lambda: construct_G0(16),
@@ -78,3 +78,16 @@ def test_the_fallback_gets_what_the_certificate_left(recorded):
     assert [nodes for _, nodes in searches] == [1, 100, 1]
     assert budgets[0].nodes == 102
     assert solve_driver(random_codegree_instance(16, 4, 7)).status == "tiled"
+
+
+def test_a_spent_budget_builds_no_fallback_catalog(monkeypatch):
+    # The deadline has passed before the first search: stage T fails on
+    # the spent budget, and the fallback stops at its root node without
+    # listing the 440k quads of the graph.
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a quad catalog on a spent budget")
+
+    monkeypatch.setattr(exact, "quad_catalog", refuse)
+    res = solve_driver(planted_extremal(64), DriverParams(time_limit=1e-6, collect_timings=False))
+    assert res.status == "exhausted" and res.report["branch"] == "exact-fallback"
+    assert res.report["exact"] == {"status": "exhausted", "nodes": 1, "optimal": False}

@@ -168,7 +168,7 @@ class TestSolve:
     def test_bad_mode_rejected(self, tmp_path):
         assert run(["solve", "x", "--mode", "psychic"]) == 64
 
-    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    @pytest.mark.parametrize("command", ["solve"])
     @pytest.mark.parametrize("value", ["nan", "0"])
     def test_time_limit_must_be_positive(self, tmp_path, capsys, command, value):
         # NaN passes a "<= 0" check and would leave every search without
@@ -188,16 +188,20 @@ class TestSolve:
         }
 
     @pytest.mark.parametrize(
-        "text",
-        ["99999999999999999999 1\n0 1 99999999999999999998\n", "1000000000 0\n"],
-        ids=["huge-vertex-id", "huge-header-n"],
+        "text, options",
+        [
+            ("99999999999999999999 1\n0 1 99999999999999999998\n", []),
+            ("1000000000 0\n", []),
+            ("1000000000 0\n", ["--mode", "exact"]),
+        ],
+        ids=["huge-vertex-id", "huge-header-n", "huge-header-n-exact"],
     )
-    def test_unbounded_input_exits_64(self, tmp_path, text):
+    def test_unbounded_input_exits_64(self, tmp_path, text, options):
         # In a subprocess under a timeout: before the input bound, the
-        # first raised OverflowError and the second never returned.
+        # first raised OverflowError and the others never returned.
         path = tmp_path / "inst.txt"
         path.write_text(text)
-        proc = run_subprocess(["solve", str(path)])
+        proc = run_subprocess(["solve", str(path), *options])
         assert proc.returncode == 64, proc.stderr
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
@@ -230,23 +234,6 @@ class TestVerify:
         cert.write_text("perfect xyz\n")
         assert run(["verify", str(inst), "--cert", str(cert)]) == 1
         assert "unreadable" in capsys.readouterr().out
-
-
-class TestOracle:
-    def test_writes_certificate(self, tmp_path, capsys):
-        G = complete_3graph(8)
-        inst = tmp_path / "inst.txt"
-        write_instance(G, inst)
-        cert = tmp_path / "o.cert"
-        assert run(["oracle", str(inst), "--cert", str(cert)]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["status"] == "found" and report["copies"] == 2
-        assert parse_certificate(cert.read_text()).kind == "perfect"
-
-    def test_infeasible_exit(self, tmp_path, capsys):
-        inst = tmp_path / "inst.txt"
-        write_instance(construct_G1(8), inst)
-        assert run(["oracle", str(inst)]) == 2
 
 
 class TestScan:

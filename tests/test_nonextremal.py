@@ -57,10 +57,10 @@ GOLDEN = [
         "perfect 12\n"
         "0 1 2 5 | 0 1 5 | 0 2 5\n"
         "3 7 8 10 | 3 7 8 | 3 7 10\n"
-        "4 6 16 34 | 4 6 34 | 4 16 34\n"
-        "9 19 38 45 | 9 19 38 | 9 38 45\n"
+        "4 6 9 38 | 4 6 9 | 4 6 38\n"
         "11 12 13 14 | 11 12 13 | 11 13 14\n"
         "15 17 18 22 | 15 17 22 | 15 18 22\n"
+        "16 19 34 45 | 16 19 34 | 16 19 45\n"
         "20 21 23 24 | 20 21 23 | 20 23 24\n"
         "25 26 27 28 | 25 26 28 | 25 27 28\n"
         "29 30 31 32 | 29 30 31 | 29 31 32\n"
@@ -91,11 +91,11 @@ GOLDEN = [
         expected_report(48, 9147, 16, 5, P48, 4),
         "perfect 12\n"
         "0 1 2 3 | 0 1 2 | 0 2 3\n"
-        "4 6 9 19 | 4 6 9 | 4 6 19\n"
+        "4 6 9 16 | 4 6 9 | 4 6 16\n"
         "5 7 8 11 | 5 7 11 | 5 8 11\n"
         "10 12 13 18 | 10 12 18 | 10 13 18\n"
         "14 15 17 20 | 14 15 20 | 15 17 20\n"
-        "16 34 43 44 | 16 34 43 | 16 34 44\n"
+        "19 34 43 44 | 19 34 43 | 19 43 44\n"
         "21 22 23 24 | 21 22 23 | 21 23 24\n"
         "25 26 27 29 | 25 26 27 | 25 26 29\n"
         "28 30 31 32 | 28 30 31 | 28 31 32\n"
@@ -112,10 +112,10 @@ GOLDEN = [
         "6 8 10 15 | 6 8 15 | 8 10 15\n"
         "11 12 13 17 | 11 12 17 | 12 13 17\n"
         "14 18 19 21 | 14 18 21 | 18 19 21\n"
-        "16 26 30 35 | 16 26 30 | 26 30 35\n"
+        "16 26 28 33 | 16 26 28 | 16 26 33\n"
         "20 22 23 25 | 20 22 23 | 20 23 25\n"
         "24 27 29 31 | 24 27 29 | 24 27 31\n"
-        "28 33 55 61 | 28 33 55 | 28 33 61\n"
+        "30 35 55 61 | 30 35 55 | 30 35 61\n"
         "32 34 36 37 | 32 34 36 | 32 34 37\n"
         "38 39 40 41 | 38 39 40 | 38 40 41\n"
         "42 43 44 45 | 42 43 44 | 42 43 45\n"

@@ -11,6 +11,7 @@ from dtiling import (
     construct_G0,
     construct_G1,
     induced_perfect_tiling,
+    perfect_tiling_exact,
     random_codegree_instance,
     tileable,
 )
@@ -52,11 +53,18 @@ def test_full_mask_matches_naive(data):
     ids=["random48", "random64", "G0_24", "G1_24"],
 )
 def test_agrees_with_exact_search(G):
+    # Two independent kernels: the small-set search against the catalog
+    # search; the tiling the small-set search emits covers exactly S.
     rng = random.Random(G.n)
     for size, trials in ((8, 30), (12, 20), (16, 4)):
         for _ in range(trials):
             S = rng.sample(range(G.n), size)
-            assert tileable(G, mask_of(S)) == (induced_perfect_tiling(G, S) is not None), S
+            found = perfect_tiling_exact(G, within=mask_of(S)).status == "found"
+            assert tileable(G, mask_of(S)) == found, S
+            tiling = induced_perfect_tiling(G, S)
+            assert (tiling is not None) == found, S
+            if found:
+                assert tiling.covered == frozenset(S), S
 
 
 @pytest.mark.parametrize(
