@@ -76,8 +76,6 @@ from .localsearch import near_perfect_tiling
 
 EXACT_DFREE_MAX_N = 24
 LEFTOVER_EXACT_CAP = 32
-PAPER_EPS0 = 1e-18
-PAPER_ALPHA = PAPER_EPS0 ** (1 / 3)
 
 EXIT_TILED = 0
 EXIT_INFEASIBLE = 2
@@ -93,7 +91,6 @@ class DriverParams:
     seed: int = 0
     node_limit: int = SearchBudget.node_limit
     time_limit: float = SearchBudget.time_limit
-    paper_constants: bool = False
     collect_timings: bool = True
 
 
@@ -143,15 +140,7 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
         raise InputError(f"unknown mode {params.mode!r}")
     if G.n % 4:
         raise InputError(f"perfect tiling needs 4 | n, got n={G.n}")
-    eps, alpha = params.eps, params.alpha
-    warnings: list[str] = []
-    if params.paper_constants:
-        eps, alpha = PAPER_EPS0, PAPER_ALPHA
-        warnings.append(
-            "paper constants installed (eps=1e-18, alpha=1e-6); "
-            "randomized stages will usually no-op at feasible n"
-        )
-    for name, value in (("eps", eps), ("alpha", alpha)):
+    for name, value in (("eps", params.eps), ("alpha", params.alpha)):
         if not 0 < value < 1:
             raise InputError(f"{name} must lie in (0, 1), got {value}")
 
@@ -159,13 +148,11 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
         "instance": {"n": G.n, "edges": G.m, "min_codegree": min_codegree(G)},
         "params": {
             "mode": params.mode,
-            "eps": eps,
-            "alpha": alpha,
+            "eps": params.eps,
+            "alpha": params.alpha,
             "seed": params.seed,
-            "paper_constants": params.paper_constants,
         },
         "attempts": [],
-        "warnings": warnings,
     }
     timings: dict[str, float] = {}
 
@@ -190,7 +177,7 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
     S: tuple[int, ...] = ()
     catalog = None
     if params.mode in ("auto", "extremal"):
-        threshold = (1 - eps) * (3 * G.n / 4)
+        threshold = (1 - params.eps) * (3 * G.n / 4)
         S, fields, catalog = clocked("certificate", _dfree_certificate, G, threshold, budget)
         extremal_instance = len(S) >= threshold
         report["dfree"] = {
@@ -212,7 +199,7 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
     if params.mode == "extremal" or (params.mode == "auto" and extremal_instance):
         try:
             tiling, pipe_report = clocked(
-                "extremal", run_extremal_pipeline, G, S, alpha=alpha, budget=budget
+                "extremal", run_extremal_pipeline, G, S, alpha=params.alpha, budget=budget
             )
             report["branch"] = "extremal"
             report["extremal"] = pipe_report
@@ -227,7 +214,7 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
                 return finish("exhausted", None)
 
     if params.mode == "absorb" or (params.mode == "auto" and not extremal_instance):
-        outcome = _try_absorb_branch(G, params, alpha, budget, report, clocked)
+        outcome = _try_absorb_branch(G, params, budget, report, clocked)
         if outcome is not None:
             return finish("tiled", outcome)
         if params.mode == "absorb":
@@ -244,9 +231,9 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
     return finish("infeasible" if res.status == INFEASIBLE else "exhausted", None)
 
 
-def _try_absorb_branch(G, params, alpha, budget, report, clocked):
+def _try_absorb_branch(G, params, budget, report, clocked):
     """Family + greedy tiling + absorption; None means the branch gave up."""
-    aparams = AbsorptionParams(alpha=alpha, seed=params.seed)
+    aparams = AbsorptionParams(alpha=params.alpha, seed=params.seed)
     try:
         family = clocked("family", build_absorbing_family, G, aparams)
     except ConstructionFailure as exc:
@@ -335,7 +322,6 @@ def _build_parser() -> _Parser:
         "--time-limit", type=float, default=DriverParams.time_limit, help="deadline in seconds for the whole solve"
     )
     solve.add_argument("--cert", default=None, help="certificate output path")
-    solve.add_argument("--paper-constants", action="store_true")
     solve.add_argument("--no-timings", action="store_true", help="omit timings for byte-stable output")
 
     verify = sub.add_parser("verify", help="check a certificate against an instance")
@@ -387,7 +373,6 @@ def _cmd_solve(args) -> int:
         seed=args.seed,
         node_limit=args.node_limit,
         time_limit=args.time_limit,
-        paper_constants=args.paper_constants,
         collect_timings=not args.no_timings,
     )
     result = solve_driver(G, params)

@@ -17,7 +17,8 @@ vertices whose two triples share exactly two vertices.  ``DCopy`` records
 one placed copy of that pattern and ``Tiling`` a vertex-disjoint
 collection of copies.  A 4-set of vertices spans a copy exactly when its
 induced subgraph has at least two edges (any two distinct triples on four
-points share two vertices).
+points share two vertices); ``spanning_quads_at`` lists such 4-sets one
+lowest vertex at a time.
 
 ``Hypergraph3`` is immutable after construction and safe to read from
 several threads (two threads that both derive ``edges`` first build equal
@@ -322,6 +323,36 @@ def quad_spans_D(G: Hypergraph3, quad) -> bool:
             if hits == 2:
                 return True
     return False
+
+
+def spanning_quads_at(G: Hypergraph3, v: int, free: int):
+    """Yield the spanning 4-sets ``(v, a, b, c)`` with v < a < b < c and
+    a, b, c in the vertex mask ``free``, in lexicographic order.
+
+    The c of one (a, b) are one word operation on the pair bitsets: with
+    vab an edge one more of vac, vbc, abc suffices, else two of them.  The
+    quad catalog, the small-set search and the greedy tiling all list
+    their 4-sets here, one lowest vertex at a time.
+    """
+    links = G._links
+    rv = links.get(v)
+    if rv is None:
+        return
+    free &= -(2 << v)  # above v
+    others = bits_of(free)
+    for i, a in enumerate(others):
+        ra = links.get(a)
+        if ra is None:
+            continue
+        va = rv.get(a, 0)
+        for b in others[i + 1 :]:
+            vb, ab = rv.get(b, 0), ra.get(b, 0)
+            thirds = (va | vb | ab) if (va >> b) & 1 else (va & (vb | ab)) | (vb & ab)
+            thirds &= free & -(2 << b)  # c > b
+            while thirds:
+                low = thirds & -thirds
+                yield (v, a, b, low.bit_length() - 1)
+                thirds ^= low
 
 
 def dcopy_from_quad(G: Hypergraph3, quad) -> DCopy:

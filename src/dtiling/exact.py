@@ -3,11 +3,11 @@ sets and the pattern-free decision, and 4-partite perfect matching.
 
 All tiling searches run on the quad catalog: the 4-sets that induce at
 least two edges, i.e. exactly the 4-sets a copy can occupy, listed in
-lexicographic order.  ``quad_catalog`` builds it without a sort: for each
-triple a < b < c, the fourth vertices d > c are one word operation on the
-pair bitsets (with abc an edge one more of abd, acd, bcd suffices, else
-two of them).  It can be built on a vertex mask ``within`` of G, in G's
-own ids, so no caller copies a subgraph.
+lexicographic order.  ``quad_catalog`` builds it without a sort, one
+lowest vertex at a time, from ``core.spanning_quads_at``: the one
+enumerator of spanning 4-sets, which the small-set search and the greedy
+tiling walk too.  It can be built on a vertex mask ``within`` of G, in
+G's own ids, so no caller copies a subgraph.
 
 The catalog stores one incidence bitset per vertex over quad ids: bit i
 of ``inc[v]`` is set iff v is in quad i.  Each search carries the quads
@@ -57,9 +57,10 @@ maximum searches still return their best effort then, the largest tiling
 or D-free set found so far; the perfect tiling search has no partial
 answer to return.
 
-Sets of at most 16 vertices have their own search on the pair index,
-with no subgraph, catalog or budget: ``tileable`` and
-``induced_perfect_tiling``, the absorption layer's only kernel.
+Sets of at most 16 vertices have their own search, with no subgraph,
+catalog or budget: it branches over ``spanning_quads_at`` of the lowest
+remaining vertex.  ``tileable`` and ``induced_perfect_tiling``, the
+absorption layer's only kernel, run it.
 
 The 4-partite 4-graph of the extremal T stage is stored as one bitset
 per first-part vertex, its link: the (part 2, part 3) pairs in sorted
@@ -67,9 +68,11 @@ order, each a block of W bits holding its part-4 completions, with W one
 more than the largest part-2 or part-4 id.  ``four_partite_of`` fills the
 m blocks of one (v, a) at once with a few operations on m-block ints: d
 completes (v, a, b) when it is in two of the pair bitsets of va, vb and
-ab, or in one of them with vab an edge.  The degree statistics are bit
-counts and bit-sliced counters over the m links, and the perfect
-matching carries the still free positions as one mask.  So the three do
+ab, or in one of them with vab an edge.  That is the rule of
+``spanning_quads_at``, kept in this vectorised form so the T stage never
+lists 4-sets one by one.  The degree statistics are bit counts and
+bit-sliced counters over the m links, and the perfect matching carries
+the still free positions as one mask.  So the three do
 O(m^2) wide word operations and never list transversal 4-sets: on a
 planted instance there are m^4 of them (331,776 at n = 96), and the
 search takes m + 1 nodes.  The layout follows the broadword tricks and
@@ -78,7 +81,6 @@ bit-sliced counters of Knuth, TAOCP Vol. 4A, 7.1.3.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -90,6 +92,7 @@ from .core import (
     dcopy_from_quad,
     is_D_free,
     mask_of,
+    spanning_quads_at,
     validate_tiling,
     vertex_mask,
 )
@@ -161,27 +164,14 @@ def quad_catalog(G: Hypergraph3, within: int | None = None) -> QuadCatalog:
     """The spanning 4-sets inside the vertex mask ``within`` (default: all
     of G), in G's ids and lexicographic order.
 
-    For each triple a < b < c of the mask, the fourth vertices d > c with
-    {a, b, c, d} spanning a copy are one word operation on the pair
-    bitsets, the rule ``tileable`` uses: with abc an edge one more of abd,
-    acd, bcd suffices, else two of them.  So each quad comes out once and
-    in order, with no set and no sort.
+    Each vertex v of the mask, ascending, adds its ``spanning_quads_at``
+    inside the mask, the quads whose lowest vertex is v, in lexicographic
+    order.  So each quad comes out once and in order, with no set and no
+    sort.
     """
     within = vertex_mask(G, within)
     verts = bits_of(within)
-    rows = [[G.pair_bits(u, v) & within for v in verts] for u in verts]
-    quads: list[tuple[int, int, int, int]] = []
-    for i, a in enumerate(verts):
-        ra = rows[i]
-        for j in range(i + 1, len(verts)):
-            b, ab = verts[j], ra[j]
-            for c, ac, bc in zip(verts[j + 1 :], ra[j + 1 :], rows[j][j + 1 :]):
-                fourth = (ab | ac | bc) if (ab >> c) & 1 else (ab & (ac | bc)) | (ac & bc)
-                fourth &= -(2 << c)  # d > c
-                while fourth:
-                    low = fourth & -fourth
-                    quads.append((a, b, c, low.bit_length() - 1))
-                    fourth ^= low
+    quads = [q for v in verts for q in spanning_quads_at(G, v, within)]
     return QuadCatalog(quads=tuple(quads), inc=_incidence(G.n, verts, quads), graph=G)
 
 
@@ -202,7 +192,6 @@ class TilingSearchResult:
     status: str  # found / infeasible / exhausted
     tiling: Tiling | None
     nodes: int
-    elapsed: float
 
     @property
     def optimal(self) -> bool:
@@ -212,13 +201,12 @@ class TilingSearchResult:
 
 @dataclass
 class SetSearchResult:
-    # max_D_free_set: found (optimal) / exhausted (best effort); nodes and
-    # elapsed are summed over all its decision questions.
+    # max_D_free_set: found (optimal) / exhausted (best effort); nodes are
+    # summed over all its decision questions.
     # decide_D_free_set: found (a witness) / infeasible / exhausted (no set).
     status: str
     vertices: tuple[int, ...]
     nodes: int
-    elapsed: float
 
 
 def _kill(cat: QuadCatalog, i: int) -> int:
@@ -314,10 +302,10 @@ def perfect_tiling_exact(
     if size % 4:
         raise InputError(f"perfect tiling needs 4 | n, got n={size}")
     budget = budget or SearchBudget()
-    tick, first, start = budget.tick, budget.nodes, time.perf_counter()
+    tick, first = budget.tick, budget.nodes
     if budget.spent:  # the root node stops: build no catalog for it
         tick()
-        return TilingSearchResult(status=EXHAUSTED, tiling=None, nodes=1, elapsed=time.perf_counter() - start)
+        return TilingSearchResult(status=EXHAUSTED, tiling=None, nodes=1)
     cat = _catalog_on(G, full, catalog)
     inc = cat.inc
     chosen: list[int] = []
@@ -350,9 +338,7 @@ def perfect_tiling_exact(
 
     status = rec(0, cat.all_quads)
     tiling = _witness(G, [cat.quads[i] for i in chosen], cover=full) if status == FOUND else None
-    return TilingSearchResult(
-        status=status, tiling=tiling, nodes=budget.nodes - first, elapsed=time.perf_counter() - start
-    )
+    return TilingSearchResult(status=status, tiling=tiling, nodes=budget.nodes - first)
 
 
 TILEABLE_MAX_VERTICES = 16
@@ -362,51 +348,34 @@ def _small_tiling(G: Hypergraph3, mask: int) -> list[tuple[int, int, int, int]] 
     """The quads of a perfect tiling of the subgraph induced on the vertex
     bitmask ``mask``, or None; exact, for masks of at most 16 vertices.
 
-    Depth-first search on ``G.pair_bits`` with no subgraph or catalog:
-    the lowest vertex v of the remaining mask joins each 3-subset {a, b, c}
-    of the rest whose quad induces at least two edges, and the search
-    recurses on what is left.  The memo maps each remaining mask to the
-    quad that tiled it (0 if none did), so the tiling is read back from
-    it.  A 16-vertex mask has fewer than 2^16 submasks: no budget needed.
+    Depth-first search with no subgraph or catalog: the lowest vertex of
+    the remaining mask joins each of its ``spanning_quads_at`` inside the
+    mask, and the search recurses on what is left.  The memo maps each
+    remaining mask to the quad that tiled it (None if none did), so the
+    tiling is read back from it.  A 16-vertex mask has fewer than 2^16
+    submasks: no budget needed.
     """
     size = vertex_mask(G, mask).bit_count()
     if size > TILEABLE_MAX_VERTICES:
         raise InputError(f"the small-set search takes at most {TILEABLE_MAX_VERTICES} vertices, got {size}")
     if size % 4:
         return None
-    pair = {(a, b): G.pair_bits(a, b) & mask for a, b in itertools.combinations(bits_of(mask), 2)}
-    memo: dict[int, int] = {}
-
-    def quads_through_lowest(rest: int):
-        low = rest & -rest
-        v = low.bit_length() - 1
-        others = bits_of(rest ^ low)
-        for i, a in enumerate(others):
-            va = pair[v, a]
-            for b in others[i + 1 :]:
-                vb, ab = pair[v, b], pair[a, b]
-                # Thirds c > b making {v, a, b, c} span a copy: with vab an
-                # edge one more of vac, vbc, abc suffices, else two of them.
-                if (va >> b) & 1:
-                    thirds = va | vb | ab
-                else:
-                    thirds = (va & vb) | (va & ab) | (vb & ab)
-                for c in bits_of(thirds & rest & ~((2 << b) - 1)):
-                    yield low | (1 << a) | (1 << b) | (1 << c)
+    memo: dict[int, tuple[int, int, int, int] | None] = {}
 
     def rec(rest: int) -> bool:
         if not rest:
             return True
         if rest not in memo:
-            memo[rest] = next((q for q in quads_through_lowest(rest) if rec(rest ^ q)), 0)
-        return memo[rest] != 0
+            lowest = (rest & -rest).bit_length() - 1
+            memo[rest] = next((q for q in spanning_quads_at(G, lowest, rest) if rec(rest ^ mask_of(q))), None)
+        return memo[rest] is not None
 
     if not rec(mask):
         return None
     quads = []
     while mask:
-        quads.append(tuple(bits_of(memo[mask])))
-        mask ^= memo[mask]
+        quads.append(memo[mask])
+        mask ^= mask_of(memo[mask])
     return quads
 
 
@@ -442,7 +411,7 @@ def max_tiling_exact(
     budget = budget or SearchBudget()
     cat = _catalog_on(G, (1 << G.n) - 1, catalog)
     inc = cat.inc
-    tick, first, start = budget.tick, budget.nodes, time.perf_counter()
+    tick, first = budget.tick, budget.nodes
     best: list[int] = _greedy_packing(cat, cat.all_quads)
     chosen: list[int] = []
 
@@ -476,7 +445,6 @@ def max_tiling_exact(
         status=EXHAUSTED if ran_out else FOUND,
         tiling=_witness(G, [cat.quads[i] for i in best]),
         nodes=budget.nodes - first,
-        elapsed=time.perf_counter() - start,
     )
 
 
@@ -494,7 +462,7 @@ def max_D_free_set(G: Hypergraph3, budget: SearchBudget | None = None) -> SetSea
     """
     budget = budget or SearchBudget()
     cat = quad_catalog(G)
-    first, start = budget.nodes, time.perf_counter()
+    first = budget.nodes
     hit = _greedy_hitting(cat, cat.all_quads, range(G.n))
     best = tuple(v for v in range(G.n) if not ((hit >> v) & 1))
     while (res := decide_D_free_set(G, len(best) + 1, budget, cat)).status == FOUND:
@@ -505,7 +473,6 @@ def max_D_free_set(G: Hypergraph3, budget: SearchBudget | None = None) -> SetSea
         status=FOUND if res.status == INFEASIBLE else EXHAUSTED,
         vertices=best,
         nodes=budget.nodes - first,
-        elapsed=time.perf_counter() - start,
     )
 
 
@@ -528,10 +495,10 @@ def decide_D_free_set(
     given, must be ``quad_catalog(G)``.
     """
     budget = budget or SearchBudget()
-    tick, first, start = budget.tick, budget.nodes, time.perf_counter()
+    tick, first = budget.tick, budget.nodes
     k = G.n - size
     if k < 0:
-        return SetSearchResult(status=INFEASIBLE, vertices=(), nodes=0, elapsed=time.perf_counter() - start)
+        return SetSearchResult(status=INFEASIBLE, vertices=(), nodes=0)
     cat = _catalog_on(G, (1 << G.n) - 1, catalog)
     witness = 0
 
@@ -562,9 +529,7 @@ def decide_D_free_set(
         vertices = tuple(v for v in range(G.n) if not ((witness >> v) & 1))
         if len(vertices) < size or not is_D_free(G, vertices):
             raise AssertionError("D-free decision returned a witness that is too small or spans a copy")
-    return SetSearchResult(
-        status=status, vertices=vertices, nodes=budget.nodes - first, elapsed=time.perf_counter() - start
-    )
+    return SetSearchResult(status=status, vertices=vertices, nodes=budget.nodes - first)
 
 
 @dataclass(frozen=True)
@@ -697,7 +662,6 @@ class MatchingResult:
     status: str  # found / infeasible / exhausted
     matching: tuple[tuple[int, int, int, int], ...] | None
     nodes: int
-    elapsed: float
 
 
 def four_partite_perfect_matching(
@@ -714,7 +678,7 @@ def four_partite_perfect_matching(
     otherwise the branch dies.
     """
     budget = budget or SearchBudget()
-    tick, first, start = budget.tick, budget.nodes, time.perf_counter()
+    tick, first = budget.tick, budget.nodes
     second, third, w = _layout(H.parts)
     m = len(second)
     links = H.links
@@ -750,9 +714,7 @@ def four_partite_perfect_matching(
     matching = None
     if status == FOUND:
         matching = tuple((v,) + abd for v, abd in zip(H.parts[0], picked))
-    return MatchingResult(
-        status=status, matching=matching, nodes=budget.nodes - first, elapsed=time.perf_counter() - start
-    )
+    return MatchingResult(status=status, matching=matching, nodes=budget.nodes - first)
 
 
 def _lane_min(planes: list[int], lanes: int) -> int:

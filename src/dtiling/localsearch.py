@@ -3,7 +3,9 @@
 The search runs on a vertex mask ``within`` of G (the driver passes all
 vertices outside the absorbing family) and places copies in G's own ids.
 It takes the canonical-first spanning 4-set at the lowest vertex that
-still owns one, until no vertex does.
+still owns one, until no vertex does: the first quad that
+``core.spanning_quads_at`` yields inside the uncovered part of the mask,
+the enumerator the quad catalog and the small-set search list theirs by.
 
 Greedy is enough.  The tiling it returns is maximal: the part of
 ``within`` it leaves uncovered spans no copy of D.  The absorption
@@ -16,15 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Hypergraph3, Tiling, bits_of, dcopy_from_quad, mask_of, vertex_mask
+from .core import Hypergraph3, Tiling, bits_of, dcopy_from_quad, mask_of, spanning_quads_at, vertex_mask
 
 
 def greedy_tiling(G: Hypergraph3, within: int | None = None) -> Tiling:
     """Maximal tiling of ``within`` taking the canonical-first available 4-set each time.
 
-    The lowest uncovered vertex owning a spanning 4-set is found by
-    scanning candidate triples in ascending order, so no quad catalog is
-    materialized.
+    Each uncovered vertex, ascending, takes the first of its
+    ``spanning_quads_at`` among the uncovered vertices, so no quad
+    catalog is materialized.
     """
     within = vertex_mask(G, within)
     covered = 0
@@ -32,29 +34,11 @@ def greedy_tiling(G: Hypergraph3, within: int | None = None) -> Tiling:
     for v in bits_of(within):
         if (covered >> v) & 1:
             continue
-        quad = _first_quad_at(G, v, within & ~covered)
+        quad = next(spanning_quads_at(G, v, within & ~covered), None)
         if quad is not None:
             copies.append(dcopy_from_quad(G, quad))
             covered |= mask_of(quad)
     return Tiling.from_copies(copies)
-
-
-def _first_quad_at(G: Hypergraph3, v: int, free: int) -> tuple | None:
-    """Lexicographically smallest spanning 4-set inside ``free`` with minimum v."""
-    above_v = free & ~((1 << (v + 1)) - 1)
-    for a in bits_of(above_v):
-        above_a = above_v & ~((1 << (a + 1)) - 1)
-        for b in bits_of(above_a):
-            nva, nvb, nab = G.pair_bits(v, a), G.pair_bits(v, b), G.pair_bits(a, b)
-            if (nab >> v) & 1:  # {v,a,b} is an edge: any second edge works
-                cands = nva | nvb | nab
-            else:  # need two edges among the three triples through c
-                cands = (nva & nvb) | (nva & nab) | (nvb & nab)
-            cands &= above_a & ~((1 << (b + 1)) - 1)
-            if cands:
-                c = (cands & -cands).bit_length() - 1
-                return (v, a, b, c)
-    return None
 
 
 @dataclass

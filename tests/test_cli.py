@@ -23,7 +23,7 @@ from dtiling import (
     validate_tiling,
     write_instance,
 )
-from dtiling.cli import PAPER_ALPHA, _build_parser
+from dtiling.cli import _build_parser
 
 
 def run(argv):
@@ -144,19 +144,13 @@ class TestSolve:
         assert out1.replace(str(c1), "X") == out2.replace(str(c2), "X")
         assert "timings_ms" not in json.loads(out1)
 
-    def test_paper_constants_warns(self, tmp_path, capsys):
-        path = self.write(tmp_path, complete_3graph(12))
-        assert run(["solve", path, "--paper-constants"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["warnings"]
-
     def test_paper_constants_fail_the_vertex_budget(self, tmp_path, capsys):
         # With the paper's alpha no family fits any order the solver
         # takes, so the paper's nominal sampling rate is never reached.
-        assert int(PAPER_ALPHA * MAX_N) // 8 == 0
+        assert int(1e-6 * MAX_N) // 8 == 0
         path = self.write(tmp_path, random_codegree_instance(48, 16, 0))
         # Forced into the branch, which skips the exact fallback.
-        assert run(["solve", path, "--paper-constants", "--mode", "absorb"]) == 3
+        assert run(["solve", path, "--eps", "1e-18", "--alpha", "1e-6", "--mode", "absorb"]) == 3
         [attempt] = json.loads(capsys.readouterr().out)["attempts"]
         assert attempt["branch"] == "non-extremal"
         assert attempt["outcome"] == "family_construction_failure"
@@ -182,7 +176,7 @@ class TestSolve:
     def test_parser_defaults_are_the_driver_defaults(self):
         args = _build_parser().parse_args(["solve", "x"])
         shared = [f.name for f in fields(DriverParams) if hasattr(args, f.name)]
-        assert len(shared) == 7
+        assert len(shared) == 6
         assert {name: getattr(args, name) for name in shared} == {
             name: getattr(DriverParams(), name) for name in shared
         }

@@ -32,7 +32,7 @@ from dtiling import (
     steiner_triple_system,
     validate_tiling,
 )
-from dtiling.core import bits_of, mask_of
+from dtiling.core import bits_of, mask_of, spanning_quads_at
 from dtiling.exact import QuadCatalog, _counts, _greedy_hitting, _greedy_packing, _incidence
 
 from test_tileable import graphs
@@ -75,8 +75,12 @@ def test_catalog_matches_naive_on_masks(data, bits):
     S = [v for v in range(n) if (bits >> v) & 1]
     local = [tuple(S.index(v) for v in e) for e in G.edges if set(e) <= set(S)]
     cat = quad_catalog(G, mask_of(S))
-    assert cat.quads == tuple(tuple(S[v] for v in q) for q in sorted(_spanning_quads(len(S), local)))
+    naive = [tuple(S[v] for v in q) for q in sorted(_spanning_quads(len(S), local))]
+    assert cat.quads == tuple(naive)
     assert [bits_of(x) for x in cat.inc] == [[i for i, q in enumerate(cat.quads) if v in q] for v in range(n)]
+    # The one enumerator lists each vertex's quads, the naive ones with that lowest vertex, in order.
+    for v in S:
+        assert list(spanning_quads_at(G, v, mask_of(S))) == [q for q in naive if q[0] == v]
 
 
 class TestPerfect:

@@ -17,6 +17,7 @@ from dtiling import (
     validate_tiling,
 )
 from dtiling.core import mask_of
+from dtiling.exact import _greedy_packing, quad_catalog
 
 from naive import naive_copy_pairs
 
@@ -48,6 +49,20 @@ def test_greedy_leaves_no_copy_uncovered():
         assert tiling.covered <= set(within)
         uncovered = set(within) - tiling.covered
         assert naive_copy_pairs(G.edges, within=uncovered) == []
+
+
+def test_greedy_places_the_catalog_first_fit_packing():
+    # The greedy tiling is the first-fit packing of the catalog on
+    # ``within``: the same quads, placed in the same order.
+    rng = random.Random(19)
+    for _ in range(120):
+        n = rng.randint(4, 16)
+        density = rng.uniform(0.05, 0.6)
+        G = build(n, [t for t in itertools.combinations(range(n), 3) if rng.random() < density])
+        within = rng.getrandbits(n)
+        cat = quad_catalog(G, within)
+        placed = [c.vertices for c in greedy_tiling(G, within).copies]
+        assert placed == [cat.quads[i] for i in _greedy_packing(cat, cat.all_quads)]
 
 
 class TestNearPerfect:

@@ -40,11 +40,9 @@ def expected_report(n, edges, codegree, dfree_size, p, leftover):
             "alpha": 0.3,
             "eps": 0.25,
             "mode": "auto",
-            "paper_constants": False,
             "seed": 0,
         },
         "verdict": "tiled",
-        "warnings": [],
     }
 
 
