@@ -18,22 +18,21 @@ leaves ``alive & ~inc[v]``.  A vertex's options are
 ``(alive & inc[v]).bit_count()``, and its live quads, ascending, are
 ``bits_of(alive & inc[v])``.
 
-Perfect tiling is exact cover over the catalog with fewest-options-first
-branching.  Two sound prunes keep structured instances tractable:
-
-* a vertex with no live quad kills the branch immediately;
-* a greedy vertex set hitting every live quad bounds the number of
-  further disjoint quads (each placed quad spends one hitting vertex), so
-  branches whose requirement exceeds that bound die without expansion.
-  This is what lets the search refute the tight lower-bound families at
-  useful orders: there the whole catalog is hit by a side of size n/4 - 1.
-
-The three catalog searches share these bitset helpers and two greedy
-bounds.  ``_greedy_hitting`` is the hitting set above; its complement is
-also the first D-free set of ``max_D_free_set``.  ``_greedy_packing`` is
-a first-fit family of disjoint quads, each the lowest live id: the warm
-start of the maximum tiling search, and the lower bound of the D-free
-decision, which must remove one vertex from each of its quads.
+Both tiling searches are one branch and bound, ``_packing_search``, for
+a packing of at least ``need`` disjoint quads that beats one in hand.  It
+covers the fewest-options vertex with each of its live quads, then, when
+``need`` is 0, leaves it uncovered.  A branch dies when a quarter of its
+usable vertices, or a greedy vertex set hitting every live quad (each
+placed quad spends one hitting vertex), is below the quads still
+required.  That bound refutes the tight lower-bound families at useful
+orders: there a side of size n/4 - 1 hits every quad; and it closes
+stage Q at the root, where each quad holds one of few Y vertices.
+``perfect_tiling_exact`` is this search held to |within|/4 quads from
+none, so it never leaves a vertex uncovered; ``max_tiling_exact`` has no
+floor and starts from ``_greedy_packing``, first-fit quads in catalog
+order.  That packing also bounds the D-free decision below, which must
+remove a vertex of each, and the complement of ``_greedy_hitting`` is
+the first D-free set of ``max_D_free_set``.
 
 Each search can take the caller's catalog, checked by ``_catalog_on``
 to be one listed on the very graph searched, so one solve builds it
@@ -101,8 +100,10 @@ FOUND = "found"
 INFEASIBLE = "infeasible"
 EXHAUSTED = "exhausted"
 
-# Skip the hitting-set bound once the live catalog is this large; at that
-# density the bound never fires and the scan cost dominates.
+# The perfect search skips the hitting-set bound once the live catalog is
+# this large: on a full catalog of that density the bound never fires and
+# the scan cost dominates.  The maximum search always runs it, since on a
+# one-Y catalog it is what closes the search at the root.
 _HITTING_CAP = 100_000
 
 # The gamma of the sufficient matching condition in the degree statistics.
@@ -283,14 +284,64 @@ def _witness(G: Hypergraph3, quads, cover: int | None = None) -> Tiling:
     return tiling
 
 
+def _packing_search(
+    cat: QuadCatalog, budget: SearchBudget, free: int, need: int, best: list[int]
+) -> tuple[str, list[int]]:
+    """Branch and bound for a packing of at least ``need`` quads of
+    ``cat`` on the vertex mask ``free`` that beats ``best``; returns the
+    status and the best packing.  ``need`` is either 0, a maximum packing,
+    or |free|/4, a perfect one: that search stops at its first packing,
+    never leaves a vertex uncovered and skips the hitting-set bound above
+    ``_HITTING_CAP`` live quads.  The status is ``exhausted`` when the
+    budget ran out, else ``found`` when the best packing has ``need``
+    quads and ``infeasible`` when not."""
+    inc = cat.inc
+    chosen: list[int] = []
+
+    def rec(free: int, alive: int) -> str | None:
+        """``exhausted`` or ``found`` to stop the search, None to go on."""
+        nonlocal best
+        if budget.tick():
+            return EXHAUSTED
+        if need and len(chosen) == need:
+            best = list(chosen)
+            return FOUND
+        verts = bits_of(free)
+        options = [(c, v) for c, v in zip(_counts(cat, alive, verts), verts) if c]
+        usable = [v for _, v in options]
+        gap = max(need, len(best) + 1) - len(chosen)
+        if len(usable) // 4 < gap or (
+            (not need or alive.bit_count() <= _HITTING_CAP)
+            and _greedy_hitting(cat, alive, usable, gap).bit_count() < gap
+        ):
+            return None
+        if not options:  # a leaf that got past the prune beats ``best``
+            best = list(chosen)
+            return None
+        v = min(options)[1]  # fewest options, lowest on ties
+        for i in bits_of(alive & inc[v]):
+            chosen.append(i)
+            stop = rec(free & ~mask_of(cat.quads[i]), alive & ~_kill(cat, i))
+            chosen.pop()
+            if stop:
+                return stop
+        if not need:
+            return rec(free & ~(1 << v), alive & ~inc[v])
+        return None
+
+    status = rec(free, cat.all_quads) or (FOUND if len(best) >= need else INFEASIBLE)
+    return status, best
+
+
 def perfect_tiling_exact(
     G: Hypergraph3,
     budget: SearchBudget | None = None,
     catalog: QuadCatalog | None = None,
     within: int | None = None,
 ) -> TilingSearchResult:
-    """Exact cover search for a perfect tiling of the subgraph induced on
-    the vertex mask ``within`` (default: all of G), in G's vertex ids.
+    """Exact search for a perfect tiling of the subgraph induced on the
+    vertex mask ``within`` (default: all of G), in G's vertex ids: the
+    packing search held to |within|/4 quads, from no warm start.
 
     ``infeasible`` is returned only when the search space is exhausted,
     ``exhausted`` when the budget ran out first; a budget already spent
@@ -302,42 +353,13 @@ def perfect_tiling_exact(
     if size % 4:
         raise InputError(f"perfect tiling needs 4 | n, got n={size}")
     budget = budget or SearchBudget()
-    tick, first = budget.tick, budget.nodes
+    first = budget.nodes
     if budget.spent:  # the root node stops: build no catalog for it
-        tick()
+        budget.tick()
         return TilingSearchResult(status=EXHAUSTED, tiling=None, nodes=1)
     cat = _catalog_on(G, full, catalog)
-    inc = cat.inc
-    chosen: list[int] = []
-
-    def rec(covered: int, alive: int) -> str:
-        if tick():
-            return EXHAUSTED
-        if covered == full:
-            return FOUND
-        free = bits_of(full & ~covered)
-        counts = _counts(cat, alive, free)
-        fewest = min(counts)
-        if not fewest:  # some uncovered vertex is in no live quad
-            return INFEASIBLE
-        needed = len(free) // 4
-        if alive.bit_count() <= _HITTING_CAP and _greedy_hitting(cat, alive, free, needed).bit_count() < needed:
-            return INFEASIBLE
-        v = free[counts.index(fewest)]  # fewest options, lowest on ties
-        ran_out = False
-        for i in bits_of(alive & inc[v]):
-            chosen.append(i)
-            sub = rec(covered | mask_of(cat.quads[i]), alive & ~_kill(cat, i))
-            if sub == FOUND:
-                return FOUND
-            chosen.pop()
-            if sub == EXHAUSTED:
-                ran_out = True
-                break
-        return EXHAUSTED if ran_out else INFEASIBLE
-
-    status = rec(0, cat.all_quads)
-    tiling = _witness(G, [cat.quads[i] for i in chosen], cover=full) if status == FOUND else None
+    status, best = _packing_search(cat, budget, full, size // 4, [])
+    tiling = _witness(G, [cat.quads[i] for i in best], cover=full) if status == FOUND else None
     return TilingSearchResult(status=status, tiling=tiling, nodes=budget.nodes - first)
 
 
@@ -400,49 +422,19 @@ def max_tiling_exact(
     budget: SearchBudget | None = None,
     catalog: QuadCatalog | None = None,
 ) -> TilingSearchResult:
-    """Branch and bound for a maximum tiling (any leftover allowed).
-
-    Branches cover the fewest-options vertex with each of its available
-    quads, or abandon it; the greedy warm start plus the hitting-set bound
-    close symmetric instances at the root.  Only the quads of ``catalog``
+    """Maximum tiling (any leftover allowed): the packing search with no
+    floor, warm-started from the greedy packing, whose hitting-set bound
+    closes symmetric instances at the root.  Only the quads of ``catalog``
     (default: ``quad_catalog(G)``) are packed, so the root's free set is
     the vertices in one of them.
     """
     budget = budget or SearchBudget()
     cat = _catalog_on(G, (1 << G.n) - 1, catalog)
-    inc = cat.inc
-    tick, first = budget.tick, budget.nodes
-    best: list[int] = _greedy_packing(cat, cat.all_quads)
-    chosen: list[int] = []
-
-    def rec(free: int, alive: int) -> bool:
-        """Returns True when the budget ran out inside this subtree."""
-        nonlocal best
-        if tick():
-            return True
-        verts = bits_of(free)
-        options = [(c, v) for c, v in zip(_counts(cat, alive, verts), verts) if c]
-        if not options:
-            if len(chosen) > len(best):
-                best = list(chosen)
-            return False
-        usable = [v for _, v in options]
-        gap = len(best) - len(chosen) + 1  # improvement still required
-        bound = min(len(usable) // 4, _greedy_hitting(cat, alive, usable, gap).bit_count())
-        if bound < gap:
-            return False
-        v = min(options)[1]  # fewest options, lowest on ties
-        for i in bits_of(alive & inc[v]):
-            chosen.append(i)
-            ran_out = rec(free & ~mask_of(cat.quads[i]), alive & ~_kill(cat, i))
-            chosen.pop()
-            if ran_out:
-                return True
-        return rec(free & ~(1 << v), alive & ~inc[v])
-
-    ran_out = rec(sum(1 << v for v, row in enumerate(inc) if row), cat.all_quads)
+    first = budget.nodes
+    free = sum(1 << v for v, row in enumerate(cat.inc) if row)
+    status, best = _packing_search(cat, budget, free, 0, _greedy_packing(cat, cat.all_quads))
     return TilingSearchResult(
-        status=EXHAUSTED if ran_out else FOUND,
+        status=status,
         tiling=_witness(G, [cat.quads[i] for i in best]),
         nodes=budget.nodes - first,
     )

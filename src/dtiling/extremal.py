@@ -374,7 +374,7 @@ def build_T(G: Hypergraph3, state: PipelineState, budget: SearchBudget) -> Tilin
     index (``four_partite_of``), so its edges are exactly the transversal
     4-sets that span a copy.  The matching ticks ``budget``, the one stage
     Q's search spent from; when it is already spent the stage fails before
-    building anything."""
+    building anything, unless no X vertex is left to match."""
     part = state.partition
     used = (
         state.used(state.q_copies)
@@ -388,30 +388,23 @@ def build_T(G: Hypergraph3, state: PipelineState, budget: SearchBudget) -> Tilin
         raise StageFailure(
             "T", f"remainders out of shape: {len(free_x)} X vs {len(free_z)} Z"
         )
-    if m == 0:
-        tiling = Tiling.from_copies(
-            state.q_copies + state.r_copies + state.s_copies
+    if m:
+        if budget.spent:
+            raise StageFailure("T", "4-partite matching exhausted: the budget is already spent")
+        H = four_partite_of(G, (free_x, free_z[:m], free_z[m : 2 * m], free_z[2 * m :]))
+        state.matching_stats = four_partite_degree_stats(H)
+        state.diagnostics.append(
+            {
+                "name": "matching_degree_condition",
+                "ok": bool(state.matching_stats["condition_met"]),
+                "detail": dict(state.matching_stats),
+            }
         )
-        verdict = validate_tiling(G, tiling, require_perfect=True)
-        if not verdict.ok:
-            raise StageFailure("T", "; ".join(verdict.violations))
-        return tiling
-    if budget.spent:
-        raise StageFailure("T", "4-partite matching exhausted: the budget is already spent")
-    H = four_partite_of(G, (free_x, free_z[:m], free_z[m : 2 * m], free_z[2 * m :]))
-    state.matching_stats = four_partite_degree_stats(H)
-    state.diagnostics.append(
-        {
-            "name": "matching_degree_condition",
-            "ok": bool(state.matching_stats["condition_met"]),
-            "detail": dict(state.matching_stats),
-        }
-    )
-    res = four_partite_perfect_matching(H, budget)
-    if res.status != FOUND:
-        raise StageFailure("T", f"4-partite matching {res.status}")
-    state.matching_stats["nodes"] = res.nodes
-    state.t_copies = [dcopy_from_quad(G, e) for e in res.matching]
+        res = four_partite_perfect_matching(H, budget)
+        if res.status != FOUND:
+            raise StageFailure("T", f"4-partite matching {res.status}")
+        state.matching_stats["nodes"] = res.nodes
+        state.t_copies = [dcopy_from_quad(G, e) for e in res.matching]
     tiling = Tiling.from_copies(
         state.q_copies + state.r_copies + state.s_copies + state.t_copies
     )

@@ -34,12 +34,18 @@ def run(argv):
         return exc.code
 
 
-def run_subprocess(argv):
+MAIN = ("-c", "import sys; from dtiling.cli import main; sys.exit(main())")
+
+
+def run_subprocess(argv, interpreter_args=MAIN, cwd=None):
     """The CLI in a fresh interpreter under a timeout, for runs that
-    could hang or exhaust memory if a bound were missing."""
+    could hang or exhaust memory if a bound were missing; the package is
+    on PYTHONPATH, as in a checkout that is not installed.
+    ``interpreter_args`` start the CLI, by default through ``main``."""
     src = str(Path(dtiling.__file__).resolve().parent.parent)
     return subprocess.run(
-        [sys.executable, "-c", "import sys; from dtiling.cli import main; sys.exit(main())", *argv],
+        [sys.executable, *interpreter_args, *argv],
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
@@ -310,6 +316,20 @@ class TestScan:
 class TestUsage:
     def test_no_command(self):
         assert run([]) == 64
+
+    @pytest.mark.parametrize("module", ["dtiling", "dtiling.cli"])
+    def test_python_m_runs_the_command(self, module, tmp_path):
+        # From a checkout, without the console script: the command runs
+        # and writes its file.
+        argv = ["gen", "--kind", "random", "--n", "20", "--d", "5", "--seed", "0", "--out", "e.txt"]
+        proc = run_subprocess(argv, ["-m", module], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        G = parse_instance((tmp_path / "e.txt").read_text())
+        assert G.edges == random_codegree_instance(20, 5, seed=0).edges
+
+    @pytest.mark.parametrize("module", ["dtiling", "dtiling.cli"])
+    def test_python_m_without_command_exits_64(self, module, tmp_path):
+        assert run_subprocess([], ["-m", module], tmp_path).returncode == 64
 
     def test_unknown_flag(self):
         assert run(["solve", "x", "--badflag"]) == 64

@@ -215,6 +215,30 @@ class TestMaxTiling:
             G = random_codegree_instance(n, rng.randint(1, n // 4 + 1), rng.randint(0, 10**6))
             perfect = perfect_tiling_exact(G).status == "found"
             assert perfect == (max_tiling_exact(G).tiling.size == n // 4)
+        # Both run one packing search: on a vertex mask, the perfect search
+        # finds a tiling iff the maximum one packs |mask|/4 quads of the
+        # mask's catalog, and up to 12 vertices the brute force agrees.
+        # G0 gives infeasible masks of more than 12 vertices.
+        outcomes = set()
+        for _ in range(40):
+            n = rng.choice([12, 16, 20])
+            if rng.random() < 0.3:
+                G = construct_G0(n)
+            else:
+                G = random_codegree_instance(n, rng.randint(0, n // 4 + 1), rng.randrange(10**6))
+            verts = sorted(rng.sample(range(n), 4 * rng.randint(1, n // 4)))
+            mask = mask_of(verts)
+            perfect = perfect_tiling_exact(G, within=mask)
+            packed = max_tiling_exact(G, catalog=quad_catalog(G, mask))
+            assert perfect.optimal and packed.optimal
+            found = perfect.status == "found"
+            assert found == (packed.tiling.size == len(verts) // 4)
+            if len(verts) <= 12:
+                rank = {v: i for i, v in enumerate(verts)}
+                induced = [[rank[v] for v in e] for e in G.edges if all(v in rank for v in e)]
+                assert found == (naive_perfect_partition(len(verts), induced) is not None)
+            outcomes.add((found, len(verts) <= 12))
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestRelabelInvariance:

@@ -374,6 +374,18 @@ class TestStageQ:
         assert state.q == naive_max_y_packing(G.n, G.edges, part.y, part.z)
         assert state.diagnostics[-1]["detail"] == {"q": 3, "ell": 7, "mode": "exact", "nodes": 361}
 
+    def test_hitting_bound_closes_a_large_catalog_at_the_root(self):
+        # One Y vertex whose link is every pair of 87 Z vertices: all
+        # C(87, 3) quads hold it, more than the perfect search's cap for
+        # the hitting-set bound.  The bound is {y}, one quad, which the
+        # warm start already packs, so the maximum search ends at its root.
+        zs = tuple(range(1, 88))
+        G = build(88, [(0, a, b) for a, b in itertools.combinations(zs, 2)])
+        assert len(_one_y_catalog(G, (0,), zs).quads) == 105_995 > dtiling.exact._HITTING_CAP
+        state = PipelineState(partition=XYZPartition(z=zs, x=(), y=(0,), alpha=0.3))
+        build_Q(G, state)
+        assert state.diagnostics[-1]["detail"] == {"q": 1, "ell": 22, "mode": "exact", "nodes": 1}
+
     def test_budget_stop_keeps_the_warm_start(self):
         G, part = many_poor_vertices()
         state = PipelineState(partition=part)
