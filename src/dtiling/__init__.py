@@ -11,7 +11,6 @@ the greedy near-perfect tiling (`localsearch`), randomized absorption
 from .absorb import (
     AbsorberFamily,
     AbsorptionFailure,
-    AbsorptionParams,
     ConstructionFailure,
     absorb_leftover,
     absorbs,
@@ -22,7 +21,6 @@ from .absorb import (
 )
 from .cli import DriverParams, DriverResult, main, solve_driver
 from .constructions import (
-    ConstructionSpec,
     UnsupportedOrderError,
     build_instance,
     complete_3graph,
@@ -84,6 +82,6 @@ from .io import (
     write_certificate,
     write_instance,
 )
-from .localsearch import LocalSearchResult, greedy_tiling, near_perfect_tiling
+from .localsearch import near_perfect_tiling
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -4,7 +4,7 @@ An 8-set S absorbs a disjoint 4-set U when both the subgraph induced on S
 and the one induced on S + U admit perfect tilings; exactness of those
 two checks is never compromised.  A family of pairwise disjoint absorbers
 set aside before the main tiling lets the driver finish: whatever 4-sets
-the local search leaves uncovered are handed to distinct family members,
+the greedy tiling leaves uncovered are handed to distinct family members,
 each re-tiled together with its 4-set, while idle members fall back to
 their cached own tilings.
 
@@ -77,15 +77,6 @@ def absorbs(G: Hypergraph3, S, U) -> bool:
     return tileable(G, s_mask) and tileable(G, s_mask | mask_of(U))
 
 
-@dataclass(frozen=True)
-class AbsorptionParams:
-    """Family construction settings: the vertex budget fraction alpha,
-    which also sets the sampling rate, and the seed of the family's RNG."""
-
-    alpha: float = 0.3
-    seed: int = 0
-
-
 def desk_sampling_rate(alpha: float, n: int) -> float:
     """Rate giving alpha*n/16 expected members."""
     if n < 8:
@@ -142,24 +133,23 @@ class AbsorberFamily:
     stats: dict = field(default_factory=dict, compare=False)
 
 
-def build_absorbing_family(
-    G: Hypergraph3, params: AbsorptionParams | None = None
-) -> AbsorberFamily:
+def build_absorbing_family(G: Hypergraph3, alpha: float = 0.3, seed: int = 0) -> AbsorberFamily:
     """Sample, prune, and validate an absorbing family (see module doc).
 
-    Raises :class:`ConstructionFailure` with attempt statistics when every
-    retry ends empty or oversized.
+    ``alpha`` is the vertex budget fraction, which also sets the sampling
+    rate, and ``seed`` seeds the family's RNG.  Raises
+    :class:`ConstructionFailure` with attempt statistics when every retry
+    ends empty or oversized.
     """
-    params = params or AbsorptionParams()
-    if not 0 < params.alpha < 1:
-        raise InputError(f"alpha must lie in (0, 1), got {params.alpha}")
-    rng = random.Random(params.seed)
+    if not 0 < alpha < 1:
+        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
+    rng = random.Random(seed)
     stats: dict = {"attempts": []}
-    max_members = int(params.alpha * G.n) // 8
+    max_members = int(alpha * G.n) // 8
     if max_members < 1:
-        stats["reason"] = f"vertex budget alpha*n = {params.alpha * G.n:.2f} admits no 8-set"
+        stats["reason"] = f"vertex budget alpha*n = {alpha * G.n:.2f} admits no 8-set"
         raise ConstructionFailure(stats)
-    p = desk_sampling_rate(params.alpha, G.n)
+    p = desk_sampling_rate(alpha, G.n)
     total = math.comb(G.n, 8)
 
     for _ in range(MAX_RETRIES):
@@ -198,7 +188,7 @@ def build_absorbing_family(
                 members=tuple(members),
                 tilings=tuple(tilings),
                 covered=covered,
-                alpha=params.alpha,
+                alpha=alpha,
                 p=p,
                 stats=stats,
             )

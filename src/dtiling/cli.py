@@ -32,12 +32,11 @@ from dataclasses import dataclass, field
 
 from .absorb import (
     AbsorptionFailure,
-    AbsorptionParams,
     ConstructionFailure,
     absorb_leftover,
     build_absorbing_family,
 )
-from .constructions import KINDS, ConstructionSpec, build_instance, random_codegree_instance
+from .constructions import KINDS, build_instance, random_codegree_instance
 from .core import (
     MAX_N,
     Hypergraph3,
@@ -233,9 +232,8 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
 
 def _try_absorb_branch(G, params, budget, report, clocked):
     """Family + greedy tiling + absorption; None means the branch gave up."""
-    aparams = AbsorptionParams(alpha=params.alpha, seed=params.seed)
     try:
-        family = clocked("family", build_absorbing_family, G, aparams)
+        family = clocked("family", build_absorbing_family, G, params.alpha, params.seed)
     except ConstructionFailure as exc:
         report["attempts"].append(
             {
@@ -252,14 +250,14 @@ def _try_absorb_branch(G, params, budget, report, clocked):
     }
     family_mask = mask_of(family.covered)
     rest = ((1 << G.n) - 1) & ~family_mask
-    ls = clocked("local_search", near_perfect_tiling, G, within=rest)
-    report["local_search"] = ls.report
-    leftover = rest & ~mask_of(ls.tiling.covered)
+    greedy = clocked("local_search", near_perfect_tiling, G, within=rest)
+    leftover = rest & ~mask_of(greedy.covered)
+    report["local_search"] = {"leftover": leftover.bit_count()}
     try:
         absorbed = clocked("absorb", absorb_leftover, G, family, bits_of(leftover))
         report["branch"] = "non-extremal"
         report["attempts"].append({"branch": "non-extremal", "outcome": "tiled"})
-        return Tiling.from_copies(ls.tiling.copies + absorbed.copies)
+        return Tiling.from_copies(greedy.copies + absorbed.copies)
     except AbsorptionFailure as exc:
         report["attempts"].append(
             {
@@ -285,7 +283,7 @@ def _try_absorb_branch(G, params, budget, report, clocked):
         if status != FOUND:
             return None
         report["branch"] = "non-extremal"
-        return Tiling.from_copies(ls.tiling.copies + res.tiling.copies)
+        return Tiling.from_copies(greedy.copies + res.tiling.copies)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +348,7 @@ def _cmd_gen(args) -> int:
     d = args.d
     if args.kind == "random" and d is None:
         d = args.n // 4
-    spec = ConstructionSpec(kind=args.kind, n=args.n, seed=args.seed, target_codegree=d)
-    G = build_instance(spec)
+    G = build_instance(args.kind, args.n, args.seed, d)
     text = format_instance(G)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -478,12 +475,16 @@ def _cmd_scan(args, parser: _Parser) -> int:
     for n in values:
         rows = [by_key[(n, t)] for t in range(args.trials)]
         solved = sum(r["solved"] for r in rows)
+        branches = dict.fromkeys(SCAN_BRANCHES, 0)
+        for r in rows:
+            branches[r["branch"]] += 1
         line = {
             "n": n,
             "d": n // 4 + args.d_offset,
             "trials": args.trials,
             "solved": solved,
             "fraction": solved / args.trials,
+            "branches": branches,
         }
         if not args.no_timings:
             ms = sorted(r["ms"] for r in rows)
@@ -491,10 +492,6 @@ def _cmd_scan(args, parser: _Parser) -> int:
             line["p50_ms"] = round(_nearest_rank(ms, 0.5), 3)
             line["p90_ms"] = round(_nearest_rank(ms, 0.9), 3)
             line["max_ms"] = round(ms[-1], 3)
-            branches = dict.fromkeys(SCAN_BRANCHES, 0)
-            for r in rows:
-                branches[r["branch"]] += 1
-            line["branches"] = branches
         print(json.dumps(line, sort_keys=True))
     return 0
 

@@ -16,23 +16,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 
 from .core import MAX_N, Hypergraph3, InputError, _fill, bits_of, build
 
 
 class UnsupportedOrderError(InputError):
     """Requested a design order for which no construction exists."""
-
-
-@dataclass(frozen=True)
-class ConstructionSpec:
-    """Declarative description of a generated instance (CLI currency)."""
-
-    kind: str
-    n: int
-    seed: int = 0
-    target_codegree: int | None = None
 
 
 KINDS = ("g0", "g1", "sts", "complete", "random", "planted")
@@ -199,22 +188,23 @@ def random_codegree_instance(
     return Hypergraph3(n, m + repairs, links)
 
 
-def build_instance(spec: ConstructionSpec) -> Hypergraph3:
-    """Materialize a :class:`ConstructionSpec` of order at most ``MAX_N``."""
-    if spec.n > MAX_N:
-        raise InputError(f"instances have at most {MAX_N} vertices, got n={spec.n}")
-    kind = spec.kind.lower()
-    if kind == "g0":
-        return construct_G0(spec.n)
-    if kind == "g1":
-        return construct_G1(spec.n)
-    if kind == "sts":
-        return steiner_triple_system(spec.n)
-    if kind == "complete":
-        return complete_3graph(spec.n)
-    if kind == "random":
-        d = spec.target_codegree if spec.target_codegree is not None else 0
-        return random_codegree_instance(spec.n, d, spec.seed)
-    if kind == "planted":
-        return planted_extremal(spec.n)
-    raise InputError(f"unknown construction kind {spec.kind!r} (expected one of {KINDS})")
+def build_instance(kind: str, n: int, seed: int = 0, d: int | None = None) -> Hypergraph3:
+    """The instance of ``kind`` (one of ``KINDS``) and order ``n``, at most
+    ``MAX_N``; kind ``random`` takes ``seed`` and the minimum codegree ``d``
+    (0 when None)."""
+    if n > MAX_N:
+        raise InputError(f"instances have at most {MAX_N} vertices, got n={n}")
+    name = kind.lower()
+    if name == "g0":
+        return construct_G0(n)
+    if name == "g1":
+        return construct_G1(n)
+    if name == "sts":
+        return steiner_triple_system(n)
+    if name == "complete":
+        return complete_3graph(n)
+    if name == "random":
+        return random_codegree_instance(n, d or 0, seed)
+    if name == "planted":
+        return planted_extremal(n)
+    raise InputError(f"unknown construction kind {kind!r} (expected one of {KINDS})")

@@ -17,8 +17,8 @@ vertices whose two triples share exactly two vertices.  ``DCopy`` records
 one placed copy of that pattern and ``Tiling`` a vertex-disjoint
 collection of copies.  A 4-set of vertices spans a copy exactly when its
 induced subgraph has at least two edges (any two distinct triples on four
-points share two vertices); ``spanning_quads_at`` lists such 4-sets one
-lowest vertex at a time.
+points share two vertices); ``spanning_quads_at`` lists such 4-sets
+through one vertex at a time.
 
 ``Hypergraph3`` is immutable after construction and safe to read from
 several threads (two threads that both derive ``edges`` first build equal
@@ -124,11 +124,13 @@ class Tiling:
 class Verdict:
     """Validation outcome; ``ok`` iff ``violations`` is empty."""
 
-    ok: bool = True
     violations: list[str] = field(default_factory=list)
 
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
     def add(self, message: str) -> None:
-        self.ok = False
         self.violations.append(message)
 
 
@@ -326,19 +328,21 @@ def quad_spans_D(G: Hypergraph3, quad) -> bool:
 
 
 def spanning_quads_at(G: Hypergraph3, v: int, free: int):
-    """Yield the spanning 4-sets ``(v, a, b, c)`` with v < a < b < c and
-    a, b, c in the vertex mask ``free``, in lexicographic order.
+    """Yield the spanning 4-sets ``(v, a, b, c)`` through v with a < b < c
+    in the vertex mask ``free`` (v itself left out), in lexicographic
+    order of (a, b, c).
 
     The c of one (a, b) are one word operation on the pair bitsets: with
     vab an edge one more of vac, vbc, abc suffices, else two of them.  The
-    quad catalog, the small-set search and the greedy tiling all list
-    their 4-sets here, one lowest vertex at a time.
+    quad catalog, the small-set search, the greedy tiling and stage Q all
+    list their 4-sets here; a caller that wants v lowest passes only the
+    vertices above it.
     """
     links = G._links
     rv = links.get(v)
     if rv is None:
         return
-    free &= -(2 << v)  # above v
+    free &= ~(1 << v)
     others = bits_of(free)
     for i, a in enumerate(others):
         ra = links.get(a)

@@ -4,10 +4,11 @@ sets and the pattern-free decision, and 4-partite perfect matching.
 All tiling searches run on the quad catalog: the 4-sets that induce at
 least two edges, i.e. exactly the 4-sets a copy can occupy, listed in
 lexicographic order.  ``quad_catalog`` builds it without a sort, one
-lowest vertex at a time, from ``core.spanning_quads_at``: the one
-enumerator of spanning 4-sets, which the small-set search and the greedy
-tiling walk too.  It can be built on a vertex mask ``within`` of G, in
-G's own ids, so no caller copies a subgraph.
+lowest vertex at a time, from ``core.spanning_quads_at`` handed only the
+vertices above that one: the one enumerator of spanning 4-sets, which the
+small-set search, the greedy tiling and stage Q walk too.  It can be
+built on a vertex mask ``within`` of G, in G's own ids, so no caller
+copies a subgraph.
 
 The catalog stores one incidence bitset per vertex over quad ids: bit i
 of ``inc[v]`` is set iff v is in quad i.  Each search carries the quads
@@ -166,13 +167,13 @@ def quad_catalog(G: Hypergraph3, within: int | None = None) -> QuadCatalog:
     of G), in G's ids and lexicographic order.
 
     Each vertex v of the mask, ascending, adds its ``spanning_quads_at``
-    inside the mask, the quads whose lowest vertex is v, in lexicographic
-    order.  So each quad comes out once and in order, with no set and no
-    sort.
+    on the mask's vertices above v, the quads whose lowest vertex is v, in
+    lexicographic order.  So each quad comes out once and in order, with
+    no set and no sort.
     """
     within = vertex_mask(G, within)
     verts = bits_of(within)
-    quads = [q for v in verts for q in spanning_quads_at(G, v, within)]
+    quads = [q for v in verts for q in spanning_quads_at(G, v, within & -(2 << v))]
     return QuadCatalog(quads=tuple(quads), inc=_incidence(G.n, verts, quads), graph=G)
 
 

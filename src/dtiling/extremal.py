@@ -7,7 +7,8 @@ like the small side of the tight construction, the poor ones (Y) are few.
 Four stages then assemble a perfect tiling:
 
 * Q: a maximum collection of copies using one Y vertex + three Z vertices,
-  found by the budgeted maximum tiling search of ``exact``;
+  found by the budgeted maximum tiling search of ``exact`` on the quads
+  that ``core.spanning_quads_at`` lists through each Y vertex inside Z;
 * R: each Y vertex missed by Q, one X vertex and two Z vertices, glued by
   edges {x,y,z1} and {x,z1,z2};
 * S: exactly max(q - ell, 0) copies on two X + two Z vertices (ell is the
@@ -35,7 +36,6 @@ callers treat as "this instance is not in the regime" and fall back.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .core import (
     DCopy,
@@ -45,6 +45,7 @@ from .core import (
     bits_of,
     dcopy_from_quad,
     mask_of,
+    spanning_quads_at,
     validate_tiling,
 )
 from .exact import (
@@ -219,22 +220,12 @@ def _z_pair_x_link_ok(G: Hypergraph3, zlist, xs, alpha: float) -> bool:
 
 def _one_y_catalog(G: Hypergraph3, ys, zs) -> QuadCatalog:
     """The catalog of the 4-sets spanning a copy on one vertex y of ``ys``
-    and three of ``zs``, in lexicographic order.  Two of the copy's edges
-    pass through y, {y, z, a} and {y, z, b}, or one does, {y, z1, z2}, and
-    the other is the Z edge {z1, z2, z3}."""
-    ymask, zmask = mask_of(ys), mask_of(zs)
-    quads = set()
-    for y in ys:
-        for z in zs:
-            for a, b in combinations(bits_of(G.pair_bits(y, z) & zmask), 2):
-                quads.add(tuple(sorted((y, z, a, b))))
-    for z1, z2 in combinations(zs, 2):
-        bits = G.pair_bits(z1, z2)
-        for y in bits_of(bits & ymask):
-            for z3 in bits_of(bits & zmask):
-                quads.add(tuple(sorted((y, z1, z2, z3))))
-    quads = sorted(quads)
-    return QuadCatalog(quads=tuple(quads), inc=_incidence(G.n, bits_of(ymask | zmask), quads), graph=G)
+    and three of ``zs``, in lexicographic order: each y's
+    ``spanning_quads_at`` on Z, which lists every such 4-set once, under
+    its one Y vertex."""
+    zmask = mask_of(zs)
+    quads = sorted(tuple(sorted(q)) for y in ys for q in spanning_quads_at(G, y, zmask))
+    return QuadCatalog(quads=tuple(quads), inc=_incidence(G.n, bits_of(mask_of(ys) | zmask), quads), graph=G)
 
 
 def build_Q(G: Hypergraph3, state: PipelineState, budget: SearchBudget | None = None) -> None:

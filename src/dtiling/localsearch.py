@@ -5,7 +5,9 @@ vertices outside the absorbing family) and places copies in G's own ids.
 It takes the canonical-first spanning 4-set at the lowest vertex that
 still owns one, until no vertex does: the first quad that
 ``core.spanning_quads_at`` yields inside the uncovered part of the mask,
-the enumerator the quad catalog and the small-set search list theirs by.
+the enumerator the quad catalog, the small-set search and stage Q list
+theirs by.  No uncovered vertex below the current one completes a quad
+with it: each found none among a superset of the uncovered vertices.
 
 Greedy is enough.  The tiling it returns is maximal: the part of
 ``within`` it leaves uncovered spans no copy of D.  The absorption
@@ -16,13 +18,12 @@ search on the family plus the leftover, or its fallback, takes over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import Hypergraph3, Tiling, bits_of, dcopy_from_quad, mask_of, spanning_quads_at, vertex_mask
 
 
-def greedy_tiling(G: Hypergraph3, within: int | None = None) -> Tiling:
-    """Maximal tiling of ``within`` taking the canonical-first available 4-set each time.
+def near_perfect_tiling(G: Hypergraph3, within: int | None = None) -> Tiling:
+    """Maximal tiling of the vertex mask ``within`` (default: all of G),
+    taking the canonical-first available 4-set each time.
 
     Each uncovered vertex, ascending, takes the first of its
     ``spanning_quads_at`` among the uncovered vertices, so no quad
@@ -39,17 +40,3 @@ def greedy_tiling(G: Hypergraph3, within: int | None = None) -> Tiling:
             copies.append(dcopy_from_quad(G, quad))
             covered |= mask_of(quad)
     return Tiling.from_copies(copies)
-
-
-@dataclass
-class LocalSearchResult:
-    tiling: Tiling
-    report: dict
-
-
-def near_perfect_tiling(G: Hypergraph3, within: int | None = None) -> LocalSearchResult:
-    """The greedy tiling of the vertex mask ``within`` (default: all of G),
-    reported with the number of vertices of ``within`` it leaves uncovered."""
-    within = vertex_mask(G, within)
-    tiling = greedy_tiling(G, within)
-    return LocalSearchResult(tiling=tiling, report={"leftover": within.bit_count() - len(tiling.covered)})

@@ -7,7 +7,6 @@ import pytest
 from dtiling import (
     AbsorberFamily,
     AbsorptionFailure,
-    AbsorptionParams,
     ConstructionFailure,
     DCopy,
     InputError,
@@ -114,7 +113,7 @@ class TestRates:
 class TestFamily:
     def test_complete_40(self):
         G = complete_3graph(40)
-        family = build_absorbing_family(G, AbsorptionParams(seed=3))
+        family = build_absorbing_family(G, seed=3)
         assert 1 <= len(family.members) <= int(0.3 * 40) // 8
         assert len(family.covered) == 8 * len(family.members)
         assert len(family.covered) <= 0.3 * 40
@@ -123,8 +122,8 @@ class TestFamily:
 
     def test_deterministic(self):
         G = complete_3graph(40)
-        f1 = build_absorbing_family(G, AbsorptionParams(seed=3))
-        f2 = build_absorbing_family(G, AbsorptionParams(seed=3))
+        f1 = build_absorbing_family(G, seed=3)
+        f2 = build_absorbing_family(G, seed=3)
         assert f1.members == f2.members
 
     @pytest.mark.parametrize(
@@ -167,7 +166,7 @@ class TestFamily:
         # samples, probe 4-sets).  Rerun determinism cannot see a change
         # that moves the stream; this test does.
         G = random_codegree_instance(48, 16, seed=seed)
-        family = build_absorbing_family(G, AbsorptionParams(seed=seed))
+        family = build_absorbing_family(G, seed=seed)
         assert [a["drawn"] for a in family.stats["attempts"]] == drawn
         assert family.members == (member,)
         assert [format_certificate(t) for t in family.tilings] == [text]
@@ -176,22 +175,22 @@ class TestFamily:
         monkeypatch.setattr(absorb, "desk_sampling_rate", lambda alpha, n: 0.0)
         monkeypatch.setattr(absorb, "MAX_RETRIES", 3)
         with pytest.raises(ConstructionFailure) as exc:
-            build_absorbing_family(complete_3graph(40), AbsorptionParams())
+            build_absorbing_family(complete_3graph(40))
         assert len(exc.value.stats["attempts"]) == 3
 
     def test_small_n_fails_early(self):
         with pytest.raises(ConstructionFailure) as exc:
-            build_absorbing_family(complete_3graph(24), AbsorptionParams())
+            build_absorbing_family(complete_3graph(24))
         assert "admits no 8-set" in exc.value.stats["reason"]
         assert exc.value.stats["attempts"] == []
 
     def test_alpha_range(self):
         with pytest.raises(InputError):
-            build_absorbing_family(complete_3graph(40), AbsorptionParams(alpha=2.0))
+            build_absorbing_family(complete_3graph(40), alpha=2.0)
 
     def test_validate_family_catches_tampering(self):
         G = complete_3graph(40)
-        family = build_absorbing_family(G, AbsorptionParams(seed=3))
+        family = build_absorbing_family(G, seed=3)
         broken = AbsorberFamily(
             members=family.members + family.members,
             tilings=family.tilings + family.tilings,
@@ -223,14 +222,14 @@ class TestLeftover:
 
     def test_complete_40_absorbs_one_block(self):
         G = complete_3graph(40)
-        family = build_absorbing_family(G, AbsorptionParams(seed=3))
+        family = build_absorbing_family(G, seed=3)
         W = sorted(set(range(40)) - family.covered)[:4]
         tiling = absorb_leftover(G, family, W)
         assert tiling.covered == family.covered | set(W)
 
     def test_parity_errors(self):
         G = complete_3graph(40)
-        family = build_absorbing_family(G, AbsorptionParams(seed=3))
+        family = build_absorbing_family(G, seed=3)
         free = sorted(set(range(40)) - family.covered)
         with pytest.raises(InputError, match="divisible"):
             absorb_leftover(G, family, free[:3])
@@ -258,7 +257,7 @@ class TestOneKernel:
 
     def test_family_and_leftover(self, no_catalog_search):
         G = random_codegree_instance(48, 16, 0)
-        family = build_absorbing_family(G, AbsorptionParams(seed=0))
+        family = build_absorbing_family(G, seed=0)
         (member,) = family.members
         free = sorted(set(range(G.n)) - family.covered)
         W = next(U for U in itertools.combinations(free, 4) if absorbs(G, member, U))
@@ -270,7 +269,7 @@ class TestOneKernel:
         # The final self-check catches a tiling that misses the block: a
         # fault inside the program, not malformed input.
         G = complete_3graph(40)
-        family = build_absorbing_family(G, AbsorptionParams(seed=3))
+        family = build_absorbing_family(G, seed=3)
         monkeypatch.setattr(absorb, "induced_perfect_tiling", lambda G, vertices: family.tilings[0])
         W = sorted(set(range(40)) - family.covered)[:4]
         with pytest.raises(AssertionError, match="invalid tiling"):

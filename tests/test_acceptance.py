@@ -8,7 +8,6 @@ import itertools
 import time
 
 from dtiling import (
-    AbsorptionParams,
     DriverParams,
     build_absorbing_family,
     codegree,
@@ -185,7 +184,7 @@ def test_criterion_6_absorption_pipeline(capsys):
         if min_codegree(G) < n / 3:
             violations.append(f"n={n} seed {seed}: codegree below n/3")
             continue
-        family = build_absorbing_family(G, AbsorptionParams(seed=seed))
+        family = build_absorbing_family(G, seed=seed)
         validate_family(G, family)
         if len(family.covered) > 0.3 * n:
             violations.append(f"n={n} seed {seed}: family covers {len(family.covered)}")

@@ -242,7 +242,8 @@ class TestScan:
         lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         assert [l["n"] for l in lines] == [8, 12]
         for line in lines:
-            assert set(line) == {"n", "d", "trials", "solved", "fraction"}
+            assert set(line) == {"n", "d", "trials", "solved", "fraction", "branches"}
+            assert sum(line["branches"].values()) == 2
             assert 0 <= line["solved"] <= 2
 
     def test_timings_included_by_default(self, capsys):

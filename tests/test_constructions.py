@@ -5,7 +5,6 @@ import pytest
 
 from dtiling import (
     MAX_N,
-    ConstructionSpec,
     InputError,
     UnsupportedOrderError,
     build_instance,
@@ -163,21 +162,21 @@ class TestComplete:
 
 class TestDispatch:
     def test_kinds_route(self):
-        assert build_instance(ConstructionSpec("g0", 8)).n == 8
-        assert build_instance(ConstructionSpec("g1", 8)).n == 8
-        assert build_instance(ConstructionSpec("sts", 9)).n == 9
-        assert build_instance(ConstructionSpec("complete", 6)).n == 6
-        assert build_instance(ConstructionSpec("planted", 8)).n == 8
+        assert build_instance("g0", 8).n == 8
+        assert build_instance("g1", 8).n == 8
+        assert build_instance("sts", 9).n == 9
+        assert build_instance("complete", 6).n == 6
+        assert build_instance("planted", 8).n == 8
 
     def test_random_kind_uses_target(self):
-        G = build_instance(ConstructionSpec("random", 16, seed=1, target_codegree=4))
+        G = build_instance("random", 16, seed=1, d=4)
         assert min_codegree(G) >= 4
 
     def test_unknown_kind(self):
         with pytest.raises(InputError):
-            build_instance(ConstructionSpec("mystery", 8))
+            build_instance("mystery", 8)
 
     @pytest.mark.parametrize("kind", ["g0", "g1", "sts", "complete", "random", "planted"])
     def test_order_above_max_n(self, kind):
         with pytest.raises(InputError, match=f"at most {MAX_N}"):
-            build_instance(ConstructionSpec(kind, MAX_N + 3))
+            build_instance(kind, MAX_N + 3)

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dtiling
@@ -80,7 +80,23 @@ def test_catalog_matches_naive_on_masks(data, bits):
     assert [bits_of(x) for x in cat.inc] == [[i for i, q in enumerate(cat.quads) if v in q] for v in range(n)]
     # The one enumerator lists each vertex's quads, the naive ones with that lowest vertex, in order.
     for v in S:
-        assert list(spanning_quads_at(G, v, mask_of(S))) == [q for q in naive if q[0] == v]
+        assert list(spanning_quads_at(G, v, mask_of(S) & -(2 << v))) == [q for q in naive if q[0] == v]
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_n=12), st.integers(0, 2**12 - 1))
+@example((5, [(0, 1, 4), (0, 2, 4), (1, 2, 3)]), 0b11111)
+def test_enumerator_lists_every_quad_through_v(data, bits):
+    # With vertices on both sides of v in the mask, and v in it or not, the
+    # enumerator lists the naive spanning 4-sets through v whose other three
+    # lie in the mask, as (v, a, b, c) with a < b < c, in order.
+    n, edges = data
+    G = build(n, edges)
+    S = {v for v in range(n) if (bits >> v) & 1}
+    naive = _spanning_quads(n, G.edges)
+    for v in range(n):
+        expected = [(v, *(u for u in q if u != v)) for q in naive if v in q and set(q) - {v} <= S]
+        assert list(spanning_quads_at(G, v, mask_of(S))) == expected
 
 
 class TestPerfect:

@@ -19,8 +19,8 @@ from dtiling import (
     construct_G1,
     format_certificate,
     format_instance,
-    greedy_tiling,
     main,
+    near_perfect_tiling,
     parse_certificate,
     parse_instance,
     perfect_tiling_exact,
@@ -97,7 +97,7 @@ class TestCertificateText:
 
     def test_round_trip_partial(self):
         G = complete_3graph(12)
-        tiling = greedy_tiling(G)
+        tiling = near_perfect_tiling(G)
         cert = parse_certificate(format_certificate(tiling))
         assert cert.kind == "partial" and cert.tiling == tiling
 
@@ -136,7 +136,7 @@ class TestCertificateText:
             parse_certificate("partial 1\n0 1 2 3 | 0 1 2 | 0 1 3\nextra\n")
 
     def test_file_round_trip(self, tmp_path):
-        tiling = greedy_tiling(complete_3graph(8))
+        tiling = near_perfect_tiling(complete_3graph(8))
         path = tmp_path / "cert.txt"
         write_certificate(tiling, path, "perfect")
         cert = read_certificate(path)

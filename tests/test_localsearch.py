@@ -7,7 +7,6 @@ from dtiling import (
     DriverParams,
     build,
     complete_3graph,
-    greedy_tiling,
     near_perfect_tiling,
     parse_instance,
     perfect_tiling_exact,
@@ -25,13 +24,13 @@ from naive import naive_copy_pairs
 class TestGreedy:
     def test_k8_maximal(self):
         G = complete_3graph(8)
-        tiling = greedy_tiling(G)
+        tiling = near_perfect_tiling(G)
         assert tiling.size == 2
         assert validate_tiling(G, tiling, require_perfect=True).ok
 
     def test_sts_has_nothing(self):
         G = steiner_triple_system(7)
-        assert greedy_tiling(G).size == 0
+        assert near_perfect_tiling(G).size == 0
 
 
 def test_greedy_leaves_no_copy_uncovered():
@@ -44,7 +43,7 @@ def test_greedy_leaves_no_copy_uncovered():
         edges = [t for t in itertools.combinations(range(n), 3) if rng.random() < density]
         G = build(n, edges)
         within = [v for v in range(n) if rng.random() < 0.8]
-        tiling = greedy_tiling(G, mask_of(within))
+        tiling = near_perfect_tiling(G, mask_of(within))
         assert validate_tiling(G, tiling).ok
         assert tiling.covered <= set(within)
         uncovered = set(within) - tiling.covered
@@ -61,7 +60,7 @@ def test_greedy_places_the_catalog_first_fit_packing():
         G = build(n, [t for t in itertools.combinations(range(n), 3) if rng.random() < density])
         within = rng.getrandbits(n)
         cat = quad_catalog(G, within)
-        placed = [c.vertices for c in greedy_tiling(G, within).copies]
+        placed = [c.vertices for c in near_perfect_tiling(G, within).copies]
         assert placed == [cat.quads[i] for i in _greedy_packing(cat, cat.all_quads)]
 
 
@@ -69,14 +68,11 @@ class TestNearPerfect:
     @pytest.mark.parametrize("n", [12, 16, 20])
     def test_complete_reaches_perfect(self, n):
         G = complete_3graph(n)
-        result = near_perfect_tiling(G)
-        assert result.report == {"leftover": 0}
-        assert validate_tiling(G, result.tiling, require_perfect=True).ok
+        tiling = near_perfect_tiling(G)
+        assert validate_tiling(G, tiling, require_perfect=True).ok
 
     def test_sts_stalls_empty(self):
-        result = near_perfect_tiling(steiner_triple_system(7))
-        assert result.tiling.size == 0
-        assert result.report == {"leftover": 7}
+        assert near_perfect_tiling(steiner_triple_system(7)).size == 0
 
     def test_random_feasible_instances_land_close(self):
         checked = 0
@@ -87,10 +83,9 @@ class TestNearPerfect:
             if perfect_tiling_exact(G).status != "found":
                 continue
             checked += 1
-            result = near_perfect_tiling(G)
-            assert validate_tiling(G, result.tiling).ok
-            assert result.report["leftover"] % 4 == 0
-            assert result.report["leftover"] <= 8
+            tiling = near_perfect_tiling(G)
+            assert validate_tiling(G, tiling).ok
+            assert 12 - len(tiling.covered) <= 8
         assert checked == 10
 
 
