@@ -162,7 +162,7 @@ def build_absorbing_family(G: Hypergraph3, alpha: float = 0.3, seed: int = 0) ->
                 seen.add(s)
                 sampled.append(s)
         # (a) delete both sides of every overlapping pair
-        masks = [sum(1 << v for v in s) for s in sampled]
+        masks = [mask_of(s) for s in sampled]
         disjoint = [
             s
             for i, s in enumerate(sampled)

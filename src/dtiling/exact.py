@@ -432,7 +432,7 @@ def max_tiling_exact(
     budget = budget or SearchBudget()
     cat = _catalog_on(G, (1 << G.n) - 1, catalog)
     first = budget.nodes
-    free = sum(1 << v for v, row in enumerate(cat.inc) if row)
+    free = mask_of(v for v, row in enumerate(cat.inc) if row)
     status, best = _packing_search(cat, budget, free, 0, _greedy_packing(cat, cat.all_quads))
     return TilingSearchResult(
         status=status,

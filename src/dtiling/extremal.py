@@ -4,18 +4,25 @@ When a maximal pattern-free set Z holds roughly three quarters of the
 vertices, the remaining vertices split by how much of Z's pair set their
 link covers: the rich ones (X, link at least a (1-alpha) fraction) behave
 like the small side of the tight construction, the poor ones (Y) are few.
-Four stages then assemble a perfect tiling:
+Four stages then assemble a perfect tiling.  Each takes the partition
+and the mask of the vertices the earlier stages left free, and returns
+what it placed; every copy carries the witness edges that
+``core.dcopy_from_quad`` picks for its 4-set.
 
 * Q: a maximum collection of copies using one Y vertex + three Z vertices,
   found by the budgeted maximum tiling search of ``exact`` on the quads
   that ``core.spanning_quads_at`` lists through each Y vertex inside Z;
-* R: each Y vertex missed by Q, one X vertex and two Z vertices, glued by
-  edges {x,y,z1} and {x,z1,z2};
+* R: each free Y vertex y with the two smallest free Z vertices z1 < z2
+  and the smallest free X vertex x for which {x,y,z1} and {x,z1,z2} are
+  edges;
 * S: exactly max(q - ell, 0) copies on two X + two Z vertices (ell is the
   shortfall k - |X|), balancing the books so that afterwards exactly m
   X vertices and 3m Z vertices remain;
 * T: an exact perfect matching in the 4-partite 4-graph on the X
   remainder and three equal Z slices, one copy per matched 4-set.
+
+``run_extremal_pipeline`` threads the free mask from stage to stage,
+checks the books before T and writes the diagnostics of the report.
 
 Z itself comes from one incremental grower, ``_grow_D_free``: the
 degree-order greedy set, the extension of a seed in id order and the
@@ -35,7 +42,7 @@ callers treat as "this instance is not in the regime" and fall back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     DCopy,
@@ -52,6 +59,7 @@ from .exact import (
     FOUND,
     QuadCatalog,
     SearchBudget,
+    TilingSearchResult,
     _incidence,
     four_partite_degree_stats,
     four_partite_of,
@@ -76,24 +84,6 @@ class XYZPartition:
     y: tuple[int, ...]
     alpha: float
     diagnostics: tuple[dict, ...] = ()
-
-
-@dataclass
-class PipelineState:
-    partition: XYZPartition
-    q_copies: list[DCopy] = field(default_factory=list)
-    r_copies: list[DCopy] = field(default_factory=list)
-    s_copies: list[DCopy] = field(default_factory=list)
-    t_copies: list[DCopy] = field(default_factory=list)
-    q_mode: str = ""
-    q: int = 0
-    ell: int = 0
-    m: int = 0
-    diagnostics: list[dict] = field(default_factory=list)
-    matching_stats: dict = field(default_factory=dict)
-
-    def used(self, copies) -> set[int]:
-        return {v for c in copies for v in c.vertices}
 
 
 def _grow_D_free(G: Hypergraph3, Z, order) -> tuple[int, ...] | None:
@@ -163,6 +153,11 @@ def _is_maximal_D_free(G: Hypergraph3, Z) -> bool:
     return grown is not None and len(grown) == len(set(Z))
 
 
+def _diagnostic(name: str, ok: bool, **detail) -> dict:
+    """One report entry: a checked inequality and the values it read."""
+    return {"name": name, "ok": ok, "detail": detail}
+
+
 def _link_pair_count(G: Hypergraph3, v: int, zmask: int, zlist) -> int:
     total = 0
     for z in zlist:
@@ -189,21 +184,14 @@ def partition_XYZ(G: Hypergraph3, Z, alpha: float) -> XYZPartition:
         (xs if _link_pair_count(G, v, zmask, zlist) >= threshold else ys).append(v)
     k = G.n / 4
     eps0 = alpha**3
+    sizes_ok = (
+        k * (1 - 4 * alpha**2) <= len(xs) <= k * (1 + 3 * eps0)
+        and len(ys) <= 4 * alpha**2 * k
+        and zsize >= 3 * k * (1 - eps0)
+    )
     diags = (
-        {
-            "name": "partition_size_bounds",
-            "ok": (
-                k * (1 - 4 * alpha**2) <= len(xs) <= k * (1 + 3 * eps0)
-                and len(ys) <= 4 * alpha**2 * k
-                and zsize >= 3 * k * (1 - eps0)
-            ),
-            "detail": {"x": len(xs), "y": len(ys), "z": zsize, "k": k, "eps0": eps0},
-        },
-        {
-            "name": "z_pair_x_link",
-            "ok": _z_pair_x_link_ok(G, zlist, xs, alpha),
-            "detail": {"threshold": (1 - alpha) * len(xs)},
-        },
+        _diagnostic("partition_size_bounds", sizes_ok, x=len(xs), y=len(ys), z=zsize, k=k, eps0=eps0),
+        _diagnostic("z_pair_x_link", _z_pair_x_link_ok(G, zlist, xs, alpha), threshold=(1 - alpha) * len(xs)),
     )
     return XYZPartition(z=tuple(zlist), x=tuple(xs), y=tuple(ys), alpha=alpha, diagnostics=diags)
 
@@ -228,181 +216,96 @@ def _one_y_catalog(G: Hypergraph3, ys, zs) -> QuadCatalog:
     return QuadCatalog(quads=tuple(quads), inc=_incidence(G.n, bits_of(mask_of(ys) | zmask), quads), graph=G)
 
 
-def build_Q(G: Hypergraph3, state: PipelineState, budget: SearchBudget | None = None) -> None:
+def build_Q(G: Hypergraph3, part: XYZPartition, budget: SearchBudget | None = None) -> TilingSearchResult:
     """Maximum tiling by copies on one Y vertex and three Z vertices: a
-    maximum packing of those quads (no search when Y is empty).  The
-    search ticks ``budget``, which stage T then shares; ``q_mode`` is
-    ``exhausted`` when the budget stopped it, and Q is then the best
-    packing found so far.
+    maximum packing of those quads, ``found`` and empty with no catalog
+    and no search when Y is empty.  The search ticks ``budget``, which
+    stage T then shares; it is ``exhausted`` when the budget stopped it,
+    and its tiling is then the best packing found so far.
     """
-    part = state.partition
-    state.ell = G.n // 4 - len(part.x)
-    state.q_mode, nodes = "exact", 0
-    if part.y:
-        res = max_tiling_exact(G, budget, catalog=_one_y_catalog(G, part.y, part.z))
-        state.q_mode = "exact" if res.optimal else "exhausted"
-        state.q_copies = list(res.tiling.copies)
-        nodes = res.nodes
-    state.q = len(state.q_copies)
-    for c in state.q_copies:
-        if len(set(c.vertices) & set(part.z)) != 3 or len(set(c.vertices) & set(part.y)) != 1:
+    if not part.y:
+        return TilingSearchResult(status=FOUND, tiling=Tiling.from_copies(()), nodes=0)
+    res = max_tiling_exact(G, budget, catalog=_one_y_catalog(G, part.y, part.z))
+    zmask, ymask = mask_of(part.z), mask_of(part.y)
+    for c in res.tiling.copies:
+        quad = mask_of(c.vertices)
+        if (quad & zmask).bit_count() != 3 or (quad & ymask).bit_count() != 1:
             raise AssertionError(f"stage Q copy {c.vertices} is not one Y vertex plus three Z vertices")
-    state.diagnostics.append(
-        {
-            "name": "q_covers_deficit",
-            "ok": state.q >= state.ell,
-            "detail": {"q": state.q, "ell": state.ell, "mode": state.q_mode, "nodes": nodes},
-        }
-    )
+    return res
 
 
-def build_R(G: Hypergraph3, state: PipelineState) -> None:
-    """One copy per Y vertex missed by Q: the two smallest free Z
-    vertices z1 < z2 and the smallest X vertex x with edges {x,y,z1} and
+def _two_lowest(mask: int) -> tuple[int, int]:
+    """The two smallest vertices of ``mask``, which holds at least two."""
+    rest = mask & (mask - 1)
+    return (mask ^ rest).bit_length() - 1, (rest & -rest).bit_length() - 1
+
+
+def _covered(copies) -> int:
+    return mask_of(v for c in copies for v in c.vertices)
+
+
+def build_R(G: Hypergraph3, part: XYZPartition, free: int) -> list[DCopy]:
+    """One copy per free Y vertex y: the two smallest free Z vertices
+    z1 < z2 and the smallest free X vertex x with edges {x,y,z1} and
     {x,z1,z2}.  No candidate x is a hard stage failure."""
-    part = state.partition
-    used_q = state.used(state.q_copies)
-    free_z = [z for z in part.z if z not in used_q]
-    free_x = list(part.x)
-    leftover_y = [y for y in part.y if y not in used_q]
-    xmask = mask_of(free_x)
-    for y in leftover_y:
-        if len(free_z) < 2:
+    zmask, xmask = mask_of(part.z), mask_of(part.x)
+    copies = []
+    for y in bits_of(free & mask_of(part.y)):
+        if (free & zmask).bit_count() < 2:
             raise StageFailure("R", f"fewer than two free Z vertices for y={y}")
-        z1, z2 = free_z[0], free_z[1]
-        cands = G.pair_bits(y, z1) & G.pair_bits(z1, z2) & xmask
+        z1, z2 = _two_lowest(free & zmask)
+        cands = G.pair_bits(y, z1) & G.pair_bits(z1, z2) & free & xmask
         if not cands:
-            raise StageFailure(
-                "R", f"no X vertex completes y={y} with z1={z1}, z2={z2}"
-            )
-        x = bits_of(cands)[0]
-        ea = tuple(sorted((x, y, z1)))
-        eb = tuple(sorted((x, z1, z2)))
-        state.r_copies.append(
-            DCopy(vertices=tuple(sorted((x, y, z1, z2))), edge_a=min(ea, eb), edge_b=max(ea, eb))
-        )
-        free_z = free_z[2:]
-        free_x.remove(x)
-        xmask &= ~(1 << x)
-    if leftover_y and part.x:
-        ymask_need = (1 - part.alpha) * len(part.x)
-        ok = True
-        xall = mask_of(part.x)
-        for y in leftover_y:
-            for z in free_z:
-                if (G.pair_bits(y, z) & xall).bit_count() < ymask_need:
-                    ok = False
-                    break
-        state.diagnostics.append(
-            {
-                "name": "yz_pair_x_link",
-                "ok": ok,
-                "detail": {"threshold": ymask_need, "pairs_checked": len(leftover_y) * len(free_z)},
-            }
-        )
+            raise StageFailure("R", f"no X vertex completes y={y} with z1={z1}, z2={z2}")
+        copies.append(dcopy_from_quad(G, (y, z1, z2, (cands & -cands).bit_length() - 1)))
+        free &= ~mask_of(copies[-1].vertices)
+    return copies
 
 
-def build_S(G: Hypergraph3, state: PipelineState) -> None:
-    """Exactly max(q - ell, 0) copies on two X + two Z vertices, spending
-    the X surplus so the T stage books balance."""
-    part = state.partition
-    surplus = max(state.q - state.ell, 0)
-    used = state.used(state.q_copies) | state.used(state.r_copies)
-    free_z = [z for z in part.z if z not in used]
-    free_x = [x for x in part.x if x not in used]
+def build_S(G: Hypergraph3, part: XYZPartition, free: int, surplus: int) -> list[DCopy]:
+    """``surplus`` copies, each on the two smallest free Z vertices and the
+    two smallest free X vertices joined to both, spending the X surplus so
+    the T stage books balance."""
+    zmask, xmask = mask_of(part.z), mask_of(part.x)
+    copies = []
     for _ in range(surplus):
-        if len(free_z) < 2:
+        if (free & zmask).bit_count() < 2:
             raise StageFailure("S", "fewer than two free Z vertices")
-        z1, z2 = free_z[0], free_z[1]
-        xmask = mask_of(free_x)
-        cands = bits_of(G.pair_bits(z1, z2) & xmask)
-        if len(cands) < 2:
+        z1, z2 = _two_lowest(free & zmask)
+        cands = G.pair_bits(z1, z2) & free & xmask
+        if cands.bit_count() < 2:
             raise StageFailure("S", f"pair ({z1}, {z2}) lacks two joint X neighbours")
-        x1, x2 = cands[0], cands[1]
-        ea = tuple(sorted((z1, z2, x1)))
-        eb = tuple(sorted((z1, z2, x2)))
-        state.s_copies.append(
-            DCopy(vertices=tuple(sorted((x1, x2, z1, z2))), edge_a=min(ea, eb), edge_b=max(ea, eb))
-        )
-        free_z = free_z[2:]
-        free_x.remove(x1)
-        free_x.remove(x2)
-    k = G.n // 4
-    expected_m = k - len(part.y) - (state.q - state.ell)
-    state.m = len(free_x)
-    z_left = len(free_z)
-    books = state.m == expected_m and z_left == 3 * expected_m
-    state.diagnostics.append(
-        {
-            "name": "stage_s_bookkeeping",
-            "ok": books,
-            "detail": {
-                "m": state.m,
-                "expected_m": expected_m,
-                "z_left": z_left,
-                "expected_z_left": 3 * expected_m,
-            },
-        }
-    )
-    state.diagnostics.append(
-        {
-            "name": "z_remainder_ratio",
-            "ok": 3 * state.m >= len(part.z) / 2,
-            "detail": {"z_left": z_left, "z": len(part.z)},
-        }
-    )
-    if not books:
-        raise StageFailure(
-            "S",
-            f"books do not balance: m={state.m} expected {expected_m}, "
-            f"z remainder {z_left} expected {3 * expected_m}",
-        )
+        copies.append(dcopy_from_quad(G, (z1, z2, *_two_lowest(cands))))
+        free &= ~mask_of(copies[-1].vertices)
+    return copies
 
 
-def build_T(G: Hypergraph3, state: PipelineState, budget: SearchBudget) -> Tiling:
-    """Finish with an exact 4-partite matching on the X remainder and
-    three ascending Z slices.  The 4-partite graph is built from the pair
+def build_T(
+    G: Hypergraph3, part: XYZPartition, free: int, budget: SearchBudget
+) -> tuple[list[DCopy], dict]:
+    """Finish with an exact 4-partite matching on the free X vertices and
+    three ascending slices of the free Z vertices; returns one copy per
+    matched 4-set and the matching's degree statistics and nodes (empty
+    when no X vertex is free).  The 4-partite graph is built from the pair
     index (``four_partite_of``), so its edges are exactly the transversal
     4-sets that span a copy.  The matching ticks ``budget``, the one stage
     Q's search spent from; when it is already spent the stage fails before
     building anything, unless no X vertex is left to match."""
-    part = state.partition
-    used = (
-        state.used(state.q_copies)
-        | state.used(state.r_copies)
-        | state.used(state.s_copies)
-    )
-    free_x = [x for x in part.x if x not in used]
-    free_z = [z for z in part.z if z not in used]
+    free_x = bits_of(free & mask_of(part.x))
+    free_z = bits_of(free & mask_of(part.z))
     m = len(free_x)
     if len(free_z) != 3 * m:
-        raise StageFailure(
-            "T", f"remainders out of shape: {len(free_x)} X vs {len(free_z)} Z"
-        )
-    if m:
-        if budget.spent:
-            raise StageFailure("T", "4-partite matching exhausted: the budget is already spent")
-        H = four_partite_of(G, (free_x, free_z[:m], free_z[m : 2 * m], free_z[2 * m :]))
-        state.matching_stats = four_partite_degree_stats(H)
-        state.diagnostics.append(
-            {
-                "name": "matching_degree_condition",
-                "ok": bool(state.matching_stats["condition_met"]),
-                "detail": dict(state.matching_stats),
-            }
-        )
-        res = four_partite_perfect_matching(H, budget)
-        if res.status != FOUND:
-            raise StageFailure("T", f"4-partite matching {res.status}")
-        state.matching_stats["nodes"] = res.nodes
-        state.t_copies = [dcopy_from_quad(G, e) for e in res.matching]
-    tiling = Tiling.from_copies(
-        state.q_copies + state.r_copies + state.s_copies + state.t_copies
-    )
-    verdict = validate_tiling(G, tiling, require_perfect=True)
-    if not verdict.ok:
-        raise StageFailure("T", "; ".join(verdict.violations))
-    return tiling
+        raise StageFailure("T", f"remainders out of shape: {m} X vs {len(free_z)} Z")
+    if not m:
+        return [], {}
+    if budget.spent:
+        raise StageFailure("T", "4-partite matching exhausted: the budget is already spent")
+    H = four_partite_of(G, (free_x, free_z[:m], free_z[m : 2 * m], free_z[2 * m :]))
+    stats = four_partite_degree_stats(H)
+    res = four_partite_perfect_matching(H, budget)
+    if res.status != FOUND:
+        raise StageFailure("T", f"4-partite matching {res.status}")
+    return [dcopy_from_quad(G, e) for e in res.matching], dict(stats, nodes=res.nodes)
 
 
 def run_extremal_pipeline(
@@ -411,53 +314,73 @@ def run_extremal_pipeline(
     alpha: float = 0.3,
     budget: SearchBudget | None = None,
 ) -> tuple[Tiling, dict]:
-    """Partition around Z and run the four stages; returns the validated
-    perfect tiling and a JSON-friendly run report.  Stages Q and T search
-    on one budget, ``budget`` or a fresh ``SearchBudget``."""
+    """Partition around Z and run the four stages, each on the vertices
+    the earlier ones left free; returns the validated perfect tiling and a
+    JSON-friendly run report.  Stages Q and T search on one budget,
+    ``budget`` or a fresh ``SearchBudget``."""
     if G.n % 4:
         raise InputError(f"perfect tiling needs 4 | n, got n={G.n}")
     part = partition_XYZ(G, Z, alpha)
-    state = PipelineState(partition=part)
-    state.diagnostics.extend(part.diagnostics)
+    diagnostics = list(part.diagnostics)
     k = G.n // 4
     eps0 = alpha**3
     budget = budget or SearchBudget()
-    build_Q(G, state, budget)
-    state.diagnostics.append(
-        {
-            "name": "deficit_range",
-            "ok": -3 * eps0 * k <= state.ell <= 4 * alpha**2 * k,
-            "detail": {"ell": state.ell, "k": k},
-        }
-    )
-    build_R(G, state)
-    build_S(G, state)
-    state.diagnostics.append(
-        {
-            "name": "surplus_range",
-            "ok": 0 <= state.q - state.ell <= 8 * alpha**2 * k,
-            "detail": {"q": state.q, "ell": state.ell},
-        }
-    )
-    tiling = build_T(G, state, budget)
+    xmask, zmask = mask_of(part.x), mask_of(part.z)
+
+    ell = k - len(part.x)
+    q_res = build_Q(G, part, budget)
+    q_copies = list(q_res.tiling.copies)
+    q = len(q_copies)
+    q_mode = "exact" if q_res.optimal else "exhausted"
+    q_detail = {"q": q, "ell": ell, "mode": q_mode, "nodes": q_res.nodes}
+    diagnostics.append(_diagnostic("q_covers_deficit", q >= ell, **q_detail))
+    diagnostics.append(_diagnostic("deficit_range", -3 * eps0 * k <= ell <= 4 * alpha**2 * k, ell=ell, k=k))
+    free = ((1 << G.n) - 1) & ~mask_of(q_res.tiling.covered)
+
+    leftover_y = bits_of(free & mask_of(part.y))
+    r_copies = build_R(G, part, free)
+    free &= ~_covered(r_copies)
+    if leftover_y and part.x:
+        need = (1 - alpha) * len(part.x)
+        free_z = bits_of(free & zmask)
+        ok = all((G.pair_bits(y, z) & xmask).bit_count() >= need for y in leftover_y for z in free_z)
+        pairs = len(leftover_y) * len(free_z)
+        diagnostics.append(_diagnostic("yz_pair_x_link", ok, threshold=need, pairs_checked=pairs))
+
+    s_copies = build_S(G, part, free, max(q - ell, 0))
+    free &= ~_covered(s_copies)
+    # The books: exactly m X vertices and 3m Z vertices are left for T.
+    expected_m = k - len(part.y) - (q - ell)
+    m = (free & xmask).bit_count()
+    z_left = (free & zmask).bit_count()
+    books = m == expected_m and z_left == 3 * expected_m
+    books_detail = {"m": m, "expected_m": expected_m, "z_left": z_left, "expected_z_left": 3 * expected_m}
+    diagnostics.append(_diagnostic("stage_s_bookkeeping", books, **books_detail))
+    ratio_ok = 3 * m >= len(part.z) / 2
+    diagnostics.append(_diagnostic("z_remainder_ratio", ratio_ok, z_left=z_left, z=len(part.z)))
+    if not books:
+        raise StageFailure(
+            "S",
+            f"books do not balance: m={m} expected {expected_m}, "
+            f"z remainder {z_left} expected {3 * expected_m}",
+        )
+    diagnostics.append(_diagnostic("surplus_range", 0 <= q - ell <= 8 * alpha**2 * k, q=q, ell=ell))
+
+    t_copies, matching = build_T(G, part, free, budget)
+    if matching:
+        degree = {key: value for key, value in matching.items() if key != "nodes"}
+        ok = bool(matching["condition_met"])
+        diagnostics.append(_diagnostic("matching_degree_condition", ok, **degree))
+    tiling = Tiling.from_copies(q_copies + r_copies + s_copies + t_copies)
+    verdict = validate_tiling(G, tiling, require_perfect=True)
+    if not verdict.ok:
+        raise StageFailure("T", "; ".join(verdict.violations))
     report = {
         "alpha": alpha,
-        "sizes": {
-            "n": G.n,
-            "k": k,
-            "x": len(part.x),
-            "y": len(part.y),
-            "z": len(part.z),
-        },
-        "stages": {
-            "q": len(state.q_copies),
-            "r": len(state.r_copies),
-            "s": len(state.s_copies),
-            "t": len(state.t_copies),
-            "q_mode": state.q_mode,
-        },
-        "counts": {"q": state.q, "ell": state.ell, "m": state.m},
-        "diagnostics": state.diagnostics,
-        "matching": state.matching_stats,
+        "sizes": {"n": G.n, "k": k, "x": len(part.x), "y": len(part.y), "z": len(part.z)},
+        "stages": {"q": q, "r": len(r_copies), "s": len(s_copies), "t": len(t_copies), "q_mode": q_mode},
+        "counts": {"q": q, "ell": ell, "m": m},
+        "diagnostics": diagnostics,
+        "matching": matching,
     }
     return tiling, report

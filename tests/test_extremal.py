@@ -9,6 +9,7 @@ import dtiling.exact
 import dtiling.extremal
 
 from dtiling import (
+    DriverParams,
     InputError,
     SearchBudget,
     StageFailure,
@@ -25,10 +26,12 @@ from dtiling import (
     planted_extremal,
     random_codegree_instance,
     run_extremal_pipeline,
+    solve_driver,
     validate_tiling,
 )
+from dtiling.core import dcopy_from_quad
+from dtiling.exact import EXHAUSTED
 from dtiling.extremal import (
-    PipelineState,
     XYZPartition,
     _one_y_catalog,
     build_Q,
@@ -302,6 +305,117 @@ class TestStageShapes:
         assert "joint X neighbours" in str(exc.value)
 
 
+def gadget_report(x, y, ell, yz_link, s):
+    """The pinned pipeline report of the R and S gadgets: n = 12, |Z| = 8,
+    Q places one copy, T one, and R or S the third."""
+    matching = {"m": 1, "min_degree_part1": 1, "min_degree_triple": 1, "lhs": 2, "rhs": 1.5}
+    matching.update(gamma=0.5, condition_met=True)
+    return {
+        "alpha": 0.3,
+        "sizes": {"n": 12, "k": 3, "x": x, "y": y, "z": 8},
+        "stages": {"q": 1, "r": 1 - s, "s": s, "t": 1, "q_mode": "exact"},
+        "counts": {"q": 1, "ell": ell, "m": 1},
+        "diagnostics": [
+            {
+                "name": "partition_size_bounds",
+                "ok": False,
+                "detail": {"x": x, "y": y, "z": 8, "k": 3.0, "eps0": 0.3**3},
+            },
+            {"name": "z_pair_x_link", "ok": True, "detail": {"threshold": (1 - 0.3) * x}},
+            {
+                "name": "q_covers_deficit",
+                "ok": True,
+                "detail": {"q": 1, "ell": ell, "mode": "exact", "nodes": 1},
+            },
+            {"name": "deficit_range", "ok": True, "detail": {"ell": ell, "k": 3}},
+            *yz_link,
+            {
+                "name": "stage_s_bookkeeping",
+                "ok": True,
+                "detail": {"m": 1, "expected_m": 1, "z_left": 3, "expected_z_left": 3},
+            },
+            {"name": "z_remainder_ratio", "ok": False, "detail": {"z_left": 3, "z": 8}},
+            {"name": "surplus_range", "ok": True, "detail": {"q": 1, "ell": ell}},
+            {"name": "matching_degree_condition", "ok": True, "detail": dict(matching)},
+        ],
+        "matching": dict(matching, nodes=2),
+    }
+
+
+YZ_LINK = {"threshold": 1.4, "pairs_checked": 3}
+
+
+class TestPinnedPipeline:
+    # Recorded while the stages still shared a mutable pipeline state.
+    # Stages Q, R and S place no copy in the benchmark workloads, so these
+    # pins guard their reports and copies.
+    @pytest.mark.parametrize(
+        "gadget, report, cert",
+        [
+            (
+                r_stage_gadget,
+                gadget_report(2, 2, 1, [{"name": "yz_pair_x_link", "ok": False, "detail": YZ_LINK}], 0),
+                "perfect 3\n0 4 5 6 | 0 4 5 | 0 4 6\n1 2 7 8 | 1 2 7 | 2 7 8\n3 9 10 11 | 3 9 10 | 3 9 11\n",
+            ),
+            (
+                s_stage_gadget,
+                gadget_report(3, 1, 0, [], 1),
+                "perfect 3\n0 4 5 6 | 0 4 5 | 0 4 6\n1 2 7 8 | 1 7 8 | 2 7 8\n3 9 10 11 | 3 9 10 | 3 9 11\n",
+            ),
+        ],
+        ids=["R", "S"],
+    )
+    def test_gadget_report(self, gadget, report, cert):
+        tiling, got = run_extremal_pipeline(gadget(), range(4, 12))
+        assert got == report
+        assert [c.vertices for c in tiling.copies] == [(0, 4, 5, 6), (1, 2, 7, 8), (3, 9, 10, 11)]
+        assert format_certificate(tiling, "perfect") == cert
+
+    def test_stage_R_failure_text(self):
+        G, part = many_poor_vertices()
+        with pytest.raises(StageFailure) as exc:
+            run_extremal_pipeline(G, part.z)
+        assert str(exc.value) == "stage R: fewer than two free Z vertices for y=1"
+
+    def test_books_failure_text(self):
+        with pytest.raises(StageFailure) as exc:
+            run_extremal_pipeline(construct_G1(8), range(1, 8))
+        assert str(exc.value) == "stage S: books do not balance: m=1 expected 3, z remainder 7 expected 9"
+
+
+def assert_canonical(G, tiling):
+    for c in tiling.copies:
+        assert c == dcopy_from_quad(G, c.vertices), c
+
+
+class TestCanonicalWitnesses:
+    # Every copy carries the witness edges dcopy_from_quad picks for its
+    # 4-set, whichever stage placed it.
+    @pytest.mark.parametrize("mode", ["auto", "extremal"])
+    def test_driver_copies(self, mode):
+        staged = 0
+        for n in range(8, 45, 4):
+            for d in sorted({1, n // 4, n // 3}):
+                for seed in range(4):
+                    G = random_codegree_instance(n, d, seed)
+                    res = solve_driver(G, DriverParams(mode=mode, collect_timings=False))
+                    if res.tiling is not None:
+                        assert_canonical(G, res.tiling)
+                        if res.report["branch"] == "extremal":
+                            stages = res.report["extremal"]["stages"]
+                            staged += stages["r"] + stages["s"]
+        # random_codegree_instance(8, 1, 1) tiles with one stage R copy
+        assert staged > 0
+
+    def test_gadgets(self):
+        for G in (r_stage_gadget(), s_stage_gadget()):
+            assert_canonical(G, run_extremal_pipeline(G, range(4, 12))[0])
+            for mode in ("auto", "extremal"):
+                res = solve_driver(G, DriverParams(mode=mode, collect_timings=False))
+                if res.tiling is not None:
+                    assert_canonical(G, res.tiling)
+
+
 class TestInfeasibleInstance:
     def test_g1_8_books_fail(self):
         G = construct_G1(8)
@@ -353,12 +467,11 @@ class TestStageQ:
             rest = [v for v in range(n) if v not in ys]
             zs = sorted(rng.sample(rest, rng.randint(3, len(rest))))
             xs = tuple(v for v in rest if v not in zs)
-            state = PipelineState(partition=XYZPartition(z=tuple(zs), x=xs, y=tuple(ys), alpha=0.3))
             assert _one_y_catalog(G, ys, zs).quads == tuple(y_quads(G, ys, zs))
-            build_Q(G, state)
-            assert state.q_mode == "exact"
-            assert state.q == naive_max_y_packing(n, G.edges, ys, zs)
-            assert validate_tiling(G, Tiling.from_copies(state.q_copies)).ok
+            res = build_Q(G, XYZPartition(z=tuple(zs), x=xs, y=tuple(ys), alpha=0.3))
+            assert res.optimal
+            assert res.tiling.size == naive_max_y_packing(n, G.edges, ys, zs)
+            assert validate_tiling(G, res.tiling).ok
 
     def test_beats_first_fit_above_twelve(self):
         # 19 poor vertices, beyond the old exact range of 12 Y vertices.
@@ -367,12 +480,10 @@ class TestStageQ:
         G, part = many_poor_vertices()
         assert (len(part.x), len(part.y), len(part.z)) == (0, 19, 9)
         assert len(y_quads_first_fit(G, part.y, part.z)) == 2
-        state = PipelineState(partition=part)
-        build_Q(G, state)
-        assert [c.vertices for c in state.q_copies] == [(0, 5, 9, 24), (6, 7, 12, 15), (8, 13, 16, 18)]
-        assert state.q_mode == "exact"
-        assert state.q == naive_max_y_packing(G.n, G.edges, part.y, part.z)
-        assert state.diagnostics[-1]["detail"] == {"q": 3, "ell": 7, "mode": "exact", "nodes": 361}
+        res = build_Q(G, part)
+        assert [c.vertices for c in res.tiling.copies] == [(0, 5, 9, 24), (6, 7, 12, 15), (8, 13, 16, 18)]
+        assert res.optimal and res.nodes == 361
+        assert res.tiling.size == naive_max_y_packing(G.n, G.edges, part.y, part.z)
 
     def test_hitting_bound_closes_a_large_catalog_at_the_root(self):
         # One Y vertex whose link is every pair of 87 Z vertices: all
@@ -382,18 +493,15 @@ class TestStageQ:
         zs = tuple(range(1, 88))
         G = build(88, [(0, a, b) for a, b in itertools.combinations(zs, 2)])
         assert len(_one_y_catalog(G, (0,), zs).quads) == 105_995 > dtiling.exact._HITTING_CAP
-        state = PipelineState(partition=XYZPartition(z=zs, x=(), y=(0,), alpha=0.3))
-        build_Q(G, state)
-        assert state.diagnostics[-1]["detail"] == {"q": 1, "ell": 22, "mode": "exact", "nodes": 1}
+        res = build_Q(G, XYZPartition(z=zs, x=(), y=(0,), alpha=0.3))
+        assert (res.tiling.size, res.optimal, res.nodes) == (1, True, 1)
 
     def test_budget_stop_keeps_the_warm_start(self):
         G, part = many_poor_vertices()
-        state = PipelineState(partition=part)
         budget = SearchBudget(node_limit=1)
-        build_Q(G, state, budget)
-        assert budget.spent and state.q_mode == "exhausted"
-        assert [c.vertices for c in state.q_copies] == y_quads_first_fit(G, part.y, part.z)
-        assert state.diagnostics[-1]["detail"] == {"q": 2, "ell": 7, "mode": "exhausted", "nodes": 2}
+        res = build_Q(G, part, budget)
+        assert budget.spent and res.status == EXHAUSTED and res.nodes == 2
+        assert [c.vertices for c in res.tiling.copies] == y_quads_first_fit(G, part.y, part.z)
 
     def test_stage_T_searches_on_what_stage_Q_spent(self):
         # Stage Q's search spends 361 nodes of the budget.  Stage T of
@@ -402,20 +510,21 @@ class TestStageQ:
         for node_limit, tiles in ((361 + 9, True), (361 + 8, False)):
             G, part = many_poor_vertices()
             budget = SearchBudget(node_limit=node_limit, time_limit=600.0)
-            build_Q(G, PipelineState(partition=part), budget)
+            build_Q(G, part, budget)
             assert budget.nodes == 361
             G = planted_extremal(32)
-            state = PipelineState(partition=partition_XYZ(G, range(8, 32), alpha=0.3))
-            build_Q(G, state, budget)  # Y is empty: no search
+            part = partition_XYZ(G, range(8, 32), alpha=0.3)
+            assert build_Q(G, part, budget).tiling.size == 0  # Y is empty: no search
             assert budget.nodes == 361
-            build_R(G, state)
-            build_S(G, state)
+            free = (1 << G.n) - 1
+            assert build_R(G, part, free) == build_S(G, part, free, 0) == []
             if tiles:
-                assert validate_tiling(G, build_T(G, state, budget), require_perfect=True).ok
-                assert state.matching_stats["nodes"] == 9
+                copies, matching = build_T(G, part, free, budget)
+                assert validate_tiling(G, Tiling.from_copies(copies), require_perfect=True).ok
+                assert matching["nodes"] == 9
             else:
                 with pytest.raises(StageFailure, match="4-partite matching exhausted"):
-                    build_T(G, state, budget)
+                    build_T(G, part, free, budget)
 
     @pytest.mark.parametrize("node_limit", [1, 3])
     def test_pipeline_under_a_tiny_budget(self, node_limit):
@@ -459,12 +568,10 @@ def relabelled_planted(n, seed):
 
 
 def run_stages(G, Z):
-    state = PipelineState(partition=partition_XYZ(G, Z, alpha=0.3))
-    budget = SearchBudget()
-    build_Q(G, state, budget)
-    build_R(G, state)
-    build_S(G, state)
-    return state, build_T(G, state, budget)
+    """The pipeline's tiling and report, where stage T places every copy."""
+    tiling, report = run_extremal_pipeline(G, Z)
+    assert report["stages"] == {"q": 0, "r": 0, "s": 0, "t": G.n // 4, "q_mode": "exact"}
+    return tiling, report
 
 
 CERT_48 = (
@@ -534,17 +641,17 @@ class TestStageT:
         # Pinned output of the stage T matching as the edge-set
         # representation produced it: which 4-sets are matched, the degree
         # statistics, the search's node count and the certificate bytes.
-        state, tiling = run_stages(*instance())
-        assert [c.vertices for c in state.t_copies] == t_copies
-        assert state.matching_stats == dict(matching, gamma=0.5, condition_met=True)
+        tiling, report = run_stages(*instance())
+        assert [c.vertices for c in tiling.copies] == t_copies
+        assert report["matching"] == dict(matching, gamma=0.5, condition_met=True)
         assert format_certificate(tiling, "perfect") == cert
 
     def test_planted_96(self):
         # Measured with the (a, b, dmask) tuple links: one matching step
         # per X vertex along the planted diagonal.
-        state, _ = run_stages(planted_extremal(96), tuple(range(24, 96)))
-        assert [c.vertices for c in state.t_copies] == [(i, 24 + i, 48 + i, 72 + i) for i in range(24)]
-        stats = state.matching_stats
+        tiling, report = run_stages(planted_extremal(96), tuple(range(24, 96)))
+        assert [c.vertices for c in tiling.copies] == [(i, 24 + i, 48 + i, 72 + i) for i in range(24)]
+        stats = report["matching"]
         assert {k: stats[k] for k in ("m", "min_degree_part1", "min_degree_triple", "nodes")} == {
             "m": 24,
             "min_degree_part1": 13824,
@@ -554,22 +661,15 @@ class TestStageT:
 
     def test_no_graph_without_budget(self, monkeypatch):
         # With the shared budget spent stage T fails before building its
-        # 4-partite graph or reporting its degree condition.
+        # 4-partite graph.
         def refuse(*args, **kwargs):
             raise AssertionError("stage T built its graph with no budget left")
 
         monkeypatch.setattr(dtiling.extremal, "four_partite_of", refuse)
-        G = planted_extremal(32)
-        state = PipelineState(partition=partition_XYZ(G, range(8, 32), alpha=0.3))
-        build_Q(G, state)
-        build_R(G, state)
-        build_S(G, state)
-        diagnostics = list(state.diagnostics)
         budget = SearchBudget(node_limit=1)
         budget.tick()
         with pytest.raises(StageFailure, match="the budget is already spent"):
-            build_T(G, state, budget)
-        assert state.diagnostics == diagnostics and state.matching_stats == {}
+            run_extremal_pipeline(planted_extremal(32), range(8, 32), budget=budget)
 
     def test_no_quad_sweep(self, monkeypatch):
         # Stage T reads its 4-partite graph off the pair index; testing the
