@@ -204,7 +204,7 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
             report["extremal"] = pipe_report
             report["attempts"].append({"branch": "extremal", "outcome": "tiled"})
             return finish("tiled", tiling)
-        except (StageFailure, InputError) as exc:
+        except StageFailure as exc:
             report["attempts"].append(
                 {"branch": "extremal", "outcome": "stage_failure", "reason": str(exc)}
             )

@@ -25,9 +25,10 @@ covers the fewest-options vertex with each of its live quads, then, when
 ``need`` is 0, leaves it uncovered.  A branch dies when a quarter of its
 usable vertices, or a greedy vertex set hitting every live quad (each
 placed quad spends one hitting vertex), is below the quads still
-required.  That bound refutes the tight lower-bound families at useful
-orders: there a side of size n/4 - 1 hits every quad; and it closes
-stage Q at the root, where each quad holds one of few Y vertices.
+required.  Both searches apply both bounds at every node.  The hitting
+bound refutes the tight lower-bound families at the root at every order:
+there a side of size n/4 - 1 hits every quad; and it closes stage Q at
+the root, where each quad holds one of few Y vertices.
 ``perfect_tiling_exact`` is this search held to |within|/4 quads from
 none, so it never leaves a vertex uncovered; ``max_tiling_exact`` has no
 floor and starts from ``_greedy_packing``, first-fit quads in catalog
@@ -100,12 +101,6 @@ from .core import (
 FOUND = "found"
 INFEASIBLE = "infeasible"
 EXHAUSTED = "exhausted"
-
-# The perfect search skips the hitting-set bound once the live catalog is
-# this large: on a full catalog of that density the bound never fires and
-# the scan cost dominates.  The maximum search always runs it, since on a
-# one-Y catalog it is what closes the search at the root.
-_HITTING_CAP = 100_000
 
 # The gamma of the sufficient matching condition in the degree statistics.
 MATCHING_GAMMA = 0.5
@@ -291,11 +286,12 @@ def _packing_search(
     """Branch and bound for a packing of at least ``need`` quads of
     ``cat`` on the vertex mask ``free`` that beats ``best``; returns the
     status and the best packing.  ``need`` is either 0, a maximum packing,
-    or |free|/4, a perfect one: that search stops at its first packing,
-    never leaves a vertex uncovered and skips the hitting-set bound above
-    ``_HITTING_CAP`` live quads.  The status is ``exhausted`` when the
-    budget ran out, else ``found`` when the best packing has ``need``
-    quads and ``infeasible`` when not."""
+    or |free|/4, a perfect one: that search stops at its first packing and
+    never leaves a vertex uncovered.  Both prune every node by the same
+    two bounds, a quarter of the usable vertices and the greedy hitting
+    set.  The status is ``exhausted`` when the budget ran out, else
+    ``found`` when the best packing has ``need`` quads and ``infeasible``
+    when not."""
     inc = cat.inc
     chosen: list[int] = []
 
@@ -311,10 +307,7 @@ def _packing_search(
         options = [(c, v) for c, v in zip(_counts(cat, alive, verts), verts) if c]
         usable = [v for _, v in options]
         gap = max(need, len(best) + 1) - len(chosen)
-        if len(usable) // 4 < gap or (
-            (not need or alive.bit_count() <= _HITTING_CAP)
-            and _greedy_hitting(cat, alive, usable, gap).bit_count() < gap
-        ):
+        if len(usable) // 4 < gap or _greedy_hitting(cat, alive, usable, gap).bit_count() < gap:
             return None
         if not options:  # a leaf that got past the prune beats ``best``
             best = list(chosen)

@@ -82,7 +82,6 @@ class XYZPartition:
     z: tuple[int, ...]
     x: tuple[int, ...]
     y: tuple[int, ...]
-    alpha: float
     diagnostics: tuple[dict, ...] = ()
 
 
@@ -193,7 +192,7 @@ def partition_XYZ(G: Hypergraph3, Z, alpha: float) -> XYZPartition:
         _diagnostic("partition_size_bounds", sizes_ok, x=len(xs), y=len(ys), z=zsize, k=k, eps0=eps0),
         _diagnostic("z_pair_x_link", _z_pair_x_link_ok(G, zlist, xs, alpha), threshold=(1 - alpha) * len(xs)),
     )
-    return XYZPartition(z=tuple(zlist), x=tuple(xs), y=tuple(ys), alpha=alpha, diagnostics=diags)
+    return XYZPartition(z=tuple(zlist), x=tuple(xs), y=tuple(ys), diagnostics=diags)
 
 
 def _z_pair_x_link_ok(G: Hypergraph3, zlist, xs, alpha: float) -> bool:
@@ -374,7 +373,7 @@ def run_extremal_pipeline(
     tiling = Tiling.from_copies(q_copies + r_copies + s_copies + t_copies)
     verdict = validate_tiling(G, tiling, require_perfect=True)
     if not verdict.ok:
-        raise StageFailure("T", "; ".join(verdict.violations))
+        raise AssertionError(f"extremal pipeline produced an invalid tiling: {verdict.violations}")
     report = {
         "alpha": alpha,
         "sizes": {"n": G.n, "k": k, "x": len(part.x), "y": len(part.y), "z": len(part.z)},

@@ -162,6 +162,18 @@ class TestPerfect:
         res = perfect_tiling_exact(G, SearchBudget(node_limit=400, time_limit=600.0), within=mask_of(S))
         assert (res.status, res.nodes) == ("exhausted", 401)
 
+    @pytest.mark.parametrize("make, n", [(construct_G0, 52), (construct_G1, 56)], ids=["G0", "G1"])
+    def test_tight_families_refuted_at_the_root(self, make, n):
+        # Over 170,000 quads, each meeting the side of n/4 - 1 vertices:
+        # the greedy hitting set is that side, so the root is refuted.
+        res = perfect_tiling_exact(make(n), SearchBudget(node_limit=5))
+        assert (res.status, res.nodes) == ("infeasible", 1)
+
+    def test_hitting_bound_on_a_large_random_catalog(self):
+        # 185,126 quads; the bound does not fire here.
+        res = perfect_tiling_exact(random_codegree_instance(52, 17, 0), SearchBudget(node_limit=100))
+        assert (res.status, res.nodes) == ("found", 14)
+
 
 class TestMaxTiling:
     def test_g0_8(self):

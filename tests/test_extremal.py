@@ -429,6 +429,26 @@ class TestInfeasibleInstance:
             run_extremal_pipeline(build(6, []), tuple(range(6)))
 
 
+class TestInternalFaults:
+    """Only a ``StageFailure`` is a stage failure; any other fault in the
+    pipeline leaves the driver instead of becoming a fallback."""
+
+    def test_invalid_tiling_raises(self, monkeypatch):
+        # A stage T that places nothing leaves 48 vertices uncovered.
+        monkeypatch.setattr(dtiling.extremal, "build_T", lambda G, part, free, budget: ([], {}))
+        with pytest.raises(AssertionError, match="invalid tiling"):
+            solve_driver(planted_extremal(48), DriverParams(mode="extremal"))
+
+    @pytest.mark.parametrize("mode", ["auto", "extremal"])
+    def test_input_error_propagates(self, monkeypatch, mode):
+        def refuse(G, Z, alpha):
+            raise InputError("raised inside partition_XYZ")
+
+        monkeypatch.setattr(dtiling.extremal, "partition_XYZ", refuse)
+        with pytest.raises(InputError, match="inside partition_XYZ"):
+            solve_driver(planted_extremal(16), DriverParams(mode=mode))
+
+
 def y_quads(G, ys, zs):
     """The 4-sets of one y and three zs inducing at least two edges, in
     lexicographic order."""
@@ -468,7 +488,7 @@ class TestStageQ:
             zs = sorted(rng.sample(rest, rng.randint(3, len(rest))))
             xs = tuple(v for v in rest if v not in zs)
             assert _one_y_catalog(G, ys, zs).quads == tuple(y_quads(G, ys, zs))
-            res = build_Q(G, XYZPartition(z=tuple(zs), x=xs, y=tuple(ys), alpha=0.3))
+            res = build_Q(G, XYZPartition(z=tuple(zs), x=xs, y=tuple(ys)))
             assert res.optimal
             assert res.tiling.size == naive_max_y_packing(n, G.edges, ys, zs)
             assert validate_tiling(G, res.tiling).ok
@@ -487,13 +507,13 @@ class TestStageQ:
 
     def test_hitting_bound_closes_a_large_catalog_at_the_root(self):
         # One Y vertex whose link is every pair of 87 Z vertices: all
-        # C(87, 3) quads hold it, more than the perfect search's cap for
-        # the hitting-set bound.  The bound is {y}, one quad, which the
-        # warm start already packs, so the maximum search ends at its root.
+        # C(87, 3) quads hold it.  The hitting-set bound is {y}, one quad,
+        # which the warm start already packs, so the maximum search ends
+        # at its root.
         zs = tuple(range(1, 88))
         G = build(88, [(0, a, b) for a, b in itertools.combinations(zs, 2)])
-        assert len(_one_y_catalog(G, (0,), zs).quads) == 105_995 > dtiling.exact._HITTING_CAP
-        res = build_Q(G, XYZPartition(z=zs, x=(), y=(0,), alpha=0.3))
+        assert len(_one_y_catalog(G, (0,), zs).quads) == 105_995
+        res = build_Q(G, XYZPartition(z=zs, x=(), y=(0,)))
         assert (res.tiling.size, res.optimal, res.nodes) == (1, True, 1)
 
     def test_budget_stop_keeps_the_warm_start(self):
