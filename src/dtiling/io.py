@@ -1,10 +1,16 @@
 """Text formats: instances and tiling certificates.
 
 Instance files: a header line ``n m`` followed by m lines ``u v w`` with
-0 <= u < v < w < n.  ``parse_instance`` has two paths.  Text in
-canonical form, as ``format_instance`` writes it (single spaces, decimal
-ids without leading zeros, a newline after every line, n <= MAX_N, no
-repeated edge; the edge lines may come in any order), is read in bulk:
+0 <= u < v < w < n.  ``format_instance`` writes the edges in
+lexicographic order, all lines of one pair ``a < b`` in one join: the
+third vertices above b are read off the pair's bitset in C
+(``core._bit_flags`` and ``itertools.compress`` over a table of decimal
+ids) and each line is prefixed with ``"a b "``.
+
+``parse_instance`` has two paths.  Text in canonical form, as
+``format_instance`` writes it (single spaces, decimal ids without
+leading zeros, a newline after every line, n <= MAX_N, no repeated edge;
+the edge lines may come in any order), is read in bulk:
 its shape is checked in C, it is tokenised in chunks through one table
 of the n canonical ids, and the triples go straight to the pair-index
 filler.  Everything else, and every error, takes the line-by-line
@@ -20,9 +26,10 @@ serialize identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import lt
 
-from .core import MAX_N, DCopy, Hypergraph3, InputError, Tiling, _fill
+from .core import MAX_N, DCopy, Hypergraph3, InputError, Tiling, _bit_flags, _fill
 
 _MAX_DIGITS = len(str(MAX_N))
 
@@ -68,8 +75,17 @@ def _ints(lineno: int, line: str, count: int, what: str) -> list[int]:
 
 
 def format_instance(G: Hypergraph3) -> str:
+    """Canonical instance text: the header, then one ascending triple per
+    line in lexicographic order, each pair's lines written in one join."""
+    names = [str(i) for i in range(min(G.n, MAX_N))]
     lines = [f"{G.n} {G.m}"]
-    lines.extend(f"{u} {v} {w}" for u, v, w in G.triples())
+    links = G._links
+    for a in sorted(links):
+        row = links[a]
+        for b in sorted(row):
+            if b > a and (above := row[b] >> (b + 1)):
+                prefix = f"{a} {b} "
+                lines.append(prefix + ("\n" + prefix).join(compress(names[b + 1 :], _bit_flags(above))))
     return "\n".join(lines) + "\n"
 
 

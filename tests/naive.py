@@ -190,3 +190,10 @@ def naive_max_y_packing(n, edges, ys, zs) -> int:
     result = rec(0, 0)
     rec.cache_clear()
     return result
+
+
+def naive_format_instance(n, triples) -> str:
+    """Instance text written line by line: the header ``n m``, then the
+    distinct ascending triples in sorted order."""
+    edges = sorted({tuple(sorted(t)) for t in triples})
+    return "\n".join([f"{n} {len(edges)}", *(f"{u} {v} {w}" for u, v, w in edges)]) + "\n"

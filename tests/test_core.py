@@ -1,9 +1,13 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtiling import (
@@ -25,7 +29,15 @@ from dtiling import (
     steiner_triple_system,
     validate_tiling,
 )
-from dtiling.core import MAX_N, _fill, bits_of, mask_of
+from dtiling.core import (
+    _DIGIT_READ_MAX_BITS,
+    _DIGIT_READ_MIN_BITS,
+    _DIGIT_READ_SPAN,
+    MAX_N,
+    _fill,
+    bits_of,
+    mask_of,
+)
 from dtiling.io import _parse_canonical, _parse_lines
 
 from naive import naive_copy_pairs, naive_is_D_free, naive_pair_index
@@ -330,10 +342,97 @@ class TestInduced:
         assert validate_tiling(G, Tiling.from_copies([back])).ok
 
 
+def reference_bits(x: int) -> list[int]:
+    """``[i for i in range(x.bit_length()) if x >> i & 1]``, read one
+    64-bit word at a time so that a 10^6-bit mask takes linear time."""
+    words = x.to_bytes((x.bit_length() + 63) // 64 * 8, "little")
+    out = []
+    for j in range(0, len(words), 8):
+        w = int.from_bytes(words[j : j + 8], "little")
+        out.extend(8 * j + i for i in range(w.bit_length()) if w >> i & 1)
+    return out
+
+
+def random_mask(width: int, k: int, seed: int) -> int:
+    """A ``width``-bit mask (top bit set) with ``k`` set bits, 1 <= k <= width."""
+    rng = random.Random(seed)
+    buf = bytearray((width + 7) // 8)
+    for p in [width - 1, *rng.sample(range(width - 1), k - 1)]:
+        buf[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(buf, "little")
+
+
+def digit_read_cutoff(width: int) -> int:
+    """The fewest set bits at which ``bits_of`` reads a mask's digits."""
+    return max(_DIGIT_READ_MIN_BITS, min(width // _DIGIT_READ_SPAN, _DIGIT_READ_MAX_BITS))
+
+
+@st.composite
+def masks(draw):
+    """Masks of up to 10^6 bits whose popcount sits at or next to either
+    threshold of ``bits_of``, or is 0, 1, half or all of the width."""
+    width = draw(st.one_of(st.integers(1, 256), st.integers(257, 20_000), st.integers(20_001, 10**6)))
+    cut = digit_read_cutoff(width)
+    k = draw(
+        st.sampled_from(
+            [0, 1, cut - 1, cut, cut + 1, _DIGIT_READ_MIN_BITS - 1, _DIGIT_READ_MIN_BITS, width // 2, width]
+        )
+    )
+    k = min(k, width)
+    return 0 if k == 0 else random_mask(width, k, draw(st.integers(0, 2**32 - 1)))
+
+
 class TestBitHelpers:
     @given(st.sets(st.integers(0, 60), max_size=12))
     def test_round_trip(self, vertices):
         assert bits_of(mask_of(vertices)) == sorted(vertices)
+
+    @settings(max_examples=60, deadline=None)
+    @given(masks())
+    # One set bit short of the cutoff (the loop) and at it (the digit
+    # read), on a narrow and a wide mask; and the root of the n = 76
+    # boundary catalog's search, 38,266 live quads of 858,759.
+    @example(random_mask(96, _DIGIT_READ_MIN_BITS - 1, 0))
+    @example(random_mask(96, _DIGIT_READ_MIN_BITS, 0))
+    @example(random_mask(10**5, _DIGIT_READ_MAX_BITS - 1, 0))
+    @example(random_mask(10**5, _DIGIT_READ_MAX_BITS, 0))
+    @example(random_mask(858_759, 38_266, 0))
+    def test_matches_reference(self, x):
+        assert bits_of(x) == reference_bits(x)
+
+    def test_negative_mask_raises(self):
+        # A child process with a timeout: a loop that never ends on a
+        # negative mask fails the test instead of hanging the suite.  -1
+        # has one set bit (the loop's side), -(2^100 - 1) has 100 (the
+        # digit read's side).
+        code = (
+            "from dtiling.core import InputError, bits_of\n"
+            "for x in (-1, -(2**100 - 1)):\n"
+            "    try:\n"
+            "        bits_of(x)\n"
+            "    except InputError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'no InputError for {x}')\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", code], env=env, timeout=20, check=True)
+
+
+class TestTriples:
+    @settings(max_examples=80, deadline=None)
+    @given(triples_strategy(max_n=40))
+    def test_sorted_distinct_input(self, data):
+        n, triples = data
+        assert list(build(n, triples).triples()) == sorted(set(triples))
+
+    @pytest.mark.parametrize(
+        "n, triples",
+        [(0, []), (9, []), (MAX_N + 5, [(0, 1, MAX_N - 1)])],
+        ids=["n0", "no-edges", "beyond-max-n"],
+    )
+    def test_edge_cases(self, n, triples):
+        assert list(build(n, triples).triples()) == triples
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import io
 import random
 import re
@@ -16,6 +17,7 @@ from dtiling import (
     InputError,
     build,
     complete_3graph,
+    construct_G0,
     construct_G1,
     format_certificate,
     format_instance,
@@ -29,13 +31,14 @@ from dtiling import (
     read_certificate,
     read_instance,
     solve_driver,
+    steiner_triple_system,
     validate_tiling,
     write_certificate,
     write_instance,
 )
 from dtiling import io as text_io
 
-from naive import naive_parse_instance
+from naive import naive_format_instance, naive_parse_instance
 
 
 class TestInstanceText:
@@ -84,6 +87,47 @@ class TestInstanceText:
         path = tmp_path / "g.txt"
         write_instance(G, path)
         assert read_instance(path).edges == G.edges
+
+
+@st.composite
+def graphs(draw):
+    """``(n, triples)``: n in 0..120, so ids run to three digits, and
+    ascending triples of 0..n-1, possibly repeated."""
+    n = draw(st.integers(0, 120))
+    if n < 3:
+        return n, []
+    triple = st.sets(st.integers(0, n - 1), min_size=3, max_size=3).map(lambda t: tuple(sorted(t)))
+    return n, draw(st.lists(triple, max_size=150))
+
+
+class TestFormatInstance:
+    @settings(max_examples=80, deadline=None)
+    @given(graphs())
+    def test_matches_line_by_line_writer(self, data):
+        n, triples = data
+        assert format_instance(build(n, triples)) == naive_format_instance(n, triples)
+
+    @pytest.mark.parametrize(
+        "n, triples",
+        [(0, []), (9, []), (MAX_N + 5, [(0, 1, MAX_N - 1)])],
+        ids=["n0", "no-edges", "beyond-max-n"],
+    )
+    def test_edge_cases(self, n, triples):
+        # Beyond MAX_N the id table stops at MAX_N; ids stay below it.
+        assert format_instance(build(n, triples)) == naive_format_instance(n, triples)
+
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (lambda: planted_extremal(96), "55df3de2a20c27c3a3b0b38670532ffc497d1c4143e1ecaafe0b33ebaea2552e"),
+            (lambda: construct_G0(40), "bea4be4c4a5059ee02f886d1c7e9a98f27537e065d22487459f10c8ea649fbf5"),
+            (lambda: construct_G1(40), "182aa391ea0170bcb6f27d4a96a94ccd7e8fddac31f9ba444fe076064683b760"),
+            (lambda: steiner_triple_system(19), "4903f67483988ee1868c9ce954c9a0064edfe765195f42c0701f14c2a90601e9"),
+        ],
+        ids=["planted96", "g0-40", "g1-40", "sts19"],
+    )
+    def test_text_pinned(self, make, digest):
+        assert hashlib.sha256(format_instance(make()).encode()).hexdigest() == digest
 
 
 class TestCertificateText:
