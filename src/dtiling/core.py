@@ -12,11 +12,13 @@ through one private filler, ``_fill(n, triples)``: each caller knows the
 vertex count, and the filler sums each pair's bitset from a table of the
 n powers of two that lives only for that call.
 
-Set bits come out in C where there are many: ``bits_of`` and
-``Hypergraph3.triples`` turn a bitset into one 0/1 byte per binary digit
-(``_bit_flags``) and list the set positions with ``itertools.compress``.
-``bits_of`` keeps the loop that clears the lowest set bit once per bit
-for sparse masks, where it is the faster of the two.
+Set bits come out in C where there are many.  ``bits_of`` and the pair
+walk ``_pair_thirds``, which ``Hypergraph3.triples`` and
+``io.format_instance`` share, turn a bitset with at least
+``_DIGIT_READ_MIN_BITS`` set bits into one 0/1 byte per binary digit
+(``_bit_flags``) and list the set positions with ``itertools.compress``;
+a sparser bitset keeps the loop that clears its lowest set bit once per
+bit, which is the faster of the two there.
 
 The tiling pattern used throughout the package is the 3-graph on four
 vertices whose two triples share exactly two vertices.  ``DCopy`` records
@@ -37,7 +39,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat
+from itertools import compress, count
 from operator import lt
 
 
@@ -52,15 +54,13 @@ class InputError(ValueError):
     """An operation precondition on caller-supplied input failed."""
 
 
-# ``bits_of`` reads a mask's binary digits once it has at least one set
-# bit per _DIGIT_READ_SPAN bits of width, clamped to the range
-# _DIGIT_READ_MIN_BITS.._DIGIT_READ_MAX_BITS.  Each bound is a measured
-# crossover against the low-bit loop on random masks: about 12 set bits
-# up to 128 bits of width, about one bit in eight at 1,000 bits, and about
-# 400 set bits from 10^4 bits up, where both costs grow with the width.
+# ``bits_of`` and ``_pair_thirds`` read a mask's binary digits once it has
+# this many set bits, and clear its lowest set bit once per bit below
+# that.  Timed on the masks the benchmark workloads list (vertex masks
+# and pair rows of up to 96 bits, catalog masks of 500-1,500 bits), the
+# total is flat within a few percent for bars from 6 to 14 and grows
+# outside: 5-8% more at 4, 13-24% more at 24-32 on the dense workloads.
 _DIGIT_READ_MIN_BITS = 12
-_DIGIT_READ_SPAN = 8
-_DIGIT_READ_MAX_BITS = 400
 
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -75,16 +75,13 @@ def _bit_flags(mask: int) -> bytes:
 def bits_of(mask: int) -> list[int]:
     """Indices of the set bits of the nonnegative ``mask``, ascending.
 
-    A mask with many set bits is listed through its binary digits
-    (``_bit_flags``), in time linear in its width.  A sparse mask keeps
-    the loop that clears its lowest set bit once per set bit; each pass
-    costs a few word operations per 30 bits of width, so the loop is the
-    faster one while the set bits are few, even on a wide mask.
+    A mask with many set bits is read off its binary digits in C
+    (``_bit_flags``).  A sparse one keeps the loop that clears its lowest
+    set bit once per bit, which is faster there however wide the mask.
     """
     if mask < 0:
         raise InputError("bits_of takes a nonnegative mask")
-    k = mask.bit_count()
-    if k >= _DIGIT_READ_MIN_BITS and k >= min(mask.bit_length() // _DIGIT_READ_SPAN, _DIGIT_READ_MAX_BITS):
+    if mask.bit_count() >= _DIGIT_READ_MIN_BITS:
         return list(compress(count(), _bit_flags(mask)))
     out = []
     while mask:
@@ -204,13 +201,9 @@ class Hypergraph3:
 
     def triples(self):
         """Yield every edge once as an ascending triple, in lexicographic order."""
-        links = self._links
-        for a in sorted(links):
-            row = links[a]
-            for b in sorted(row):
-                if b > a:
-                    flags = _bit_flags(row[b] >> (b + 1))
-                    yield from zip(repeat(a), repeat(b), compress(count(b + 1), flags))
+        for a, b, thirds in _pair_thirds(self, range(self.n)):
+            for c in thirds:
+                yield a, b, c
 
     def has_edge(self, u: int, v: int, w: int) -> bool:
         """Whether {u, v, w} is an edge; False for repeated vertices or
@@ -229,6 +222,28 @@ class Hypergraph3:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Hypergraph3(n={self.n}, m={self.m})"
+
+
+def _pair_thirds(G: Hypergraph3, labels):
+    """Yield ``(a, b, thirds)`` for each pair a < b of G with an edge
+    {a, b, c}, c > b, in lexicographic order; ``thirds`` iterates over
+    ``labels[c]`` for those c, ascending.  Like ``bits_of``, a row with
+    many third vertices is read off its binary digits and a sparse one
+    by the low-bit loop."""
+    links = G._links
+    for a in sorted(links):
+        row = links[a]
+        for b in sorted(row):
+            if b > a and (above := row[b] >> (b + 1)):
+                if above.bit_count() >= _DIGIT_READ_MIN_BITS:
+                    yield a, b, compress(labels[b + 1 :], _bit_flags(above))
+                    continue
+                thirds = []
+                while above:
+                    low = above & -above
+                    thirds.append(labels[b + low.bit_length()])
+                    above ^= low
+                yield a, b, thirds
 
 
 def _fill(n: int, triples) -> tuple[dict, int]:

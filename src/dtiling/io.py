@@ -2,10 +2,10 @@
 
 Instance files: a header line ``n m`` followed by m lines ``u v w`` with
 0 <= u < v < w < n.  ``format_instance`` writes the edges in
-lexicographic order, all lines of one pair ``a < b`` in one join: the
-third vertices above b are read off the pair's bitset in C
-(``core._bit_flags`` and ``itertools.compress`` over a table of decimal
-ids) and each line is prefixed with ``"a b "``.
+lexicographic order, all lines of one pair ``a < b`` in one join: it
+takes the decimal ids of each pair's third vertices above b from
+``core._pair_thirds``, over one table of ids, and prefixes each line
+with ``"a b "``.
 
 ``parse_instance`` has two paths.  Text in canonical form, as
 ``format_instance`` writes it (single spaces, decimal ids without
@@ -26,10 +26,9 @@ serialize identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from operator import lt
 
-from .core import MAX_N, DCopy, Hypergraph3, InputError, Tiling, _bit_flags, _fill
+from .core import MAX_N, DCopy, Hypergraph3, InputError, Tiling, _fill, _pair_thirds
 
 _MAX_DIGITS = len(str(MAX_N))
 
@@ -79,13 +78,9 @@ def format_instance(G: Hypergraph3) -> str:
     line in lexicographic order, each pair's lines written in one join."""
     names = [str(i) for i in range(min(G.n, MAX_N))]
     lines = [f"{G.n} {G.m}"]
-    links = G._links
-    for a in sorted(links):
-        row = links[a]
-        for b in sorted(row):
-            if b > a and (above := row[b] >> (b + 1)):
-                prefix = f"{a} {b} "
-                lines.append(prefix + ("\n" + prefix).join(compress(names[b + 1 :], _bit_flags(above))))
+    for a, b, names_c in _pair_thirds(G, names):
+        prefix = f"{a} {b} "
+        lines.append(prefix + ("\n" + prefix).join(names_c))
     return "\n".join(lines) + "\n"
 
 

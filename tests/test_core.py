@@ -29,15 +29,7 @@ from dtiling import (
     steiner_triple_system,
     validate_tiling,
 )
-from dtiling.core import (
-    _DIGIT_READ_MAX_BITS,
-    _DIGIT_READ_MIN_BITS,
-    _DIGIT_READ_SPAN,
-    MAX_N,
-    _fill,
-    bits_of,
-    mask_of,
-)
+from dtiling.core import _DIGIT_READ_MIN_BITS, MAX_N, _fill, bits_of, mask_of
 from dtiling.io import _parse_canonical, _parse_lines
 
 from naive import naive_copy_pairs, naive_is_D_free, naive_pair_index
@@ -362,23 +354,14 @@ def random_mask(width: int, k: int, seed: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def digit_read_cutoff(width: int) -> int:
-    """The fewest set bits at which ``bits_of`` reads a mask's digits."""
-    return max(_DIGIT_READ_MIN_BITS, min(width // _DIGIT_READ_SPAN, _DIGIT_READ_MAX_BITS))
-
-
 @st.composite
 def masks(draw):
-    """Masks of up to 10^6 bits whose popcount sits at or next to either
-    threshold of ``bits_of``, or is 0, 1, half or all of the width."""
+    """Masks of up to 10^6 bits whose popcount is 0, 1, half or all of the
+    width, or sits at or next to the bar where ``bits_of`` switches from
+    the low-bit loop to reading the digits."""
     width = draw(st.one_of(st.integers(1, 256), st.integers(257, 20_000), st.integers(20_001, 10**6)))
-    cut = digit_read_cutoff(width)
-    k = draw(
-        st.sampled_from(
-            [0, 1, cut - 1, cut, cut + 1, _DIGIT_READ_MIN_BITS - 1, _DIGIT_READ_MIN_BITS, width // 2, width]
-        )
-    )
-    k = min(k, width)
+    bar = _DIGIT_READ_MIN_BITS
+    k = min(width, draw(st.sampled_from([0, 1, bar - 1, bar, bar + 1, width // 2, width])))
     return 0 if k == 0 else random_mask(width, k, draw(st.integers(0, 2**32 - 1)))
 
 
@@ -389,13 +372,13 @@ class TestBitHelpers:
 
     @settings(max_examples=60, deadline=None)
     @given(masks())
-    # One set bit short of the cutoff (the loop) and at it (the digit
-    # read), on a narrow and a wide mask; and the root of the n = 76
-    # boundary catalog's search, 38,266 live quads of 858,759.
+    # One set bit short of the bar (the loop) and at it (the digit read),
+    # on a narrow and a wide mask; and the root of the n = 76 boundary
+    # catalog's search, 38,266 live quads of 858,759.
     @example(random_mask(96, _DIGIT_READ_MIN_BITS - 1, 0))
     @example(random_mask(96, _DIGIT_READ_MIN_BITS, 0))
-    @example(random_mask(10**5, _DIGIT_READ_MAX_BITS - 1, 0))
-    @example(random_mask(10**5, _DIGIT_READ_MAX_BITS, 0))
+    @example(random_mask(10**5, _DIGIT_READ_MIN_BITS - 1, 0))
+    @example(random_mask(10**5, _DIGIT_READ_MIN_BITS, 0))
     @example(random_mask(858_759, 38_266, 0))
     def test_matches_reference(self, x):
         assert bits_of(x) == reference_bits(x)
@@ -428,8 +411,15 @@ class TestTriples:
 
     @pytest.mark.parametrize(
         "n, triples",
-        [(0, []), (9, []), (MAX_N + 5, [(0, 1, MAX_N - 1)])],
-        ids=["n0", "no-edges", "beyond-max-n"],
+        [
+            (0, []),
+            (9, []),
+            (MAX_N + 5, [(0, 1, MAX_N - 1)]),
+            # Every triple of 90..119: the pair rows hold 28 third vertices
+            # down to 1, on both sides of the digit-read bar.
+            (120, list(itertools.combinations(range(90, 120), 3))),
+        ],
+        ids=["n0", "no-edges", "beyond-max-n", "dense-window"],
     )
     def test_edge_cases(self, n, triples):
         assert list(build(n, triples).triples()) == triples

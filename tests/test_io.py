@@ -2,6 +2,7 @@ import contextlib
 import functools
 import hashlib
 import io
+import itertools
 import random
 import re
 import tracemalloc
@@ -109,8 +110,15 @@ class TestFormatInstance:
 
     @pytest.mark.parametrize(
         "n, triples",
-        [(0, []), (9, []), (MAX_N + 5, [(0, 1, MAX_N - 1)])],
-        ids=["n0", "no-edges", "beyond-max-n"],
+        [
+            (0, []),
+            (9, []),
+            (MAX_N + 5, [(0, 1, MAX_N - 1)]),
+            # Every triple of 90..119: pair rows on both sides of the
+            # digit-read bar, with two- and three-digit ids.
+            (120, list(itertools.combinations(range(90, 120), 3))),
+        ],
+        ids=["n0", "no-edges", "beyond-max-n", "dense-window"],
     )
     def test_edge_cases(self, n, triples):
         # Beyond MAX_N the id table stops at MAX_N; ids stay below it.
