@@ -42,7 +42,6 @@ from .core import (
     dcopy_from_quad,
     induced_subgraph,
     is_D_free,
-    iter_D_copies,
     map_copy,
     min_codegree,
     quad_spans_D,

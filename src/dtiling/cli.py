@@ -70,6 +70,7 @@ from .io import (
     read_certificate,
     read_instance,
     write_certificate,
+    write_instance,
 )
 from .localsearch import near_perfect_tiling
 
@@ -345,16 +346,11 @@ def _load_instance(path: str) -> Hypergraph3:
 
 
 def _cmd_gen(args) -> int:
-    d = args.d
-    if args.kind == "random" and d is None:
-        d = args.n // 4
-    G = build_instance(args.kind, args.n, args.seed, d)
-    text = format_instance(G)
+    G = build_instance(args.kind, args.n, args.seed, args.d)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_instance(G, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(format_instance(G))
     return 0
 
 
@@ -375,7 +371,6 @@ def _cmd_solve(args) -> int:
     result = solve_driver(G, params)
     report = result.report
     if result.tiling is not None:
-        text = format_certificate(result.tiling, "perfect")
         if args.cert:
             write_certificate(result.tiling, args.cert, "perfect")
             reread = read_certificate(args.cert)
@@ -385,7 +380,7 @@ def _cmd_solve(args) -> int:
             report["certificate"] = args.cert
         else:
             report["certificate"] = None
-            report["certificate_text"] = text
+            report["certificate_text"] = format_certificate(result.tiling, "perfect")
     else:
         report["certificate"] = None
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -414,18 +409,12 @@ def _scan_seed(base: int, n: int, trial: int) -> int:
 
 
 def _scan_worker(task: tuple) -> dict:
-    n, trial, seed, d = task
+    n, seed, d = task
     G = random_codegree_instance(n, d, seed)
     t0 = time.perf_counter()
     result = solve_driver(G, DriverParams(seed=seed, collect_timings=False))
     ms = (time.perf_counter() - t0) * 1000
-    return {
-        "n": n,
-        "trial": trial,
-        "solved": result.status == "tiled",
-        "ms": ms,
-        "branch": result.report["branch"],
-    }
+    return {"solved": result.status == "tiled", "ms": ms, "branch": result.report["branch"]}
 
 
 def _parse_n_range(parser: _Parser, spec: str) -> list[int]:
@@ -460,7 +449,7 @@ def _cmd_scan(args, parser: _Parser) -> int:
     if args.trials <= 0 or args.jobs <= 0:
         parser.error("--trials and --jobs must be positive")
     tasks = [
-        (n, t, _scan_seed(args.seed, n, t), n // 4 + args.d_offset)
+        (n, _scan_seed(args.seed, n, t), n // 4 + args.d_offset)
         for n in values
         for t in range(args.trials)
     ]
@@ -471,9 +460,9 @@ def _cmd_scan(args, parser: _Parser) -> int:
             results = list(pool.map(_scan_worker, tasks))
     else:
         results = [_scan_worker(t) for t in tasks]
-    by_key = {(r["n"], r["trial"]): r for r in results}
-    for n in values:
-        rows = [by_key[(n, t)] for t in range(args.trials)]
+    # Both paths return the results in task order: each n's trials in turn.
+    for i, n in enumerate(values):
+        rows = results[i * args.trials : (i + 1) * args.trials]
         solved = sum(r["solved"] for r in rows)
         branches = dict.fromkeys(SCAN_BRANCHES, 0)
         for r in rows:

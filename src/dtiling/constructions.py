@@ -144,15 +144,12 @@ def complete_3graph(n: int) -> Hypergraph3:
     return build(n, itertools.combinations(range(n), 3))
 
 
-def random_codegree_instance(
-    n: int, d: int, seed: int, stats_out: dict | None = None
-) -> Hypergraph3:
+def random_codegree_instance(n: int, d: int, seed: int) -> Hypergraph3:
     """Seeded random instance with minimum codegree at least d.
 
     Triples are sampled i.i.d. at a rate aiming above d, then deficient
     pairs are repaired in lexicographic order by adding random third
-    vertices.  Deterministic in (n, d, seed); the number of repair edges
-    is recorded in ``stats_out`` when given.
+    vertices.  Deterministic in (n, d, seed).
     """
     if n < 0:
         raise InputError(f"order must be nonnegative, got {n}")
@@ -182,16 +179,13 @@ def random_codegree_instance(
                 add(u, w, v)
                 add(v, w, u)
                 repairs += 1
-    if stats_out is not None:
-        stats_out["repairs"] = repairs
-        stats_out["rate"] = p
     return Hypergraph3(n, m + repairs, links)
 
 
 def build_instance(kind: str, n: int, seed: int = 0, d: int | None = None) -> Hypergraph3:
     """The instance of ``kind`` (one of ``KINDS``) and order ``n``, at most
     ``MAX_N``; kind ``random`` takes ``seed`` and the minimum codegree ``d``
-    (0 when None)."""
+    (n // 4 when None)."""
     if n > MAX_N:
         raise InputError(f"instances have at most {MAX_N} vertices, got n={n}")
     name = kind.lower()
@@ -204,7 +198,7 @@ def build_instance(kind: str, n: int, seed: int = 0, d: int | None = None) -> Hy
     if name == "complete":
         return complete_3graph(n)
     if name == "random":
-        return random_codegree_instance(n, d or 0, seed)
+        return random_codegree_instance(n, n // 4 if d is None else d, seed)
     if name == "planted":
         return planted_extremal(n)
     raise InputError(f"unknown construction kind {kind!r} (expected one of {KINDS})")

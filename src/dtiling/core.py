@@ -351,25 +351,6 @@ def min_codegree(G: Hypergraph3) -> int:
     return min(min(map(int.bit_count, row.values())) for row in rows)
 
 
-def iter_D_copies(G: Hypergraph3, within=None):
-    """Yield copies in canonical order: by shared pair, then private pair.
-
-    Each unordered pair of edges sharing exactly two vertices is yielded
-    exactly once, since the shared pair of such an edge pair is unique.
-    """
-    wmask = (1 << G.n) - 1 if within is None else mask_of(within)
-    for u, v in itertools.combinations(bits_of(wmask), 2):
-        thirds = bits_of(G.pair_bits(u, v) & wmask)
-        for a, b in itertools.combinations(thirds, 2):
-            edge_a = tuple(sorted((u, v, a)))
-            edge_b = tuple(sorted((u, v, b)))
-            yield DCopy(
-                vertices=tuple(sorted((u, v, a, b))),
-                edge_a=min(edge_a, edge_b),
-                edge_b=max(edge_a, edge_b),
-            )
-
-
 def quad_spans_D(G: Hypergraph3, quad) -> bool:
     """True iff the 4-set induces at least two edges."""
     hits = 0

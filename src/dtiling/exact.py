@@ -141,7 +141,7 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class QuadCatalog:
-    """All spanning 4-sets of a graph in lexicographic order, with one
+    """Spanning 4-sets of a graph in lexicographic order, with one
     incidence bitset per vertex of the graph: bit i of ``inc[v]`` is set
     iff v is in quad i, so ``bits_of(inc[v])`` lists v's quad ids
     ascending.  ``graph`` is the graph the quads were listed on; a search
@@ -156,6 +156,21 @@ class QuadCatalog:
         """The live set of a search's root: every quad id."""
         return (1 << len(self.quads)) - 1
 
+    @classmethod
+    def of(cls, G: Hypergraph3, within: int, quads: list) -> "QuadCatalog":
+        """The catalog of ``quads``, 4-sets of G inside the vertex mask
+        ``within`` in lexicographic order.  Each vertex of the mask writes
+        a '1' at its quads' ids into a string of '0's, read as one binary
+        int."""
+        cols: list[bytearray | None] = [None] * G.n
+        if quads:
+            for v in bits_of(within):
+                cols[v] = bytearray(b"0") * len(quads)
+        for i, (a, b, c, d) in enumerate(quads):
+            cols[a][i] = cols[b][i] = cols[c][i] = cols[d][i] = 49  # ord("1")
+        inc = tuple(0 if col is None else int(col[::-1], 2) for col in cols)
+        return cls(quads=tuple(quads), inc=inc, graph=G)
+
 
 def quad_catalog(G: Hypergraph3, within: int | None = None) -> QuadCatalog:
     """The spanning 4-sets inside the vertex mask ``within`` (default: all
@@ -167,21 +182,8 @@ def quad_catalog(G: Hypergraph3, within: int | None = None) -> QuadCatalog:
     no set and no sort.
     """
     within = vertex_mask(G, within)
-    verts = bits_of(within)
-    quads = [q for v in verts for q in spanning_quads_at(G, v, within & -(2 << v))]
-    return QuadCatalog(quads=tuple(quads), inc=_incidence(G.n, verts, quads), graph=G)
-
-
-def _incidence(n: int, verts: list[int], quads: list) -> tuple[int, ...]:
-    """``inc[v]`` for v in 0..n-1: each vertex of ``verts`` writes a '1' at
-    its quads' ids into a string of '0's, read as one binary int."""
-    cols: list[bytearray | None] = [None] * n
-    if quads:
-        for v in verts:
-            cols[v] = bytearray(b"0") * len(quads)
-    for i, (a, b, c, d) in enumerate(quads):
-        cols[a][i] = cols[b][i] = cols[c][i] = cols[d][i] = 49  # ord("1")
-    return tuple(0 if col is None else int(col[::-1], 2) for col in cols)
+    quads = [q for v in bits_of(within) for q in spanning_quads_at(G, v, within & -(2 << v))]
+    return QuadCatalog.of(G, within, quads)
 
 
 @dataclass

@@ -60,7 +60,6 @@ from .exact import (
     QuadCatalog,
     SearchBudget,
     TilingSearchResult,
-    _incidence,
     four_partite_degree_stats,
     four_partite_of,
     four_partite_perfect_matching,
@@ -212,7 +211,7 @@ def _one_y_catalog(G: Hypergraph3, ys, zs) -> QuadCatalog:
     its one Y vertex."""
     zmask = mask_of(zs)
     quads = sorted(tuple(sorted(q)) for y in ys for q in spanning_quads_at(G, y, zmask))
-    return QuadCatalog(quads=tuple(quads), inc=_incidence(G.n, bits_of(mask_of(ys) | zmask), quads), graph=G)
+    return QuadCatalog.of(G, mask_of(ys) | zmask, quads)
 
 
 def build_Q(G: Hypergraph3, part: XYZPartition, budget: SearchBudget | None = None) -> TilingSearchResult:

@@ -14,13 +14,22 @@ the edge lines may come in any order), is read in bulk:
 its shape is checked in C, it is tokenised in chunks through one table
 of the n canonical ids, and the triples go straight to the pair-index
 filler.  Everything else, and every error, takes the line-by-line
-reader, so each ``InputError`` names its line.
+reader, so each ``InputError`` names its line.  That reader streams the
+edges into the filler, caches each vertex token it has read (a dict
+lookup is several times cheaper than ``int()``), and looks for a
+repeated edge only once the filler has counted fewer distinct edges
+than lines.  Without the cache, and with a set of the edges seen so
+far, a CRLF text of ``planted_extremal(96)`` (83,240 edges) parsed in
+about 150 ms against 62 ms (2-vCPU Xeon, Python 3.11).
 
 Certificates: a header ``perfect k`` or ``partial s`` followed by one
 line per copy listing its 4 vertices and the two witness edges,
-pipe-separated.  Lines starting with ``#`` and blank lines are ignored
-everywhere; writers emit canonical (sorted) order so equal objects
-serialize identically.
+pipe-separated.
+
+In both formats a line is skipped when it is blank or its first field
+starts with ``#``; one walk over the lines, ``_content``, decides this
+for both readers.  Writers emit canonical (sorted) order so equal
+objects serialize identically.
 """
 
 from __future__ import annotations
@@ -41,26 +50,14 @@ class Certificate:
     tiling: Tiling
 
 
-class _Lines:
-    """Content lines with original 1-based numbers, comments stripped."""
-
-    def __init__(self, text: str):
-        self.items = [
-            (i, line.strip())
-            for i, line in enumerate(text.splitlines(), start=1)
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
-        self.pos = 0
-
-    def next(self, what: str) -> tuple[int, str]:
-        if self.pos >= len(self.items):
-            raise InputError(f"unexpected end of input, expected {what}")
-        item = self.items[self.pos]
-        self.pos += 1
-        return item
-
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.items)
+def _content(rows: list[str], first: int = 1):
+    """Yield ``(lineno, fields, line)`` for each row that carries content,
+    numbering rows from ``first``: a row is skipped when it is blank or
+    its first field starts with ``#``."""
+    for lineno, line in enumerate(rows, start=first):
+        fields = line.split()
+        if fields and fields[0][0] != "#":
+            yield lineno, fields, line
 
 
 def _ints(lineno: int, line: str, count: int, what: str) -> list[int]:
@@ -153,14 +150,12 @@ def _parse_canonical(text: str) -> Hypergraph3 | None:
 def _parse_lines(text: str) -> Hypergraph3:
     """Parse instance text one line at a time, raising at the first bad line."""
     rows = text.splitlines()
-    numbered = enumerate(rows, start=1)
     end = len(rows) + 1  # the line where missing content was due
-    for lineno, line in numbered:
-        fields = line.split()
-        if fields and fields[0][0] != "#":
-            break
-    else:
+    walk = _content(rows)
+    header = next(walk, None)
+    if header is None:
         raise InputError(f"line {end}: unexpected end of input, expected instance header 'n m'")
+    lineno, _, line = header
     n, m = _ints(lineno, line, 2, "instance header")
     if n < 0 or m < 0:
         raise InputError(f"line {lineno}: vertex and edge counts must be nonnegative, got {n} {m}")
@@ -188,10 +183,7 @@ def _parse_lines(text: str) -> Hypergraph3:
 
     def edges():
         nonlocal at, count
-        for at, line in numbered:
-            fields = line.split()
-            if not fields or fields[0][0] == "#":
-                continue
+        for at, fields, _ in walk:
             if count == m:
                 raise InputError(f"line {at}: trailing content after {m} edges")
             if len(fields) != 3:
@@ -210,15 +202,13 @@ def _parse_lines(text: str) -> Hypergraph3:
         # The fill finds repeats only once all edges are in; a repeat among
         # the edge lines before line ``stop`` is the first error to report.
         seen = set()
-        for row in range(lineno + 1, stop):
-            fields = rows[row - 1].split()
-            if fields and fields[0][0] != "#":
-                u, v, w = map(int, fields)
-                if (u, v, w) in seen:
-                    raise InputError(
-                        f"line {row}: edge {u} {v} {w} repeats an earlier line, so not all {m} edges are distinct"
-                    )
-                seen.add((u, v, w))
+        for row, fields, _ in _content(rows[lineno : stop - 1], lineno + 1):
+            u, v, w = map(int, fields)
+            if (u, v, w) in seen:
+                raise InputError(
+                    f"line {row}: edge {u} {v} {w} repeats an earlier line, so not all {m} edges are distinct"
+                )
+            seen.add((u, v, w))
 
     try:
         # Every id is below MAX_N, and with no edge line nothing is
@@ -282,22 +272,27 @@ def format_certificate(tiling: Tiling, kind: str = "partial") -> str:
 
 
 def parse_certificate(text: str) -> Certificate:
-    lines = _Lines(text)
-    lineno, header = lines.next("certificate header 'perfect k' or 'partial s'")
-    parts = header.split()
+    lines = _content(text.splitlines())
+    head = next(lines, None)
+    if head is None:
+        raise InputError("unexpected end of input, expected certificate header 'perfect k' or 'partial s'")
+    lineno, parts, header = head
     if len(parts) != 2 or parts[0] not in ("perfect", "partial"):
-        raise InputError(f"line {lineno}: bad certificate header {header!r}")
+        raise InputError(f"line {lineno}: bad certificate header {header.strip()!r}")
     try:
         count = int(parts[1])
     except ValueError:
         raise InputError(f"line {lineno}: bad copy count {parts[1]!r}") from None
     if count < 0:
         raise InputError(f"line {lineno}: negative copy count")
-    copies = [_parse_copy(*lines.next("copy line")) for _ in range(count)]
+    # zip asks ``range`` first, so no line past the last copy is read here.
+    copies = [_parse_copy(at, line.strip()) for _, (at, _, line) in zip(range(count), lines)]
+    if len(copies) < count:
+        raise InputError("unexpected end of input, expected copy line")
     cert = Certificate(kind=parts[0], tiling=Tiling.from_copies(copies))
-    if not lines.exhausted():
-        lineno, _ = lines.next("")
-        raise InputError(f"line {lineno}: trailing content after certificate")
+    extra = next(lines, None)
+    if extra is not None:
+        raise InputError(f"line {extra[0]}: trailing content after certificate")
     return cert
 
 

@@ -33,7 +33,7 @@ from dtiling import (
     validate_tiling,
 )
 from dtiling.core import bits_of, mask_of, spanning_quads_at
-from dtiling.exact import QuadCatalog, _counts, _greedy_hitting, _greedy_packing, _incidence
+from dtiling.exact import QuadCatalog, _counts, _greedy_hitting, _greedy_packing
 
 from test_tileable import graphs
 
@@ -224,7 +224,7 @@ class TestMaxTiling:
         for _ in range(20):
             G = random_codegree_instance(12, rng.randint(1, 3), rng.randrange(10**6))
             kept = [quad for quad in quad_catalog(G).quads if rng.random() < 0.05]
-            res = max_tiling_exact(G, catalog=QuadCatalog(tuple(kept), _incidence(G.n, range(G.n), kept), G))
+            res = max_tiling_exact(G, catalog=QuadCatalog.of(G, (1 << G.n) - 1, kept))
             assert {c.vertices for c in res.tiling.copies} <= set(kept)
             masks = [mask_of(quad) for quad in kept]
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtiling import (
+    DCopy,
     DriverParams,
     Hypergraph3,
     MAX_N,
@@ -33,6 +34,7 @@ from dtiling import (
     read_instance,
     solve_driver,
     steiner_triple_system,
+    Tiling,
     validate_tiling,
     write_certificate,
     write_instance,
@@ -533,3 +535,94 @@ def relabelled(G, seed):
     perm = list(range(G.n))
     random.Random(seed).shuffle(perm)
     return build(G.n, ([perm[v] for v in e] for e in G.edges))
+
+
+# The golden corpus: seeded texts of both formats, each edited 1-3 times
+# in ways a hand-written file goes wrong, and the digest of what the
+# readers make of them: the parsed result or the InputError message.
+CORPUS_TOKENS = ("x", "07", "-1", "99", "100000")
+
+
+def corpus_edit(lines: list[str], rnd: random.Random, cert: bool) -> None:
+    """Apply one edit to ``lines`` in place."""
+    kinds = ["comment", "blank", "repeat", "delete", "spaces", "extra", "reverse", "token"]
+    if cert:
+        kinds.append("pipe")
+    kind = rnd.choice(kinds)
+    at = rnd.randrange(len(lines) + 1)
+    if kind == "comment":
+        lines.insert(at, rnd.choice(["# note", "#", "  # indented 1 2 3"]))
+    elif kind == "blank":
+        lines.insert(at, rnd.choice(["", "  ", "\t"]))
+    elif not lines:
+        return
+    at = min(at, len(lines) - 1)
+    line = lines[at]
+    if kind == "repeat":
+        lines.insert(at, line)
+    elif kind == "delete":
+        del lines[at]
+    elif kind == "spaces":
+        lines[at] = line.replace(" ", "  ", 1)
+    elif kind == "extra":
+        lines[at] = line + " 3"
+    elif kind == "reverse":
+        lines[at] = " ".join(reversed(line.split(" ")))
+    elif kind == "token":
+        fields = line.split(" ")
+        fields[rnd.randrange(len(fields))] = rnd.choice(CORPUS_TOKENS)
+        lines[at] = " ".join(fields)
+    elif kind == "pipe":
+        lines[at] = line.replace("|", "", 1)
+
+
+def corpus_text(base: str, rnd: random.Random, cert: bool) -> str:
+    lines = base.splitlines()
+    for _ in range(rnd.randint(1, 3)):
+        corpus_edit(lines, rnd, cert)
+    return rnd.choice(["\n", "\r\n"]).join(lines) + rnd.choice(["\n", "\r\n", ""])
+
+
+def corpus_instance(rnd: random.Random) -> str:
+    n = rnd.randint(4, 12)
+    p = rnd.random()
+    return format_instance(build(n, (t for t in itertools.combinations(range(n), 3) if rnd.random() < p)))
+
+
+def corpus_certificate(rnd: random.Random) -> str:
+    n = rnd.randint(4, 24)
+    order = rnd.sample(range(n), n)
+    copies = []
+    for i in range(rnd.randint(0, n // 4)):
+        quad = tuple(sorted(order[4 * i : 4 * i + 4]))
+        a, b = sorted(rnd.sample(list(itertools.combinations(quad, 3)), 2))
+        copies.append(DCopy(vertices=quad, edge_a=a, edge_b=b))
+    return format_certificate(Tiling.from_copies(copies), rnd.choice(["perfect", "partial"]))
+
+
+def corpus_outcome(read, text):
+    try:
+        return read(text)
+    except InputError as exc:
+        return str(exc)
+
+
+def instance_outcome(text):
+    G = parse_instance(text)
+    return (G.n, G.m, sorted(G.edges))
+
+
+def certificate_outcome(text):
+    cert = parse_certificate(text)
+    return (cert.kind, [(c.vertices, c.edge_a, c.edge_b) for c in cert.tiling.copies])
+
+
+def test_golden_corpus():
+    rnd = random.Random(2025)
+    outcomes = [corpus_outcome(instance_outcome, corpus_text(corpus_instance(rnd), rnd, False)) for _ in range(1500)]
+    outcomes += [
+        corpus_outcome(certificate_outcome, corpus_text(corpus_certificate(rnd), rnd, True)) for _ in range(500)
+    ]
+    valid = sum(not isinstance(o, str) for o in outcomes)
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert (valid, digest) == (425, "d8b12fdc20201e0062a9705f6f08d91f2c24d7c09bb40cdc7e23675bceb191ed")
