@@ -1,23 +1,24 @@
 """Command-line front end and the full solving driver.
 
-The driver composes the pieces.  It first finds a maximal D-free set S:
-up to ``EXACT_DFREE_MAX_N`` vertices it asks an exact decision, not an
-optimum (is there a D-free set above 3n/4, else one of at least the
-extremal threshold t = (1 - eps) 3n/4?), and above that it takes a greedy
-set.  When |S| > 3n/4 the instance is refuted at once by the space
-barrier: every copy of a perfect tiling needs a vertex outside S.  Else
-it runs the extremal pipeline when |S| >= t, otherwise sets aside an
-absorbing family, tiles the rest by the greedy maximal tiling, and
-absorbs the leftover; those steps take their part of G as a vertex mask,
-so no subgraph is copied or relabelled.  In auto mode any branch failure
-falls back to the exact solver; forced modes report their own stall
-instead.  One ``SearchBudget``, made when the solve starts, is the node
-pool and deadline of every search in it: the certificate's decisions,
-stages Q and T, the leftover search and the fallback, which stops at
-once on a spent budget.  Only building the quad catalog runs outside
-it.  Exit codes: 0 tiled, 2 proven infeasible (by the space barrier or by the
-exact search), 3 search exhausted or stalled, 64 usage errors and
-malformed or oversized input.
+The driver composes the pieces.  It first finds a maximal D-free set S.
+It grows one greedily at every order; only when that set stops at or
+below 3n/4 and G has at most ``EXACT_DFREE_MAX_N`` vertices does it ask
+an exact decision, not an optimum (is there a D-free set above 3n/4,
+else one of at least the extremal threshold t = (1 - eps) 3n/4?), and
+take S from the first witness.  When |S| > 3n/4 the instance is refuted
+at once by the space barrier: every copy of a perfect tiling needs a
+vertex outside S.  Else it runs the extremal pipeline when |S| >= t,
+otherwise sets aside an absorbing family, tiles the rest by the greedy
+maximal tiling, and absorbs the leftover; those steps take their part of
+G as a vertex mask, so no subgraph is copied or relabelled.  In auto
+mode any branch failure falls back to the exact solver; forced modes
+report their own stall instead.  One ``SearchBudget``, made when the
+solve starts, is the node pool and deadline of every search in it: the
+certificate's decisions, stages Q and T, the leftover search and the
+fallback, which stops at once on a spent budget.  Only building the quad
+catalog runs outside it.  Exit codes: 0 tiled, 2 proven infeasible (by
+the space barrier or by the exact search), 3 search exhausted or
+stalled, 64 usage errors and malformed or oversized input.
 """
 
 from __future__ import annotations
@@ -105,16 +106,18 @@ def _dfree_certificate(G: Hypergraph3, threshold: float, budget: SearchBudget):
     """The maximal D-free set S the driver branches on, its report fields,
     and the quad catalog built on the way (None on the greedy path).
 
-    Up to ``EXACT_DFREE_MAX_N`` vertices, two decisions on one catalog,
-    both ticking the solve's ``budget``: is there a D-free set above 3n/4
-    (the space barrier), and if not, one of ``ceil(threshold)`` vertices?
-    The first witness found is extended to a maximal set.  When both are
-    refuted or the budget runs out, S is the greedy set, so a forced
+    The greedy set comes first, at every order.  When it already passes
+    3n/4 it is the space-barrier proof as it stands, and no catalog is
+    built.  Else, up to ``EXACT_DFREE_MAX_N`` vertices, two decisions on
+    one catalog, both ticking the solve's ``budget``: is there a D-free
+    set above 3n/4, and if not, one of ``ceil(threshold)`` vertices?  The
+    first witness found is extended to a maximal set.  When both are
+    refuted or the budget runs out, S stays the greedy set, so a forced
     extremal solve still gets a seed.  Larger instances only take the
     greedy set, which is maximal as it stands.
     """
-    if G.n > EXACT_DFREE_MAX_N:
-        S = greedy_D_free_set(G)
+    S = greedy_D_free_set(G)
+    if G.n > EXACT_DFREE_MAX_N or 4 * len(S) > 3 * G.n:
         outcome = "witness" if len(S) >= threshold else "unknown"
         return S, {"method": "greedy", "nodes": 0, "outcome": outcome}, None
     cat = quad_catalog(G)
@@ -123,7 +126,8 @@ def _dfree_certificate(G: Hypergraph3, threshold: float, budget: SearchBudget):
         res = decide_D_free_set(G, size, budget, cat)
         if res.status != INFEASIBLE:
             break
-    S = extend_to_maximal_D_free(G, res.vertices) if res.status == FOUND else greedy_D_free_set(G)
+    if res.status == FOUND:
+        S = extend_to_maximal_D_free(G, res.vertices)
     outcome = {FOUND: "witness", INFEASIBLE: "refuted", EXHAUSTED: "exhausted"}[res.status]
     method = "exact-budget" if res.status == EXHAUSTED else "exact"
     return S, {"method": method, "nodes": budget.nodes - first, "outcome": outcome}, cat

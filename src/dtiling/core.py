@@ -9,8 +9,9 @@ are derived from the index only when a caller asks for them.  ``build``
 (any iterable of triples), ``io.parse_instance`` (text),
 ``induced_subgraph`` and ``random_codegree_instance`` all fill the index
 through one private filler, ``_fill(n, triples)``: each caller knows the
-vertex count, and the filler sums each pair's bitset from a table of the
-n powers of two that lives only for that call.
+vertex count, and the filler collects each pair's third vertices as
+their powers of two, read from a table of the n powers that lives only
+for that call, and sums them into the pair's bitset.
 
 Set bits come out in C where there are many.  ``bits_of`` and the pair
 walk ``_pair_thirds``, which ``Hypergraph3.triples`` and
@@ -250,22 +251,23 @@ def _fill(n: int, triples) -> tuple[dict, int]:
     """Pair index of ascending triples ``a < b < c`` of ``0..n-1``, given
     in any order and possibly repeated, and the number of distinct ones.
 
-    Each pair's third vertices are first collected in a list, in one row
-    per vertex; each list then becomes its bitset in one C-level ``sum``
-    over a table of the n powers of two, built for this call (n²/16
-    bytes, 6 MB at ``MAX_N``, so callers keep n at most that), and is
-    stored under both orders of the pair.  A repeated entry carries,
-    leaving fewer set bits than entries, and only then is the sum redone
-    over the distinct entries.  Each distinct triple sets one bit in each
-    of its three pairs, so the distinct count is a third of all set bits.
+    Each pair's third vertices are collected as their powers of two, read
+    from a table of the n powers built for this call (n²/16 bytes, 6 MB
+    at ``MAX_N``, so callers keep n at most that), in one list per pair
+    and one row of lists per vertex; each list then becomes its bitset in
+    one C-level ``sum`` and is stored under both orders of the pair.  A
+    repeated entry carries, leaving fewer set bits than entries, and only
+    then is the sum redone over the distinct entries.  Each distinct
+    triple sets one bit in each of its three pairs, so the distinct count
+    is a third of all set bits.
     """
-    thirds = [defaultdict(list) for _ in range(n)]  # thirds[a][b], a < b: the c of {a, b, c}
+    power = [1 << i for i in range(n)]
+    thirds = [defaultdict(list) for _ in range(n)]  # thirds[a][b], a < b: 2**c for each {a, b, c}
     for a, b, c in triples:
         ra = thirds[a]
-        ra[b].append(c)
-        ra[c].append(b)
-        thirds[b][c].append(a)
-    power = [1 << i for i in range(n)].__getitem__
+        ra[b].append(power[c])
+        ra[c].append(power[b])
+        thirds[b][c].append(power[a])
     links: dict[int, dict[int, int]] = {}
     row_of = links.setdefault
     set_bits = 0
@@ -274,9 +276,9 @@ def _fill(n: int, triples) -> tuple[dict, int]:
             continue
         ra = row_of(a, {})
         for b, cs in row.items():
-            bits = sum(map(power, cs))
+            bits = sum(cs)
             if bits.bit_count() < len(cs):  # a repeated third vertex carried
-                bits = sum(map(power, set(cs)))
+                bits = sum(set(cs))
             ra[b] = row_of(b, {})[a] = bits
             set_bits += bits.bit_count()
     return links, set_bits // 3

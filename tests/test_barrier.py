@@ -2,6 +2,7 @@
 perfect tiling, because each copy needs a vertex outside S.  Every such
 verdict is checked here by the independent oracles in ``naive``."""
 
+import itertools
 import random
 import sys
 
@@ -65,12 +66,9 @@ def test_g1_refuted_at_the_barrier(n):
     G = relabelled(construct_G1(n), seed=n)
     res = solve(G)
     check_barrier_verdict(G, res)
+    # The greedy set already passes 3n/4, so no order asks for a search.
     dfree = res.report["dfree"]
-    if n <= 24:
-        assert (dfree["method"], dfree["outcome"]) == ("exact", "witness")
-        assert dfree["nodes"] > 0
-    else:
-        assert (dfree["method"], dfree["nodes"]) == ("greedy", 0)
+    assert (dfree["method"], dfree["nodes"], dfree["outcome"]) == ("greedy", 0, "witness")
 
 
 def test_random_near_threshold_barrier_verdicts_hold():
@@ -162,9 +160,9 @@ def test_tileable_instances_stay_below_the_barrier():
         assert res.report["dfree"]["size"] == 3 * n // 4
 
 
-def patch_everywhere(monkeypatch, name, replacement):
-    """Replace ``dtiling.exact.<name>`` in every dtiling module that holds it."""
-    original = getattr(dtiling.exact, name)
+def patch_everywhere(monkeypatch, name, replacement, home=dtiling.exact):
+    """Replace ``home.<name>`` in every dtiling module that holds it."""
+    original = getattr(home, name)
     for mod_name, module in list(sys.modules.items()):
         if mod_name == "dtiling" or mod_name.startswith("dtiling."):
             if getattr(module, name, None) is original:
@@ -180,11 +178,9 @@ class TestCallCounts:
             lambda: random_codegree_instance(16, 5, 12),
             lambda: random_codegree_instance(20, 4, 13),
             lambda: random_codegree_instance(20, 6, 14),
-            lambda: relabelled(construct_G0(20), 1),
-            lambda: relabelled(construct_G1(24), 2),
             lambda: relabelled(planted_extremal(24), 3),
         ],
-        ids=["random16-3", "random16-5", "random20-4", "random20-6", "g0-20", "g1-24", "planted-24"],
+        ids=["random16-3", "random16-5", "random20-4", "random20-6", "planted-24"],
     )
     def test_one_catalog_per_solve(self, make, monkeypatch):
         # The certificate's decisions and the exact fallback share one
@@ -203,11 +199,17 @@ class TestCallCounts:
 
     @pytest.mark.parametrize(
         "make",
-        [lambda: relabelled(construct_G0(32), 5), lambda: relabelled(construct_G1(40), 6)],
-        ids=["g0-32", "g1-40"],
+        [
+            lambda: relabelled(construct_G0(20), 1),
+            lambda: relabelled(construct_G1(24), 2),
+            lambda: relabelled(construct_G0(32), 5),
+            lambda: relabelled(construct_G1(40), 6),
+        ],
+        ids=["g0-20", "g1-24", "g0-32", "g1-40"],
     )
     def test_large_witnesses_need_no_search(self, make, monkeypatch):
-        for name in ("quad_catalog", "max_D_free_set", "perfect_tiling_exact"):
+        # The greedy set is the witness, below EXACT_DFREE_MAX_N as above.
+        for name in ("quad_catalog", "decide_D_free_set", "max_D_free_set", "perfect_tiling_exact"):
 
             def refuse(*args, _name=name, **kwargs):
                 raise AssertionError(f"the barrier solve called {_name}")
@@ -215,3 +217,46 @@ class TestCallCounts:
             patch_everywhere(monkeypatch, name, refuse)
         G = make()
         check_barrier_verdict(G, solve(G))
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: relabelled(construct_G0(20), 1), lambda: random_codegree_instance(16, 4, 7)],
+        ids=["g0-20", "random16-4"],
+    )
+    def test_one_greedy_set_per_solve(self, make, monkeypatch):
+        # The barrier solve keeps the greedy set; the refuted certificate
+        # falls back to the one it grew before the search.
+        G = make()
+        calls = []
+
+        def counting(H):
+            calls.append(H is G)
+            return original(H)
+
+        original = patch_everywhere(monkeypatch, "greedy_D_free_set", counting, dtiling.extremal)
+        solve(G)
+        assert calls == [True]
+
+
+def sparse_instance(n, m, seed):
+    rng = random.Random(seed)
+    return build(n, rng.sample(list(itertools.combinations(range(n), 3)), m))
+
+
+def test_a_barrier_the_greedy_set_misses_is_found_by_search(monkeypatch):
+    # Greedy stops at 9 = 3n/4 vertices here, the optimum has 10, so only
+    # the exact decision reaches the barrier, on the solve's one catalog.
+    G = sparse_instance(12, 12, 10)
+    assert len(greedy_D_free_set(G)) == 9 and len(max_D_free_set(G).vertices) == 10
+    calls = []
+
+    def counting(H):
+        calls.append(H is G)
+        return original(H)
+
+    original = patch_everywhere(monkeypatch, "quad_catalog", counting)
+    res = solve(G)
+    check_barrier_verdict(G, res)
+    assert calls == [True]
+    dfree = res.report["dfree"]
+    assert (dfree["method"], dfree["outcome"]) == ("exact", "witness") and dfree["nodes"] > 0
