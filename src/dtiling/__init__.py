@@ -31,6 +31,7 @@ from .constructions import (
     steiner_triple_system,
 )
 from .core import (
+    MAX_EDGES,
     MAX_N,
     DCopy,
     Hypergraph3,

@@ -23,9 +23,6 @@ stalled, 64 usage errors and malformed or oversized input.
 
 from __future__ import annotations
 
-import argparse
-import concurrent.futures
-import json
 import math
 import sys
 import time
@@ -39,6 +36,7 @@ from .absorb import (
 )
 from .constructions import KINDS, build_instance, random_codegree_instance
 from .core import (
+    MAX_EDGES,
     MAX_N,
     Hypergraph3,
     InputError,
@@ -295,13 +293,19 @@ def _try_absorb_branch(G, params, budget, report, clocked):
 # command line
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+# argparse, json and concurrent.futures are imported by the functions
+# that use them, so ``import dtiling`` does not load them for a library
+# caller, which never runs a command.
 
 
-def _build_parser() -> _Parser:
+def _build_parser():
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(prog="dtiling", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
@@ -362,6 +366,8 @@ _STATUS_EXIT = {"tiled": EXIT_TILED, "infeasible": EXIT_INFEASIBLE, "exhausted":
 
 
 def _cmd_solve(args) -> int:
+    import json
+
     G = _load_instance(args.file)
     params = DriverParams(
         mode=args.mode,
@@ -421,7 +427,7 @@ def _scan_worker(task: tuple) -> dict:
     return {"solved": result.status == "tiled", "ms": ms, "branch": result.report["branch"]}
 
 
-def _parse_n_range(parser: _Parser, spec: str) -> list[int]:
+def _parse_n_range(parser, spec: str) -> list[int]:
     parts = spec.split(":")
     if len(parts) != 3:
         parser.error(f"--n-range must be A:B:STEP, got {spec!r}")
@@ -436,6 +442,10 @@ def _parse_n_range(parser: _Parser, spec: str) -> list[int]:
     values = list(range(a, b + 1, step))
     if any(v % 4 for v in values):
         parser.error("--n-range values must be divisible by 4")
+    # Each trial samples all C(n, 3) triples, as gen --kind random does.
+    edges = math.comb(values[-1], 3)
+    if edges > MAX_EDGES:
+        parser.error(f"--n-range order {values[-1]} gives up to {edges} edges; the most is MAX_EDGES = {MAX_EDGES}")
     return values
 
 
@@ -448,7 +458,10 @@ def _nearest_rank(ordered: list[float], q: float) -> float:
     return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
 
 
-def _cmd_scan(args, parser: _Parser) -> int:
+def _cmd_scan(args, parser) -> int:
+    import concurrent.futures
+    import json
+
     values = _parse_n_range(parser, args.n_range)
     if args.trials <= 0 or args.jobs <= 0:
         parser.error("--trials and --jobs must be positive")

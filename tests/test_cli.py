@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -91,6 +92,12 @@ class TestGen:
         proc = run_subprocess(argv)
         assert proc.returncode == 64, proc.stderr
         assert str(MAX_N) in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_scan_past_max_edges_exits_64_before_any_solve(self, capsys):
+        # C(232, 3) > MAX_EDGES: refused with the range, before the
+        # smaller orders of the range are solved.
+        assert run(["scan", "--n-range", "8:232:4", "--trials", "1"]) == 64
+        assert "MAX_EDGES" in capsys.readouterr().err
 
 
 class TestSolve:
@@ -284,9 +291,10 @@ class TestScan:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        # cli imports the pool from concurrent.futures at the call, which
-        # keeps multiprocessing out of the package import.
-        monkeypatch.setattr(dtiling.cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        # scan imports concurrent.futures when it runs, which keeps it and
+        # multiprocessing out of the package import, so the stand-in goes
+        # on concurrent.futures itself.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         argv = ["scan", "--n-range", "8:8:4", "--trials", str(trials), "--no-timings"]
         assert run(argv + ["--jobs", "100000"]) == 0
         assert asked == workers
@@ -295,17 +303,19 @@ class TestScan:
         assert capsys.readouterr().out == parallel
 
     def test_package_import_leaves_out_multiprocessing(self):
-        # scan looks the pool up when it runs, so importing the package
-        # (part of every solve's set-up) does not load multiprocessing.
+        # The CLI imports argparse, json and the pool when a command runs,
+        # so importing the package (part of every solve's set-up) loads
+        # none of them, nor multiprocessing.
         src = str(Path(dtiling.__file__).resolve().parent.parent)
+        cli_only = ("multiprocessing", "argparse", "json", "concurrent.futures")
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, dtiling; print('multiprocessing' in sys.modules)"],
+            [sys.executable, "-c", f"import sys, dtiling; print([m for m in {cli_only} if m in sys.modules])"],
             env={**os.environ, "PYTHONPATH": src},
             capture_output=True,
             text=True,
             timeout=60,
         )
-        assert proc.stdout.strip() == "False", proc.stderr
+        assert proc.stdout.strip() == "[]", proc.stderr
 
     @pytest.mark.parametrize(
         "spec", ["8:12", "a:b:4", "12:8:4", "0:8:4", "8:12:0", "9:13:4"]

@@ -1,9 +1,12 @@
 import hashlib
 import itertools
+import math
+import tracemalloc
 
 import pytest
 
 from dtiling import (
+    MAX_EDGES,
     MAX_N,
     InputError,
     UnsupportedOrderError,
@@ -13,6 +16,7 @@ from dtiling import (
     construct_G0,
     construct_G1,
     is_D_free,
+    main,
     max_tiling_exact,
     min_codegree,
     perfect_tiling_exact,
@@ -20,7 +24,10 @@ from dtiling import (
     random_codegree_instance,
     steiner_triple_system,
 )
+from dtiling.core import bits_of
 from dtiling.io import format_instance
+
+from naive import naive_pair_index
 
 
 def assert_is_sts(G, m):
@@ -173,3 +180,101 @@ class TestDispatch:
     def test_order_above_max_n(self, kind):
         with pytest.raises(InputError, match=f"at most {MAX_N}"):
             build_instance(kind, MAX_N + 3)
+
+
+def meeting_first_triples(n, a):
+    """Every triple of 0..n-1 with a vertex below ``a``, listed from all
+    C(n, 3)."""
+    return [t for t in itertools.combinations(range(n), 3) if t[0] < a]
+
+
+def g1_triples(n):
+    a = n // 4 - 1
+    sts = steiner_triple_system(n - a)
+    return meeting_first_triples(n, a) + [tuple(v + a for v in t) for t in sts.edges]
+
+
+# Each closed-form construction next to its triples listed by brute force.
+FAMILIES = {
+    "g0": (construct_G0, lambda n: meeting_first_triples(n, n // 4 - 1), range(8, 49, 4)),
+    "g1": (construct_G1, g1_triples, range(8, 49, 8)),
+    "planted": (planted_extremal, lambda n: meeting_first_triples(n, n // 4), range(4, 49, 4)),
+    "complete": (
+        complete_3graph,
+        lambda n: list(itertools.combinations(range(n), 3)),
+        [0, 1, 2, 3, 5, *range(4, 49, 4)],
+    ),
+}
+
+
+class TestMeetingFirstWriter:
+    @pytest.mark.parametrize(
+        "kind, n", [(kind, n) for kind, (_, _, orders) in FAMILIES.items() for n in orders]
+    )
+    def test_pair_index_matches_brute_force(self, kind, n):
+        make, triples_of, _ = FAMILIES[kind]
+        G, triples = make(n), triples_of(n)
+        index = {u: {v: set(bits_of(bits)) for v, bits in row.items()} for u, row in G._links.items()}
+        assert index == naive_pair_index(triples)
+        assert G.n == n and G.m == len(G.edges) == len(set(triples))
+
+    @pytest.mark.parametrize(
+        "make, n, digest",
+        [
+            (construct_G0, 52, "904203fe299dfcdc487526765c795912a43f70933c63739da9ddf1b6fc9fbdde"),
+            (construct_G1, 56, "39f19db9163de87879c7ec98af3e99994ebf3418269255d7b328aa4069b50254"),
+            (planted_extremal, 96, "55df3de2a20c27c3a3b0b38670532ffc497d1c4143e1ecaafe0b33ebaea2552e"),
+            (complete_3graph, 24, "3ed6624e20a77f1ad8f20a8e457750f310be77fa551898cf2edef2c7671dfbc9"),
+        ],
+    )
+    def test_instance_text_pinned(self, make, n, digest):
+        # Digests of the texts built by filtering all C(n, 3) triples,
+        # before the pair index was written in closed form.
+        text = format_instance(make(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_g0_200_header(self):
+        assert format_instance(construct_G0(200)).startswith("200 750925\n")
+
+
+# The largest order whose complete 3-graph is within MAX_EDGES (229).
+COMPLETE_MAX = max(n for n in range(MAX_N) if math.comb(n, 3) <= MAX_EDGES)
+
+
+class TestEdgeBound:
+    @pytest.mark.parametrize(
+        "kind, n",
+        [
+            ("sts", 9997),
+            ("g0", 10000),
+            ("g1", 10000),
+            ("planted", 10000),
+            ("complete", COMPLETE_MAX + 1),
+            ("random", COMPLETE_MAX + 1),
+        ],
+    )
+    def test_refused_before_anything_is_allocated(self, kind, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="MAX_EDGES"):
+                build_instance(kind, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_sts_order_past_the_bound(self):
+        # 3,463 points give 1,998,151 triples and 3,469 give 2,005,082:
+        # the first admissible order past the bound is refused.
+        assert 3463 * 3462 // 6 <= MAX_EDGES < 3469 * 3468 // 6
+        with pytest.raises(InputError, match="order 3469 gives up to 2005082 edges"):
+            steiner_triple_system(3469)
+
+    def test_complete_at_the_bound(self):
+        G = complete_3graph(COMPLETE_MAX)
+        assert G.m == math.comb(COMPLETE_MAX, 3) <= MAX_EDGES
+        assert G.pair_bits(0, 1).bit_count() == COMPLETE_MAX - 2
+
+    def test_gen_exits_64(self, capsys):
+        assert main(["gen", "--kind", "sts", "--n", "9997"]) == 64
+        assert "MAX_EDGES" in capsys.readouterr().err

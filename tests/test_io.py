@@ -15,6 +15,7 @@ from dtiling import (
     DCopy,
     DriverParams,
     Hypergraph3,
+    MAX_EDGES,
     MAX_N,
     InputError,
     build,
@@ -371,6 +372,33 @@ class TestInputBound:
     def test_vertex_just_below_max_n_accepted(self):
         G = parse_instance(f"{MAX_N} 1\n0 1 {MAX_N - 1}\n")
         assert G.has_edge(0, 1, MAX_N - 1)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [(f"4 {MAX_EDGES + 1}\n", "line 1"), (f"# big\r\n4 {MAX_EDGES + 1}\r\n0 1 2\r\n", "line 2")],
+    )
+    def test_header_m_above_max_edges(self, text, line):
+        with pytest.raises(InputError, match=f"{line}: {MAX_EDGES + 1} edges; .*MAX_EDGES"):
+            parse_instance(text)
+
+    def test_header_m_at_max_edges_reads_on(self):
+        with pytest.raises(InputError, match="unexpected end of input"):
+            parse_instance(f"4 {MAX_EDGES}\n")
+
+    def test_canonical_text_above_the_bound(self, monkeypatch):
+        # Under a bound of 3 edges, canonical text of 4 leaves the bulk
+        # reader and the line reader refuses its header.
+        text = format_instance(complete_3graph(4))
+        monkeypatch.setattr(text_io, "MAX_EDGES", 3)
+        assert text_io._parse_canonical(text) is None
+        with pytest.raises(InputError, match="line 1: 4 edges"):
+            parse_instance(text)
+
+    def test_solve_exits_64_on_header_m_above_max_edges(self, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text(f"8 {MAX_EDGES + 1}\n0 1 2\n", encoding="utf-8")
+        assert main(["solve", str(path)]) == 64
+        assert "MAX_EDGES" in capsys.readouterr().err
 
     def test_solve_driver_rejects_n_above_max_n(self):
         # n = MAX_N + 1 is not divisible by 4 either, so without the bound
