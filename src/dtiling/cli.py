@@ -3,13 +3,15 @@
 The driver composes the pieces.  It first finds a maximal D-free set S.
 It grows one greedily at every order; only when that set stops at or
 below 3n/4 and G has at most ``EXACT_DFREE_MAX_N`` vertices does it ask
-an exact decision, not an optimum (is there a D-free set above 3n/4,
-else one of at least the extremal threshold t = (1 - eps) 3n/4?), and
-take S from the first witness.  When |S| > 3n/4 the instance is refuted
-at once by the space barrier: every copy of a perfect tiling needs a
-vertex outside S.  Else it runs the extremal pipeline when |S| >= t,
-otherwise sets aside an absorbing family, tiles the rest by the greedy
-maximal tiling, and absorbs the leftover; those steps take their part of
+an exact decision, not an optimum: is there a D-free set above 3n/4?
+Forced ``--mode extremal`` alone, whose pipeline starts from S, asks
+next for one of at least the extremal threshold t = (1 - eps) 3n/4; S
+comes from the first witness, else it stays the greedy set.  When
+|S| > 3n/4 the instance is refuted at once by the space barrier: every
+copy of a perfect tiling needs a vertex outside S.  Else, in auto mode,
+it runs the extremal pipeline when |S| >= t, otherwise sets aside an
+absorbing family, tiles the rest by the greedy maximal tiling, and
+absorbs the leftover; those steps take their part of
 G as a vertex mask, so no subgraph is copied or relabelled.  In auto
 mode any branch failure falls back to the exact solver; forced modes
 report their own stall instead.  One ``SearchBudget``, made when the
@@ -100,19 +102,21 @@ class DriverResult:
     report: dict = field(default_factory=dict)
 
 
-def _dfree_certificate(G: Hypergraph3, threshold: float, budget: SearchBudget):
+def _dfree_certificate(G: Hypergraph3, threshold: float, budget: SearchBudget, seed_extremal: bool):
     """The maximal D-free set S the driver branches on, its report fields,
     and the quad catalog built on the way (None on the greedy path).
 
     The greedy set comes first, at every order.  When it already passes
     3n/4 it is the space-barrier proof as it stands, and no catalog is
-    built.  Else, up to ``EXACT_DFREE_MAX_N`` vertices, two decisions on
-    one catalog, both ticking the solve's ``budget``: is there a D-free
-    set above 3n/4, and if not, one of ``ceil(threshold)`` vertices?  The
-    first witness found is extended to a maximal set.  When both are
-    refuted or the budget runs out, S stays the greedy set, so a forced
-    extremal solve still gets a seed.  Larger instances only take the
-    greedy set, which is maximal as it stands.
+    built.  Else, up to ``EXACT_DFREE_MAX_N`` vertices, one catalog and
+    the barrier question: is there a D-free set above 3n/4?  Only with
+    ``seed_extremal`` (a forced extremal solve, whose pipeline starts
+    from S) does a refutation lead to a second one: is there a set of
+    ``ceil(threshold)`` vertices?  Both tick the solve's ``budget``.  The
+    first witness found is extended to a maximal set.  When the last
+    question asked is refuted or the budget runs out, S stays the greedy
+    set.  Larger instances only take the greedy set, which is maximal as
+    it stands.
     """
     S = greedy_D_free_set(G)
     if G.n > EXACT_DFREE_MAX_N or 4 * len(S) > 3 * G.n:
@@ -120,7 +124,8 @@ def _dfree_certificate(G: Hypergraph3, threshold: float, budget: SearchBudget):
         return S, {"method": "greedy", "nodes": 0, "outcome": outcome}, None
     cat = quad_catalog(G)
     first = budget.nodes
-    for size in (3 * G.n // 4 + 1, math.ceil(threshold)):
+    barrier = 3 * G.n // 4 + 1
+    for size in (barrier, math.ceil(threshold)) if seed_extremal else (barrier,):
         res = decide_D_free_set(G, size, budget, cat)
         if res.status != INFEASIBLE:
             break
@@ -180,7 +185,9 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
     catalog = None
     if params.mode in ("auto", "extremal"):
         threshold = (1 - params.eps) * (3 * G.n / 4)
-        S, fields, catalog = clocked("certificate", _dfree_certificate, G, threshold, budget)
+        S, fields, catalog = clocked(
+            "certificate", _dfree_certificate, G, threshold, budget, params.mode == "extremal"
+        )
         extremal_instance = len(S) >= threshold
         report["dfree"] = {
             "size": len(S),

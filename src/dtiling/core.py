@@ -299,7 +299,8 @@ def build(n: int, triples) -> Hypergraph3:
     """Build a hypergraph from an iterable of 3-element vertex sets.
 
     Duplicates collapse silently (set semantics); degenerate or
-    out-of-range triples are rejected.  As in parsed text, vertex ids
+    out-of-range triples, and more than ``MAX_EDGES`` triples (duplicates
+    counted), are rejected.  As in parsed text, vertex ids
     stop below ``MAX_N`` even when n is larger, which bounds the filler's
     table of powers.
     """
@@ -312,7 +313,8 @@ def build(n: int, triples) -> Hypergraph3:
 
 def _canonical_chunks(triples, n: int):
     """Yield the triples as ascending triples, a few hundred at a time,
-    after checking that each has three distinct vertices in ``0..n-1``.
+    after checking that each has three distinct vertices in ``0..n-1``
+    and that no more than ``MAX_EDGES`` are given, duplicates included.
 
     A chunk is checked in C (``_in_order``); only a chunk that fails is
     sorted triple by triple and checked again, and only a chunk that
@@ -321,7 +323,11 @@ def _canonical_chunks(triples, n: int):
     trigger a garbage collection.
     """
     it = iter(triples)
+    given = 0
     while chunk := list(itertools.islice(it, 256)):
+        given += len(chunk)
+        if given > MAX_EDGES:
+            raise InputError(f"more than {MAX_EDGES} triples given; instances have at most MAX_EDGES = {MAX_EDGES}")
         if not _in_order(chunk, n):
             chunk = list(map(sorted, chunk))
             if not _in_order(chunk, n):

@@ -108,38 +108,48 @@ def test_sparse_random_barrier_exactly_when_the_optimum_passes_3n_4():
 @pytest.mark.parametrize(
     "node_limit, fields",
     [
-        # The barrier question refutes in 1 node, the threshold one in 210.
+        # A forced extremal solve asks two questions to seed its pipeline:
+        # the barrier one refutes in 1 node, the threshold one in 210.
         (10_000_000, {"method": "exact", "nodes": 211, "outcome": "refuted"}),
         # The decisions share the solve's budget: the barrier question
         # spends 1 node, the threshold one the 99 left plus the tick over
-        # them.  That spends the budget, so the fallback stops at its
-        # first node.
+        # them.
         (100, {"method": "exact-budget", "nodes": 101, "outcome": "exhausted"}),
     ],
 )
 def test_undecided_certificate_falls_back_to_the_greedy_set(node_limit, fields):
     G = random_codegree_instance(16, 4, 7)
-    res = solve_driver(G, DriverParams(node_limit=node_limit, collect_timings=False))
     greedy = extend_to_maximal_D_free(G, greedy_D_free_set(G))
-    assert res.report["dfree"] == {"size": len(greedy), "threshold": 9.0, "extremal": False, **fields}
-    assert res.report["branch"] == "exact-fallback"
-    if fields["outcome"] == "exhausted":
-        assert res.status == "exhausted"
-        assert res.report["exact"] == {"status": "exhausted", "nodes": 1, "optimal": False}
-    else:
-        assert res.status == "tiled"
+    expected = {"size": len(greedy), "threshold": 9.0, "extremal": False}
+    res = solve_driver(G, DriverParams(mode="extremal", node_limit=node_limit, collect_timings=False))
+    assert res.report["dfree"] == {**expected, **fields}
+    # Seeded by the greedy set, stage R runs out of free Z vertices.
+    assert res.status == "exhausted" and res.report["branch"] == "extremal"
+    assert res.report["attempts"][-1]["reason"].startswith("stage R:")
+    # Auto mode asks only the barrier question and routes on the greedy
+    # set, so the fallback gets all but that 1 node and tiles.
+    res = solve_driver(G, DriverParams(node_limit=node_limit, collect_timings=False))
+    assert res.report["dfree"] == {**expected, "method": "exact", "nodes": 1, "outcome": "refuted"}
+    assert res.status == "tiled" and res.report["branch"] == "exact-fallback"
 
 
 def test_a_spent_certificate_budget_stops_the_second_question_at_once():
-    # The barrier question refutes in the one node allowed, so the
-    # threshold question is asked on a spent budget and stops at its first
-    # tick.
+    # The barrier question refutes in the one node allowed, so a forced
+    # extremal solve asks the threshold question on a spent budget, and
+    # it stops at its first tick.
     G = random_codegree_instance(16, 4, 7)
-    res = solve_driver(G, DriverParams(node_limit=1, collect_timings=False))
     greedy = extend_to_maximal_D_free(G, greedy_D_free_set(G))
+    expected = {"size": len(greedy), "threshold": 9.0, "extremal": False}
+    res = solve_driver(G, DriverParams(mode="extremal", node_limit=1, collect_timings=False))
     fields = {"method": "exact-budget", "nodes": 2, "outcome": "exhausted"}
-    assert res.report["dfree"] == {"size": len(greedy), "threshold": 9.0, "extremal": False, **fields}
+    assert res.report["dfree"] == {**expected, **fields}
     assert res.status == "exhausted"
+    # Auto mode asks no second question: the one node is the barrier
+    # question's, and the fallback stops at its first node.
+    res = solve_driver(G, DriverParams(node_limit=1, collect_timings=False))
+    assert res.report["dfree"] == {**expected, "method": "exact", "nodes": 1, "outcome": "refuted"}
+    assert res.status == "exhausted" and res.report["branch"] == "exact-fallback"
+    assert res.report["exact"] == {"status": "exhausted", "nodes": 1, "optimal": False}
 
 
 def test_forced_extremal_mode_stops_at_the_barrier():
@@ -260,3 +270,37 @@ def test_a_barrier_the_greedy_set_misses_is_found_by_search(monkeypatch):
     assert calls == [True]
     dfree = res.report["dfree"]
     assert (dfree["method"], dfree["outcome"]) == ("exact", "witness") and dfree["nodes"] > 0
+
+
+def verdict_corpus():
+    """Instances of at most ``EXACT_DFREE_MAX_N`` vertices: random ones with
+    d in {1, n/4 - 1, n/4, n/4 + 1, n/3}, G0, G1 and planted ones, and
+    sparse graphs, some of them infeasible below the barrier."""
+    for n in range(8, 25, 4):
+        for d in sorted({1, n // 4 - 1, n // 4, n // 4 + 1, n // 3}):
+            for seed in range(3):
+                yield random_codegree_instance(n, d, seed)
+        yield construct_G0(n)
+        yield planted_extremal(n)
+    for n in G1_ORDERS[:3]:
+        yield construct_G1(n)
+    rng = random.Random(28)
+    for _ in range(40):
+        n = rng.choice([8, 12])
+        yield sparse_instance(n, rng.randrange(n, 4 * n), rng.randrange(2**32))
+
+
+def test_auto_and_exact_verdicts_agree_up_to_24_vertices():
+    # Auto mode asks the certificate only the barrier question and routes
+    # on the greedy set; whatever branch that picks, the verdict is the
+    # exact search's, and up to 12 vertices the naive partition search's.
+    verdicts = set()
+    for G in verdict_corpus():
+        assert G.n <= dtiling.cli.EXACT_DFREE_MAX_N
+        auto = solve(G).status
+        assert auto == solve(G, mode="exact").status
+        if G.n <= 12:
+            naive = naive_perfect_partition(G.n, sorted(G.edges))
+            assert auto == ("infeasible" if naive is None else "tiled")
+        verdicts.add(auto)
+    assert verdicts == {"tiled", "infeasible"}

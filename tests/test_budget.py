@@ -70,13 +70,20 @@ def test_one_budget_per_solve(recorded, make, mode, node_limit):
 
 
 def test_the_fallback_gets_what_the_certificate_left(recorded):
-    # The certificate's decisions spend 101 nodes of a 100-node budget, so
+    # Auto mode's one certificate question spends the 1-node budget, so
     # the fallback stops at its first node instead of tiling.
     budgets, searches = recorded
-    res = solve_driver(random_codegree_instance(16, 4, 7), DriverParams(node_limit=100))
+    res = solve_driver(random_codegree_instance(16, 4, 7), DriverParams(node_limit=1))
     assert res.status == "exhausted" and res.report["branch"] == "exact-fallback"
+    assert [nodes for _, nodes in searches] == [1, 1]
+    assert budgets[0].nodes == 2
+    # A forced extremal solve asks two questions, which spend 101 nodes of
+    # a 100-node budget, so stage Q stops at its first node.
+    searches.clear()
+    res = solve_driver(random_codegree_instance(16, 4, 7), DriverParams(mode="extremal", node_limit=100))
+    assert res.status == "exhausted" and res.report["branch"] == "extremal"
     assert [nodes for _, nodes in searches] == [1, 100, 1]
-    assert budgets[0].nodes == 102
+    assert budgets[1].nodes == 102
     assert solve_driver(random_codegree_instance(16, 4, 7)).status == "tiled"
 
 

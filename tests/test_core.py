@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dtiling.core
 from dtiling import (
     DCopy,
     InputError,
@@ -79,6 +80,16 @@ class TestBuild:
                 build(5, triples)
             with pytest.raises(InputError, match=message):
                 build(5, iter(triples))
+
+    @pytest.mark.parametrize("bound", [3, 256, 300])
+    def test_more_than_max_edges_triples_are_refused(self, monkeypatch, bound):
+        # Triples are counted as given, duplicates included, so even an
+        # endless stream of one triple is refused once it passes the bound.
+        monkeypatch.setattr(dtiling.core, "MAX_EDGES", bound)
+        assert build(4, [(0, 1, 2)] * bound).m == 1
+        for triples in ([(0, 1, 2)] * (bound + 1), itertools.repeat((2, 1, 0))):
+            with pytest.raises(InputError, match=f"more than {bound} triples.*MAX_EDGES"):
+                build(4, triples)
 
     def test_any_iterable_triples(self):
         G = build(5, [iter((2, 1, 0)), {1, 2, 3}, [4, 3, 2], (0, 1, 2)])

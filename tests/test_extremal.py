@@ -394,17 +394,21 @@ class TestCanonicalWitnesses:
     @pytest.mark.parametrize("mode", ["auto", "extremal"])
     def test_driver_copies(self, mode):
         staged = 0
-        for n in range(8, 45, 4):
-            for d in sorted({1, n // 4, n // 3}):
-                for seed in range(4):
-                    G = random_codegree_instance(n, d, seed)
-                    res = solve_driver(G, DriverParams(mode=mode, collect_timings=False))
-                    if res.tiling is not None:
-                        assert_canonical(G, res.tiling)
-                        if res.report["branch"] == "extremal":
-                            stages = res.report["extremal"]["stages"]
-                            staged += stages["r"] + stages["s"]
-        # random_codegree_instance(8, 1, 1) tiles with one stage R copy
+        graphs = [
+            random_codegree_instance(n, d, seed)
+            for n in range(8, 45, 4)
+            for d in sorted({1, n // 4, n // 3})
+            for seed in range(4)
+        ]
+        for G in graphs + [s_stage_gadget()]:
+            res = solve_driver(G, DriverParams(mode=mode, collect_timings=False))
+            if res.tiling is not None:
+                assert_canonical(G, res.tiling)
+                if res.report["branch"] == "extremal":
+                    stages = res.report["extremal"]["stages"]
+                    staged += stages["r"] + stages["s"]
+        # The S gadget tiles with one stage S copy in both modes, and
+        # random_codegree_instance(8, 1, 1) with one stage R copy when forced.
         assert staged > 0
 
     def test_gadgets(self):
