@@ -13,14 +13,18 @@ it runs the extremal pipeline when |S| >= t, otherwise sets aside an
 absorbing family, tiles the rest by the greedy maximal tiling, and
 absorbs the leftover; those steps take their part of
 G as a vertex mask, so no subgraph is copied or relabelled.  In auto
-mode any branch failure falls back to the exact solver; forced modes
-report their own stall instead.  One ``SearchBudget``, made when the
-solve starts, is the node pool and deadline of every search in it: the
-certificate's decisions, stages Q and T, the leftover search and the
-fallback, which stops at once on a spent budget.  Only building the quad
-catalog runs outside it.  Exit codes: 0 tiled, 2 proven infeasible (by
-the space barrier or by the exact search), 3 search exhausted or
-stalled, 64 usage errors and malformed or oversized input.
+mode any branch failure falls back to the exact solver on all of G, the
+one exact tiling search of a solve; forced modes report their own stall
+instead.  One ``SearchBudget``, made when the solve starts, is the node
+pool and deadline of every search in it: the certificate's decisions,
+stages Q and T, and the fallback, which stops at once on a spent
+budget.  Only building the quad catalog runs outside it; the absorption
+branch runs no search, so forced ``--mode absorb`` ticks none of it.
+Exit codes of ``solve``: 0 tiled, 2 proven infeasible (by the space
+barrier or by the exact search), 3 search exhausted or stalled, 64 usage
+errors and malformed or oversized input.  ``verify`` exits 0 when the
+certificate checks, 1 when its text is malformed or fails the check,
+and 64 when the instance is malformed or either file cannot be opened.
 """
 
 from __future__ import annotations
@@ -76,7 +80,6 @@ from .io import (
 from .localsearch import near_perfect_tiling
 
 EXACT_DFREE_MAX_N = 24
-LEFTOVER_EXACT_CAP = 32
 
 EXIT_TILED = 0
 EXIT_INFEASIBLE = 2
@@ -223,7 +226,7 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
                 return finish("exhausted", None)
 
     if params.mode == "absorb" or (params.mode == "auto" and not extremal_instance):
-        outcome = _try_absorb_branch(G, params, budget, report, clocked)
+        outcome = _try_absorb_branch(G, params, report, clocked)
         if outcome is not None:
             return finish("tiled", outcome)
         if params.mode == "absorb":
@@ -240,7 +243,7 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
     return finish("infeasible" if res.status == INFEASIBLE else "exhausted", None)
 
 
-def _try_absorb_branch(G, params, budget, report, clocked):
+def _try_absorb_branch(G, params, report, clocked):
     """Family + greedy tiling + absorption; None means the branch gave up."""
     try:
         family = clocked("family", build_absorbing_family, G, params.alpha, params.seed)
@@ -258,16 +261,12 @@ def _try_absorb_branch(G, params, budget, report, clocked):
         "covered": len(family.covered),
         "p": family.p,
     }
-    family_mask = mask_of(family.covered)
-    rest = ((1 << G.n) - 1) & ~family_mask
+    rest = ((1 << G.n) - 1) & ~mask_of(family.covered)
     greedy = clocked("local_search", near_perfect_tiling, G, within=rest)
     leftover = rest & ~mask_of(greedy.covered)
     report["local_search"] = {"leftover": leftover.bit_count()}
     try:
         absorbed = clocked("absorb", absorb_leftover, G, family, bits_of(leftover))
-        report["branch"] = "non-extremal"
-        report["attempts"].append({"branch": "non-extremal", "outcome": "tiled"})
-        return Tiling.from_copies(greedy.copies + absorbed.copies)
     except AbsorptionFailure as exc:
         report["attempts"].append(
             {
@@ -276,24 +275,10 @@ def _try_absorb_branch(G, params, budget, report, clocked):
                 "block": list(exc.block),
             }
         )
-        region = family_mask | leftover
-        status, nodes = "skipped", 0  # the region is above LEFTOVER_EXACT_CAP
-        if region.bit_count() <= LEFTOVER_EXACT_CAP:
-            res = clocked("absorb_exact", perfect_tiling_exact, G, budget, within=region)
-            status, nodes = res.status, res.nodes
-        report["attempts"].append(
-            {
-                "branch": "non-extremal",
-                "outcome": "tiled_by_leftover_exact" if status == FOUND else "leftover_exact_failed",
-                "region": region.bit_count(),
-                "status": status,
-                "nodes": nodes,
-            }
-        )
-        if status != FOUND:
-            return None
-        report["branch"] = "non-extremal"
-        return Tiling.from_copies(greedy.copies + res.tiling.copies)
+        return None
+    report["branch"] = "non-extremal"
+    report["attempts"].append({"branch": "non-extremal", "outcome": "tiled"})
+    return Tiling.from_copies(greedy.copies + absorbed.copies)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ Greedy is enough.  The tiling it returns is maximal: the part of
 ``within`` it leaves uncovered spans no copy of D.  The absorption
 technique only needs the leftover to be small enough for the absorbing
 family to swallow it, and when the family cannot, the driver's exact
-search on the family plus the leftover, or its fallback, takes over.
+fallback on all of G takes over.
 """
 
 from __future__ import annotations

@@ -7,13 +7,25 @@ import pytest
 import dtiling
 
 
-@pytest.fixture(scope="session")
-def benchmark_workloads():
-    """The ``perfbench`` workload module, imported from its file:
-    ``perfbench`` is not a package."""
+def _perfbench(name: str):
+    """A module of ``perfbench``, imported from its file: ``perfbench`` is
+    not a package.  Leaving the context also drops any path the module
+    itself put on ``sys.path``."""
     with pytest.MonkeyPatch.context() as patch:
         patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-        return importlib.import_module("workloads")
+        return importlib.import_module(name)
+
+
+@pytest.fixture(scope="session")
+def benchmark_workloads():
+    """The ``perfbench`` workload module."""
+    return _perfbench("workloads")
+
+
+@pytest.fixture(scope="session")
+def benchmark_run():
+    """The ``perfbench`` harness and tracer modules, ``(run, tracer)``."""
+    return _perfbench("run"), _perfbench("tracer")
 
 
 @pytest.fixture(scope="session")

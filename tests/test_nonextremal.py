@@ -1,6 +1,6 @@
 """The non-extremal branch of the driver: absorbing family, local search on
-the rest of G, absorption, and the exact search on the family plus the
-leftover when absorption fails."""
+the rest of G and absorption.  When absorption fails, auto mode falls
+back to the exact search on all of G and forced absorb mode stalls."""
 
 import json
 import sys
@@ -198,47 +198,55 @@ def absorption_fails(monkeypatch):
     monkeypatch.setattr(cli, "absorb_leftover", fail)
 
 
-def leftover_exact_record(report) -> dict:
-    assert [a["outcome"] for a in report["attempts"]][:1] == ["absorption_failure"]
-    return report["attempts"][1]
+def test_failed_absorption_falls_back_to_one_whole_graph_search(monkeypatch, absorption_fails):
+    calls = []
+    search = cli.perfect_tiling_exact
 
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return search(*args, **kwargs)
 
-def test_leftover_exact_tiles_the_region(no_relabel, absorption_fails):
-    # 8 family vertices plus a leftover 4-set: a 12-vertex exact search.
+    monkeypatch.setattr(cli, "perfect_tiling_exact", spy)
     G = random_codegree_instance(48, 16, 8)
     result = solve_driver(G, DriverParams(collect_timings=False))
-    record = leftover_exact_record(result.report)
-    assert record["outcome"] == "tiled_by_leftover_exact"
-    assert (record["region"], record["status"]) == (12, "found")
-    assert record["nodes"] >= 1
-    assert result.status == "tiled" and result.report["branch"] == "non-extremal"
+    assert [a["outcome"] for a in result.report["attempts"]] == ["absorption_failure", "tiled"]
+    assert result.report["branch"] == "exact-fallback"
+    assert len(calls) == 1 and calls[0].get("within") is None
+    assert result.status == "tiled"
     assert validate_tiling(G, result.tiling, require_perfect=True).ok
 
 
-def test_leftover_exact_budget_stop_is_not_a_refutation(absorption_fails):
-    G = random_codegree_instance(48, 16, 8)
-    result = solve_driver(G, DriverParams(mode="absorb", node_limit=1, collect_timings=False))
-    record = leftover_exact_record(result.report)
-    assert record["outcome"] == "leftover_exact_failed"
-    assert (record["region"], record["status"], record["nodes"]) == (12, "exhausted", 2)
-    assert result.status == "exhausted"
+def test_forced_absorb_stalls_without_a_search(monkeypatch, absorption_fails):
+    budgets = []
 
+    class RecordedBudget(cli.SearchBudget):
+        def __post_init__(self):
+            super().__post_init__()
+            budgets.append(self)
 
-def test_leftover_exact_skips_a_region_above_the_cap(monkeypatch, absorption_fails):
-    monkeypatch.setattr(cli, "LEFTOVER_EXACT_CAP", 8)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("searched a region above the cap")
-
-    monkeypatch.setattr(cli, "perfect_tiling_exact", refuse)
+    monkeypatch.setattr(cli, "SearchBudget", RecordedBudget)
+    refuse_everywhere(
+        monkeypatch,
+        dtiling.exact,
+        ("perfect_tiling_exact", "decide_D_free_set"),
+        "forced absorb mode ran an exact search",
+    )
     G = random_codegree_instance(48, 16, 8)
     result = solve_driver(G, DriverParams(mode="absorb", collect_timings=False))
-    record = leftover_exact_record(result.report)
-    assert record == {
-        "branch": "non-extremal",
-        "outcome": "leftover_exact_failed",
-        "region": 12,
-        "status": "skipped",
-        "nodes": 0,
-    }
-    assert result.status == "exhausted"
+    assert result.status == "exhausted" and result.tiling is None
+    assert result.report["attempts"][-1]["outcome"] == "absorption_failure"
+    assert "exact" not in result.report
+    assert [b.nodes for b in budgets] == [0]
+
+
+def test_traced_fallback_nodes_match_the_report(absorption_fails, benchmark_run):
+    # The benchmark charges every perfect_tiling_exact span directly under
+    # solve_driver to the fallback, so a solve must run no other one.
+    run, tracer = benchmark_run
+    G = random_codegree_instance(48, 16, 8)
+    inst = run.workloads.Instance("random-48-16-8", dtiling.format_instance(G), run.workloads.TILED)
+    with tracer.Tracer(dtiling) as trace:
+        outcome = run.solve_one(dtiling, inst)
+    assert outcome.problem is None
+    assert run.fallback_mismatches(trace.take(), [outcome]) == []
+    assert outcome.report["branch"] == "exact-fallback"
