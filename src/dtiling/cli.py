@@ -30,6 +30,7 @@ and 64 when the instance is malformed or either file cannot be opened.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -462,8 +463,8 @@ def _cmd_scan(args, parser) -> int:
         for n in values
         for t in range(args.trials)
     ]
-    # A fork pool starts all its workers at once: never more than tasks.
-    workers = min(args.jobs, len(tasks))
+    # A fork pool starts all its workers at once: never more than tasks or CPUs.
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_worker, tasks))

@@ -6,9 +6,9 @@ least two edges, i.e. exactly the 4-sets a copy can occupy, listed in
 lexicographic order.  ``quad_catalog`` builds it without a sort, one
 lowest vertex at a time, from ``core.spanning_quads_at`` handed only the
 vertices above that one: the one enumerator of spanning 4-sets, which the
-small-set search, the greedy tiling and stage Q walk too.  It can be
-built on a vertex mask ``within`` of G, in G's own ids, so no caller
-copies a subgraph.
+small-set search, the greedy tiling and stage Q walk too.  An exact
+search on part of G runs on ``core.induced_subgraph`` of that part, its
+tiling mapped back by ``core.map_copy``.
 
 The catalog stores one incidence bitset per vertex over quad ids: bit i
 of ``inc[v]`` is set iff v is in quad i.  Each search carries the quads
@@ -29,12 +29,12 @@ required.  Both searches apply both bounds at every node.  The hitting
 bound refutes the tight lower-bound families at the root at every order:
 there a side of size n/4 - 1 hits every quad; and it closes stage Q at
 the root, where each quad holds one of few Y vertices.
-``perfect_tiling_exact`` is this search held to |within|/4 quads from
-none, so it never leaves a vertex uncovered; ``max_tiling_exact`` has no
-floor and starts from ``_greedy_packing``, first-fit quads in catalog
-order.  That packing also bounds the D-free decision below, which must
-remove a vertex of each, and the complement of ``_greedy_hitting`` is
-the first D-free set of ``max_D_free_set``.
+``perfect_tiling_exact`` is this search held to n/4 quads from none,
+so it never leaves a vertex uncovered; ``max_tiling_exact`` has no floor
+and starts from ``_greedy_packing``, first-fit quads in catalog order.
+That packing also bounds the D-free decision below, which must remove a
+vertex of each, and the complement of ``_greedy_hitting`` is the first
+D-free set of ``max_D_free_set``.
 
 Each search can take the caller's catalog, checked by ``_catalog_on``
 to be one listed on the very graph searched, so one solve builds it
@@ -172,18 +172,17 @@ class QuadCatalog:
         return cls(quads=tuple(quads), inc=inc, graph=G)
 
 
-def quad_catalog(G: Hypergraph3, within: int | None = None) -> QuadCatalog:
-    """The spanning 4-sets inside the vertex mask ``within`` (default: all
-    of G), in G's ids and lexicographic order.
+def quad_catalog(G: Hypergraph3) -> QuadCatalog:
+    """The spanning 4-sets of G in lexicographic order.
 
-    Each vertex v of the mask, ascending, adds its ``spanning_quads_at``
-    on the mask's vertices above v, the quads whose lowest vertex is v, in
-    lexicographic order.  So each quad comes out once and in order, with
-    no set and no sort.
+    Each vertex v, ascending, adds its ``spanning_quads_at`` on the
+    vertices above v, the quads whose lowest vertex is v, in lexicographic
+    order.  So each quad comes out once and in order, with no set and no
+    sort.
     """
-    within = vertex_mask(G, within)
-    quads = [q for v in bits_of(within) for q in spanning_quads_at(G, v, within & -(2 << v))]
-    return QuadCatalog.of(G, within, quads)
+    full = (1 << G.n) - 1
+    quads = [q for v in range(G.n) for q in spanning_quads_at(G, v, full & -(2 << v))]
+    return QuadCatalog.of(G, full, quads)
 
 
 @dataclass
@@ -253,20 +252,16 @@ def _greedy_packing(cat: QuadCatalog, alive: int, cap: int | None = None) -> lis
     return out
 
 
-def _catalog_on(G: Hypergraph3, full: int, catalog: QuadCatalog | None) -> QuadCatalog:
-    """``catalog``, checked to be one of G with no quad outside the vertex
-    mask ``full``, or ``quad_catalog(G, full)`` when it is None.  A
-    catalog of another graph, even an equal one, is refused: its quads
-    are not checked against G."""
+def _catalog_on(G: Hypergraph3, catalog: QuadCatalog | None) -> QuadCatalog:
+    """``catalog``, checked to be one of G, or ``quad_catalog(G)`` when it
+    is None.  A catalog of another graph, even an equal one, is refused:
+    its quads are not checked against G."""
     if catalog is None:
-        return quad_catalog(G, full)
+        return quad_catalog(G)
     if len(catalog.inc) != G.n:
         raise InputError(f"catalog has {len(catalog.inc)} vertices, the graph {G.n}")
     if catalog.graph is not G:
         raise InputError("catalog was built on another graph")
-    for v in bits_of(((1 << G.n) - 1) & ~full):
-        if catalog.inc[v]:
-            raise InputError(f"catalog has a quad on vertex {v}, outside the mask")
     return catalog
 
 
@@ -333,28 +328,26 @@ def perfect_tiling_exact(
     G: Hypergraph3,
     budget: SearchBudget | None = None,
     catalog: QuadCatalog | None = None,
-    within: int | None = None,
 ) -> TilingSearchResult:
-    """Exact search for a perfect tiling of the subgraph induced on the
-    vertex mask ``within`` (default: all of G), in G's vertex ids: the
-    packing search held to |within|/4 quads, from no warm start.
+    """Exact search for a perfect tiling of all of G: the packing search
+    held to n/4 quads, from no warm start.  To search part of G, run it on
+    ``induced_subgraph`` of that part.
 
     ``infeasible`` is returned only when the search space is exhausted,
     ``exhausted`` when the budget ran out first; a budget already spent
     stops at the root, before the catalog is built.  ``catalog``, when
-    given, must be ``quad_catalog(G, within)``; it spares building it again.
+    given, must be ``quad_catalog(G)``; it spares building it again.
     """
-    full = vertex_mask(G, within)
-    size = full.bit_count()
-    if size % 4:
-        raise InputError(f"perfect tiling needs 4 | n, got n={size}")
+    if G.n % 4:
+        raise InputError(f"perfect tiling needs 4 | n, got n={G.n}")
     budget = budget or SearchBudget()
     first = budget.nodes
     if budget.spent:  # the root node stops: build no catalog for it
         budget.tick()
         return TilingSearchResult(status=EXHAUSTED, tiling=None, nodes=1)
-    cat = _catalog_on(G, full, catalog)
-    status, best = _packing_search(cat, budget, full, size // 4, [])
+    full = (1 << G.n) - 1
+    cat = _catalog_on(G, catalog)
+    status, best = _packing_search(cat, budget, full, G.n // 4, [])
     tiling = _witness(G, [cat.quads[i] for i in best], cover=full) if status == FOUND else None
     return TilingSearchResult(status=status, tiling=tiling, nodes=budget.nodes - first)
 
@@ -425,7 +418,7 @@ def max_tiling_exact(
     the vertices in one of them.
     """
     budget = budget or SearchBudget()
-    cat = _catalog_on(G, (1 << G.n) - 1, catalog)
+    cat = _catalog_on(G, catalog)
     first = budget.nodes
     free = mask_of(v for v, row in enumerate(cat.inc) if row)
     status, best = _packing_search(cat, budget, free, 0, _greedy_packing(cat, cat.all_quads))
@@ -487,7 +480,7 @@ def decide_D_free_set(
     k = G.n - size
     if k < 0:
         return SetSearchResult(status=INFEASIBLE, vertices=(), nodes=0)
-    cat = _catalog_on(G, (1 << G.n) - 1, catalog)
+    cat = _catalog_on(G, catalog)
     witness = 0
 
     def rec(removed: int, alive: int, banned: int, count: int) -> str:

@@ -233,6 +233,23 @@ class TestVerify:
         assert run(["verify", str(inst), "--cert", str(cert)]) == 1
         assert "not perfect" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("what", ["missing-cert", "directory-cert", "malformed-instance"])
+    def test_unopenable_input_exits_64(self, tmp_path, capsys, what):
+        inst = tmp_path / "inst.txt"
+        cert = tmp_path / "out.cert"
+        write_instance(complete_3graph(8), inst)
+        assert run(["solve", str(inst), "--cert", str(cert), "--no-timings"]) == 0
+        capsys.readouterr()
+        if what == "missing-cert":
+            cert = tmp_path / "missing.cert"
+        elif what == "directory-cert":
+            cert = tmp_path
+        else:
+            inst.write_text("8 1\n0 1 x\n")
+        assert run(["verify", str(inst), "--cert", str(cert)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_unreadable_cert(self, tmp_path, capsys):
         G = complete_3graph(8)
         inst = tmp_path / "inst.txt"
@@ -272,11 +289,13 @@ class TestScan:
         assert run(["scan", "--n-range", "8:8:4", "--trials", "2", "--no-timings", "--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
 
-    @pytest.mark.parametrize("trials, workers", [(2, [2]), (1, [])])
+    @pytest.mark.parametrize("trials, workers", [(2, [2]), (1, []), (5, [3])])
     def test_pool_never_exceeds_the_tasks(self, monkeypatch, capsys, trials, workers):
         # A fork pool starts all of its workers at the first submit; this
-        # stand-in starts none and records how many were asked for.
+        # stand-in starts none and records how many were asked for.  With
+        # 3 CPUs, 5 trials ask for 3 workers.
         asked = []
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
 
         class SerialPool:
             def __init__(self, max_workers):

@@ -74,13 +74,15 @@ def test_catalog_matches_naive_on_masks(data, bits):
     G = build(n, edges)
     S = [v for v in range(n) if (bits >> v) & 1]
     local = [tuple(S.index(v) for v in e) for e in G.edges if set(e) <= set(S)]
-    cat = quad_catalog(G, mask_of(S))
-    naive = [tuple(S[v] for v in q) for q in sorted(_spanning_quads(len(S), local))]
+    naive = sorted(_spanning_quads(len(S), local))
+    cat = quad_catalog(induced_subgraph(G, S)[0])
     assert cat.quads == tuple(naive)
-    assert [bits_of(x) for x in cat.inc] == [[i for i, q in enumerate(cat.quads) if v in q] for v in range(n)]
-    # The one enumerator lists each vertex's quads, the naive ones with that lowest vertex, in order.
-    for v in S:
-        assert list(spanning_quads_at(G, v, mask_of(S) & -(2 << v))) == [q for q in naive if q[0] == v]
+    assert [bits_of(x) for x in cat.inc] == [[i for i, q in enumerate(cat.quads) if v in q] for v in range(len(S))]
+    # On G's mask, the one enumerator lists each vertex's quads, the naive
+    # ones with that lowest vertex, in order.
+    for i, v in enumerate(S):
+        expected = [tuple(S[u] for u in q) for q in naive if q[0] == i]
+        assert list(spanning_quads_at(G, v, mask_of(S) & -(2 << v))) == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -133,15 +135,7 @@ class TestPerfect:
         res = perfect_tiling_exact(planted_extremal(32), SearchBudget(time_limit=1e-9))
         assert (res.status, res.nodes) == ("exhausted", 1)
 
-    def test_catalog_outside_the_mask_is_refused(self):
-        for seed in range(10):
-            G = random_codegree_instance(16, 4, seed)
-            mask = mask_of(random.Random(seed).sample(range(16), 12))
-            with pytest.raises(InputError, match="outside the mask"):
-                perfect_tiling_exact(G, catalog=quad_catalog(G), within=mask)
-            # the catalog of the mask itself is taken
-            res = perfect_tiling_exact(G, catalog=quad_catalog(G, mask), within=mask)
-            assert res.status == perfect_tiling_exact(G, within=mask).status
+    def test_catalog_of_another_order_is_refused(self):
         with pytest.raises(InputError, match="vertices"):
             perfect_tiling_exact(complete_3graph(8), catalog=quad_catalog(complete_3graph(12)))
 
@@ -157,9 +151,8 @@ class TestPerfect:
         # 8 of the 10 side vertices of planted_extremal(40) and 24 bulk
         # vertices: tileable, and dense enough that the catalog has tens of
         # thousands of quads, so a node must not rescan it.
-        G = planted_extremal(40)
-        S = list(range(8)) + list(range(10, 34))
-        res = perfect_tiling_exact(G, SearchBudget(node_limit=400, time_limit=600.0), within=mask_of(S))
+        H, _ = induced_subgraph(planted_extremal(40), list(range(8)) + list(range(10, 34)))
+        res = perfect_tiling_exact(H, SearchBudget(node_limit=400, time_limit=600.0))
         assert (res.status, res.nodes) == ("exhausted", 401)
 
     @pytest.mark.parametrize("make, n", [(construct_G0, 52), (construct_G1, 56)], ids=["G0", "G1"])
@@ -213,8 +206,11 @@ class TestMaxTiling:
         G = random_codegree_instance(16, 4, 3)
         with pytest.raises(InputError, match="catalog has 8 vertices"):
             max_tiling_exact(G, catalog=quad_catalog(complete_3graph(8)))
-        H, _ = induced_subgraph(G, range(4, 16))
-        res = max_tiling_exact(G, catalog=quad_catalog(G, mask_of(range(4, 16))))
+        # A catalog of G's quads inside part of G, listed from the
+        # induced subgraph's catalog, packs as many as that subgraph holds.
+        H, mapping = induced_subgraph(G, range(4, 16))
+        kept = [tuple(mapping[v] for v in q) for q in quad_catalog(H).quads]
+        res = max_tiling_exact(G, catalog=QuadCatalog.of(G, mask_of(range(4, 16)), kept))
         assert res.tiling.size == max_tiling_exact(H).tiling.size
 
     def test_packs_only_the_catalog_quads(self):
@@ -243,10 +239,11 @@ class TestMaxTiling:
             G = random_codegree_instance(n, rng.randint(1, n // 4 + 1), rng.randint(0, 10**6))
             perfect = perfect_tiling_exact(G).status == "found"
             assert perfect == (max_tiling_exact(G).tiling.size == n // 4)
-        # Both run one packing search: on a vertex mask, the perfect search
-        # finds a tiling iff the maximum one packs |mask|/4 quads of the
-        # mask's catalog, and up to 12 vertices the brute force agrees.
-        # G0 gives infeasible masks of more than 12 vertices.
+        # Both run one packing search: on the subgraph a vertex set
+        # induces, the perfect search finds a tiling iff the maximum one
+        # packs a quarter of its vertices in quads, and up to 12 vertices
+        # the brute force agrees.  G0 gives infeasible sets of more than
+        # 12 vertices.
         outcomes = set()
         for _ in range(40):
             n = rng.choice([12, 16, 20])
@@ -255,16 +252,14 @@ class TestMaxTiling:
             else:
                 G = random_codegree_instance(n, rng.randint(0, n // 4 + 1), rng.randrange(10**6))
             verts = sorted(rng.sample(range(n), 4 * rng.randint(1, n // 4)))
-            mask = mask_of(verts)
-            perfect = perfect_tiling_exact(G, within=mask)
-            packed = max_tiling_exact(G, catalog=quad_catalog(G, mask))
+            H, _ = induced_subgraph(G, verts)
+            perfect = perfect_tiling_exact(H)
+            packed = max_tiling_exact(H)
             assert perfect.optimal and packed.optimal
             found = perfect.status == "found"
             assert found == (packed.tiling.size == len(verts) // 4)
             if len(verts) <= 12:
-                rank = {v: i for i, v in enumerate(verts)}
-                induced = [[rank[v] for v in e] for e in G.edges if all(v in rank for v in e)]
-                assert found == (naive_perfect_partition(len(verts), induced) is not None)
+                assert found == (naive_perfect_partition(len(verts), H.edges) is not None)
             outcomes.add((found, len(verts) <= 12))
         assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 

@@ -7,6 +7,7 @@ from dtiling import (
     DriverParams,
     build,
     complete_3graph,
+    induced_subgraph,
     near_perfect_tiling,
     parse_instance,
     perfect_tiling_exact,
@@ -15,7 +16,7 @@ from dtiling import (
     steiner_triple_system,
     validate_tiling,
 )
-from dtiling.core import mask_of
+from dtiling.core import bits_of, mask_of
 from dtiling.exact import _greedy_packing, quad_catalog
 
 from naive import naive_copy_pairs
@@ -51,17 +52,19 @@ def test_greedy_leaves_no_copy_uncovered():
 
 
 def test_greedy_places_the_catalog_first_fit_packing():
-    # The greedy tiling is the first-fit packing of the catalog on
-    # ``within``: the same quads, placed in the same order.
+    # The greedy tiling of ``within`` is the first-fit packing of the
+    # catalog of the subgraph it induces: the same quads, placed in the
+    # same order.
     rng = random.Random(19)
     for _ in range(120):
         n = rng.randint(4, 16)
         density = rng.uniform(0.05, 0.6)
         G = build(n, [t for t in itertools.combinations(range(n), 3) if rng.random() < density])
         within = rng.getrandbits(n)
-        cat = quad_catalog(G, within)
+        H, mapping = induced_subgraph(G, bits_of(within))
+        cat = quad_catalog(H)
         placed = [c.vertices for c in near_perfect_tiling(G, within).copies]
-        assert placed == [cat.quads[i] for i in _greedy_packing(cat, cat.all_quads)]
+        assert placed == [tuple(mapping[v] for v in cat.quads[i]) for i in _greedy_packing(cat, cat.all_quads)]
 
 
 class TestNearPerfect:

@@ -202,16 +202,16 @@ def test_failed_absorption_falls_back_to_one_whole_graph_search(monkeypatch, abs
     calls = []
     search = cli.perfect_tiling_exact
 
-    def spy(*args, **kwargs):
-        calls.append(kwargs)
-        return search(*args, **kwargs)
+    def spy(G, *args, **kwargs):
+        calls.append(G)
+        return search(G, *args, **kwargs)
 
     monkeypatch.setattr(cli, "perfect_tiling_exact", spy)
     G = random_codegree_instance(48, 16, 8)
     result = solve_driver(G, DriverParams(collect_timings=False))
     assert [a["outcome"] for a in result.report["attempts"]] == ["absorption_failure", "tiled"]
     assert result.report["branch"] == "exact-fallback"
-    assert len(calls) == 1 and calls[0].get("within") is None
+    assert len(calls) == 1 and calls[0] is G
     assert result.status == "tiled"
     assert validate_tiling(G, result.tiling, require_perfect=True).ok
 
