@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 
 from .core import (
+    FrozenRecord,
     Hypergraph3,
     InputError,
     Tiling,
@@ -121,16 +121,30 @@ def _binomial_draw(rng: random.Random, trials: int, p: float) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class AbsorberFamily:
-    """Pairwise disjoint absorbing 8-sets with cached own tilings."""
+class AbsorberFamily(FrozenRecord):
+    """Pairwise disjoint absorbing 8-sets with cached own tilings.
+    Equality ignores ``stats``."""
 
-    members: tuple[tuple[int, ...], ...]
-    tilings: tuple[Tiling, ...]
-    covered: frozenset[int]
-    alpha: float
-    p: float
-    stats: dict = field(default_factory=dict, compare=False)
+    __slots__ = ("members", "tilings", "covered", "alpha", "p", "stats")
+    _compared = ("members", "tilings", "covered", "alpha", "p")
+
+    def __init__(
+        self,
+        members: tuple[tuple[int, ...], ...],
+        tilings: tuple[Tiling, ...],
+        covered: frozenset[int],
+        alpha: float,
+        p: float,
+        stats: dict | None = None,
+    ):
+        self._init(
+            members=members,
+            tilings=tilings,
+            covered=covered,
+            alpha=alpha,
+            p=p,
+            stats={} if stats is None else stats,
+        )
 
 
 def build_absorbing_family(G: Hypergraph3, alpha: float = 0.3, seed: int = 0) -> AbsorberFamily:

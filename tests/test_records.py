@@ -1,0 +1,133 @@
+"""The package's records: plain classes with the equality, hashing and
+frozenness of the fields they declare."""
+
+import pytest
+
+from dtiling import (
+    AbsorberFamily,
+    Certificate,
+    DCopy,
+    DriverParams,
+    DriverResult,
+    FourPartite4Graph,
+    SearchBudget,
+    Tiling,
+    Verdict,
+    XYZPartition,
+    complete_3graph,
+    quad_catalog,
+)
+from dtiling.exact import NODE_LIMIT, TIME_LIMIT, MatchingResult, QuadCatalog, SetSearchResult, TilingSearchResult
+
+K8 = complete_3graph(8)
+
+
+def copy():
+    return DCopy((0, 1, 2, 3), (0, 1, 2), (0, 1, 3))
+
+
+def tiling():
+    return Tiling.from_copies([copy(), DCopy(vertices=(4, 5, 6, 7), edge_a=(4, 5, 6), edge_b=(4, 5, 7))])
+
+
+# Each maker builds a fresh record from equal fields on every call.
+FROZEN = {
+    "DCopy": (copy, ("vertices", "edge_a", "edge_b")),
+    "Tiling": (tiling, ("copies", "covered")),
+    "QuadCatalog": (lambda: quad_catalog(K8), ("quads", "inc", "graph", "complete")),
+    "FourPartite4Graph": (lambda: FourPartite4Graph(((0,), (1,), (2,), (3,)), (1 << 3,)), ("parts", "links")),
+    "XYZPartition": (lambda: XYZPartition(z=(0, 1, 2), x=(3,), y=()), ("z", "x", "y", "diagnostics")),
+    "Certificate": (lambda: Certificate("perfect", tiling()), ("kind", "tiling")),
+    "AbsorberFamily": (
+        lambda: AbsorberFamily((tuple(range(8)),), (tiling(),), frozenset(range(8)), 0.3, 0.1),
+        ("members", "tilings", "covered", "alpha", "p", "stats"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_frozen_records_refuse_assignment(name):
+    make, fields = FROZEN[name]
+    record = make()
+    for field in fields:
+        value = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert getattr(record, field) is value
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_frozen_records_are_equal_and_hash_equal_on_equal_fields(name):
+    make = FROZEN[name][0]
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_frozen_records_keep_their_defaults_and_keywords():
+    assert XYZPartition((0,), (1,), (2,)).diagnostics == ()
+    assert copy() == DCopy(vertices=(0, 1, 2, 3), edge_a=(0, 1, 2), edge_b=(0, 1, 3))
+    assert Certificate(kind="partial", tiling=tiling()).kind == "partial"
+    assert AbsorberFamily((), (), frozenset(), 0.3, 0.1).stats == {}
+
+
+def test_catalog_equality_ignores_the_graph_but_not_completeness():
+    cat = quad_catalog(K8)
+    other = quad_catalog(complete_3graph(8))
+    assert cat.graph is not other.graph and cat == other and hash(cat) == hash(other)
+    assert cat.complete and cat.all_quads == (1 << 70) - 1
+    partial = QuadCatalog.of(K8, 255, list(cat.quads))
+    assert not partial.complete and (partial.quads, partial.inc) == (cat.quads, cat.inc)
+    assert partial != cat
+    assert QuadCatalog(cat.quads, cat.inc, K8, True) == cat
+
+
+def test_family_equality_ignores_stats():
+    make = FROZEN["AbsorberFamily"][0]
+    a = make()
+    b = AbsorberFamily(a.members, a.tilings, a.covered, a.alpha, a.p, stats={"attempts": [1]})
+    assert a == b and hash(a) == hash(b)
+    assert a != AbsorberFamily(a.members, a.tilings, a.covered, a.alpha, 0.2)
+
+
+MUTABLE = {
+    "SearchBudget": lambda: SearchBudget(node_limit=5, time_limit=600.0),
+    "TilingSearchResult": lambda: TilingSearchResult("found", tiling(), 3),
+    "SetSearchResult": lambda: SetSearchResult(status="found", vertices=(0, 1), nodes=2),
+    "MatchingResult": lambda: MatchingResult("infeasible", None, 1),
+    "Verdict": lambda: Verdict(["copy 0: missing edge (0, 1, 2)"]),
+    "DriverParams": lambda: DriverParams(mode="exact", seed=3),
+    "DriverResult": lambda: DriverResult("tiled", tiling(), {"branch": "exact-fallback"}),
+}
+
+
+@pytest.mark.parametrize("name", MUTABLE)
+def test_mutable_records_compare_by_fields_and_are_unhashable(name):
+    a, b = MUTABLE[name](), MUTABLE[name]()
+    assert a is not b and a == b
+    with pytest.raises(TypeError):
+        hash(a)
+    assert a != object()
+
+
+def test_mutable_records_take_assignment_and_their_defaults():
+    result = MUTABLE["TilingSearchResult"]()
+    result.nodes = 4
+    assert result != MUTABLE["TilingSearchResult"]()
+    assert Verdict().ok and Verdict().violations == [] and Verdict().violations is not Verdict().violations
+    assert DriverResult("tiled", None).report == {}
+    params = DriverParams()
+    assert (params.mode, params.eps, params.alpha, params.seed, params.collect_timings) == ("auto", 0.25, 0.3, 0, True)
+    assert (params.node_limit, params.time_limit) == (NODE_LIMIT, TIME_LIMIT) == (10_000_000, 60.0)
+
+
+def test_budget_equality_ignores_the_nodes_spent():
+    spent, fresh = SearchBudget(5, 600.0), SearchBudget(5, 600.0)
+    spent.tick()
+    assert (spent.nodes, fresh.nodes) == (1, 0) and spent == fresh
+    assert SearchBudget() == SearchBudget(NODE_LIMIT, TIME_LIMIT)
+    assert SearchBudget(6, 600.0) != fresh
