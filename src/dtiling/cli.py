@@ -1,25 +1,31 @@
 """Command-line front end and the full solving driver.
 
 The driver composes the pieces.  It first finds a maximal D-free set S.
-It grows one greedily at every order; only when that set stops at or
-below 3n/4 and G has at most ``EXACT_DFREE_MAX_N`` vertices does it ask
-an exact decision, not an optimum: is there a D-free set above 3n/4?
-Forced ``--mode extremal`` alone, whose pipeline starts from S, asks
-next for one of at least the extremal threshold t = (1 - eps) 3n/4; S
-comes from the first witness, else it stays the greedy set.  When
-|S| > 3n/4 the instance is refuted at once by the space barrier: every
-copy of a perfect tiling needs a vertex outside S.  Else, in auto mode,
-it runs the extremal pipeline when |S| >= t, otherwise sets aside an
-absorbing family, tiles the rest by the greedy maximal tiling, and
-absorbs the leftover; those steps take their part of
+It grows one greedily at every order.  When that set stops at or below
+3n/4 and G has at most ``EXACT_DFREE_MAX_N`` vertices, auto mode first
+runs the greedy maximal tiling of all of G: a perfect one refutes the
+barrier, since each copy keeps at most 3 of its 4 vertices in a D-free
+set, and is the answer, as branch ``greedy``, with no catalog built and
+no budget node spent.  Otherwise the driver asks an exact decision, not
+an optimum: is there a D-free set above 3n/4?  Forced ``--mode
+extremal`` alone, whose pipeline starts from S, skips the greedy tiling
+and asks next for one of at least the extremal threshold
+t = (1 - eps) 3n/4; S comes from the first witness, else it stays the
+greedy set.  When |S| > 3n/4 the instance is refuted at once by the
+space barrier: every copy of a perfect tiling needs a vertex outside S.
+Else, in auto mode, it runs the extremal pipeline when |S| >= t,
+otherwise sets aside an absorbing family, tiles the rest by the greedy
+maximal tiling, and absorbs the leftover; those steps take their part of
 G as a vertex mask, so no subgraph is copied or relabelled.  In auto
 mode any branch failure falls back to the exact solver on all of G, the
 one exact tiling search of a solve; forced modes report their own stall
 instead.  One ``SearchBudget``, made when the solve starts, is the node
 pool and deadline of every search in it: the certificate's decisions,
 stages Q and T, and the fallback, which stops at once on a spent
-budget.  Only building the quad catalog runs outside it; the absorption
-branch runs no search, so forced ``--mode absorb`` ticks none of it.
+budget.  A quad catalog being listed reads it once per vertex row and
+stops when it is spent; the greedy set and the greedy tiling run no
+search, nor does the absorption branch, so forced ``--mode absorb``
+ticks none of it.
 Exit codes of ``solve``: 0 tiled, 2 proven infeasible (by the space
 barrier or by the exact search), 3 search exhausted or stalled, 64 usage
 errors and malformed or oversized input.  ``verify`` exits 0 when the
@@ -127,27 +133,26 @@ class DriverResult(Record):
         self.report = {} if report is None else report
 
 
-def _dfree_certificate(G: Hypergraph3, threshold: float, budget: SearchBudget, seed_extremal: bool):
-    """The maximal D-free set S the driver branches on, its report fields,
-    and the quad catalog built on the way (None on the greedy path).
+def _dfree_certificate(
+    G: Hypergraph3, S: tuple[int, ...], threshold: float, budget: SearchBudget, seed_extremal: bool
+):
+    """The exact D-free certificate of a graph of at most
+    ``EXACT_DFREE_MAX_N`` vertices whose greedy D-free set ``S`` stops at
+    or below 3n/4: the maximal D-free set the driver branches on, its
+    report fields, and the quad catalog, None when the budget ran out
+    while it was listed.
 
-    The greedy set comes first, at every order.  When it already passes
-    3n/4 it is the space-barrier proof as it stands, and no catalog is
-    built.  Else, up to ``EXACT_DFREE_MAX_N`` vertices, one catalog and
-    the barrier question: is there a D-free set above 3n/4?  Only with
-    ``seed_extremal`` (a forced extremal solve, whose pipeline starts
-    from S) does a refutation lead to a second one: is there a set of
-    ``ceil(threshold)`` vertices?  Both tick the solve's ``budget``.  The
-    first witness found is extended to a maximal set.  When the last
-    question asked is refuted or the budget runs out, S stays the greedy
-    set.  Larger instances only take the greedy set, which is maximal as
-    it stands.
+    One catalog and the barrier question: is there a D-free set above
+    3n/4?  Only with ``seed_extremal`` (a forced extremal solve, whose
+    pipeline starts from S) does a refutation lead to a second one: is
+    there a set of ``ceil(threshold)`` vertices?  The catalog and both
+    questions take the solve's ``budget``.  The first witness found is
+    extended to a maximal set.  When the last question asked is refuted
+    or the budget runs out, S stays the greedy set.
     """
-    S = greedy_D_free_set(G)
-    if G.n > EXACT_DFREE_MAX_N or 4 * len(S) > 3 * G.n:
-        outcome = "witness" if len(S) >= threshold else "unknown"
-        return S, {"method": "greedy", "nodes": 0, "outcome": outcome}, None
-    cat = quad_catalog(G)
+    cat = quad_catalog(G, budget)
+    if not cat.complete:
+        return S, {"method": "exact-budget", "nodes": 0, "outcome": "exhausted"}, None
     first = budget.nodes
     barrier = 3 * G.n // 4 + 1
     for size in (barrier, math.ceil(threshold)) if seed_extremal else (barrier,):
@@ -210,9 +215,23 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
     catalog = None
     if params.mode in ("auto", "extremal"):
         threshold = (1 - params.eps) * (3 * G.n / 4)
-        S, fields, catalog = clocked(
-            "certificate", _dfree_certificate, G, threshold, budget, params.mode == "extremal"
-        )
+        # The greedy D-free set comes first, at every order.  Past 3n/4 it
+        # is the space-barrier proof as it stands; larger instances take it
+        # as S, since it is maximal as it stands.
+        S = clocked("certificate", greedy_D_free_set, G)
+        fields = {"method": "greedy", "nodes": 0, "outcome": "witness" if len(S) >= threshold else "unknown"}
+        greedy = None  # a perfect greedy tiling, which refutes the barrier too
+        if G.n <= EXACT_DFREE_MAX_N and 4 * len(S) <= 3 * G.n:
+            if params.mode == "auto":
+                greedy = clocked("greedy_tiling", near_perfect_tiling, G)
+                if 4 * greedy.size < G.n:
+                    greedy = None
+            if greedy is None:
+                S, fields, catalog = clocked(
+                    "certificate", _dfree_certificate, G, S, threshold, budget, params.mode == "extremal"
+                )
+            else:
+                fields = {"method": "greedy-tiling", "nodes": 0, "outcome": "refuted"}
         extremal_instance = len(S) >= threshold
         report["dfree"] = {
             "size": len(S),
@@ -220,6 +239,10 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
             "extremal": extremal_instance,
             **fields,
         }
+        if greedy is not None:
+            report["branch"] = "greedy"
+            report["attempts"].append({"branch": "greedy", "outcome": "tiled"})
+            return finish("tiled", greedy)
         # Space barrier: every copy of a perfect tiling needs a vertex
         # outside the D-free set S, so |S| > 3n/4 leaves too few of them.
         if 4 * len(S) > 3 * G.n:
@@ -465,7 +488,7 @@ def _parse_n_range(parser, spec: str) -> list[int]:
 
 
 # The branches an auto-mode solve can end in, each counted per scan line.
-SCAN_BRANCHES = ("extremal", "non-extremal", "exact-fallback", "space-barrier")
+SCAN_BRANCHES = ("greedy", "extremal", "non-extremal", "exact-fallback", "space-barrier")
 
 
 def _nearest_rank(ordered: list[float], q: float) -> float:

@@ -59,7 +59,9 @@ budget share it, so the driver holds one for the whole solve.  An
 exhausted budget is reported as ``exhausted`` and never as a proof.  The
 maximum searches still return their best effort then, the largest tiling
 or D-free set found so far; the perfect tiling search has no partial
-answer to return.
+answer to return.  ``quad_catalog`` reads the budget once per vertex row
+without ticking it, and stops when it is spent; a catalog cut short is
+not complete, so the perfect search that built it answers ``exhausted``.
 
 Sets of at most 16 vertices have their own search, with no subgraph,
 catalog or budget: it branches over ``spanning_quads_at`` of the lowest
@@ -191,16 +193,22 @@ class QuadCatalog(FrozenRecord):
         return cls(quads=tuple(quads), inc=inc, graph=G, complete=complete)
 
 
-def quad_catalog(G: Hypergraph3) -> QuadCatalog:
+def quad_catalog(G: Hypergraph3, budget: SearchBudget | None = None) -> QuadCatalog:
     """The spanning 4-sets of G in lexicographic order.
 
     Each vertex v, ascending, adds its ``spanning_quads_at`` on the
     vertices above v, the quads whose lowest vertex is v, in lexicographic
     order.  So each quad comes out once and in order, with no set and no
-    sort.
+    sort.  Before each vertex's row it reads whether ``budget`` is spent,
+    without ticking it; once it is, the catalog holds the rows listed so
+    far and is not ``complete``.
     """
     full = (1 << G.n) - 1
-    quads = [q for v in range(G.n) for q in spanning_quads_at(G, v, full & -(2 << v))]
+    quads: list = []
+    for v in range(G.n):
+        if budget is not None and budget.spent:
+            return QuadCatalog.of(G, full, quads)
+        quads.extend(spanning_quads_at(G, v, full & -(2 << v)))
     return QuadCatalog.of(G, full, quads, complete=True)
 
 
@@ -278,14 +286,17 @@ def _greedy_packing(cat: QuadCatalog, alive: int, cap: int | None = None) -> lis
     return out
 
 
-def _catalog_on(G: Hypergraph3, catalog: QuadCatalog | None, partial: bool = False) -> QuadCatalog:
-    """``catalog``, checked to be one of G, or ``quad_catalog(G)`` when it
-    is None.  A catalog of another graph, even an equal one, is refused:
-    its quads are not checked against G.  Unless ``partial``, so is one
-    that may lack spanning 4-sets of G, since a search that proves
+def _catalog_on(
+    G: Hypergraph3, catalog: QuadCatalog | None, partial: bool = False, budget: SearchBudget | None = None
+) -> QuadCatalog:
+    """``catalog``, checked to be one of G, or ``quad_catalog(G, budget)``
+    when it is None, which is not complete if the budget ran out while it
+    was listed.  A catalog of another graph, even an equal one, is
+    refused: its quads are not checked against G.  Unless ``partial``, so
+    is one that may lack spanning 4-sets of G, since a search that proves
     infeasibility on it would prove nothing about G."""
     if catalog is None:
-        return quad_catalog(G)
+        return quad_catalog(G, budget)
     if len(catalog.inc) != G.n:
         raise InputError(f"catalog has {len(catalog.inc)} vertices, the graph {G.n}")
     if catalog.graph is not G:
@@ -365,19 +376,21 @@ def perfect_tiling_exact(
 
     ``infeasible`` is returned only when the search space is exhausted,
     ``exhausted`` when the budget ran out first; a budget already spent
-    stops at the root, before the catalog is built.  ``catalog``, when
-    given, must be ``quad_catalog(G)``; it spares building it again.  A
-    catalog that is not complete raises ``InputError``.
+    stops at the root, before the catalog is built, and one spent while
+    the catalog is listed stops there, with the rest unlisted.
+    ``catalog``, when given, must be ``quad_catalog(G)``; it spares
+    building it again.  A catalog that is not complete raises
+    ``InputError``.
     """
     if G.n % 4:
         raise InputError(f"perfect tiling needs 4 | n, got n={G.n}")
     budget = budget or SearchBudget()
     first = budget.nodes
-    if budget.spent:  # the root node stops: build no catalog for it
+    cat = None if budget.spent else _catalog_on(G, catalog, budget=budget)
+    if cat is None or not cat.complete:  # the root node stops
         budget.tick()
-        return TilingSearchResult(status=EXHAUSTED, tiling=None, nodes=1)
+        return TilingSearchResult(status=EXHAUSTED, tiling=None, nodes=budget.nodes - first)
     full = (1 << G.n) - 1
-    cat = _catalog_on(G, catalog)
     status, best = _packing_search(cat, budget, full, G.n // 4, [])
     tiling = _witness(G, [cat.quads[i] for i in best], cover=full) if status == FOUND else None
     return TilingSearchResult(status=status, tiling=tiling, nodes=budget.nodes - first)

@@ -1,7 +1,9 @@
 """The near-perfect tiling of the absorption step: the greedy maximal tiling.
 
-The search runs on a vertex mask ``within`` of G (the driver passes all
-vertices outside the absorbing family) and places copies in G's own ids.
+The search runs on a vertex mask ``within`` of G and places copies in
+G's own ids.  Auto mode passes all of G on at most
+``EXACT_DFREE_MAX_N`` vertices, where a perfect tiling is the answer;
+the absorption branch passes all vertices outside the absorbing family.
 It takes the canonical-first spanning 4-set at the lowest vertex that
 still owns one, until no vertex does: the first quad that
 ``core.spanning_quads_at`` yields inside the uncovered part of the mask,

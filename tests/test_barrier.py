@@ -11,15 +11,19 @@ import pytest
 import dtiling
 from dtiling import (
     DriverParams,
+    SearchBudget,
     build,
     construct_G0,
     construct_G1,
     extend_to_maximal_D_free,
+    format_certificate,
     greedy_D_free_set,
     max_D_free_set,
+    parse_certificate,
     planted_extremal,
     random_codegree_instance,
     solve_driver,
+    validate_tiling,
 )
 
 from naive import naive_perfect_partition, naive_space_barrier
@@ -127,9 +131,14 @@ def test_undecided_certificate_falls_back_to_the_greedy_set(node_limit, fields):
     assert res.status == "exhausted" and res.report["branch"] == "extremal"
     assert res.report["attempts"][-1]["reason"].startswith("stage R:")
     # Auto mode asks only the barrier question and routes on the greedy
-    # set, so the fallback gets all but that 1 node and tiles.
+    # set, so the fallback gets all but its 5 nodes and tiles.  G's greedy
+    # tiling is perfect and would end the solve before any question, so
+    # auto mode runs on a graph whose greedy tiling leaves vertices.
+    G = random_codegree_instance(16, 4, 2)
+    greedy = extend_to_maximal_D_free(G, greedy_D_free_set(G))
+    expected = {"size": len(greedy), "threshold": 9.0, "extremal": False}
     res = solve_driver(G, DriverParams(node_limit=node_limit, collect_timings=False))
-    assert res.report["dfree"] == {**expected, "method": "exact", "nodes": 1, "outcome": "refuted"}
+    assert res.report["dfree"] == {**expected, "method": "exact", "nodes": 5, "outcome": "refuted"}
     assert res.status == "tiled" and res.report["branch"] == "exact-fallback"
 
 
@@ -144,10 +153,16 @@ def test_a_spent_certificate_budget_stops_the_second_question_at_once():
     fields = {"method": "exact-budget", "nodes": 2, "outcome": "exhausted"}
     assert res.report["dfree"] == {**expected, **fields}
     assert res.status == "exhausted"
-    # Auto mode asks no second question: the one node is the barrier
-    # question's, and the fallback stops at its first node.
+    # Auto mode asks no second question.  On a graph whose greedy tiling
+    # leaves vertices, the barrier question, which needs 5 nodes, spends
+    # the one node and the tick past it, and the fallback stops at its
+    # first node.
+    G = random_codegree_instance(16, 4, 2)
+    greedy = extend_to_maximal_D_free(G, greedy_D_free_set(G))
+    expected = {"size": len(greedy), "threshold": 9.0, "extremal": False}
     res = solve_driver(G, DriverParams(node_limit=1, collect_timings=False))
-    assert res.report["dfree"] == {**expected, "method": "exact", "nodes": 1, "outcome": "refuted"}
+    fields = {"method": "exact-budget", "nodes": 2, "outcome": "exhausted"}
+    assert res.report["dfree"] == {**expected, **fields}
     assert res.status == "exhausted" and res.report["branch"] == "exact-fallback"
     assert res.report["exact"] == {"status": "exhausted", "nodes": 1, "optimal": False}
 
@@ -185,9 +200,9 @@ class TestCallCounts:
         "make",
         [
             lambda: random_codegree_instance(16, 3, 11),
-            lambda: random_codegree_instance(16, 5, 12),
+            lambda: random_codegree_instance(16, 5, 2),
             lambda: random_codegree_instance(20, 4, 13),
-            lambda: random_codegree_instance(20, 6, 14),
+            lambda: random_codegree_instance(20, 6, 1),
             lambda: relabelled(planted_extremal(24), 3),
         ],
         ids=["random16-3", "random16-5", "random20-4", "random20-6", "planted-24"],
@@ -195,12 +210,14 @@ class TestCallCounts:
     def test_one_catalog_per_solve(self, make, monkeypatch):
         # The certificate's decisions and the exact fallback share one
         # catalog of G; the absorption layer's own subgraphs are not G.
+        # Each graph's greedy tiling leaves vertices, so the solve gets as
+        # far as the catalog.
         G = make()
         calls = []
 
-        def counting(H):
+        def counting(H, *args):
             calls.append(H is G)
-            return original(H)
+            return original(H, *args)
 
         original = patch_everywhere(monkeypatch, "quad_catalog", counting)
         res = solve(G)
@@ -248,6 +265,59 @@ class TestCallCounts:
         assert calls == [True]
 
 
+class TestGreedyTiling:
+    """A perfect greedy tiling refutes the barrier, since each copy keeps
+    at most 3 of its 4 vertices in a D-free set, and is the answer."""
+
+    def test_a_perfect_greedy_tiling_answers_first(self, monkeypatch):
+        budgets = []
+
+        def make(*args):
+            budgets.append(SearchBudget(*args))
+            return budgets[-1]
+
+        monkeypatch.setattr(dtiling.cli, "SearchBudget", make)
+        G = random_codegree_instance(16, 4, 7)
+        greedy = greedy_D_free_set(G)
+        res = solve_driver(G, DriverParams(node_limit=1))
+        assert res.status == "tiled" and res.report["branch"] == "greedy"
+        assert res.report["attempts"] == [{"branch": "greedy", "outcome": "tiled"}]
+        assert res.report["dfree"] == {
+            "size": len(greedy),
+            "threshold": 9.0,
+            "extremal": False,
+            "method": "greedy-tiling",
+            "nodes": 0,
+            "outcome": "refuted",
+        }
+        assert "greedy_tiling" in res.report["timings_ms"]
+        assert [b.nodes for b in budgets] == [0]
+
+    def test_it_builds_no_catalog(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a quad catalog")
+
+        monkeypatch.setattr(dtiling.exact, "quad_catalog", refuse)
+        monkeypatch.setattr(dtiling.cli, "quad_catalog", refuse)
+        for G in (random_codegree_instance(16, 4, 7), random_codegree_instance(20, 6, 14)):
+            assert solve(G).report["branch"] == "greedy"
+
+    def test_its_certificate_round_trips(self):
+        G = random_codegree_instance(16, 4, 7)
+        res = solve(G)
+        cert = parse_certificate(format_certificate(res.tiling, "perfect"))
+        assert cert.kind == "perfect" and cert.tiling == res.tiling
+        assert validate_tiling(G, cert.tiling, require_perfect=True).ok
+
+    @pytest.mark.parametrize("mode", ["extremal", "absorb", "exact"])
+    def test_forced_modes_never_take_it(self, mode):
+        for seed in range(6):
+            res = solve_driver(random_codegree_instance(16, 4, seed), DriverParams(mode=mode))
+            assert res.report["branch"] != "greedy"
+            assert res.report.get("dfree", {}).get("method") != "greedy-tiling"
+            assert "greedy_tiling" not in res.report["timings_ms"]
+
+
 def sparse_instance(n, m, seed):
     rng = random.Random(seed)
     return build(n, rng.sample(list(itertools.combinations(range(n), 3)), m))
@@ -260,9 +330,9 @@ def test_a_barrier_the_greedy_set_misses_is_found_by_search(monkeypatch):
     assert len(greedy_D_free_set(G)) == 9 and len(max_D_free_set(G).vertices) == 10
     calls = []
 
-    def counting(H):
+    def counting(H, *args):
         calls.append(H is G)
-        return original(H)
+        return original(H, *args)
 
     original = patch_everywhere(monkeypatch, "quad_catalog", counting)
     res = solve(G)
@@ -291,16 +361,19 @@ def verdict_corpus():
 
 
 def test_auto_and_exact_verdicts_agree_up_to_24_vertices():
-    # Auto mode asks the certificate only the barrier question and routes
-    # on the greedy set; whatever branch that picks, the verdict is the
-    # exact search's, and up to 12 vertices the naive partition search's.
-    verdicts = set()
+    # Auto mode answers by a perfect greedy tiling, else asks the
+    # certificate only the barrier question and routes on the greedy set;
+    # whatever branch that picks, the verdict is the exact search's, and
+    # up to 12 vertices the naive partition search's.
+    verdicts, branches = set(), set()
     for G in verdict_corpus():
         assert G.n <= dtiling.cli.EXACT_DFREE_MAX_N
-        auto = solve(G).status
-        assert auto == solve(G, mode="exact").status
+        res = solve(G)
+        assert res.status == solve(G, mode="exact").status
         if G.n <= 12:
             naive = naive_perfect_partition(G.n, sorted(G.edges))
-            assert auto == ("infeasible" if naive is None else "tiled")
-        verdicts.add(auto)
+            assert res.status == ("infeasible" if naive is None else "tiled")
+        verdicts.add(res.status)
+        branches.add(res.report["branch"])
     assert verdicts == {"tiled", "infeasible"}
+    assert {"greedy", "exact-fallback"} <= branches

@@ -7,14 +7,18 @@ import pytest
 
 from dtiling import (
     DriverParams,
+    InputError,
     SearchBudget,
     construct_G0,
     construct_G1,
+    perfect_tiling_exact,
     planted_extremal,
+    quad_catalog,
     random_codegree_instance,
     solve_driver,
 )
 from dtiling import cli, exact, extremal
+from dtiling.core import spanning_quads_at
 
 INSTANCES = {
     "G0(16)": lambda: construct_G0(16),
@@ -70,13 +74,15 @@ def test_one_budget_per_solve(recorded, make, mode, node_limit):
 
 
 def test_the_fallback_gets_what_the_certificate_left(recorded):
-    # Auto mode's one certificate question spends the 1-node budget, so
-    # the fallback stops at its first node instead of tiling.
+    # Auto mode's one certificate question spends the 1-node budget and
+    # the tick past it, so the fallback stops at its first node instead
+    # of tiling.  The graph's greedy tiling leaves vertices, so the solve
+    # asks the question.
     budgets, searches = recorded
-    res = solve_driver(random_codegree_instance(16, 4, 7), DriverParams(node_limit=1))
+    res = solve_driver(random_codegree_instance(16, 4, 2), DriverParams(node_limit=1))
     assert res.status == "exhausted" and res.report["branch"] == "exact-fallback"
-    assert [nodes for _, nodes in searches] == [1, 1]
-    assert budgets[0].nodes == 2
+    assert [nodes for _, nodes in searches] == [2, 1]
+    assert budgets[0].nodes == 3
     # A forced extremal solve asks two questions, which spend 101 nodes of
     # a 100-node budget, so stage Q stops at its first node.
     searches.clear()
@@ -84,7 +90,7 @@ def test_the_fallback_gets_what_the_certificate_left(recorded):
     assert res.status == "exhausted" and res.report["branch"] == "extremal"
     assert [nodes for _, nodes in searches] == [1, 100, 1]
     assert budgets[1].nodes == 102
-    assert solve_driver(random_codegree_instance(16, 4, 7)).status == "tiled"
+    assert solve_driver(random_codegree_instance(16, 4, 2)).status == "tiled"
 
 
 def test_a_spent_budget_builds_no_fallback_catalog(monkeypatch):
@@ -98,3 +104,75 @@ def test_a_spent_budget_builds_no_fallback_catalog(monkeypatch):
     res = solve_driver(planted_extremal(64), DriverParams(time_limit=1e-6, collect_timings=False))
     assert res.status == "exhausted" and res.report["branch"] == "exact-fallback"
     assert res.report["exact"] == {"status": "exhausted", "nodes": 1, "optimal": False}
+
+
+class SpentAfter(SearchBudget):
+    """A budget whose ``spent`` reads False ``looks`` times, then True,
+    whatever its nodes and clock: a deadline that passes at a chosen
+    point of the solve."""
+
+    def __init__(self, looks):
+        super().__init__(time_limit=600.0)
+        self.looks = looks
+
+    @property
+    def spent(self):
+        self.looks -= 1
+        return self.looks < 0
+
+
+@pytest.fixture
+def rows(monkeypatch):
+    """The vertex rows the quad catalog lists, in order."""
+    listed = []
+
+    def counting(G, v, within):
+        listed.append(v)
+        return spanning_quads_at(G, v, within)
+
+    monkeypatch.setattr(exact, "spanning_quads_at", counting)
+    return listed
+
+
+def test_the_catalog_stops_on_a_spent_budget(rows):
+    # planted_extremal(64) has about 440k quads.  The budget is spent
+    # after 3 vertex rows, so the catalog holds those rows' quads, is not
+    # complete, and spent no node.
+    G = planted_extremal(64)
+    budget = SpentAfter(3)
+    cat = quad_catalog(G, budget)
+    assert rows == [0, 1, 2] and not cat.complete and budget.nodes == 0
+    full = (1 << G.n) - 1
+    assert cat.quads == tuple(q for v in range(3) for q in spanning_quads_at(G, v, full & -(2 << v)))
+    # A caller-given incomplete catalog is still refused.
+    with pytest.raises(InputError, match="not complete"):
+        perfect_tiling_exact(G, catalog=cat)
+
+
+def test_a_budget_spent_while_the_fallback_catalog_is_listed(monkeypatch, rows):
+    # The fallback reads the budget at its root, then once per row: spent
+    # after 3 rows, it answers exhausted in its root node and lists no
+    # more rows.
+    monkeypatch.setattr(cli, "SearchBudget", lambda *args: SpentAfter(4))
+    res = solve_driver(planted_extremal(64), DriverParams(mode="exact", collect_timings=False))
+    assert res.status == "exhausted" and res.report["branch"] == "exact-fallback"
+    assert res.report["exact"] == {"status": "exhausted", "nodes": 1, "optimal": False}
+    assert rows == [0, 1, 2]
+
+
+def test_a_budget_spent_while_the_certificate_catalog_is_listed(monkeypatch, rows):
+    # The greedy tiling of this graph leaves vertices, so auto mode lists
+    # the certificate's catalog.  Spent after 2 rows, it asks no question,
+    # S stays the greedy set, and the fallback builds no catalog.
+    def refuse(*args, **kwargs):
+        raise AssertionError("asked a D-free question on a spent budget")
+
+    monkeypatch.setattr(cli, "decide_D_free_set", refuse)
+    monkeypatch.setattr(cli, "SearchBudget", lambda *args: SpentAfter(2))
+    G = random_codegree_instance(16, 4, 2)
+    res = solve_driver(G, DriverParams(collect_timings=False))
+    dfree = res.report["dfree"]
+    assert (dfree["method"], dfree["nodes"], dfree["outcome"]) == ("exact-budget", 0, "exhausted")
+    assert res.status == "exhausted" and res.report["branch"] == "exact-fallback"
+    assert res.report["exact"] == {"status": "exhausted", "nodes": 1, "optimal": False}
+    assert rows == [0, 1]

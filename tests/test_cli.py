@@ -279,7 +279,7 @@ class TestScan:
         for line in map(json.loads, capsys.readouterr().out.splitlines()):
             assert line["p50_ms"] <= line["p90_ms"] <= line["max_ms"]
             assert line["max_ms"] >= line["mean_ms"]
-            assert set(line["branches"]) >= {"extremal", "non-extremal", "exact-fallback", "space-barrier"}
+            assert set(line["branches"]) >= {"greedy", "extremal", "non-extremal", "exact-fallback", "space-barrier"}
             assert sum(line["branches"].values()) == 3
 
     def test_parallel_matches_serial(self, capsys):
