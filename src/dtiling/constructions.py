@@ -209,7 +209,7 @@ def random_codegree_instance(n: int, d: int, seed: int) -> Hypergraph3:
     p = 0.0 if d == 0 else min(1.0, (d + 2 * math.isqrt(d)) / max(1, n - 2))
     # The pair index is filled straight from the sample and repaired in
     # place: each pair's third vertices are already one bitset.
-    links, m = _fill(n, (t for t in itertools.combinations(range(n), 3) if rng.random() < p))
+    links, m, _ = _fill(n, (t for t in itertools.combinations(range(n), 3) if rng.random() < p))
 
     def add(x: int, y: int, z: int) -> None:
         bits = links.setdefault(x, {}).get(y, 0) | (1 << z)

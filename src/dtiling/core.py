@@ -281,7 +281,7 @@ class Hypergraph3:
     def degree(self, v: int) -> int:
         """Number of edges containing ``v``."""
         row = self._links.get(v)
-        return 0 if row is None else sum(x.bit_count() for x in row.values()) // 2
+        return 0 if row is None else sum(map(int.bit_count, row.values())) // 2
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Hypergraph3(n={self.n}, m={self.m})"
@@ -309,10 +309,11 @@ def _pair_thirds(G: Hypergraph3, labels):
                 yield a, b, thirds
 
 
-def _fill(n: int, triples) -> tuple[dict, int]:
+def _fill(n: int, triples) -> tuple[dict, int, bool]:
     """Pair index of triples of three distinct vertices of ``0..n-1``,
     each in any vertex order, given in any order and possibly repeated,
-    and the number of distinct ones.
+    the number of distinct ones, and whether every triple named its
+    vertices in ascending order.
 
     Each pair's third vertices are collected as their powers of two, read
     from a table of the n powers built for this call (n²/16 bytes, 6 MB
@@ -326,6 +327,14 @@ def _fill(n: int, triples) -> tuple[dict, int]:
     stored for the pair, so ascending triples pay one comparison per pair
     and none pays a sort.  Each distinct triple sets one bit in each of
     its three pairs, so the distinct count is a third of all set bits.
+
+    The same comparison, as b <= a, gives the order report: a triple
+    (a, b, c) makes the entries b and c of row a and c of row b, all
+    above their rows exactly when a < b < c, so every entry is above its
+    row exactly when every triple is ascending.  A repeated vertex, as in
+    (0, 0, 1), makes an entry equal to its row and so reports False too;
+    the index and count are then meaningless, and only the bulk reader,
+    which drops them, ever passes such a triple.
     """
     power = [1 << i for i in range(n)]
     # thirds[x][y]: 2**z for the third vertex z of each triple naming x before y
@@ -338,6 +347,7 @@ def _fill(n: int, triples) -> tuple[dict, int]:
     links: dict[int, dict[int, int]] = {}
     row_of = links.setdefault
     set_bits = 0
+    ascending = True
     for a, row in enumerate(thirds):
         if not row:
             continue
@@ -346,12 +356,14 @@ def _fill(n: int, triples) -> tuple[dict, int]:
             bits = sum(cs)
             if bits.bit_count() < len(cs):  # a repeated third vertex carried
                 bits = sum(set(cs))
-            if b < a and (stored := ra.get(b)):  # row b stored the pair's other order
-                set_bits -= stored.bit_count()
-                bits |= stored
+            if b <= a:  # an entry not above its row: some triple was not ascending
+                ascending = False
+                if stored := ra.get(b):  # row b stored the pair's other order
+                    set_bits -= stored.bit_count()
+                    bits |= stored
             ra[b] = row_of(b, {})[a] = bits
             set_bits += bits.bit_count()
-    return links, set_bits // 3
+    return links, set_bits // 3, ascending
 
 
 def build(n: int, triples) -> Hypergraph3:
@@ -366,7 +378,7 @@ def build(n: int, triples) -> Hypergraph3:
     if n < 0:
         raise InputError(f"vertex count must be nonnegative, got {n}")
     top = min(n, MAX_N)
-    links, m = _fill(top, itertools.chain.from_iterable(_checked_chunks(triples, top)))
+    links, m, _ = _fill(top, itertools.chain.from_iterable(_checked_chunks(triples, top)))
     return Hypergraph3(n, m, links)
 
 
@@ -545,7 +557,7 @@ def induced_subgraph(G: Hypergraph3, vertices) -> tuple[Hypergraph3, tuple[int, 
                 for w in bits_of(G.pair_bits(u, v) & vmask & -(2 << v)):
                     yield i, j, index[w]
 
-    links, m = _fill(len(verts), local_triples())
+    links, m, _ = _fill(len(verts), local_triples())
     return Hypergraph3(len(verts), m, links), tuple(verts)
 
 

@@ -61,7 +61,8 @@ maximum searches still return their best effort then, the largest tiling
 or D-free set found so far; the perfect tiling search has no partial
 answer to return.  ``quad_catalog`` reads the budget once per vertex row
 without ticking it, and stops when it is spent; a catalog cut short is
-not complete, so the perfect search that built it answers ``exhausted``.
+not complete, so any search that built it answers ``exhausted`` at its
+root, the maximum tiling with the greedy packing of the quads listed.
 
 Sets of at most 16 vertices have their own search, with no subgraph,
 catalog or budget: it branches over ``spanning_quads_at`` of the lowest
@@ -458,14 +459,21 @@ def max_tiling_exact(
     """Maximum tiling (any leftover allowed): the packing search with no
     floor, warm-started from the greedy packing, whose hitting-set bound
     closes symmetric instances at the root.  Only the quads of ``catalog``
-    (default: ``quad_catalog(G)``) are packed, so the root's free set is
-    the vertices in one of them.
+    (default: ``quad_catalog(G, budget)``) are packed, so the root's free
+    set is the vertices in one of them.  When the budget runs out while
+    the search lists its own catalog, it answers ``exhausted`` at the
+    root with the greedy packing of the quads listed.
     """
     budget = budget or SearchBudget()
-    cat = _catalog_on(G, catalog, partial=True)
     first = budget.nodes
-    free = mask_of(v for v, row in enumerate(cat.inc) if row)
-    status, best = _packing_search(cat, budget, free, 0, _greedy_packing(cat, cat.all_quads))
+    cat = _catalog_on(G, catalog, partial=True, budget=budget)
+    best = _greedy_packing(cat, cat.all_quads)
+    if cat.complete or catalog is not None:
+        free = mask_of(v for v, row in enumerate(cat.inc) if row)
+        status, best = _packing_search(cat, budget, free, 0, best)
+    else:  # the root node stops
+        budget.tick()
+        status = EXHAUSTED
     return TilingSearchResult(
         status=status,
         tiling=_witness(G, [cat.quads[i] for i in best]),
@@ -480,14 +488,19 @@ def max_D_free_set(G: Hypergraph3, budget: SearchBudget | None = None) -> SetSea
     from the complement of the greedy hitting set, it asks for one vertex
     more than the best set so far until a question is refuted (the best
     set is the optimum) or runs out of budget (the best set is best
-    effort).  All questions tick ``budget``.  Intended for small orders
-    (roughly n <= 24).  The driver does not call it: it only needs to know
-    whether a set of a given size exists, which ``decide_D_free_set``
-    answers.
+    effort).  All questions tick ``budget``; a budget that runs out while
+    the catalog is listed stops the search at its root, with no question
+    asked and the empty set as its best effort.  Intended for small
+    orders (roughly n <= 24).  The driver does not call it: it only needs
+    to know whether a set of a given size exists, which
+    ``decide_D_free_set`` answers.
     """
     budget = budget or SearchBudget()
-    cat = quad_catalog(G)
     first = budget.nodes
+    cat = quad_catalog(G, budget)
+    if not cat.complete:  # the root node stops
+        budget.tick()
+        return SetSearchResult(status=EXHAUSTED, vertices=(), nodes=budget.nodes - first)
     hit = _greedy_hitting(cat, cat.all_quads, range(G.n))
     best = tuple(v for v in range(G.n) if not ((hit >> v) & 1))
     while (res := decide_D_free_set(G, len(best) + 1, budget, cat)).status == FOUND:
@@ -516,16 +529,20 @@ def decide_D_free_set(
     stops at the first witness.
     ``found`` carries the witness (the vertices not removed, at least
     ``size`` of them), ``infeasible`` is a proof that no such set exists,
-    and ``exhausted`` means the budget ran out first.  ``catalog``, when
-    given, must be ``quad_catalog(G)``: a catalog that is not complete
-    raises ``InputError``.
+    and ``exhausted`` means the budget ran out first, including while the
+    search listed its own catalog.  ``catalog``, when given, must be
+    ``quad_catalog(G)``: a catalog that is not complete raises
+    ``InputError``.
     """
     budget = budget or SearchBudget()
     tick, first = budget.tick, budget.nodes
     k = G.n - size
     if k < 0:
         return SetSearchResult(status=INFEASIBLE, vertices=(), nodes=0)
-    cat = _catalog_on(G, catalog)
+    cat = _catalog_on(G, catalog, budget=budget)
+    if not cat.complete:  # the root node stops
+        tick()
+        return SetSearchResult(status=EXHAUSTED, vertices=(), nodes=budget.nodes - first)
     witness = 0
 
     def rec(removed: int, alive: int, banned: int, count: int) -> str:

@@ -13,15 +13,17 @@ with ``"a b "``.
 leading zeros, a newline after every line, n <= MAX_N, no repeated edge;
 the edge lines may come in any order), is read in bulk:
 its shape is checked in C, it is tokenised in chunks through one table
-of the n canonical ids, and the triples go straight to the pair-index
-filler.  Everything else, and every error, takes the line-by-line
-reader, so each ``InputError`` names its line.  That reader streams the
-edges into the filler, caches each vertex token it has read (a dict
-lookup is several times cheaper than ``int()``), and looks for a
-repeated edge only once the filler has counted fewer distinct edges
-than lines.  Without the cache, and with a set of the edges seen so
-far, a CRLF text of ``planted_extremal(96)`` (83,240 edges) parsed in
-about 150 ms against 62 ms (2-vCPU Xeon, Python 3.11).
+of the n canonical ids, and the tokens stream three at a time straight
+into the pair-index filler, which reports whether every triple was
+ascending: one comparison per pair rather than per edge.  Everything
+else, and every error, takes the line-by-line reader, so each
+``InputError`` names its line.  That reader streams the edges into the
+filler, caches each vertex token it has read (a dict lookup is several
+times cheaper than ``int()``), and looks for a repeated edge only once
+the filler has counted fewer distinct edges than lines.  Without the
+cache, and with a set of the edges seen so far, a CRLF text of
+``planted_extremal(96)`` (83,240 edges) parsed in about 150 ms against
+62 ms (2-vCPU Xeon, Python 3.11).
 
 Certificates: a header ``perfect k`` or ``partial s`` followed by one
 line per copy listing its 4 vertices and the two witness edges,
@@ -36,7 +38,7 @@ objects serialize identically.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import lt
+from itertools import chain
 
 from .core import MAX_EDGES, MAX_N, DCopy, Hypergraph3, InputError, Tiling, _fill, _pair_thirds
 
@@ -104,7 +106,10 @@ def _parse_canonical(text: str) -> Hypergraph3 | None:
     Canonical form is the header ``n m`` with n <= MAX_N and
     m <= MAX_EDGES, then m lines ``u v w`` of decimal ids in 0..n-1
     without leading zeros, with u < v < w, no two lines equal, single
-    spaces and a newline ending every line.
+    spaces and a newline ending every line.  The shape is checked on the
+    whole text first; ids, order and repeats are checked by the one pass
+    of ``_fill`` over the streamed tokens, which refuses the text by an
+    unknown id, an order report of False or fewer than m distinct edges.
     """
     head, _, body = text.partition("\n")
     fields = head.split(" ")
@@ -118,33 +123,39 @@ def _parse_canonical(text: str) -> Hypergraph3 | None:
         return None
     # The shape, checked in C: with the digits taken out, every edge line
     # is two spaces and a newline.  Any other character, non-ASCII ones
-    # included, survives as itself or as "?".  Comparing m as text spares
-    # int() on an unbounded header field.
+    # included, survives as itself or as "?".  Digits after the last
+    # newline vanish too, so the body must end with one.  Comparing m as
+    # text spares int() on an unbounded header field.
     shape = body.encode("ascii", "replace").translate(None, b"0123456789")
     m = len(shape) // 3
-    if m > MAX_EDGES or m_field != str(m) or shape != b"  \n" * m:
+    if m > MAX_EDGES or m_field != str(m) or shape != b"  \n" * m or body[-1:] not in ("", "\n"):
         return None
     # The table holds exactly the canonical ids, so a lookup also checks
-    # the range and rejects "07" or "+1".  An empty token, from a leading
-    # or doubled space, shows as a token count short of 3m.
+    # the range and rejects "07" or "+1": its KeyError, raised inside the
+    # fill, means the text is not canonical.  The tokens stream from the
+    # chunks into the fill three at a time, with no list of them.  The
+    # shape allows at most 3 tokens per line and none after the last, and
+    # an empty token, from a leading or doubled space, is no token at all:
+    # so a line short of 3 leaves fewer than m triples, and the fill
+    # counts fewer than m distinct ones.  The fill also reports whether
+    # every triple was ascending, which covers u < v < w.
     table = {str(i): i for i in range(n)}
-    ids: list[int] = []
+    it = chain.from_iterable(map(table.__getitem__, chunk.split()) for chunk in _chunks(body))
+    try:
+        links, distinct, ascending = _fill(n, zip(it, it, it))
+    except KeyError:
+        return None
+    return Hypergraph3(n, m, links) if ascending and distinct == m else None
+
+
+def _chunks(body: str):
+    """``body`` in pieces of about ``_CHUNK`` characters, each ending at
+    the end of a line."""
     start = 0
     while start < len(body):
         end = body.find("\n", start + _CHUNK) + 1 or len(body)
-        try:
-            ids += map(table.__getitem__, body[start:end].split())
-        except KeyError:
-            return None
+        yield body[start:end]
         start = end
-    if len(ids) != 3 * m:
-        return None
-    us, vs, ws = ids[0::3], ids[1::3], ids[2::3]
-    del ids
-    if not (all(map(lt, us, vs)) and all(map(lt, vs, ws))):
-        return None
-    links, distinct = _fill(n, zip(us, vs, ws))
-    return Hypergraph3(n, m, links) if distinct == m else None
 
 
 def _parse_lines(text: str) -> Hypergraph3:
@@ -215,7 +226,7 @@ def _parse_lines(text: str) -> Hypergraph3:
     try:
         # Every id is below MAX_N, and with no edge line nothing is
         # filled, so a huge header costs no rows and no table of powers.
-        links, distinct = _fill(min(n, MAX_N) if m else 0, edges())
+        links, distinct, _ = _fill(min(n, MAX_N) if m else 0, edges())
     except InputError:
         check_repeats(at)
         raise

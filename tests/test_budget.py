@@ -18,7 +18,7 @@ from dtiling import (
     solve_driver,
 )
 from dtiling import cli, exact, extremal
-from dtiling.core import spanning_quads_at
+from dtiling.core import dcopy_from_quad, spanning_quads_at
 
 INSTANCES = {
     "G0(16)": lambda: construct_G0(16),
@@ -147,6 +147,46 @@ def test_the_catalog_stops_on_a_spent_budget(rows):
     # A caller-given incomplete catalog is still refused.
     with pytest.raises(InputError, match="not complete"):
         perfect_tiling_exact(G, catalog=cat)
+
+
+@pytest.mark.parametrize("search", ["decide", "max_D_free", "max_tiling"])
+def test_searches_that_list_their_own_catalog_stop_on_a_spent_budget(monkeypatch, rows, search):
+    # Spent after 3 rows of the 440k-quad catalog, each search answers
+    # exhausted in its root node; the two D-free searches ask nothing.
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched on a spent budget")
+
+    monkeypatch.setattr(exact, "_packing_search", refuse)
+    G = planted_extremal(64)
+    budget = SpentAfter(3)
+    if search == "max_tiling":
+        res = exact.max_tiling_exact(G, budget)
+    else:
+        monkeypatch.setattr(exact, "_greedy_packing", refuse)
+        if search == "decide":
+            res = exact.decide_D_free_set(G, 49, budget)
+        else:
+            res = exact.max_D_free_set(G, budget)
+        assert res.vertices == ()
+    assert (res.status, res.nodes, budget.nodes) == ("exhausted", 1, 1)
+    assert rows == [0, 1, 2]
+    if search == "max_tiling":
+        # Its best effort is the greedy packing of the quads listed.
+        cat = quad_catalog(G, SpentAfter(3))
+        packed = exact._greedy_packing(cat, cat.all_quads)
+        assert res.tiling.copies == tuple(dcopy_from_quad(G, cat.quads[i]) for i in packed)
+
+
+def test_caller_given_incomplete_catalogs_keep_their_rules(rows):
+    # The D-free decision refuses an incomplete catalog; the maximum
+    # tiling search packs it, as stage Q's catalogs are packed.
+    G = planted_extremal(32)
+    cat = quad_catalog(G, SpentAfter(3))
+    assert not cat.complete
+    with pytest.raises(InputError, match="not complete"):
+        exact.decide_D_free_set(G, 25, catalog=cat)
+    res = exact.max_tiling_exact(G, SearchBudget(), cat)
+    assert res.status == "found" and res.tiling.size == 3
 
 
 def test_a_budget_spent_while_the_fallback_catalog_is_listed(monkeypatch, rows):

@@ -263,9 +263,25 @@ class TestFill:
         n, triples = data
         triples = triples + [t for t in triples if rnd.random() < 0.5]
         rnd.shuffle(triples)
-        links, m = _fill(n, triples)
+        links, m, _ = _fill(n, triples)
         assert m == len(set(triples))
         assert index_as_sets(links) == naive_pair_index(triples)
+
+    def test_ascending_report_matches_a_per_triple_check(self):
+        # Lists of mixed vertex order, some with a repeated vertex: the
+        # fill's one check per pair must agree with u < v < w per triple.
+        for seed in range(300):
+            rnd = random.Random(seed)
+            n = rnd.randint(3, 40)
+            misordered = rnd.choice((0.0, 0.002, 0.02, 0.2))
+            triples = []
+            for _ in range(rnd.randint(0, 200)):
+                t = sorted(rnd.sample(range(n), 3))
+                if rnd.random() < misordered:
+                    t = rnd.choice((rnd.sample(t, 3), [t[0], t[0], t[2]], [t[0], t[1], t[1]]))
+                triples.append(tuple(t))
+            _, _, ascending = _fill(n, triples)
+            assert ascending == all(u < v < w for u, v, w in triples), seed
 
     @settings(max_examples=100, deadline=None)
     @given(triples_strategy(max_n=80), st.randoms(use_true_random=False))

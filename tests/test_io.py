@@ -266,10 +266,23 @@ class TestBulkReader:
                 (4, edges_of("0 1 2", "0 1 3")),
                 id="no-final-newline",
             ),
+            # Digits after the last newline leave the shape as it was.
+            pytest.param("4 1\n0 1 2\n3", "line 3: trailing content after 1 edges", id="trailing-token"),
+            pytest.param("10 0\n0", "line 2: trailing content after 0 edges", id="token-after-empty-body"),
             pytest.param(
                 "4 1\n0 1 \ud800\n",
                 "line 2: non-integer field in edge",
                 id="lone-surrogate",
+            ),
+            # The fill's order report stands in for a per-edge u < v < w
+            # check: a repeated or out-of-order vertex is refused too.
+            *(
+                pytest.param(
+                    f"4 2\n0 1 3\n{edge}\n",
+                    f"line 3: edge must be strictly increasing, got {edge}",
+                    id=f"order-{edge.replace(' ', '-')}",
+                )
+                for edge in ("0 0 1", "0 1 1", "1 0 2", "2 1 0", "3 3 3")
             ),
             # A repeat is reported before any error on a later line.
             pytest.param(
@@ -292,6 +305,21 @@ class TestBulkReader:
         else:
             G = parse_instance(text)
             assert (G.n, G.edges) == expected and G.m == len(expected[1])
+
+    def test_shuffled_edge_lines_are_read_in_bulk(self, monkeypatch, benchmark_instances):
+        (text,) = [inst.text for inst in benchmark_instances("planted", 0) if inst.id == "planted-n96-0"]
+        head, *lines = text.splitlines(keepends=True)
+        random.Random(7).shuffle(lines)
+        shuffled = head + "".join(lines)
+        assert shuffled != text
+        H = text_io._parse_lines(text)
+
+        def refuse(text):
+            raise AssertionError("read line by line")
+
+        monkeypatch.setattr(text_io, "_parse_lines", refuse)
+        G = parse_instance(shuffled)
+        assert (G.n, G.m, G._links) == (H.n, H.m, H._links)
 
     @pytest.mark.parametrize("workload", ["dense", "planted"])
     def test_benchmark_texts_are_read_in_bulk(self, monkeypatch, benchmark_instances, workload):
