@@ -5,13 +5,15 @@ pair index and nothing else: each vertex maps every other vertex it
 shares an edge with to the bitset (a plain Python int) of third vertices,
 so codegree queries, edge tests and neighborhood intersections are single
 word operations even at a few hundred vertices.  Edges as sorted triples
-are derived from the index only when a caller asks for them.  ``build``
-(any iterable of triples), ``io.parse_instance`` (text),
-``induced_subgraph`` and ``random_codegree_instance`` all fill the index
-through one private filler, ``_fill(n, triples)``: each caller knows the
-vertex count, and the filler collects each pair's third vertices as
-their powers of two, read from a table of the n powers that lives only
-for that call, and sums them into the pair's bitset.
+are derived from the index only when a caller asks for them.
+``io.parse_instance`` (text), ``induced_subgraph`` and
+``random_codegree_instance`` fill the index through one private filler,
+``_fill(n, triples)``: each caller knows the vertex count, and the
+filler's scatter loop collects each pair's third vertices as their
+powers of two, read from a table of the n powers that lives only for
+that call, which ``_reduce`` sums into the pair's bitset.  ``build`` (any
+iterable of triples) has its own scatter loop, which checks each triple
+as it scatters it, and shares ``_reduce``.
 
 Set bits come out in C where there are many.  ``bits_of`` and the pair
 walk ``_pair_thirds``, which ``Hypergraph3.triples`` and
@@ -38,9 +40,9 @@ values.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import defaultdict, namedtuple
 from itertools import compress, count
-from operator import ne
 
 
 # Largest vertex count the solver takes.  The driver scans all n(n-1)/2
@@ -319,22 +321,13 @@ def _fill(n: int, triples) -> tuple[dict, int, bool]:
     from a table of the n powers built for this call (n²/16 bytes, 6 MB
     at ``MAX_N``, so callers keep n at most that), in one list per
     ordered pair (a, b) as the triples name it and one row of lists per
-    vertex.  Each list then becomes its bitset in one C-level ``sum`` and
-    is stored under both orders of the pair.  A repeated entry carries,
-    leaving fewer set bits than entries, and only then is the sum redone
-    over the distinct entries.  Only a triple not in ascending order
-    makes an entry b < a in row a; its bitset is OR-ed into what row b
-    stored for the pair, so ascending triples pay one comparison per pair
-    and none pays a sort.  Each distinct triple sets one bit in each of
-    its three pairs, so the distinct count is a third of all set bits.
-
-    The same comparison, as b <= a, gives the order report: a triple
-    (a, b, c) makes the entries b and c of row a and c of row b, all
-    above their rows exactly when a < b < c, so every entry is above its
-    row exactly when every triple is ascending.  A repeated vertex, as in
-    (0, 0, 1), makes an entry equal to its row and so reports False too;
-    the index and count are then meaningless, and only the bulk reader,
-    which drops them, ever passes such a triple.
+    vertex; ``_reduce`` then turns the rows into the index.  This scatter
+    loop trusts its triples: ``build`` runs its own copy of it that
+    checks each triple as it arrives, so the readers and
+    ``induced_subgraph``, whose triples are already sound, pay no check.
+    A repeated vertex, as in (0, 0, 1), reaches this loop only from the
+    bulk reader, which drops the index and count when the order report
+    is False.
     """
     power = [1 << i for i in range(n)]
     # thirds[x][y]: 2**z for the third vertex z of each triple naming x before y
@@ -344,6 +337,30 @@ def _fill(n: int, triples) -> tuple[dict, int, bool]:
         ra[b].append(power[c])
         ra[c].append(power[b])
         thirds[b][c].append(power[a])
+    return _reduce(thirds)
+
+
+def _reduce(thirds: list) -> tuple[dict, int, bool]:
+    """The pair index, distinct triple count and order report of the
+    rows of power lists that a scatter loop (``_fill``'s or ``build``'s)
+    made.
+
+    Each list becomes its bitset in one C-level ``sum`` and is stored
+    under both orders of the pair.  A repeated entry carries, leaving
+    fewer set bits than entries, and only then is the sum redone over the
+    distinct entries.  Only a triple not in ascending order makes an
+    entry b < a in row a; its bitset is OR-ed into what row b stored for
+    the pair, so ascending triples pay one comparison per pair and none
+    pays a sort.  Each distinct triple sets one bit in each of its three
+    pairs, so the distinct count is a third of all set bits.
+
+    The same comparison, as b <= a, gives the order report: a triple
+    (a, b, c) makes the entries b and c of row a and c of row b, all
+    above their rows exactly when a < b < c, so every entry is above its
+    row exactly when every triple is ascending.  A repeated vertex makes
+    an entry equal to its row and so reports False too; the index and
+    count are then meaningless.
+    """
     links: dict[int, dict[int, int]] = {}
     row_of = links.setdefault
     set_bits = 0
@@ -369,63 +386,64 @@ def _fill(n: int, triples) -> tuple[dict, int, bool]:
 def build(n: int, triples) -> Hypergraph3:
     """Build a hypergraph from an iterable of 3-element vertex sets.
 
-    Duplicates collapse silently (set semantics); degenerate or
-    out-of-range triples, and more than ``MAX_EDGES`` triples (duplicates
-    counted), are rejected.  As in parsed text, vertex ids
-    stop below ``MAX_N`` even when n is larger, which bounds the filler's
-    table of powers.
+    Duplicates collapse silently (set semantics); degenerate,
+    out-of-range or non-integer triples, and more than ``MAX_EDGES``
+    triples (duplicates counted), are rejected.  As in parsed text,
+    vertex ids stop below ``MAX_N`` even when n is larger, which bounds
+    the table of powers.
+
+    Each triple is checked inside its own scatter step, a copy of
+    ``_fill``'s loop, and the rows go to the shared ``_reduce``.  A
+    negative or repeated vertex fails one comparison, and an id past the
+    rows or the table of powers fails the lookup itself, so a sound
+    triple pays three comparisons and no pass of its own.  Only a triple
+    that fails goes to ``_triple_fault``, which names it, and the stream
+    is read no further than that triple, or than one past ``MAX_EDGES``.
     """
     if n < 0:
         raise InputError(f"vertex count must be nonnegative, got {n}")
     top = min(n, MAX_N)
-    links, m, _ = _fill(top, itertools.chain.from_iterable(_checked_chunks(triples, top)))
+    power = [1 << i for i in range(top)]
+    thirds = [defaultdict(list) for _ in range(top)]
+    it = iter(triples)
+    t = None
+    try:
+        # tuple() keeps a one-shot triple's vertices for the message and
+        # returns a tuple triple itself.
+        for t in map(tuple, itertools.islice(it, MAX_EDGES)):
+            a, b, c = t
+            if (a | b | c) < 0 or a == b or a == c or b == c:
+                raise ValueError  # named below
+            ra = thirds[a]
+            ra[b].append(power[c])
+            ra[c].append(power[b])
+            thirds[b][c].append(power[a])
+    except (TypeError, ValueError, IndexError):
+        fault = None if t is None else _triple_fault(t, top)
+        if fault is None:  # t is sound and scattered: the stream itself failed
+            raise
+        raise InputError(fault) from None
+    for _ in it:
+        raise InputError(f"more than {MAX_EDGES} triples given; instances have at most MAX_EDGES = {MAX_EDGES}")
+    links, m, _ = _reduce(thirds)
     return Hypergraph3(n, m, links)
 
 
-def _checked_chunks(triples, n: int):
-    """Yield the triples a few hundred at a time, in the vertex order they
-    were given, after checking that each has three distinct vertices in
-    ``0..n-1`` and that no more than ``MAX_EDGES`` are given, duplicates
-    included.
-
-    A chunk is checked in C (``_distinct_in_range``); only a chunk that
-    fails is sorted triple by triple and walked in Python, to name its
-    first offending triple.  Small chunks keep few containers alive at
-    once, so they rarely trigger a garbage collection.
-    """
-    it = iter(triples)
-    given = 0
-    while chunk := list(itertools.islice(it, 256)):
-        given += len(chunk)
-        if given > MAX_EDGES:
-            raise InputError(f"more than {MAX_EDGES} triples given; instances have at most MAX_EDGES = {MAX_EDGES}")
-        if not _distinct_in_range(chunk, n):
-            chunk = list(map(sorted, chunk))
-            for t in map(tuple, chunk):
-                if len(t) != 3 or not t[0] < t[1] < t[2]:
-                    raise InputError(f"triple {t} does not have 3 distinct vertices")
-                if t[0] < 0 or t[2] >= n:
-                    raise InputError(f"triple {t} has a vertex outside 0..{n - 1}")
-        yield chunk
-
-
-def _distinct_in_range(chunk: list, n: int) -> bool:
-    """Whether every member of ``chunk`` is a triple of three distinct
-    vertices in ``0..n-1``, in any order: lengths, then columns, each in
-    one C-level pass."""
+def _triple_fault(t: tuple, n: int) -> str | None:
+    """The message that refuses ``t`` in ``build``, naming it in sorted
+    order where its vertices compare, or None when it is three distinct
+    integer vertices of ``0..n-1``."""
     try:
-        if set(map(len, chunk)) != {3}:
-            return False
-        a, b, c = zip(*chunk)
-        return (
-            all(map(ne, a, b))
-            and all(map(ne, b, c))
-            and all(map(ne, a, c))
-            and min(min(a), min(b), min(c)) >= 0
-            and max(max(a), max(b), max(c)) < n
-        )
-    except TypeError:  # a member without a length, or vertices that do not compare
-        return False
+        s = tuple(sorted(t))
+        if len(s) != 3 or not s[0] < s[1] < s[2]:
+            return f"triple {s} does not have 3 distinct vertices"
+        if s[0] < 0 or s[2] >= n:
+            return f"triple {s} has a vertex outside 0..{n - 1}"
+        for v in s:
+            operator.index(v)
+    except TypeError:
+        return f"triple {t} has a non-integer vertex"
+    return None
 
 
 def codegree(G: Hypergraph3, u: int, v: int) -> int:

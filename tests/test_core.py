@@ -74,7 +74,9 @@ class TestBuild:
         good = [(0, 1, 2), (3, 1, 2), (1, 2, 3)] * 300
         for bad, message in (((2, 2, 1), r"triple \(1, 2, 2\) does not have 3 distinct"),
                              ((9, 1, 0), r"triple \(0, 1, 9\) has a vertex outside 0..4"),
-                             ((0, 1), r"triple \(0, 1\) does not have 3 distinct")):
+                             ((0, 1), r"triple \(0, 1\) does not have 3 distinct"),
+                             ((0, 1.0, 2), r"triple \(0, 1\.0, 2\) has a non-integer vertex"),
+                             (("0", "1", "2"), r"triple \('0', '1', '2'\) has a non-integer vertex")):
             triples = good[:at] + [bad, (4, 3, 3)] + good[at:]
             with pytest.raises(InputError, match=message):
                 build(5, triples)
@@ -90,6 +92,31 @@ class TestBuild:
         for triples in ([(0, 1, 2)] * (bound + 1), itertools.repeat((2, 1, 0))):
             with pytest.raises(InputError, match=f"more than {bound} triples.*MAX_EDGES"):
                 build(4, triples)
+
+    @pytest.mark.parametrize("at", [0, 255, 256, 700])
+    def test_a_stream_is_read_up_to_the_first_bad_triple(self, at):
+        def stream():
+            yield from [(0, 1, 2), (3, 1, 2)] * (at // 2) + [(1, 2, 3)] * (at % 2)
+            yield (4, 3, 3)
+            pytest.fail("build read past the bad triple")
+
+        with pytest.raises(InputError, match=r"triple \(3, 3, 4\) does not have 3 distinct"):
+            build(5, stream())
+
+    @pytest.mark.parametrize("bound", [3, 256, 300])
+    def test_an_endless_stream_is_read_once_past_max_edges(self, monkeypatch, bound):
+        monkeypatch.setattr(dtiling.core, "MAX_EDGES", bound)
+        reads = 0
+
+        def endless():
+            nonlocal reads
+            while True:
+                reads += 1
+                yield (2, 1, 0)
+
+        with pytest.raises(InputError, match=f"more than {bound} triples"):
+            build(4, endless())
+        assert reads == bound + 1
 
     def test_any_iterable_triples(self):
         G = build(5, [iter((2, 1, 0)), {1, 2, 3}, [4, 3, 2], (0, 1, 2)])
@@ -255,6 +282,43 @@ def index_as_sets(links):
     return {u: {v: set(bits_of(bits)) for v, bits in row.items()} for u, row in links.items()}
 
 
+def reference_fault(t: tuple, n: int) -> str | None:
+    """``build``'s message for the triple ``t`` of ints and floats, by the
+    rules it has always applied one triple at a time: sort the vertices,
+    refuse fewer or more than 3 distinct, then a vertex below 0 or at
+    least n; a triple that passes both but holds a float, even one
+    between n - 1 and n, is non-integer."""
+    s = tuple(sorted(t))
+    if len(s) != 3 or len(set(s)) != 3:
+        return f"triple {s} does not have 3 distinct vertices"
+    if min(s) < 0 or max(s) >= n:
+        return f"triple {s} has a vertex outside 0..{n - 1}"
+    if any(isinstance(v, float) for v in s):
+        return f"triple {t} has a non-integer vertex"
+    return None
+
+
+@st.composite
+def salted_triples(draw):
+    """A vertex count and a list of (container, vertices) pairs: mostly
+    sound triples in any vertex order, a few with a repeated vertex, a
+    negative id, an id past n - 1, 2 or 4 vertices, or a float."""
+    n = draw(st.integers(3, 12))
+    vertex = st.integers(0, n - 1)
+    sound = st.lists(vertex, min_size=3, max_size=3, unique=True)
+    bad = st.one_of(
+        st.tuples(vertex, vertex).map(lambda p: [p[0], p[0], p[1]]),
+        st.tuples(st.integers(-3, -1), sound).map(lambda p: [p[0], *p[1][1:]]),
+        st.tuples(st.integers(n, n + 3), sound).map(lambda p: [p[0], *p[1][1:]]),
+        st.lists(vertex, min_size=2, max_size=2),
+        st.lists(vertex, min_size=4, max_size=4),
+        st.tuples(sound, st.sampled_from([0.0, 0.5, 1.0])).map(lambda p: [p[0][0] + p[1], *p[0][1:]]),
+    ).flatmap(st.permutations)  # the fault at any position
+    containers = st.sampled_from([tuple, list, set, iter])
+    triple = st.tuples(containers, st.one_of(*[sound] * 7, bad))  # about one in eight bad
+    return n, draw(st.lists(triple, max_size=20))
+
+
 class TestFill:
     # n up to 80 puts third vertices past one machine word.
     @settings(max_examples=150, deadline=None)
@@ -296,6 +360,29 @@ class TestFill:
         G = build(n, fed)
         assert G.m == len(set(triples))
         assert index_as_sets(G._links) == naive_pair_index(triples)
+
+    @settings(max_examples=200, deadline=None)
+    @given(salted_triples())
+    @example((5, [(tuple, t) for t in itertools.permutations((1, 1, 2))]))
+    @example((5, [(list, (3, 2, 1)), (list, (0, 4, -1))]))
+    @example((5, [(tuple, (0, 1, 2)), (iter, (5, 1, 2)), (tuple, (0, 1, 2))]))
+    @example((5, [(tuple, (1, 5, 2))]))
+    @example((5, [(tuple, (1, 2, 5))]))
+    @example((4, [(tuple, (3.5, 0, 1))]))
+    def test_build_refuses_the_first_bad_triple_or_fills_as_fill_does(self, data):
+        # Each triple is fed as a tuple, list, set or one-shot iterator,
+        # made afresh for each call from the drawn (container, vertices).
+        n, specs = data
+        expected = next(filter(None, (reference_fault(tuple(make(vs)), n) for make, vs in specs)), None)
+        fed = [make(vs) for make, vs in specs]
+        if expected is not None:
+            with pytest.raises(InputError) as refused:
+                build(n, fed)
+            assert str(refused.value) == expected
+        else:
+            G = build(n, fed)
+            links, m, _ = _fill(n, [tuple(make(vs)) for make, vs in specs])
+            assert (G._links, G.m) == (links, m)
 
     @settings(max_examples=100, deadline=None)
     @given(triples_strategy(max_n=80), st.data())
