@@ -1,28 +1,25 @@
 """Command-line front end and the full solving driver.
 
-The driver composes the pieces.  It first finds a maximal D-free set S.
-It grows one greedily at every order.  When that set stops at or below
-3n/4 and G has at most ``EXACT_DFREE_MAX_N`` vertices, auto mode first
-runs the greedy maximal tiling of all of G: a perfect one refutes the
-barrier, since each copy keeps at most 3 of its 4 vertices in a D-free
-set, and is the answer, as branch ``greedy``, with no catalog built and
-no budget node spent.  Otherwise the driver asks an exact decision, not
-an optimum: is there a D-free set above 3n/4?  Forced ``--mode
-extremal`` alone, whose pipeline starts from S, skips the greedy tiling
-and asks next for one of at least the extremal threshold
-t = (1 - eps) 3n/4; S comes from the first witness, else it stays the
-greedy set.  When |S| > 3n/4 the instance is refuted at once by the
-space barrier: every copy of a perfect tiling needs a vertex outside S.
-Else, in auto mode, it runs the extremal pipeline when |S| >= t,
-otherwise sets aside an absorbing family, tiles the rest by the greedy
-maximal tiling, and absorbs the leftover; those steps take their part of
-G as a vertex mask, so no subgraph is copied or relabelled.  In auto
-mode any branch failure falls back to the exact solver on all of G, the
-one exact tiling search of a solve; forced modes report their own stall
-instead.  One ``SearchBudget``, made when the solve starts, is the node
-pool and deadline of every search in it: the certificate's decisions,
-stages Q and T, and the fallback, which stops at once on a spent
-budget.  A quad catalog being listed reads it once per vertex row and
+The driver composes the pieces.  It first grows a maximal D-free set S
+greedily, at every order.  When |S| > 3n/4 the instance is refuted at
+once by the space barrier: every copy of a perfect tiling needs a vertex
+outside S.  When S stops at or below 3n/4 and G has at most
+``GREEDY_TILING_MAX_N`` vertices, auto mode next runs the greedy maximal
+tiling of all of G: a perfect one refutes the barrier, since each copy
+keeps at most 3 of its 4 vertices in a D-free set, and is the answer, as
+branch ``greedy``, with no catalog built and no budget node spent.
+Otherwise auto mode runs the extremal pipeline, seeded by S, when |S| is
+at least the extremal threshold t = (1 - eps) 3n/4, and else sets aside
+an absorbing family, tiles the rest by the greedy maximal tiling, and
+absorbs the leftover; those steps take their part of G as a vertex mask,
+so no subgraph is copied or relabelled.  In auto mode any branch failure
+falls back to the exact solver on all of G, the one exact search of a
+solve and the one quad catalog of G it builds; it also refutes, within
+the budget, an instance whose barrier the greedy set misses.
+Forced modes report their own stall instead.  One ``SearchBudget``,
+made when the solve starts, is the node pool and deadline of every
+search in it: stages Q and T and the fallback, which stops at once on a
+spent budget.  The fallback's catalog reads it once per vertex row and
 stops when it is spent; the greedy set and the greedy tiling run no
 search, nor does the absorption branch, so forced ``--mode absorb``
 ticks none of it.
@@ -61,19 +58,15 @@ from .core import (
     validate_tiling,
 )
 from .exact import (
-    EXHAUSTED,
     FOUND,
     INFEASIBLE,
     NODE_LIMIT,
     TIME_LIMIT,
     SearchBudget,
-    decide_D_free_set,
     perfect_tiling_exact,
-    quad_catalog,
 )
 from .extremal import (
     StageFailure,
-    extend_to_maximal_D_free,
     greedy_D_free_set,
     run_extremal_pipeline,
 )
@@ -88,7 +81,8 @@ from .io import (
 )
 from .localsearch import near_perfect_tiling
 
-EXACT_DFREE_MAX_N = 24
+# Auto mode tries the greedy tiling of all of G only up to this order.
+GREEDY_TILING_MAX_N = 24
 
 EXIT_TILED = 0
 EXIT_INFEASIBLE = 2
@@ -100,7 +94,7 @@ class DriverParams(Record):
     """The settings of one solve; ``mode`` is auto | extremal | absorb |
     exact, and the two limits are the whole solve's ``SearchBudget``."""
 
-    __slots__ = _compared = ("mode", "eps", "alpha", "seed", "node_limit", "time_limit", "collect_timings")
+    __slots__ = _compared = ("mode", "eps", "alpha", "seed", "node_limit", "time_limit")
 
     def __init__(
         self,
@@ -110,7 +104,6 @@ class DriverParams(Record):
         seed: int = 0,
         node_limit: int = NODE_LIMIT,
         time_limit: float = TIME_LIMIT,
-        collect_timings: bool = True,
     ):
         self.mode = mode
         self.eps = eps
@@ -118,7 +111,6 @@ class DriverParams(Record):
         self.seed = seed
         self.node_limit = node_limit
         self.time_limit = time_limit
-        self.collect_timings = collect_timings
 
 
 class DriverResult(Record):
@@ -131,39 +123,6 @@ class DriverResult(Record):
         self.status = status
         self.tiling = tiling
         self.report = {} if report is None else report
-
-
-def _dfree_certificate(
-    G: Hypergraph3, S: tuple[int, ...], threshold: float, budget: SearchBudget, seed_extremal: bool
-):
-    """The exact D-free certificate of a graph of at most
-    ``EXACT_DFREE_MAX_N`` vertices whose greedy D-free set ``S`` stops at
-    or below 3n/4: the maximal D-free set the driver branches on, its
-    report fields, and the quad catalog, None when the budget ran out
-    while it was listed.
-
-    One catalog and the barrier question: is there a D-free set above
-    3n/4?  Only with ``seed_extremal`` (a forced extremal solve, whose
-    pipeline starts from S) does a refutation lead to a second one: is
-    there a set of ``ceil(threshold)`` vertices?  The catalog and both
-    questions take the solve's ``budget``.  The first witness found is
-    extended to a maximal set.  When the last question asked is refuted
-    or the budget runs out, S stays the greedy set.
-    """
-    cat = quad_catalog(G, budget)
-    if not cat.complete:
-        return S, {"method": "exact-budget", "nodes": 0, "outcome": "exhausted"}, None
-    first = budget.nodes
-    barrier = 3 * G.n // 4 + 1
-    for size in (barrier, math.ceil(threshold)) if seed_extremal else (barrier,):
-        res = decide_D_free_set(G, size, budget, cat)
-        if res.status != INFEASIBLE:
-            break
-    if res.status == FOUND:
-        S = extend_to_maximal_D_free(G, res.vertices)
-    outcome = {FOUND: "witness", INFEASIBLE: "refuted", EXHAUSTED: "exhausted"}[res.status]
-    method = "exact-budget" if res.status == EXHAUSTED else "exact"
-    return S, {"method": method, "nodes": budget.nodes - first, "outcome": outcome}, cat
 
 
 def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverResult:
@@ -201,8 +160,7 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
             timings[name] = timings.get(name, 0.0) + (time.perf_counter() - t0) * 1000
 
     def finish(status: str, tiling: Tiling | None) -> DriverResult:
-        if params.collect_timings:
-            report["timings_ms"] = {k: round(v, 3) for k, v in timings.items()}
+        report["timings_ms"] = {k: round(v, 3) for k, v in timings.items()}
         report["verdict"] = status
         if tiling is not None:
             verdict = validate_tiling(G, tiling, require_perfect=True)
@@ -212,24 +170,17 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
 
     extremal_instance = False
     S: tuple[int, ...] = ()
-    catalog = None
     if params.mode in ("auto", "extremal"):
         threshold = (1 - params.eps) * (3 * G.n / 4)
-        # The greedy D-free set comes first, at every order.  Past 3n/4 it
-        # is the space-barrier proof as it stands; larger instances take it
-        # as S, since it is maximal as it stands.
+        # The greedy D-free set is maximal as it stands: past 3n/4 it is
+        # the space-barrier proof, and below it is the S the branches take.
         S = clocked("certificate", greedy_D_free_set, G)
         fields = {"method": "greedy", "nodes": 0, "outcome": "witness" if len(S) >= threshold else "unknown"}
         greedy = None  # a perfect greedy tiling, which refutes the barrier too
-        if G.n <= EXACT_DFREE_MAX_N and 4 * len(S) <= 3 * G.n:
-            if params.mode == "auto":
-                greedy = clocked("greedy_tiling", near_perfect_tiling, G)
-                if 4 * greedy.size < G.n:
-                    greedy = None
-            if greedy is None:
-                S, fields, catalog = clocked(
-                    "certificate", _dfree_certificate, G, S, threshold, budget, params.mode == "extremal"
-                )
+        if params.mode == "auto" and G.n <= GREEDY_TILING_MAX_N and 4 * len(S) <= 3 * G.n:
+            greedy = clocked("greedy_tiling", near_perfect_tiling, G)
+            if 4 * greedy.size < G.n:
+                greedy = None
             else:
                 fields = {"method": "greedy-tiling", "nodes": 0, "outcome": "refuted"}
         extremal_instance = len(S) >= threshold
@@ -278,7 +229,7 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
             report["branch"] = "non-extremal"
             return finish("exhausted", None)
 
-    res = clocked("exact", perfect_tiling_exact, G, budget, catalog=catalog)
+    res = clocked("exact", perfect_tiling_exact, G, budget)
     report["branch"] = "exact-fallback"
     report["exact"] = {"status": res.status, "nodes": res.nodes, "optimal": res.optimal}
     if res.status == FOUND:
@@ -414,10 +365,11 @@ def _cmd_solve(args) -> int:
         seed=args.seed,
         node_limit=args.node_limit,
         time_limit=args.time_limit,
-        collect_timings=not args.no_timings,
     )
     result = solve_driver(G, params)
     report = result.report
+    if args.no_timings:
+        del report["timings_ms"]
     if result.tiling is not None:
         if args.cert:
             write_certificate(result.tiling, args.cert, "perfect")
@@ -460,7 +412,7 @@ def _scan_worker(task: tuple) -> dict:
     n, seed, d = task
     G = random_codegree_instance(n, d, seed)
     t0 = time.perf_counter()
-    result = solve_driver(G, DriverParams(seed=seed, collect_timings=False))
+    result = solve_driver(G, DriverParams(seed=seed))
     ms = (time.perf_counter() - t0) * 1000
     return {"solved": result.status == "tiled", "ms": ms, "branch": result.report["branch"]}
 

@@ -386,11 +386,11 @@ def _reduce(thirds: list) -> tuple[dict, int, bool]:
 def build(n: int, triples) -> Hypergraph3:
     """Build a hypergraph from an iterable of 3-element vertex sets.
 
-    Duplicates collapse silently (set semantics); degenerate,
-    out-of-range or non-integer triples, and more than ``MAX_EDGES``
-    triples (duplicates counted), are rejected.  As in parsed text,
-    vertex ids stop below ``MAX_N`` even when n is larger, which bounds
-    the table of powers.
+    Duplicates collapse silently (set semantics); members that are not
+    iterable, degenerate, out-of-range or non-integer triples, and more
+    than ``MAX_EDGES`` triples (duplicates counted), are rejected.  As in
+    parsed text, vertex ids stop below ``MAX_N`` even when n is larger,
+    which bounds the table of powers.
 
     Each triple is checked inside its own scatter step, a copy of
     ``_fill``'s loop, and the rows go to the shared ``_reduce``.  A
@@ -406,11 +406,12 @@ def build(n: int, triples) -> Hypergraph3:
     power = [1 << i for i in range(top)]
     thirds = [defaultdict(list) for _ in range(top)]
     it = iter(triples)
-    t = None
+    t = []  # what _triple_fault reads as no fault, should the stream fail first
     try:
-        # tuple() keeps a one-shot triple's vertices for the message and
-        # returns a tuple triple itself.
-        for t in map(tuple, itertools.islice(it, MAX_EDGES)):
+        for t in itertools.islice(it, MAX_EDGES):
+            # tuple() keeps a one-shot triple's vertices for the message and
+            # returns a tuple triple itself; when it fails, t stays the member.
+            t = tuple(t)
             a, b, c = t
             if (a | b | c) < 0 or a == b or a == c or b == c:
                 raise ValueError  # named below
@@ -419,8 +420,8 @@ def build(n: int, triples) -> Hypergraph3:
             ra[c].append(power[b])
             thirds[b][c].append(power[a])
     except (TypeError, ValueError, IndexError):
-        fault = None if t is None else _triple_fault(t, top)
-        if fault is None:  # t is sound and scattered: the stream itself failed
+        fault = _triple_fault(t, top)
+        if fault is None:  # t is sound and scattered, or the stream itself failed
             raise
         raise InputError(fault) from None
     for _ in it:
@@ -432,7 +433,14 @@ def build(n: int, triples) -> Hypergraph3:
 def _triple_fault(t: tuple, n: int) -> str | None:
     """The message that refuses ``t`` in ``build``, naming it in sorted
     order where its vertices compare, or None when it is three distinct
-    integer vertices of ``0..n-1``."""
+    integer vertices of ``0..n-1``, or a member that is iterable but
+    failed while ``tuple`` read it."""
+    if not isinstance(t, tuple):
+        try:
+            iter(t)
+        except TypeError:
+            return f"triple {t!r} is not an iterable of vertices"
+        return None
     try:
         s = tuple(sorted(t))
         if len(s) != 3 or not s[0] < s[1] < s[2]:

@@ -36,22 +36,21 @@ That packing also bounds the D-free decision below, which must remove a
 vertex of each, and the complement of ``_greedy_hitting`` is the first
 D-free set of ``max_D_free_set``.
 
-Each search can take the caller's catalog, checked by ``_catalog_on``
-to be one listed on the very graph searched, so one solve builds it
-once.  The perfect tiling search and the D-free decision take only a
-complete catalog, every spanning 4-set of the graph, since a refutation
-on fewer quads proves nothing.  The maximum tiling search packs only the
-quads of the catalog it is given, complete or not: stage Q of the
+The perfect tiling search and the D-free searches list their own
+catalog of G, on the budget they are given, so a refutation always rests
+on every spanning 4-set of G.  Only the maximum tiling search takes a
+caller's catalog, checked by ``_catalog_on`` to be one listed on the very
+graph searched, and packs only its quads, complete or not: stage Q of the
 extremal pipeline is that search on a catalog of the quads with one poor
 (Y) vertex and three of the D-free set.
 
-The driver asks whether a D-free set of a given size exists, not how
-large the largest is: ``decide_D_free_set`` is the bounded search tree of
+``decide_D_free_set`` asks whether a D-free set of a given size exists,
+not how large the largest is: it is the bounded search tree of
 d-Hitting Set (Niedermeier and Rossmanith, 2003) with at most n - size
 removals.  It refutes a branch once its greedy packing needs more
 removals than are left and stops at the first witness.  ``max_D_free_set``
-is a loop of these questions, each asking for one vertex more than the
-last witness, on one budget.
+is a loop of these questions on one catalog, each asking for one vertex
+more than the last witness, on one budget.
 
 A ``SearchBudget`` is a pool of nodes and a deadline, and every search
 ticks the budget it is given once per node: searches handed the same
@@ -61,7 +60,7 @@ maximum searches still return their best effort then, the largest tiling
 or D-free set found so far; the perfect tiling search has no partial
 answer to return.  ``quad_catalog`` reads the budget once per vertex row
 without ticking it, and stops when it is spent; a catalog cut short is
-not complete, so any search that built it answers ``exhausted`` at its
+not complete, so the search that built it answers ``exhausted`` at its
 root, the maximum tiling with the greedy packing of the quads listed.
 
 Sets of at most 16 vertices have their own search, with no subgraph,
@@ -161,11 +160,12 @@ class QuadCatalog(FrozenRecord):
     """Spanning 4-sets of a graph in lexicographic order, with one
     incidence bitset per vertex of the graph: bit i of ``inc[v]`` is set
     iff v is in quad i, so ``bits_of(inc[v])`` lists v's quad ids
-    ascending.  ``graph`` is the graph the quads were listed on; a search
-    takes the catalog only for that very graph.  ``complete`` is True
-    only for ``quad_catalog(G)``, which lists every spanning 4-set of G:
-    the perfect tiling search and the D-free decision prove infeasibility
-    only from a complete catalog.  Equality ignores ``graph``."""
+    ascending.  ``graph`` is the graph the quads were listed on; the
+    maximum tiling search takes a caller's catalog only for that very
+    graph.  ``complete`` is True only for ``quad_catalog(G)`` when it
+    lists every spanning 4-set of G; a search whose own catalog is cut
+    short by its budget answers ``exhausted``.  Equality ignores
+    ``graph``."""
 
     __slots__ = ("quads", "inc", "graph", "complete")
     _compared = ("quads", "inc", "complete")
@@ -287,23 +287,17 @@ def _greedy_packing(cat: QuadCatalog, alive: int, cap: int | None = None) -> lis
     return out
 
 
-def _catalog_on(
-    G: Hypergraph3, catalog: QuadCatalog | None, partial: bool = False, budget: SearchBudget | None = None
-) -> QuadCatalog:
+def _catalog_on(G: Hypergraph3, catalog: QuadCatalog | None, budget: SearchBudget) -> QuadCatalog:
     """``catalog``, checked to be one of G, or ``quad_catalog(G, budget)``
     when it is None, which is not complete if the budget ran out while it
     was listed.  A catalog of another graph, even an equal one, is
-    refused: its quads are not checked against G.  Unless ``partial``, so
-    is one that may lack spanning 4-sets of G, since a search that proves
-    infeasibility on it would prove nothing about G."""
+    refused: its quads are not checked against G."""
     if catalog is None:
         return quad_catalog(G, budget)
     if len(catalog.inc) != G.n:
         raise InputError(f"catalog has {len(catalog.inc)} vertices, the graph {G.n}")
     if catalog.graph is not G:
         raise InputError("catalog was built on another graph")
-    if not (partial or catalog.complete):
-        raise InputError("catalog is not complete: this search takes only quad_catalog(G)")
     return catalog
 
 
@@ -366,28 +360,22 @@ def _packing_search(
     return status, best
 
 
-def perfect_tiling_exact(
-    G: Hypergraph3,
-    budget: SearchBudget | None = None,
-    catalog: QuadCatalog | None = None,
-) -> TilingSearchResult:
+def perfect_tiling_exact(G: Hypergraph3, budget: SearchBudget | None = None) -> TilingSearchResult:
     """Exact search for a perfect tiling of all of G: the packing search
-    held to n/4 quads, from no warm start.  To search part of G, run it on
-    ``induced_subgraph`` of that part.
+    held to n/4 quads, from no warm start, on the catalog of G it lists
+    on ``budget``.  To search part of G, run it on ``induced_subgraph`` of
+    that part.
 
     ``infeasible`` is returned only when the search space is exhausted,
     ``exhausted`` when the budget ran out first; a budget already spent
     stops at the root, before the catalog is built, and one spent while
     the catalog is listed stops there, with the rest unlisted.
-    ``catalog``, when given, must be ``quad_catalog(G)``; it spares
-    building it again.  A catalog that is not complete raises
-    ``InputError``.
     """
     if G.n % 4:
         raise InputError(f"perfect tiling needs 4 | n, got n={G.n}")
     budget = budget or SearchBudget()
     first = budget.nodes
-    cat = None if budget.spent else _catalog_on(G, catalog, budget=budget)
+    cat = None if budget.spent else quad_catalog(G, budget)
     if cat is None or not cat.complete:  # the root node stops
         budget.tick()
         return TilingSearchResult(status=EXHAUSTED, tiling=None, nodes=budget.nodes - first)
@@ -466,7 +454,7 @@ def max_tiling_exact(
     """
     budget = budget or SearchBudget()
     first = budget.nodes
-    cat = _catalog_on(G, catalog, partial=True, budget=budget)
+    cat = _catalog_on(G, catalog, budget)
     best = _greedy_packing(cat, cat.all_quads)
     if cat.complete or catalog is not None:
         free = mask_of(v for v, row in enumerate(cat.inc) if row)
@@ -484,16 +472,14 @@ def max_tiling_exact(
 def max_D_free_set(G: Hypergraph3, budget: SearchBudget | None = None) -> SetSearchResult:
     """Maximum vertex set inducing no copy.
 
-    A loop of ``decide_D_free_set`` questions on one catalog: starting
-    from the complement of the greedy hitting set, it asks for one vertex
-    more than the best set so far until a question is refuted (the best
-    set is the optimum) or runs out of budget (the best set is best
-    effort).  All questions tick ``budget``; a budget that runs out while
-    the catalog is listed stops the search at its root, with no question
-    asked and the empty set as its best effort.  Intended for small
-    orders (roughly n <= 24).  The driver does not call it: it only needs
-    to know whether a set of a given size exists, which
-    ``decide_D_free_set`` answers.
+    A loop of D-free questions on one catalog, listed on ``budget``:
+    starting from the complement of the greedy hitting set, it asks for
+    one vertex more than the best set so far until a question is refuted
+    (the best set is the optimum) or runs out of budget (the best set is
+    best effort).  All questions tick ``budget``; a budget that runs out
+    while the catalog is listed stops the search at its root, with no
+    question asked and the empty set as its best effort.  Intended for
+    small orders (roughly n <= 24).  The driver does not call it.
     """
     budget = budget or SearchBudget()
     first = budget.nodes
@@ -503,7 +489,7 @@ def max_D_free_set(G: Hypergraph3, budget: SearchBudget | None = None) -> SetSea
         return SetSearchResult(status=EXHAUSTED, vertices=(), nodes=budget.nodes - first)
     hit = _greedy_hitting(cat, cat.all_quads, range(G.n))
     best = tuple(v for v in range(G.n) if not ((hit >> v) & 1))
-    while (res := decide_D_free_set(G, len(best) + 1, budget, cat)).status == FOUND:
+    while (res := _decide(G, cat, len(best) + 1, budget)).status == FOUND:
         best = res.vertices
     if not is_D_free(G, best):
         raise AssertionError("maximum D-free search returned a set that spans a copy")
@@ -514,35 +500,38 @@ def max_D_free_set(G: Hypergraph3, budget: SearchBudget | None = None) -> SetSea
     )
 
 
-def decide_D_free_set(
-    G: Hypergraph3,
-    size: int,
-    budget: SearchBudget | None = None,
-    catalog: QuadCatalog | None = None,
-) -> SetSearchResult:
+def decide_D_free_set(G: Hypergraph3, size: int, budget: SearchBudget | None = None) -> SetSearchResult:
     """Whether G has a D-free set of at least ``size`` vertices.
 
     A hitting set of at most k = n - size vertices must meet every
-    spanning quad.  The search branches on the four vertices of the first
-    unhit quad, and a branch dies as soon as its greedy packing, capped at
-    k - count + 1 quads, needs more removals than are left; the search
-    stops at the first witness.
+    spanning quad of the catalog of G, listed on ``budget``.  The search
+    branches on the four vertices of the first unhit quad, and a branch
+    dies as soon as its greedy packing, capped at k - count + 1 quads,
+    needs more removals than are left; the search stops at the first
+    witness.
     ``found`` carries the witness (the vertices not removed, at least
     ``size`` of them), ``infeasible`` is a proof that no such set exists,
     and ``exhausted`` means the budget ran out first, including while the
-    search listed its own catalog.  ``catalog``, when given, must be
-    ``quad_catalog(G)``: a catalog that is not complete raises
-    ``InputError``.
+    search listed its catalog.
     """
     budget = budget or SearchBudget()
+    if size > G.n:
+        return SetSearchResult(status=INFEASIBLE, vertices=(), nodes=0)
+    first = budget.nodes
+    cat = quad_catalog(G, budget)
+    if not cat.complete:  # the root node stops
+        budget.tick()
+        return SetSearchResult(status=EXHAUSTED, vertices=(), nodes=budget.nodes - first)
+    return _decide(G, cat, size, budget)
+
+
+def _decide(G: Hypergraph3, cat: QuadCatalog, size: int, budget: SearchBudget) -> SetSearchResult:
+    """The D-free decision of ``decide_D_free_set`` on G's complete
+    catalog ``cat``."""
     tick, first = budget.tick, budget.nodes
     k = G.n - size
     if k < 0:
         return SetSearchResult(status=INFEASIBLE, vertices=(), nodes=0)
-    cat = _catalog_on(G, catalog, budget=budget)
-    if not cat.complete:  # the root node stops
-        tick()
-        return SetSearchResult(status=EXHAUSTED, vertices=(), nodes=budget.nodes - first)
     witness = 0
 
     def rec(removed: int, alive: int, banned: int, count: int) -> str:

@@ -2,7 +2,7 @@
 
 The search runs on a vertex mask ``within`` of G and places copies in
 G's own ids.  Auto mode passes all of G on at most
-``EXACT_DFREE_MAX_N`` vertices, where a perfect tiling is the answer;
+``cli.GREEDY_TILING_MAX_N`` vertices, where a perfect tiling is the answer;
 the absorption branch passes all vertices outside the absorbing family.
 It takes the canonical-first spanning 4-set at the lowest vertex that
 still owns one, until no vertex does: the first quad that

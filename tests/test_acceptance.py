@@ -124,7 +124,7 @@ def test_criterion_4_dfree_bound_at_codegree_threshold(capsys):
 def run_extremal_batch():
     certs = {}
     for n in (8, 16, 24, 40):
-        res = solve_driver(planted_extremal(n), DriverParams(seed=0, collect_timings=False))
+        res = solve_driver(planted_extremal(n), DriverParams(seed=0))
         certs[n] = (res, format_certificate(res.tiling, "perfect") if res.tiling else None)
     return certs
 
@@ -170,7 +170,7 @@ def run_absorption_batch():
     certs = {}
     for n, d, seed in ABSORPTION_CASES:
         G = random_codegree_instance(n, d, seed=seed)
-        res = solve_driver(G, DriverParams(seed=seed, collect_timings=False))
+        res = solve_driver(G, DriverParams(seed=seed))
         certs[(n, seed)] = (res, format_certificate(res.tiling) if res.tiling else None)
     return certs
 

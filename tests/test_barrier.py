@@ -36,7 +36,7 @@ def relabelled(G, seed):
 
 
 def solve(G, mode="auto"):
-    return solve_driver(G, DriverParams(mode=mode, collect_timings=False))
+    return solve_driver(G, DriverParams(mode=mode))
 
 
 def check_barrier_verdict(G, res):
@@ -93,8 +93,8 @@ def test_random_near_threshold_barrier_verdicts_hold():
 
 
 def test_sparse_random_barrier_exactly_when_the_optimum_passes_3n_4():
-    # Up to EXACT_DFREE_MAX_N vertices the driver decides the question
-    # exactly, so it reaches the barrier on every instance that has one.
+    # On these graphs the greedy set reaches the barrier on every instance
+    # that has one.
     rng = random.Random(3)
     barriers = 0
     for _ in range(60):
@@ -112,59 +112,31 @@ def test_sparse_random_barrier_exactly_when_the_optimum_passes_3n_4():
 @pytest.mark.parametrize(
     "node_limit, fields",
     [
-        # A forced extremal solve asks two questions to seed its pipeline:
-        # the barrier one refutes in 1 node, the threshold one in 210.
-        (10_000_000, {"method": "exact", "nodes": 211, "outcome": "refuted"}),
-        # The decisions share the solve's budget: the barrier question
-        # spends 1 node, the threshold one the 99 left plus the tick over
-        # them.
-        (100, {"method": "exact-budget", "nodes": 101, "outcome": "exhausted"}),
+        # No node limit moves the set: the driver asks no D-free question.
+        (10_000_000, {"method": "greedy", "nodes": 0, "outcome": "unknown"}),
+        (100, {"method": "greedy", "nodes": 0, "outcome": "unknown"}),
     ],
 )
 def test_undecided_certificate_falls_back_to_the_greedy_set(node_limit, fields):
     G = random_codegree_instance(16, 4, 7)
     greedy = extend_to_maximal_D_free(G, greedy_D_free_set(G))
     expected = {"size": len(greedy), "threshold": 9.0, "extremal": False}
-    res = solve_driver(G, DriverParams(mode="extremal", node_limit=node_limit, collect_timings=False))
+    res = solve_driver(G, DriverParams(mode="extremal", node_limit=node_limit))
     assert res.report["dfree"] == {**expected, **fields}
     # Seeded by the greedy set, stage R runs out of free Z vertices.
     assert res.status == "exhausted" and res.report["branch"] == "extremal"
     assert res.report["attempts"][-1]["reason"].startswith("stage R:")
-    # Auto mode asks only the barrier question and routes on the greedy
-    # set, so the fallback gets all but its 5 nodes and tiles.  G's greedy
-    # tiling is perfect and would end the solve before any question, so
-    # auto mode runs on a graph whose greedy tiling leaves vertices.
+    # Auto mode routes on the same set, so the fallback gets the whole
+    # budget and tiles in 6 nodes.  G's greedy tiling is perfect and would
+    # end the solve first, so auto mode runs on a graph whose greedy
+    # tiling leaves vertices.
     G = random_codegree_instance(16, 4, 2)
     greedy = extend_to_maximal_D_free(G, greedy_D_free_set(G))
     expected = {"size": len(greedy), "threshold": 9.0, "extremal": False}
-    res = solve_driver(G, DriverParams(node_limit=node_limit, collect_timings=False))
-    assert res.report["dfree"] == {**expected, "method": "exact", "nodes": 5, "outcome": "refuted"}
+    res = solve_driver(G, DriverParams(node_limit=node_limit))
+    assert res.report["dfree"] == {**expected, **fields}
     assert res.status == "tiled" and res.report["branch"] == "exact-fallback"
-
-
-def test_a_spent_certificate_budget_stops_the_second_question_at_once():
-    # The barrier question refutes in the one node allowed, so a forced
-    # extremal solve asks the threshold question on a spent budget, and
-    # it stops at its first tick.
-    G = random_codegree_instance(16, 4, 7)
-    greedy = extend_to_maximal_D_free(G, greedy_D_free_set(G))
-    expected = {"size": len(greedy), "threshold": 9.0, "extremal": False}
-    res = solve_driver(G, DriverParams(mode="extremal", node_limit=1, collect_timings=False))
-    fields = {"method": "exact-budget", "nodes": 2, "outcome": "exhausted"}
-    assert res.report["dfree"] == {**expected, **fields}
-    assert res.status == "exhausted"
-    # Auto mode asks no second question.  On a graph whose greedy tiling
-    # leaves vertices, the barrier question, which needs 5 nodes, spends
-    # the one node and the tick past it, and the fallback stops at its
-    # first node.
-    G = random_codegree_instance(16, 4, 2)
-    greedy = extend_to_maximal_D_free(G, greedy_D_free_set(G))
-    expected = {"size": len(greedy), "threshold": 9.0, "extremal": False}
-    res = solve_driver(G, DriverParams(node_limit=1, collect_timings=False))
-    fields = {"method": "exact-budget", "nodes": 2, "outcome": "exhausted"}
-    assert res.report["dfree"] == {**expected, **fields}
-    assert res.status == "exhausted" and res.report["branch"] == "exact-fallback"
-    assert res.report["exact"] == {"status": "exhausted", "nodes": 1, "optimal": False}
+    assert res.report["exact"] == {"status": "found", "nodes": 6, "optimal": True}
 
 
 def test_forced_extremal_mode_stops_at_the_barrier():
@@ -208,10 +180,11 @@ class TestCallCounts:
         ids=["random16-3", "random16-5", "random20-4", "random20-6", "planted-24"],
     )
     def test_one_catalog_per_solve(self, make, monkeypatch):
-        # The certificate's decisions and the exact fallback share one
-        # catalog of G; the absorption layer's own subgraphs are not G.
-        # Each graph's greedy tiling leaves vertices, so the solve gets as
-        # far as the catalog.
+        # Only the exact fallback lists a catalog of G, so a solve lists at
+        # most one; the absorption layer's own subgraphs are not G.  Each
+        # graph's greedy tiling leaves vertices, so the greedy branch does
+        # not end the solve; the planted one tiles by the extremal branch
+        # and lists none.
         G = make()
         calls = []
 
@@ -222,7 +195,7 @@ class TestCallCounts:
         original = patch_everywhere(monkeypatch, "quad_catalog", counting)
         res = solve(G)
         assert res.status in ("tiled", "infeasible")
-        assert sum(calls) == 1
+        assert sum(calls) == (res.report["branch"] == "exact-fallback")
 
     @pytest.mark.parametrize(
         "make",
@@ -235,7 +208,7 @@ class TestCallCounts:
         ids=["g0-20", "g1-24", "g0-32", "g1-40"],
     )
     def test_large_witnesses_need_no_search(self, make, monkeypatch):
-        # The greedy set is the witness, below EXACT_DFREE_MAX_N as above.
+        # The greedy set is the witness, up to GREEDY_TILING_MAX_N as above.
         for name in ("quad_catalog", "decide_D_free_set", "max_D_free_set", "perfect_tiling_exact"):
 
             def refuse(*args, _name=name, **kwargs):
@@ -251,8 +224,8 @@ class TestCallCounts:
         ids=["g0-20", "random16-4"],
     )
     def test_one_greedy_set_per_solve(self, make, monkeypatch):
-        # The barrier solve keeps the greedy set; the refuted certificate
-        # falls back to the one it grew before the search.
+        # The barrier solve and the solve routed on the greedy set both
+        # grow it once.
         G = make()
         calls = []
 
@@ -298,7 +271,6 @@ class TestGreedyTiling:
             raise AssertionError("built a quad catalog")
 
         monkeypatch.setattr(dtiling.exact, "quad_catalog", refuse)
-        monkeypatch.setattr(dtiling.cli, "quad_catalog", refuse)
         for G in (random_codegree_instance(16, 4, 7), random_codegree_instance(20, 6, 14)):
             assert solve(G).report["branch"] == "greedy"
 
@@ -324,10 +296,12 @@ def sparse_instance(n, m, seed):
 
 
 def test_a_barrier_the_greedy_set_misses_is_found_by_search(monkeypatch):
-    # Greedy stops at 9 = 3n/4 vertices here, the optimum has 10, so only
-    # the exact decision reaches the barrier, on the solve's one catalog.
+    # Greedy stops at 9 = 3n/4 vertices here and the optimum has 10.  The
+    # greedy set routes the solve to the extremal branch, which fails, and
+    # the exact fallback refutes G at its root on the solve's one catalog.
     G = sparse_instance(12, 12, 10)
     assert len(greedy_D_free_set(G)) == 9 and len(max_D_free_set(G).vertices) == 10
+    assert naive_perfect_partition(G.n, sorted(G.edges)) is None
     calls = []
 
     def counting(H, *args):
@@ -336,14 +310,15 @@ def test_a_barrier_the_greedy_set_misses_is_found_by_search(monkeypatch):
 
     original = patch_everywhere(monkeypatch, "quad_catalog", counting)
     res = solve(G)
-    check_barrier_verdict(G, res)
+    assert res.status == "infeasible" and res.report["branch"] == "exact-fallback"
+    assert res.report["exact"] == {"status": "infeasible", "nodes": 1, "optimal": True}
     assert calls == [True]
     dfree = res.report["dfree"]
-    assert (dfree["method"], dfree["outcome"]) == ("exact", "witness") and dfree["nodes"] > 0
+    assert (dfree["method"], dfree["nodes"], dfree["size"]) == ("greedy", 0, 9)
 
 
 def verdict_corpus():
-    """Instances of at most ``EXACT_DFREE_MAX_N`` vertices: random ones with
+    """Instances of at most ``GREEDY_TILING_MAX_N`` vertices: random ones with
     d in {1, n/4 - 1, n/4, n/4 + 1, n/3}, G0, G1 and planted ones, and
     sparse graphs, some of them infeasible below the barrier."""
     for n in range(8, 25, 4):
@@ -361,13 +336,12 @@ def verdict_corpus():
 
 
 def test_auto_and_exact_verdicts_agree_up_to_24_vertices():
-    # Auto mode answers by a perfect greedy tiling, else asks the
-    # certificate only the barrier question and routes on the greedy set;
-    # whatever branch that picks, the verdict is the exact search's, and
-    # up to 12 vertices the naive partition search's.
+    # Auto mode answers by a perfect greedy tiling, else routes on the
+    # greedy set; whatever branch that picks, the verdict is the exact
+    # search's, and up to 12 vertices the naive partition search's.
     verdicts, branches = set(), set()
     for G in verdict_corpus():
-        assert G.n <= dtiling.cli.EXACT_DFREE_MAX_N
+        assert G.n <= dtiling.cli.GREEDY_TILING_MAX_N
         res = solve(G)
         assert res.status == solve(G, mode="exact").status
         if G.n <= 12:

@@ -7,11 +7,9 @@ import pytest
 
 from dtiling import (
     DriverParams,
-    InputError,
     SearchBudget,
     construct_G0,
     construct_G1,
-    perfect_tiling_exact,
     planted_extremal,
     quad_catalog,
     random_codegree_instance,
@@ -30,7 +28,6 @@ INSTANCES = {
 
 # The budgeted searches as the driver and the extremal pipeline call them.
 SEARCHES = [
-    (cli, "decide_D_free_set"),
     (cli, "perfect_tiling_exact"),
     (extremal, "max_tiling_exact"),
     (extremal, "four_partite_perfect_matching"),
@@ -65,7 +62,7 @@ def recorded(monkeypatch):
 @pytest.mark.parametrize("make", INSTANCES.values(), ids=INSTANCES.keys())
 def test_one_budget_per_solve(recorded, make, mode, node_limit):
     budgets, searches = recorded
-    solve_driver(make(), DriverParams(mode=mode, node_limit=node_limit, collect_timings=False))
+    solve_driver(make(), DriverParams(mode=mode, node_limit=node_limit))
     assert len(budgets) == 1
     (budget,) = budgets
     assert all(b is budget for b, _ in searches)
@@ -73,23 +70,21 @@ def test_one_budget_per_solve(recorded, make, mode, node_limit):
     assert budget.nodes <= node_limit + len(searches)
 
 
-def test_the_fallback_gets_what_the_certificate_left(recorded):
-    # Auto mode's one certificate question spends the 1-node budget and
-    # the tick past it, so the fallback stops at its first node instead
-    # of tiling.  The graph's greedy tiling leaves vertices, so the solve
-    # asks the question.
+def test_the_fallback_gets_the_whole_budget(recorded):
+    # Auto mode asks no question before its branches, so on a 1-node
+    # budget the fallback spends the node and the tick past it, and stops.
+    # The graph's greedy tiling leaves vertices, so the fallback runs.
     budgets, searches = recorded
     res = solve_driver(random_codegree_instance(16, 4, 2), DriverParams(node_limit=1))
     assert res.status == "exhausted" and res.report["branch"] == "exact-fallback"
-    assert [nodes for _, nodes in searches] == [2, 1]
-    assert budgets[0].nodes == 3
-    # A forced extremal solve asks two questions, which spend 101 nodes of
-    # a 100-node budget, so stage Q stops at its first node.
+    assert [nodes for _, nodes in searches] == [2]
+    assert budgets[0].nodes == 2
+    # A forced extremal solve spends nothing before stage Q either.
     searches.clear()
     res = solve_driver(random_codegree_instance(16, 4, 7), DriverParams(mode="extremal", node_limit=100))
     assert res.status == "exhausted" and res.report["branch"] == "extremal"
-    assert [nodes for _, nodes in searches] == [1, 100, 1]
-    assert budgets[1].nodes == 102
+    assert [nodes for _, nodes in searches] == [29]
+    assert budgets[1].nodes == 29
     assert solve_driver(random_codegree_instance(16, 4, 2)).status == "tiled"
 
 
@@ -101,7 +96,7 @@ def test_a_spent_budget_builds_no_fallback_catalog(monkeypatch):
         raise AssertionError("built a quad catalog on a spent budget")
 
     monkeypatch.setattr(exact, "quad_catalog", refuse)
-    res = solve_driver(planted_extremal(64), DriverParams(time_limit=1e-6, collect_timings=False))
+    res = solve_driver(planted_extremal(64), DriverParams(time_limit=1e-6))
     assert res.status == "exhausted" and res.report["branch"] == "exact-fallback"
     assert res.report["exact"] == {"status": "exhausted", "nodes": 1, "optimal": False}
 
@@ -144,9 +139,6 @@ def test_the_catalog_stops_on_a_spent_budget(rows):
     assert rows == [0, 1, 2] and not cat.complete and budget.nodes == 0
     full = (1 << G.n) - 1
     assert cat.quads == tuple(q for v in range(3) for q in spanning_quads_at(G, v, full & -(2 << v)))
-    # A caller-given incomplete catalog is still refused.
-    with pytest.raises(InputError, match="not complete"):
-        perfect_tiling_exact(G, catalog=cat)
 
 
 @pytest.mark.parametrize("search", ["decide", "max_D_free", "max_tiling"])
@@ -178,13 +170,11 @@ def test_searches_that_list_their_own_catalog_stop_on_a_spent_budget(monkeypatch
 
 
 def test_caller_given_incomplete_catalogs_keep_their_rules(rows):
-    # The D-free decision refuses an incomplete catalog; the maximum
-    # tiling search packs it, as stage Q's catalogs are packed.
+    # Only the maximum tiling search takes a caller's catalog, and it
+    # packs an incomplete one, as stage Q's catalogs are packed.
     G = planted_extremal(32)
     cat = quad_catalog(G, SpentAfter(3))
     assert not cat.complete
-    with pytest.raises(InputError, match="not complete"):
-        exact.decide_D_free_set(G, 25, catalog=cat)
     res = exact.max_tiling_exact(G, SearchBudget(), cat)
     assert res.status == "found" and res.tiling.size == 3
 
@@ -194,25 +184,7 @@ def test_a_budget_spent_while_the_fallback_catalog_is_listed(monkeypatch, rows):
     # after 3 rows, it answers exhausted in its root node and lists no
     # more rows.
     monkeypatch.setattr(cli, "SearchBudget", lambda *args: SpentAfter(4))
-    res = solve_driver(planted_extremal(64), DriverParams(mode="exact", collect_timings=False))
+    res = solve_driver(planted_extremal(64), DriverParams(mode="exact"))
     assert res.status == "exhausted" and res.report["branch"] == "exact-fallback"
     assert res.report["exact"] == {"status": "exhausted", "nodes": 1, "optimal": False}
     assert rows == [0, 1, 2]
-
-
-def test_a_budget_spent_while_the_certificate_catalog_is_listed(monkeypatch, rows):
-    # The greedy tiling of this graph leaves vertices, so auto mode lists
-    # the certificate's catalog.  Spent after 2 rows, it asks no question,
-    # S stays the greedy set, and the fallback builds no catalog.
-    def refuse(*args, **kwargs):
-        raise AssertionError("asked a D-free question on a spent budget")
-
-    monkeypatch.setattr(cli, "decide_D_free_set", refuse)
-    monkeypatch.setattr(cli, "SearchBudget", lambda *args: SpentAfter(2))
-    G = random_codegree_instance(16, 4, 2)
-    res = solve_driver(G, DriverParams(collect_timings=False))
-    dfree = res.report["dfree"]
-    assert (dfree["method"], dfree["nodes"], dfree["outcome"]) == ("exact-budget", 0, "exhausted")
-    assert res.status == "exhausted" and res.report["branch"] == "exact-fallback"
-    assert res.report["exact"] == {"status": "exhausted", "nodes": 1, "optimal": False}
-    assert rows == [0, 1]

@@ -118,6 +118,29 @@ class TestBuild:
             build(4, endless())
         assert reads == bound + 1
 
+    @pytest.mark.parametrize("member", [5, None, 2.5])
+    def test_a_member_that_is_not_iterable_is_named(self, member):
+        for triples in ([member], [(0, 1, 2), member, (0, 1, 2)], iter([(2, 1, 0), member])):
+            with pytest.raises(InputError, match=rf"^triple {member!r} is not an iterable of vertices$"):
+                build(3, triples)
+
+    def test_a_type_error_of_the_stream_itself_propagates(self):
+        # The caller's generator fails, before any triple and after one;
+        # so does an iterable triple that fails while it is read.
+        def stream(head):
+            yield from head
+            raise TypeError("the stream's own fault")
+
+        def failing_triple():
+            yield 0
+            raise TypeError("the triple's own fault")
+
+        for head in ([], [(0, 1, 2)]):
+            with pytest.raises(TypeError, match="the stream's own fault"):
+                build(3, stream(head))
+        with pytest.raises(TypeError, match="the triple's own fault"):
+            build(3, [(0, 1, 2), failing_triple()])
+
     def test_any_iterable_triples(self):
         G = build(5, [iter((2, 1, 0)), {1, 2, 3}, [4, 3, 2], (0, 1, 2)])
         assert G.edges == {(0, 1, 2), (1, 2, 3), (2, 3, 4)}

@@ -135,34 +135,6 @@ class TestPerfect:
         res = perfect_tiling_exact(planted_extremal(32), SearchBudget(time_limit=1e-9))
         assert (res.status, res.nodes) == ("exhausted", 1)
 
-    def test_catalog_of_another_order_is_refused(self):
-        with pytest.raises(InputError, match="vertices"):
-            perfect_tiling_exact(complete_3graph(8), catalog=quad_catalog(complete_3graph(12)))
-
-    def test_catalog_of_another_graph_is_refused(self):
-        # G0(16)'s catalog lacks quads of K16; taken as K16's own, the
-        # search refuted a tiling that exists.
-        K = complete_3graph(16)
-        with pytest.raises(InputError, match="another graph"):
-            perfect_tiling_exact(K, catalog=quad_catalog(construct_G0(16)))
-        assert perfect_tiling_exact(K, catalog=quad_catalog(K)).status == "found"
-
-    def test_incomplete_catalog_is_refused(self):
-        # An empty catalog listed on K8 itself: the perfect search answered
-        # infeasible though K8 tiles, and the decision failed an assertion
-        # on the set of all 8 vertices it took for a witness.  The maximum
-        # search still packs whatever catalog it is handed.
-        K = complete_3graph(8)
-        partial = QuadCatalog.of(K, 255, [])
-        with pytest.raises(InputError, match="not complete"):
-            perfect_tiling_exact(K, catalog=partial)
-        with pytest.raises(InputError, match="not complete"):
-            decide_D_free_set(K, 4, catalog=partial)
-        assert perfect_tiling_exact(K, catalog=quad_catalog(K)).status == "found"
-        assert decide_D_free_set(K, 4, catalog=quad_catalog(K)).status == "infeasible"
-        res = max_tiling_exact(K, catalog=partial)
-        assert (res.status, res.tiling.size) == ("found", 0)
-
     def test_dense_planted_mask_nodes_pinned(self):
         # 8 of the 10 side vertices of planted_extremal(40) and 24 bulk
         # vertices: tileable, and dense enough that the catalog has tens of
@@ -222,6 +194,9 @@ class TestMaxTiling:
         G = random_codegree_instance(16, 4, 3)
         with pytest.raises(InputError, match="catalog has 8 vertices"):
             max_tiling_exact(G, catalog=quad_catalog(complete_3graph(8)))
+        # A catalog listed on another graph, even an equal one, is refused.
+        with pytest.raises(InputError, match="another graph"):
+            max_tiling_exact(G, catalog=quad_catalog(random_codegree_instance(16, 4, 3)))
         # A catalog of G's quads inside part of G, listed from the
         # induced subgraph's catalog, packs as many as that subgraph holds.
         H, mapping = induced_subgraph(G, range(4, 16))
@@ -760,34 +735,28 @@ class TestDecision:
         res = decide_D_free_set(G, 12, SearchBudget(node_limit=3))
         assert (res.status, res.nodes, res.vertices) == ("exhausted", 4, ())
 
-    def test_foreign_catalog_is_refused(self):
-        # A catalog of K8 holds none of G0(16)'s quads; taken as G0(16)'s
-        # own, the decision would refute a set that exists.
-        G = construct_G0(16)
-        assert decide_D_free_set(G, 13).status == "found"
-        with pytest.raises(InputError, match="catalog has 8 vertices"):
-            decide_D_free_set(G, 13, catalog=quad_catalog(complete_3graph(8)))
-
-    def test_catalog_of_another_graph_is_refused(self):
-        # K16 has every quad of G0(16) and more; taken as G0(16)'s own
-        # catalog, the decision refuted a set that exists.
-        G = construct_G0(16)
-        with pytest.raises(InputError, match="another graph"):
-            decide_D_free_set(G, 13, catalog=quad_catalog(complete_3graph(16)))
-        with pytest.raises(InputError, match="another graph"):
-            decide_D_free_set(G, 13, catalog=quad_catalog(construct_G0(16)))
-        assert decide_D_free_set(G, 13, catalog=quad_catalog(G)).status == "found"
-
     def test_catalog_is_reused(self, monkeypatch):
-        G = construct_G0(16)
-        cat = quad_catalog(G)
+        # max_D_free_set lists one catalog of G and asks every question on
+        # it: here the greedy start has 5 vertices, a set of 6 is found and
+        # one of 7 refuted.
+        G = random_codegree_instance(12, 2, 3)
+        listed, asked = [], []
+        list_catalog, decide = dtiling.exact.quad_catalog, dtiling.exact._decide
 
-        def refuse(G):
-            raise AssertionError("quad_catalog rebuilt")
+        def counting_list(H, budget):
+            listed.append(H)
+            return list_catalog(H, budget)
 
-        monkeypatch.setattr(dtiling.exact, "quad_catalog", refuse)
-        assert decide_D_free_set(G, 13, catalog=cat).status == "found"
-        assert perfect_tiling_exact(G, catalog=cat).status == "infeasible"
+        def counting_decide(H, cat, size, budget):
+            asked.append(cat)
+            return decide(H, cat, size, budget)
+
+        monkeypatch.setattr(dtiling.exact, "quad_catalog", counting_list)
+        monkeypatch.setattr(dtiling.exact, "_decide", counting_decide)
+        res = max_D_free_set(G)
+        assert (res.status, len(res.vertices)) == ("found", 6)
+        assert listed == [G]
+        assert len(asked) == 2 and asked[0] is asked[1]
 
 
 def complete_four_partite(m):

@@ -401,7 +401,7 @@ class TestCanonicalWitnesses:
             for seed in range(4)
         ]
         for G in graphs + [s_stage_gadget()]:
-            res = solve_driver(G, DriverParams(mode=mode, collect_timings=False))
+            res = solve_driver(G, DriverParams(mode=mode))
             if res.tiling is not None:
                 assert_canonical(G, res.tiling)
                 if res.report["branch"] == "extremal":
@@ -415,7 +415,7 @@ class TestCanonicalWitnesses:
         for G in (r_stage_gadget(), s_stage_gadget()):
             assert_canonical(G, run_extremal_pipeline(G, range(4, 12))[0])
             for mode in ("auto", "extremal"):
-                res = solve_driver(G, DriverParams(mode=mode, collect_timings=False))
+                res = solve_driver(G, DriverParams(mode=mode))
                 if res.tiling is not None:
                     assert_canonical(G, res.tiling)
 

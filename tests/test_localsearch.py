@@ -105,7 +105,7 @@ DENSE_LEFTOVERS = {
 def test_dense_reports_stall_without_classifying(benchmark_instances, seed):
     # The report holds the greedy tiling's leftover and nothing else.
     reports = [
-        solve_driver(parse_instance(inst.text), DriverParams(collect_timings=False)).report["local_search"]
+        solve_driver(parse_instance(inst.text), DriverParams()).report["local_search"]
         for inst in benchmark_instances("dense", seed)
     ]
     assert reports == [{"leftover": leftover} for leftover in DENSE_LEFTOVERS[seed]]

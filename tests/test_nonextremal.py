@@ -129,7 +129,8 @@ GOLDEN = [
 def test_golden(args, report, cert):
     # Pinned full report and certificate bytes of the non-extremal branch:
     # family RNG stream, greedy tiling of the rest, leftover, absorption.
-    result = solve_driver(random_codegree_instance(*args), DriverParams(collect_timings=False))
+    result = solve_driver(random_codegree_instance(*args), DriverParams())
+    del result.report["timings_ms"]  # wall clock, not pinned
     assert json.dumps(result.report, sort_keys=True) == json.dumps(report, sort_keys=True)
     assert format_certificate(result.tiling, "perfect") == cert
 
@@ -173,7 +174,7 @@ def test_solve_never_estimates_sigma(monkeypatch, benchmark_workloads, benchmark
     )
     for inst in benchmark_instances(workload, 0):
         G = dtiling.parse_instance(inst.text)
-        result = solve_driver(G, DriverParams(collect_timings=False))
+        result = solve_driver(G, DriverParams())
         if inst.expect == benchmark_workloads.DECIDED:
             assert result.status in ("tiled", "infeasible"), inst.id
         else:
@@ -185,7 +186,7 @@ def test_solve_never_estimates_sigma(monkeypatch, benchmark_workloads, benchmark
 @pytest.mark.parametrize("args", [(48, 16, 0), (48, 16, 8), (64, 22, 0)])
 def test_solve_builds_no_subgraph(no_relabel, args):
     G = random_codegree_instance(*args)
-    result = solve_driver(G, DriverParams(collect_timings=False))
+    result = solve_driver(G, DriverParams())
     assert result.report["branch"] == "non-extremal"
     assert validate_tiling(G, result.tiling, require_perfect=True).ok
 
@@ -208,7 +209,7 @@ def test_failed_absorption_falls_back_to_one_whole_graph_search(monkeypatch, abs
 
     monkeypatch.setattr(cli, "perfect_tiling_exact", spy)
     G = random_codegree_instance(48, 16, 8)
-    result = solve_driver(G, DriverParams(collect_timings=False))
+    result = solve_driver(G, DriverParams())
     assert [a["outcome"] for a in result.report["attempts"]] == ["absorption_failure", "tiled"]
     assert result.report["branch"] == "exact-fallback"
     assert len(calls) == 1 and calls[0] is G
@@ -232,7 +233,7 @@ def test_forced_absorb_stalls_without_a_search(monkeypatch, absorption_fails):
         "forced absorb mode ran an exact search",
     )
     G = random_codegree_instance(48, 16, 8)
-    result = solve_driver(G, DriverParams(mode="absorb", collect_timings=False))
+    result = solve_driver(G, DriverParams(mode="absorb"))
     assert result.status == "exhausted" and result.tiling is None
     assert result.report["attempts"][-1]["outcome"] == "absorption_failure"
     assert "exact" not in result.report

@@ -121,7 +121,7 @@ def test_mutable_records_take_assignment_and_their_defaults():
     assert Verdict().ok and Verdict().violations == [] and Verdict().violations is not Verdict().violations
     assert DriverResult("tiled", None).report == {}
     params = DriverParams()
-    assert (params.mode, params.eps, params.alpha, params.seed, params.collect_timings) == ("auto", 0.25, 0.3, 0, True)
+    assert (params.mode, params.eps, params.alpha, params.seed) == ("auto", 0.25, 0.3, 0)
     assert (params.node_limit, params.time_limit) == (NODE_LIMIT, TIME_LIMIT) == (10_000_000, 60.0)
 
 
