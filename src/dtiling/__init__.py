@@ -51,7 +51,6 @@ from .core import (
 from .exact import (
     FourPartite4Graph,
     SearchBudget,
-    decide_D_free_set,
     four_partite,
     four_partite_degree_stats,
     four_partite_of,

@@ -30,27 +30,25 @@ bound refutes the tight lower-bound families at the root at every order:
 there a side of size n/4 - 1 hits every quad; and it closes stage Q at
 the root, where each quad holds one of few Y vertices.
 ``perfect_tiling_exact`` is this search held to n/4 quads from none,
-so it never leaves a vertex uncovered; ``max_tiling_exact`` has no floor
-and starts from ``_greedy_packing``, first-fit quads in catalog order.
-That packing also bounds the D-free decision below, which must remove a
-vertex of each, and the complement of ``_greedy_hitting`` is the first
-D-free set of ``max_D_free_set``.
+so it never leaves a vertex uncovered; the maximum packer ``_max_packing``
+has no floor and starts from ``_greedy_packing``, first-fit quads in
+catalog order.  That packing also bounds the D-free decision below, which
+must remove a vertex of each, and the complement of ``_greedy_hitting`` is
+the first D-free set of ``max_D_free_set``.
 
-The perfect tiling search and the D-free searches list their own
-catalog of G, on the budget they are given, so a refutation always rests
-on every spanning 4-set of G.  Only the maximum tiling search takes a
-caller's catalog, checked by ``_catalog_on`` to be one listed on the very
-graph searched, and packs only its quads, complete or not: stage Q of the
-extremal pipeline is that search on a catalog of the quads with one poor
-(Y) vertex and three of the D-free set.
+Every public exact search lists its own catalog of G on its budget, so a
+refutation always rests on every spanning 4-set of G.  ``max_tiling_exact``
+is the packer on that catalog; stage Q of the extremal pipeline runs it
+on its own catalog of the quads with one poor (Y) vertex and three of
+the D-free set.
 
-``decide_D_free_set`` asks whether a D-free set of a given size exists,
-not how large the largest is: it is the bounded search tree of
-d-Hitting Set (Niedermeier and Rossmanith, 2003) with at most n - size
-removals.  It refutes a branch once its greedy packing needs more
-removals than are left and stops at the first witness.  ``max_D_free_set``
-is a loop of these questions on one catalog, each asking for one vertex
-more than the last witness, on one budget.
+``max_D_free_set`` is a loop of D-free questions on one catalog, each
+asking for one vertex more than the last witness, on one budget.  A
+question, ``_decide``, asks whether a D-free set of a given size exists,
+not how large the largest is: it is the bounded search tree of d-Hitting
+Set (Niedermeier and Rossmanith, 2003) with at most n - size removals.
+It refutes a branch once its greedy packing needs more removals than are
+left and stops at the first witness.
 
 A ``SearchBudget`` is a pool of nodes and a deadline, and every search
 ticks the budget it is given once per node: searches handed the same
@@ -60,8 +58,9 @@ maximum searches still return their best effort then, the largest tiling
 or D-free set found so far; the perfect tiling search has no partial
 answer to return.  ``quad_catalog`` reads the budget once per vertex row
 without ticking it, and stops when it is spent; a catalog cut short is
-not complete, so the search that built it answers ``exhausted`` at its
-root, the maximum tiling with the greedy packing of the quads listed.
+not complete, so the search that built it stops at its root by the one
+rule of ``_stopped_at_root`` and answers ``exhausted``, the maximum
+tiling with the greedy packing of the quads listed.
 
 Sets of at most 16 vertices have their own search, with no subgraph,
 catalog or budget: it branches over ``spanning_quads_at`` of the lowest
@@ -160,18 +159,14 @@ class QuadCatalog(FrozenRecord):
     """Spanning 4-sets of a graph in lexicographic order, with one
     incidence bitset per vertex of the graph: bit i of ``inc[v]`` is set
     iff v is in quad i, so ``bits_of(inc[v])`` lists v's quad ids
-    ascending.  ``graph`` is the graph the quads were listed on; the
-    maximum tiling search takes a caller's catalog only for that very
-    graph.  ``complete`` is True only for ``quad_catalog(G)`` when it
+    ascending.  ``complete`` is True only for ``quad_catalog(G)`` when it
     lists every spanning 4-set of G; a search whose own catalog is cut
-    short by its budget answers ``exhausted``.  Equality ignores
-    ``graph``."""
+    short by its budget answers ``exhausted``."""
 
-    __slots__ = ("quads", "inc", "graph", "complete")
-    _compared = ("quads", "inc", "complete")
+    __slots__ = _compared = ("quads", "inc", "complete")
 
-    def __init__(self, quads: tuple, inc: tuple, graph: Hypergraph3, complete: bool = False):
-        self._init(quads=quads, inc=inc, graph=graph, complete=complete)
+    def __init__(self, quads: tuple, inc: tuple, complete: bool = False):
+        self._init(quads=quads, inc=inc, complete=complete)
 
     @property
     def all_quads(self) -> int:
@@ -191,7 +186,7 @@ class QuadCatalog(FrozenRecord):
         for i, (a, b, c, d) in enumerate(quads):
             cols[a][i] = cols[b][i] = cols[c][i] = cols[d][i] = 49  # ord("1")
         inc = tuple(0 if col is None else int(col[::-1], 2) for col in cols)
-        return cls(quads=tuple(quads), inc=inc, graph=G, complete=complete)
+        return cls(quads=tuple(quads), inc=inc, complete=complete)
 
 
 def quad_catalog(G: Hypergraph3, budget: SearchBudget | None = None) -> QuadCatalog:
@@ -231,9 +226,8 @@ class TilingSearchResult(Record):
 
 
 class SetSearchResult(Record):
-    # max_D_free_set: found (optimal) / exhausted (best effort); nodes are
-    # summed over all its decision questions.
-    # decide_D_free_set: found (a witness) / infeasible / exhausted (no set).
+    # max_D_free_set: found (optimal) / exhausted (best effort), nodes summed
+    # over its questions.  _decide: found (a witness) / infeasible / exhausted.
     __slots__ = _compared = ("status", "vertices", "nodes")
 
     def __init__(self, status: str, vertices: tuple[int, ...], nodes: int):
@@ -285,20 +279,6 @@ def _greedy_packing(cat: QuadCatalog, alive: int, cap: int | None = None) -> lis
             break
         alive &= ~_kill(cat, i)
     return out
-
-
-def _catalog_on(G: Hypergraph3, catalog: QuadCatalog | None, budget: SearchBudget) -> QuadCatalog:
-    """``catalog``, checked to be one of G, or ``quad_catalog(G, budget)``
-    when it is None, which is not complete if the budget ran out while it
-    was listed.  A catalog of another graph, even an equal one, is
-    refused: its quads are not checked against G."""
-    if catalog is None:
-        return quad_catalog(G, budget)
-    if len(catalog.inc) != G.n:
-        raise InputError(f"catalog has {len(catalog.inc)} vertices, the graph {G.n}")
-    if catalog.graph is not G:
-        raise InputError("catalog was built on another graph")
-    return catalog
 
 
 def _witness(G: Hypergraph3, quads, cover: int | None = None) -> Tiling:
@@ -360,6 +340,16 @@ def _packing_search(
     return status, best
 
 
+def _stopped_at_root(cat: QuadCatalog | None, budget: SearchBudget) -> bool:
+    """Whether a search stops at its root because the budget ran out
+    before (``cat`` is None) or while it listed its own catalog of G;
+    the root node then ticks ``budget`` once, with no search."""
+    if cat is not None and cat.complete:
+        return False
+    budget.tick()
+    return True
+
+
 def perfect_tiling_exact(G: Hypergraph3, budget: SearchBudget | None = None) -> TilingSearchResult:
     """Exact search for a perfect tiling of all of G: the packing search
     held to n/4 quads, from no warm start, on the catalog of G it lists
@@ -376,8 +366,7 @@ def perfect_tiling_exact(G: Hypergraph3, budget: SearchBudget | None = None) -> 
     budget = budget or SearchBudget()
     first = budget.nodes
     cat = None if budget.spent else quad_catalog(G, budget)
-    if cat is None or not cat.complete:  # the root node stops
-        budget.tick()
+    if _stopped_at_root(cat, budget):
         return TilingSearchResult(status=EXHAUSTED, tiling=None, nodes=budget.nodes - first)
     full = (1 << G.n) - 1
     status, best = _packing_search(cat, budget, full, G.n // 4, [])
@@ -439,34 +428,28 @@ def induced_perfect_tiling(G: Hypergraph3, vertices) -> Tiling | None:
     return None if quads is None else _witness(G, quads, cover=mask)
 
 
-def max_tiling_exact(
-    G: Hypergraph3,
-    budget: SearchBudget | None = None,
-    catalog: QuadCatalog | None = None,
-) -> TilingSearchResult:
-    """Maximum tiling (any leftover allowed): the packing search with no
-    floor, warm-started from the greedy packing, whose hitting-set bound
-    closes symmetric instances at the root.  Only the quads of ``catalog``
-    (default: ``quad_catalog(G, budget)``) are packed, so the root's free
-    set is the vertices in one of them.  When the budget runs out while
-    the search lists its own catalog, it answers ``exhausted`` at the
-    root with the greedy packing of the quads listed.
-    """
-    budget = budget or SearchBudget()
+def _max_packing(G: Hypergraph3, cat: QuadCatalog, budget: SearchBudget) -> TilingSearchResult:
+    """Maximum packing of the quads of ``cat``, listed on G, complete or
+    not: the packing search with no floor on the vertices of its quads,
+    warm-started from the greedy packing, whose hitting-set bound closes
+    symmetric instances at the root."""
     first = budget.nodes
-    cat = _catalog_on(G, catalog, budget)
-    best = _greedy_packing(cat, cat.all_quads)
-    if cat.complete or catalog is not None:
-        free = mask_of(v for v, row in enumerate(cat.inc) if row)
-        status, best = _packing_search(cat, budget, free, 0, best)
-    else:  # the root node stops
-        budget.tick()
-        status = EXHAUSTED
-    return TilingSearchResult(
-        status=status,
-        tiling=_witness(G, [cat.quads[i] for i in best]),
-        nodes=budget.nodes - first,
-    )
+    free = mask_of(v for v, row in enumerate(cat.inc) if row)
+    status, best = _packing_search(cat, budget, free, 0, _greedy_packing(cat, cat.all_quads))
+    return TilingSearchResult(status, _witness(G, [cat.quads[i] for i in best]), budget.nodes - first)
+
+
+def max_tiling_exact(G: Hypergraph3, budget: SearchBudget | None = None) -> TilingSearchResult:
+    """Maximum tiling (any leftover allowed): ``_max_packing`` of the
+    catalog of G it lists on ``budget``.  When the budget runs out while
+    the catalog is listed, it answers ``exhausted`` at the root with the
+    greedy packing of the quads listed."""
+    budget = budget or SearchBudget()
+    cat = quad_catalog(G, budget)
+    if _stopped_at_root(cat, budget):
+        packed = [cat.quads[i] for i in _greedy_packing(cat, cat.all_quads)]
+        return TilingSearchResult(status=EXHAUSTED, tiling=_witness(G, packed), nodes=1)
+    return _max_packing(G, cat, budget)
 
 
 def max_D_free_set(G: Hypergraph3, budget: SearchBudget | None = None) -> SetSearchResult:
@@ -484,8 +467,7 @@ def max_D_free_set(G: Hypergraph3, budget: SearchBudget | None = None) -> SetSea
     budget = budget or SearchBudget()
     first = budget.nodes
     cat = quad_catalog(G, budget)
-    if not cat.complete:  # the root node stops
-        budget.tick()
+    if _stopped_at_root(cat, budget):
         return SetSearchResult(status=EXHAUSTED, vertices=(), nodes=budget.nodes - first)
     hit = _greedy_hitting(cat, cat.all_quads, range(G.n))
     best = tuple(v for v in range(G.n) if not ((hit >> v) & 1))
@@ -500,34 +482,12 @@ def max_D_free_set(G: Hypergraph3, budget: SearchBudget | None = None) -> SetSea
     )
 
 
-def decide_D_free_set(G: Hypergraph3, size: int, budget: SearchBudget | None = None) -> SetSearchResult:
-    """Whether G has a D-free set of at least ``size`` vertices.
-
-    A hitting set of at most k = n - size vertices must meet every
-    spanning quad of the catalog of G, listed on ``budget``.  The search
-    branches on the four vertices of the first unhit quad, and a branch
-    dies as soon as its greedy packing, capped at k - count + 1 quads,
-    needs more removals than are left; the search stops at the first
-    witness.
-    ``found`` carries the witness (the vertices not removed, at least
-    ``size`` of them), ``infeasible`` is a proof that no such set exists,
-    and ``exhausted`` means the budget ran out first, including while the
-    search listed its catalog.
-    """
-    budget = budget or SearchBudget()
-    if size > G.n:
-        return SetSearchResult(status=INFEASIBLE, vertices=(), nodes=0)
-    first = budget.nodes
-    cat = quad_catalog(G, budget)
-    if not cat.complete:  # the root node stops
-        budget.tick()
-        return SetSearchResult(status=EXHAUSTED, vertices=(), nodes=budget.nodes - first)
-    return _decide(G, cat, size, budget)
-
-
 def _decide(G: Hypergraph3, cat: QuadCatalog, size: int, budget: SearchBudget) -> SetSearchResult:
-    """The D-free decision of ``decide_D_free_set`` on G's complete
-    catalog ``cat``."""
+    """Whether G has a D-free set of at least ``size`` vertices: a set
+    of at most n - size vertices hitting every quad of G's complete
+    catalog ``cat``, branching on the first unhit quad.  ``found``
+    carries the witness (the vertices not removed), ``infeasible`` is a
+    proof that none exists, and ``exhausted`` means ``budget`` ran out."""
     tick, first = budget.tick, budget.nodes
     k = G.n - size
     if k < 0:

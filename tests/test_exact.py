@@ -15,7 +15,6 @@ from dtiling import (
     complete_3graph,
     construct_G0,
     construct_G1,
-    decide_D_free_set,
     four_partite,
     four_partite_degree_stats,
     four_partite_of,
@@ -33,7 +32,7 @@ from dtiling import (
     validate_tiling,
 )
 from dtiling.core import bits_of, mask_of, spanning_quads_at
-from dtiling.exact import QuadCatalog, _counts, _greedy_hitting, _greedy_packing
+from dtiling.exact import QuadCatalog, _counts, _decide, _greedy_hitting, _greedy_packing, _max_packing
 
 from test_tileable import graphs
 
@@ -190,28 +189,24 @@ class TestMaxTiling:
             assert res.optimal
             assert res.tiling.size == naive_max_tiling_size(n, G.edges)
 
-    def test_catalog_is_checked(self):
+    def test_packs_a_catalog_of_part_of_the_graph(self):
+        # The maximum packer, as stage Q runs it: a catalog of G's quads
+        # inside part of G, listed from the induced subgraph's catalog,
+        # packs as many as that subgraph holds.
         G = random_codegree_instance(16, 4, 3)
-        with pytest.raises(InputError, match="catalog has 8 vertices"):
-            max_tiling_exact(G, catalog=quad_catalog(complete_3graph(8)))
-        # A catalog listed on another graph, even an equal one, is refused.
-        with pytest.raises(InputError, match="another graph"):
-            max_tiling_exact(G, catalog=quad_catalog(random_codegree_instance(16, 4, 3)))
-        # A catalog of G's quads inside part of G, listed from the
-        # induced subgraph's catalog, packs as many as that subgraph holds.
         H, mapping = induced_subgraph(G, range(4, 16))
         kept = [tuple(mapping[v] for v in q) for q in quad_catalog(H).quads]
-        res = max_tiling_exact(G, catalog=QuadCatalog.of(G, mask_of(range(4, 16)), kept))
+        res = _max_packing(G, QuadCatalog.of(G, mask_of(range(4, 16)), kept), SearchBudget())
         assert res.tiling.size == max_tiling_exact(H).tiling.size
 
     def test_packs_only_the_catalog_quads(self):
-        # A maximum packing of a random subset of the quads, checked
-        # against a brute force over every family of them.
+        # The maximum packer's packing of a random subset of the quads,
+        # checked against a brute force over every family of them.
         rng = random.Random(8)
         for _ in range(20):
             G = random_codegree_instance(12, rng.randint(1, 3), rng.randrange(10**6))
             kept = [quad for quad in quad_catalog(G).quads if rng.random() < 0.05]
-            res = max_tiling_exact(G, catalog=QuadCatalog.of(G, (1 << G.n) - 1, kept))
+            res = _max_packing(G, QuadCatalog.of(G, (1 << G.n) - 1, kept), SearchBudget())
             assert {c.vertices for c in res.tiling.copies} <= set(kept)
             masks = [mask_of(quad) for quad in kept]
 
@@ -687,6 +682,12 @@ PINNED_DECISIONS = {
 }
 
 
+def decide(G, size, budget=None):
+    """The D-free decision on the catalog of G listed on ``budget``."""
+    budget = budget or SearchBudget()
+    return _decide(G, quad_catalog(G, budget), size, budget)
+
+
 def decision_sizes(n):
     return {"threshold": math.ceil(0.75 * 3 * n / 4), "barrier": 3 * n // 4 + 1}
 
@@ -696,7 +697,7 @@ def test_pinned_decisions(case):
     G = _pinned_graph(case)
     got = {}
     for name, size in decision_sizes(G.n).items():
-        res = decide_D_free_set(G, size, SearchBudget(node_limit=1100))
+        res = decide(G, size, SearchBudget(node_limit=1100))
         got[name] = (res.status, res.nodes, res.vertices)
     assert got == PINNED_DECISIONS[case]
     # The witnesses agree with the optimum pinned beside them.
@@ -712,7 +713,7 @@ def test_decision_matches_the_optimum(data):
     G = build(n, edges)
     optimum = len(naive_max_D_free(n, G.edges))
     for size in range(n + 2):
-        res = decide_D_free_set(G, size)
+        res = decide(G, size)
         assert res.status == ("found" if optimum >= size else "infeasible")
         if res.status == "found":
             assert len(res.vertices) >= size
@@ -723,16 +724,16 @@ def test_decision_matches_the_optimum(data):
 
 class TestDecision:
     def test_size_above_n_is_refuted_at_once(self):
-        res = decide_D_free_set(build(8, []), 9)
+        res = decide(build(8, []), 9)
         assert (res.status, res.nodes, res.vertices) == ("infeasible", 0, ())
 
     def test_edgeless_has_every_size(self):
-        res = decide_D_free_set(build(8, []), 8)
+        res = decide(build(8, []), 8)
         assert (res.status, res.vertices) == ("found", tuple(range(8)))
 
     def test_budget_exhaustion_flagged(self):
         G = random_codegree_instance(20, 5, 1)
-        res = decide_D_free_set(G, 12, SearchBudget(node_limit=3))
+        res = decide(G, 12, SearchBudget(node_limit=3))
         assert (res.status, res.nodes, res.vertices) == ("exhausted", 4, ())
 
     def test_catalog_is_reused(self, monkeypatch):
@@ -1058,7 +1059,7 @@ class TestBudget:
         # search handed the spent budget stops at its first tick.
         G = random_codegree_instance(20, 5, 1)
         budget = SearchBudget(node_limit=3, time_limit=600.0)
-        res = decide_D_free_set(G, 12, budget)
+        res = decide(G, 12, budget)
         assert (res.status, res.nodes, budget.nodes, budget.spent) == ("exhausted", 4, 4, True)
         res = max_tiling_exact(G, budget)
         assert (res.status, res.nodes, budget.nodes) == ("exhausted", 1, 5)

@@ -575,7 +575,7 @@ class TestStageQ:
                 if getattr(module, "quad_catalog", None) is original:
                     monkeypatch.setattr(module, "quad_catalog", refuse)
         monkeypatch.setattr(dtiling.extremal, "_one_y_catalog", refuse)
-        monkeypatch.setattr(dtiling.extremal, "max_tiling_exact", refuse)
+        monkeypatch.setattr(dtiling.extremal, "_max_packing", refuse)
         G = planted_extremal(64)
         tiling, report = run_extremal_pipeline(G, range(16, 64))
         assert validate_tiling(G, tiling, require_perfect=True).ok

@@ -229,7 +229,7 @@ def test_forced_absorb_stalls_without_a_search(monkeypatch, absorption_fails):
     refuse_everywhere(
         monkeypatch,
         dtiling.exact,
-        ("perfect_tiling_exact", "decide_D_free_set"),
+        ("perfect_tiling_exact", "_decide"),
         "forced absorb mode ran an exact search",
     )
     G = random_codegree_instance(48, 16, 8)

@@ -34,7 +34,7 @@ def tiling():
 FROZEN = {
     "DCopy": (copy, ("vertices", "edge_a", "edge_b")),
     "Tiling": (tiling, ("copies", "covered")),
-    "QuadCatalog": (lambda: quad_catalog(K8), ("quads", "inc", "graph", "complete")),
+    "QuadCatalog": (lambda: quad_catalog(K8), ("quads", "inc", "complete")),
     "FourPartite4Graph": (lambda: FourPartite4Graph(((0,), (1,), (2,), (3,)), (1 << 3,)), ("parts", "links")),
     "XYZPartition": (lambda: XYZPartition(z=(0, 1, 2), x=(3,), y=()), ("z", "x", "y", "diagnostics")),
     "Certificate": (lambda: Certificate("perfect", tiling()), ("kind", "tiling")),
@@ -75,15 +75,13 @@ def test_frozen_records_keep_their_defaults_and_keywords():
     assert AbsorberFamily((), (), frozenset(), 0.3, 0.1).stats == {}
 
 
-def test_catalog_equality_ignores_the_graph_but_not_completeness():
+def test_catalog_equality_heeds_completeness():
     cat = quad_catalog(K8)
-    other = quad_catalog(complete_3graph(8))
-    assert cat.graph is not other.graph and cat == other and hash(cat) == hash(other)
     assert cat.complete and cat.all_quads == (1 << 70) - 1
     partial = QuadCatalog.of(K8, 255, list(cat.quads))
     assert not partial.complete and (partial.quads, partial.inc) == (cat.quads, cat.inc)
     assert partial != cat
-    assert QuadCatalog(cat.quads, cat.inc, K8, True) == cat
+    assert QuadCatalog(cat.quads, cat.inc, True) == cat
 
 
 def test_family_equality_ignores_stats():
