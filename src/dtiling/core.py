@@ -4,8 +4,10 @@ Vertices are dense integers ``0..n-1``.  A hypergraph is stored as its
 pair index and nothing else: each vertex maps every other vertex it
 shares an edge with to the bitset (a plain Python int) of third vertices,
 so codegree queries, edge tests and neighborhood intersections are single
-word operations even at a few hundred vertices.  Edges as sorted triples
-are derived from the index only when a caller asks for them.
+word operations even at a few hundred vertices.  ``G.edges`` is a
+read-only set view over the index, not a stored set: it iterates the
+ascending triples in lexicographic order, answers membership with one
+bit test, and holds the index rather than the graph.
 ``io.parse_instance`` (text), ``induced_subgraph`` and
 ``random_codegree_instance`` fill the index through one private filler,
 ``_fill(n, triples)``: each caller knows the vertex count, and the
@@ -16,8 +18,8 @@ iterable of triples) has its own scatter loop, which checks each triple
 as it scatters it, and shares ``_reduce``.
 
 Set bits come out in C where there are many.  ``bits_of`` and the pair
-walk ``_pair_thirds``, which ``Hypergraph3.triples`` and
-``io.format_instance`` share, turn a bitset with at least
+walk ``_pair_thirds``, which ``G.edges`` (and so ``Hypergraph3.triples``)
+and ``io.format_instance`` share, turn a bitset with at least
 ``_DIGIT_READ_MIN_BITS`` set bits into one 0/1 byte per binary digit
 (``_bit_flags``) and list the set positions with ``itertools.compress``;
 a sparser bitset keeps the loop that clears its lowest set bit once per
@@ -32,8 +34,8 @@ points share two vertices); ``spanning_quads_at`` lists such 4-sets
 through one vertex at a time.
 
 ``Hypergraph3`` is immutable after construction and safe to read from
-several threads (two threads that both derive ``edges`` first build equal
-sets); validation results are accumulated in throwaway ``Verdict``
+several threads (two threads that both read ``edges`` first make equal
+views); validation results are accumulated in throwaway ``Verdict``
 values.
 """
 
@@ -42,6 +44,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import defaultdict, namedtuple
+from collections.abc import Set
 from itertools import compress, count
 
 
@@ -242,8 +245,8 @@ class Hypergraph3:
     maps each vertex u to a dict from every other vertex v to the bitset
     of third vertices w with {u, v, w} an edge; both orders of a pair are
     stored, and a pair with no edge has no entry, so memory is O(m) and
-    does not depend on ``n``.  ``edges``, the frozenset of ascending
-    triples, is derived from the index on first use and cached.
+    does not depend on ``n``.  ``edges`` is a read-only set view of the
+    ascending triples over that index; it stores no triple.
 
     Use :func:`build` to construct one; the constructor trusts its
     arguments.
@@ -258,17 +261,16 @@ class Hypergraph3:
         self._edges = None
 
     @property
-    def edges(self) -> frozenset:
-        """All edges as ascending triples (derived once, then cached)."""
+    def edges(self) -> _EdgeView:
+        """All edges as ascending triples: a set view over the pair index
+        (made on first use, then kept; it holds no triple)."""
         if self._edges is None:
-            self._edges = frozenset(self.triples())
+            self._edges = _EdgeView(self._links, self.n, self.m)
         return self._edges
 
     def triples(self):
-        """Yield every edge once as an ascending triple, in lexicographic order."""
-        for a, b, thirds in _pair_thirds(self, range(self.n)):
-            for c in thirds:
-                yield a, b, c
+        """Iterate over every edge once as an ascending triple, in lexicographic order."""
+        return iter(self.edges)
 
     def has_edge(self, u: int, v: int, w: int) -> bool:
         """Whether {u, v, w} is an edge; False for repeated vertices or
@@ -289,13 +291,60 @@ class Hypergraph3:
         return f"Hypergraph3(n={self.n}, m={self.m})"
 
 
-def _pair_thirds(G: Hypergraph3, labels):
-    """Yield ``(a, b, thirds)`` for each pair a < b of G with an edge
-    {a, b, c}, c > b, in lexicographic order; ``thirds`` iterates over
-    ``labels[c]`` for those c, ascending.  Like ``bits_of``, a row with
-    many third vertices is read off its binary digits and a sparse one
-    by the low-bit loop."""
-    links = G._links
+class _EdgeView(Set):
+    """The edges of a ``Hypergraph3`` as a read-only set of ascending
+    triples, read from its pair index.
+
+    Iteration is the lexicographic pair walk ``_pair_thirds``, the length
+    is m, and membership is one bit test: a member that is not a tuple of three
+    ascending ints is not an edge, and no member makes the test raise.
+    Set operations (``|``, ``&``, ``-``, ``^``) give frozensets, and the
+    hash and equality are a frozenset's of the same triples.  The view
+    holds the index, not the graph, so reading ``G.edges`` makes no
+    reference cycle and a graph is freed as soon as its last reference
+    goes.
+    """
+
+    __slots__ = ("_links", "_n", "_m")
+
+    def __init__(self, links: dict, n: int, m: int):
+        self._links = links
+        self._n = n
+        self._m = m
+
+    def __len__(self) -> int:
+        return self._m
+
+    def __iter__(self):
+        for a, b, thirds in _pair_thirds(self._links, range(self._n)):
+            for c in thirds:
+                yield a, b, c
+
+    def __contains__(self, t) -> bool:
+        if not (isinstance(t, tuple) and len(t) == 3):
+            return False
+        a, b, c = t
+        if not (isinstance(a, int) and isinstance(b, int) and isinstance(c, int) and 0 <= a < b < c):
+            return False
+        row = self._links.get(a)
+        return row is not None and (row.get(b, 0) >> c) & 1 == 1
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        return frozenset(it)
+
+    __hash__ = Set._hash
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"_EdgeView(n={self._n}, m={self._m})"
+
+
+def _pair_thirds(links: dict, labels):
+    """Yield ``(a, b, thirds)`` for each pair a < b of the pair index
+    ``links`` with an edge {a, b, c}, c > b, in lexicographic order;
+    ``thirds`` iterates over ``labels[c]`` for those c, ascending.  Like
+    ``bits_of``, a row with many third vertices is read off its binary
+    digits and a sparse one by the low-bit loop."""
     for a in sorted(links):
         row = links[a]
         for b in sorted(row):
@@ -455,7 +504,11 @@ def _triple_fault(t: tuple, n: int) -> str | None:
 
 
 def codegree(G: Hypergraph3, u: int, v: int) -> int:
-    """Number of edges containing the pair {u, v}."""
+    """Number of edges containing the pair {u, v} of integer vertices."""
+    try:
+        u, v = operator.index(u), operator.index(v)
+    except TypeError:
+        raise InputError(f"codegree needs integer vertices, got ({u!r}, {v!r})") from None
     if u == v:
         raise InputError(f"codegree needs two distinct vertices, got {u} twice")
     if not (0 <= u < G.n and 0 <= v < G.n):

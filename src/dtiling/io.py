@@ -77,7 +77,7 @@ def format_instance(G: Hypergraph3) -> str:
     line in lexicographic order, each pair's lines written in one join."""
     names = [str(i) for i in range(min(G.n, MAX_N))]
     lines = [f"{G.n} {G.m}"]
-    for a, b, names_c in _pair_thirds(G, names):
+    for a, b, names_c in _pair_thirds(G._links, names):
         prefix = f"{a} {b} "
         lines.append(prefix + ("\n" + prefix).join(names_c))
     return "\n".join(lines) + "\n"

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import operator
 import os
 import random
 import subprocess
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 import dtiling.core
 from dtiling import (
     DCopy,
+    Hypergraph3,
     InputError,
     Tiling,
     build,
@@ -24,6 +27,7 @@ from dtiling import (
     is_D_free,
     map_copy,
     min_codegree,
+    planted_extremal,
     quad_spans_D,
     random_codegree_instance,
     steiner_triple_system,
@@ -175,6 +179,12 @@ class TestCodegree:
         with pytest.raises(InputError):
             codegree(G, 0, 4)
 
+    @pytest.mark.parametrize("pair", [(0, 1.5), (1.0, 2), (0, "1"), (None, 1)])
+    def test_non_integer_vertex_is_refused(self, pair):
+        # A float passed the range check and read as a pair with no edge.
+        with pytest.raises(InputError, match="integer vertices"):
+            codegree(complete_3graph(4), *pair)
+
     def test_tiny_orders(self):
         assert min_codegree(build(0, [])) == 0
         assert min_codegree(build(1, [])) == 0
@@ -299,6 +309,45 @@ def test_edges_and_degrees_from_the_index(data):
     assert list(G.triples()) == sorted(set(triples))
     for v in range(n):
         assert G.degree(v) == sum(v in t for t in set(triples))
+    # The edges are a set view over the index that answers as the
+    # frozenset of the triples does.
+    E, F = G.edges, frozenset(triples)
+    assert frozenset(triples) == E and E == F and not E != F
+    assert hash(E) == hash(F) and len(E) == G.m
+    assert list(E) == list(G.triples())
+    members = [(0, 1, 2), (2, 1, 0), (1, 0, 2), (0, 1, n), (-1, 0, 1), (0, 1), (0, 1, 2, 3),
+               (0, 1, 2.0), (0.0, 1, 2), ("0", "1", "2"), [0, 1, 2], {0, 1, 2}, None, 7, "012"]
+    members += list(itertools.combinations(range(n), 3))
+    members += [t[::-1] for t in triples]
+    for t in members:
+        expected = isinstance(t, tuple) and all(type(v) is int for v in t) and t in F
+        assert (t in E) is expected, t
+    other = frozenset(itertools.islice(itertools.combinations(range(n), 3), 5))
+    for op in (operator.or_, operator.and_, operator.sub, operator.xor):
+        for got in (op(E, other), op(other, E)):
+            assert type(got) is frozenset
+        assert op(E, other) == op(F, other) and op(other, E) == op(other, F)
+
+
+def test_edge_view_holds_no_triples_and_no_graph():
+    # Reading the edges of a large graph lists no triple set, and the view
+    # holds the index, not the graph, so it makes no reference cycle.
+    G = planted_extremal(96)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert len(G.edges) == G.m == 83_240
+        assert ((0, 1, 2) in G.edges) == G.has_edge(0, 1, 2)
+        assert sum(1 for _ in G.edges) == G.m
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 1_000_000
+    assert not any(isinstance(r, Hypergraph3) for r in gc.get_referents(G.edges))
 
 
 def index_as_sets(links):
