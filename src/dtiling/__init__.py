@@ -8,6 +8,8 @@ the greedy near-perfect tiling (`localsearch`), randomized absorption
 (`absorb`), text formats (`io`), and a layered driver plus CLI (`cli`).
 """
 
+from types import ModuleType as _ModuleType
+
 from .absorb import (
     AbsorberFamily,
     AbsorptionFailure,
@@ -83,4 +85,8 @@ from .io import (
 )
 from .localsearch import near_perfect_tiling
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public names, without the submodules the imports above bind: a star
+# import must not rebind a caller's ``io`` to ``dtiling.io``.
+__all__ = sorted(
+    name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _ModuleType))
+)

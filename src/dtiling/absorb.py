@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 
 from .core import (
-    FrozenRecord,
     Hypergraph3,
     InputError,
     Tiling,
@@ -121,30 +121,16 @@ def _binomial_draw(rng: random.Random, trials: int, p: float) -> int:
     return k
 
 
-class AbsorberFamily(FrozenRecord):
-    """Pairwise disjoint absorbing 8-sets with cached own tilings.
-    Equality ignores ``stats``."""
+class AbsorberFamily(namedtuple("AbsorberFamily", "members tilings covered alpha p stats")):
+    """Pairwise disjoint absorbing 8-sets (``members``) with their own
+    tilings, the frozenset of vertices they cover, the ``alpha`` and rate
+    ``p`` they were drawn with, and the construction's ``stats`` dict (so
+    a family is unhashable)."""
 
-    __slots__ = ("members", "tilings", "covered", "alpha", "p", "stats")
-    _compared = ("members", "tilings", "covered", "alpha", "p")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        members: tuple[tuple[int, ...], ...],
-        tilings: tuple[Tiling, ...],
-        covered: frozenset[int],
-        alpha: float,
-        p: float,
-        stats: dict | None = None,
-    ):
-        self._init(
-            members=members,
-            tilings=tilings,
-            covered=covered,
-            alpha=alpha,
-            p=p,
-            stats={} if stats is None else stats,
-        )
+    def __new__(cls, members, tilings, covered, alpha: float, p: float, stats: dict | None = None):
+        return super().__new__(cls, members, tilings, covered, alpha, p, {} if stats is None else stats)
 
 
 def build_absorbing_family(G: Hypergraph3, alpha: float = 0.3, seed: int = 0) -> AbsorberFamily:

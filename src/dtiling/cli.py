@@ -36,6 +36,7 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 
 from .absorb import (
     AbsorptionFailure,
@@ -49,7 +50,6 @@ from .core import (
     MAX_N,
     Hypergraph3,
     InputError,
-    Record,
     Tiling,
     bits_of,
     is_D_free,
@@ -90,39 +90,27 @@ EXIT_EXHAUSTED = 3
 EXIT_USAGE = 64
 
 
-class DriverParams(Record):
+class DriverParams(
+    namedtuple(
+        "DriverParams",
+        "mode eps alpha seed node_limit time_limit",
+        defaults=("auto", 0.25, 0.3, 0, NODE_LIMIT, TIME_LIMIT),
+    )
+):
     """The settings of one solve; ``mode`` is auto | extremal | absorb |
     exact, and the two limits are the whole solve's ``SearchBudget``."""
 
-    __slots__ = _compared = ("mode", "eps", "alpha", "seed", "node_limit", "time_limit")
-
-    def __init__(
-        self,
-        mode: str = "auto",
-        eps: float = 0.25,
-        alpha: float = 0.3,
-        seed: int = 0,
-        node_limit: int = NODE_LIMIT,
-        time_limit: float = TIME_LIMIT,
-    ):
-        self.mode = mode
-        self.eps = eps
-        self.alpha = alpha
-        self.seed = seed
-        self.node_limit = node_limit
-        self.time_limit = time_limit
+    __slots__ = ()
 
 
-class DriverResult(Record):
+class DriverResult(namedtuple("DriverResult", "status tiling report")):
     """``status`` is tiled | infeasible | exhausted; ``tiling`` a Tiling
     or None; ``report`` the solve's report dict."""
 
-    __slots__ = _compared = ("status", "tiling", "report")
+    __slots__ = ()
 
-    def __init__(self, status: str, tiling: Tiling | None, report: dict | None = None):
-        self.status = status
-        self.tiling = tiling
-        self.report = {} if report is None else report
+    def __new__(cls, status: str, tiling: Tiling | None, report: dict | None = None):
+        return super().__new__(cls, status, tiling, {} if report is None else report)
 
 
 def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverResult:
@@ -358,15 +346,7 @@ def _cmd_solve(args) -> int:
     import json
 
     G = _load_instance(args.file)
-    params = DriverParams(
-        mode=args.mode,
-        eps=args.eps,
-        alpha=args.alpha,
-        seed=args.seed,
-        node_limit=args.node_limit,
-        time_limit=args.time_limit,
-    )
-    result = solve_driver(G, params)
+    result = solve_driver(G, DriverParams(*(getattr(args, name) for name in DriverParams._fields)))
     report = result.report
     if args.no_timings:
         del report["timings_ms"]
@@ -506,10 +486,7 @@ def main(argv=None) -> int:
             return _cmd_verify(args)
         if args.command == "scan":
             return _cmd_scan(args, parser)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     raise AssertionError(f"unhandled command {args.command!r}")

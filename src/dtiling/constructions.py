@@ -6,9 +6,10 @@ system), Steiner triple systems themselves for every admissible order,
 complete graphs, and seeded random instances with a repaired minimum
 codegree.
 
-Steiner systems come from the two classical quasigroup constructions
-(Bose for orders divisible by 3, Skolem for the rest), so no block
-tables are embedded and every order m = 1, 3 (mod 6) is available.
+Steiner systems come from one quasigroup routine that is Bose's
+construction for orders divisible by 3 and Skolem's for the rest, so no
+block tables are embedded and every order m = 1, 3 (mod 6) is
+available.
 
 G0, G1, the planted instances and complete graphs are all "every triple
 that meets the first a vertices" (a = n for a complete graph), with G1
@@ -56,56 +57,34 @@ def steiner_triple_system(m: int) -> Hypergraph3:
     if m < 3 or m % 6 not in (1, 3):
         raise UnsupportedOrderError(f"no Steiner triple system of order {m}")
     _check_edges(m * (m - 1) // 6, m)
-    if m % 6 == 3:
-        return build(m, _bose_blocks(m))
-    return build(m, _skolem_blocks(m))
+    return build(m, _steiner_blocks(m))
 
 
-def _bose_blocks(m: int):
-    # m = 3t with t odd; idempotent commutative quasigroup on Z_t via the
-    # halved sum x*y = (x+y)(t+1)/2 mod t.
-    t = m // 3
-    half = (t + 1) // 2
+def _steiner_blocks(m: int):
+    """Blocks of the Bose (m = 3q, q odd) or Skolem (m = 3q + 1, q even)
+    system on the groups {3x, 3x + 1, 3x + 2}, x in Z_q, with x o y the
+    halved sum z = (x + y) mod q: z // 2, plus ceil(q / 2) when z is odd.
+    An idempotent x gives its group as a block, any other x the blocks
+    {inf, 3x + i, 3(x o x) + i + 1} with inf = m - 1, and each pair x < y
+    the blocks {3x + i, 3y + i, 3(x o y) + i + 1}, levels i taken mod 3.
+    """
+    q = m // 3
+    half = (q + 1) // 2
 
-    def vid(x: int, level: int) -> int:
-        return 3 * x + level
+    def op(x: int, y: int) -> int:
+        z = (x + y) % q
+        return z // 2 + (z % 2) * half
 
-    blocks = []
-    for x in range(t):
-        blocks.append((vid(x, 0), vid(x, 1), vid(x, 2)))
-    for x in range(t):
-        for y in range(x + 1, t):
-            q = ((x + y) * half) % t
+    for x in range(q):
+        if (xx := op(x, x)) == x:
+            yield 3 * x, 3 * x + 1, 3 * x + 2
+        else:
             for i in range(3):
-                blocks.append((vid(x, i), vid(y, i), vid(q, (i + 1) % 3)))
-    return blocks
-
-
-def _skolem_blocks(m: int):
-    # m = 6s + 1; half-idempotent commutative quasigroup on Z_{2s}:
-    # reorder the addition table of Z_{2s} so even sums land on 0..s-1.
-    s = (m - 1) // 6
-    t = 2 * s
-
-    def sigma(z: int) -> int:
-        return z // 2 if z % 2 == 0 else (z - 1) // 2 + s
-
-    def vid(x: int, level: int) -> int:
-        return 3 * x + level
-
-    inf = m - 1
-    blocks = []
-    for x in range(s):
-        blocks.append((vid(x, 0), vid(x, 1), vid(x, 2)))
-    for j in range(s):
-        for i in range(3):
-            blocks.append((inf, vid(s + j, i), vid(j, (i + 1) % 3)))
-    for x in range(t):
-        for y in range(x + 1, t):
-            q = sigma((x + y) % t)
+                yield m - 1, 3 * x + i, 3 * xx + (i + 1) % 3
+        for y in range(x + 1, q):
+            xy = op(x, y)
             for i in range(3):
-                blocks.append((vid(x, i), vid(y, i), vid(q, (i + 1) % 3)))
-    return blocks
+                yield 3 * x + i, 3 * y + i, 3 * xy + (i + 1) % 3
 
 
 def _split_sizes(n: int) -> tuple[int, int]:

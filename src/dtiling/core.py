@@ -37,6 +37,14 @@ through one vertex at a time.
 several threads (two threads that both read ``edges`` first make equal
 views); validation results are accumulated in throwaway ``Verdict``
 values.
+
+Every record of the package is a ``namedtuple`` subclass with
+``__slots__ = ()``: its fields never change, it compares and hashes on
+all of them (a list or dict field makes it unhashable), and it equals
+any tuple of the same values.  A fresh list or dict default comes from
+its own ``__new__``.  The one mutable object is ``exact.SearchBudget``.
+Named tuples, not ``dataclasses`` (which imports ``inspect``), keep
+``import dtiling`` at a few milliseconds.
 """
 
 from __future__ import annotations
@@ -123,58 +131,6 @@ def vertex_mask(G: Hypergraph3, within: int | None) -> int:
     return within
 
 
-class Record:
-    """Base of the package's plain records.  A record lists its fields in
-    ``__slots__`` and sets them in its own ``__init__``.  Two records of
-    one class are equal when their fields named in ``_compared`` are, and
-    the repr shows those fields.  A mutable record is unhashable.
-
-    The package builds its records on this base, or on ``namedtuple``
-    where every field is compared and none changes, rather than with
-    ``dataclasses``, which imports ``inspect``, ``ast`` and ``dis`` and
-    generates code for each class: ``import dtiling`` took 24 ms with
-    dataclasses and takes 4.5 ms without (2-vCPU Xeon, Python 3.11.7).
-    """
-
-    __slots__ = ()
-    _compared: tuple = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._compared)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
-        return f"{type(self).__name__}({shown})"
-
-
-class FrozenRecord(Record):
-    """A record whose fields refuse assignment and deletion once
-    ``__init__`` has set them through ``_init``; hashed on its compared
-    fields."""
-
-    __slots__ = ()
-
-    def _init(self, **fields) -> None:
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-
 class DCopy(namedtuple("DCopy", "vertices edge_a edge_b")):
     """One placed copy: 4 vertices plus the two witnessing edges.
 
@@ -222,13 +178,13 @@ class Tiling(namedtuple("Tiling", "copies covered")):
         return len(self.copies)
 
 
-class Verdict(Record):
+class Verdict(namedtuple("Verdict", "violations")):
     """Validation outcome; ``ok`` iff ``violations`` is empty."""
 
-    __slots__ = _compared = ("violations",)
+    __slots__ = ()
 
-    def __init__(self, violations: list[str] | None = None):
-        self.violations = [] if violations is None else violations
+    def __new__(cls, violations: list[str] | None = None):
+        return super().__new__(cls, [] if violations is None else violations)
 
     @property
     def ok(self) -> bool:
@@ -274,16 +230,21 @@ class Hypergraph3:
 
     def has_edge(self, u: int, v: int, w: int) -> bool:
         """Whether {u, v, w} is an edge; False for repeated vertices or
-        any vertex outside ``0..n-1``."""
+        any vertex outside ``0..n-1``.  A non-integer vertex is an
+        ``InputError``."""
+        if not type(u) is type(v) is type(w) is int:  # the common case pays no conversion
+            u, v, w = _integers("has_edge", u, v, w)
         return w >= 0 and (self.pair_bits(u, v) >> w) & 1 == 1
 
     def pair_bits(self, u: int, v: int) -> int:
-        """Bitset of third vertices completing an edge with {u, v}."""
+        """Bitset of third vertices completing an edge with {u, v}.  The
+        searches' hot accessor: it trusts its vertices to be integers."""
         row = self._links.get(u)
         return 0 if row is None else row.get(v, 0)
 
     def degree(self, v: int) -> int:
-        """Number of edges containing ``v``."""
+        """Number of edges containing the integer vertex ``v``."""
+        (v,) = _integers("degree", v)
         row = self._links.get(v)
         return 0 if row is None else sum(map(int.bit_count, row.values())) // 2
 
@@ -503,12 +464,17 @@ def _triple_fault(t: tuple, n: int) -> str | None:
     return None
 
 
+def _integers(reader: str, *vertices) -> tuple[int, ...]:
+    """The ``vertices`` as ints; ``InputError`` naming ``reader`` if not."""
+    try:
+        return tuple(map(operator.index, vertices))
+    except TypeError:
+        raise InputError(f"{reader} needs integer vertices, got {', '.join(map(repr, vertices))}") from None
+
+
 def codegree(G: Hypergraph3, u: int, v: int) -> int:
     """Number of edges containing the pair {u, v} of integer vertices."""
-    try:
-        u, v = operator.index(u), operator.index(v)
-    except TypeError:
-        raise InputError(f"codegree needs integer vertices, got ({u!r}, {v!r})") from None
+    u, v = _integers("codegree", u, v)
     if u == v:
         raise InputError(f"codegree needs two distinct vertices, got {u} twice")
     if not (0 <= u < G.n and 0 <= v < G.n):

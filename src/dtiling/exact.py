@@ -90,10 +90,8 @@ import time
 from collections import namedtuple
 
 from .core import (
-    FrozenRecord,
     Hypergraph3,
     InputError,
-    Record,
     Tiling,
     bits_of,
     dcopy_from_quad,
@@ -117,31 +115,34 @@ NODE_LIMIT = 10_000_000
 TIME_LIMIT = 60.0
 
 
-class SearchBudget(Record):
+class SearchBudget:
     """A pool of ``node_limit`` search nodes and a deadline ``time_limit``
     seconds after the budget is made, spent by every search it is handed:
     the three catalog searches and the 4-partite matching.  ``nodes``
     counts the nodes spent so far, across searches, so searches that share
     a budget share its pool and its deadline.  Only the small-set search
     of ``tileable`` and ``induced_perfect_tiling`` runs without a budget.
-    Budgets are equal when their limits are."""
+    Budgets are equal when their limits are; the package's one mutable
+    object, so it is no record."""
 
     __slots__ = ("node_limit", "time_limit", "nodes", "deadline")
-    _compared = ("node_limit", "time_limit")
 
     def __init__(self, node_limit: int = NODE_LIMIT, time_limit: float = TIME_LIMIT):
+        # Written as "not > 0" so that NaN, which fails every comparison,
+        # is refused too.
+        if not (node_limit > 0 and time_limit > 0):
+            raise InputError("search budget must be positive")
         self.node_limit = node_limit
         self.time_limit = time_limit
         self.nodes = 0
-        self.__post_init__()
+        self.deadline = time.perf_counter() + time_limit
 
-    def __post_init__(self):
-        # A method of its own, run last by __init__, so that a subclass can
-        # extend the check.  Written as "not > 0" so that NaN, which fails
-        # every comparison, is refused too.
-        if not (self.node_limit > 0 and self.time_limit > 0):
-            raise InputError("search budget must be positive")
-        self.deadline = time.perf_counter() + self.time_limit
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.node_limit, self.time_limit) == (other.node_limit, other.time_limit)
+
+    __hash__ = None
 
     def tick(self) -> bool:
         """Count one node; True when it is past the pool or the deadline."""
@@ -155,7 +156,7 @@ class SearchBudget(Record):
         return self.nodes >= self.node_limit or time.perf_counter() > self.deadline
 
 
-class QuadCatalog(FrozenRecord):
+class QuadCatalog(namedtuple("QuadCatalog", "quads inc complete", defaults=(False,))):
     """Spanning 4-sets of a graph in lexicographic order, with one
     incidence bitset per vertex of the graph: bit i of ``inc[v]`` is set
     iff v is in quad i, so ``bits_of(inc[v])`` lists v's quad ids
@@ -163,10 +164,7 @@ class QuadCatalog(FrozenRecord):
     lists every spanning 4-set of G; a search whose own catalog is cut
     short by its budget answers ``exhausted``."""
 
-    __slots__ = _compared = ("quads", "inc", "complete")
-
-    def __init__(self, quads: tuple, inc: tuple, complete: bool = False):
-        self._init(quads=quads, inc=inc, complete=complete)
+    __slots__ = ()
 
     @property
     def all_quads(self) -> int:
@@ -208,16 +206,11 @@ def quad_catalog(G: Hypergraph3, budget: SearchBudget | None = None) -> QuadCata
     return QuadCatalog.of(G, full, quads, complete=True)
 
 
-class TilingSearchResult(Record):
+class TilingSearchResult(namedtuple("TilingSearchResult", "status tiling nodes")):
     """``status`` is found / infeasible / exhausted; ``tiling`` a Tiling
     or None; ``nodes`` the search nodes spent."""
 
-    __slots__ = _compared = ("status", "tiling", "nodes")
-
-    def __init__(self, status: str, tiling: Tiling | None, nodes: int):
-        self.status = status
-        self.tiling = tiling
-        self.nodes = nodes
+    __slots__ = ()
 
     @property
     def optimal(self) -> bool:
@@ -225,15 +218,10 @@ class TilingSearchResult(Record):
         return self.status != EXHAUSTED
 
 
-class SetSearchResult(Record):
+class SetSearchResult(namedtuple("SetSearchResult", "status vertices nodes")):
     # max_D_free_set: found (optimal) / exhausted (best effort), nodes summed
     # over its questions.  _decide: found (a witness) / infeasible / exhausted.
-    __slots__ = _compared = ("status", "vertices", "nodes")
-
-    def __init__(self, status: str, vertices: tuple[int, ...], nodes: int):
-        self.status = status
-        self.vertices = vertices
-        self.nodes = nodes
+    __slots__ = ()
 
 
 def _kill(cat: QuadCatalog, i: int) -> int:
@@ -648,16 +636,11 @@ def four_partite_of(G: Hypergraph3, parts) -> FourPartite4Graph:
     return FourPartite4Graph(parts=parts, links=tuple(links))
 
 
-class MatchingResult(Record):
+class MatchingResult(namedtuple("MatchingResult", "status matching nodes")):
     """``status`` is found / infeasible / exhausted; ``matching`` a tuple
     of 4-tuples or None; ``nodes`` the search nodes spent."""
 
-    __slots__ = _compared = ("status", "matching", "nodes")
-
-    def __init__(self, status: str, matching: tuple | None, nodes: int):
-        self.status = status
-        self.matching = matching
-        self.nodes = nodes
+    __slots__ = ()
 
 
 def four_partite_perfect_matching(

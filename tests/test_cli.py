@@ -187,7 +187,7 @@ class TestSolve:
 
     def test_parser_defaults_are_the_driver_defaults(self):
         args = _build_parser().parse_args(["solve", "x"])
-        shared = [name for name in DriverParams.__slots__ if hasattr(args, name)]
+        shared = [name for name in DriverParams._fields if hasattr(args, name)]
         assert len(shared) == 6
         assert {name: getattr(args, name) for name in shared} == {
             name: getattr(DriverParams(), name) for name in shared

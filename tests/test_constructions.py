@@ -233,6 +233,19 @@ class TestMeetingFirstWriter:
         text = format_instance(make(n))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "m, digest",
+        [
+            (45, "09907fad1a00c9bb7a8c4b2764fae8545c87a41622bfe47edf074dbbb9f818e8"),  # Bose: 3 | m
+            (43, "e4aaaf1099c68ee85973da89e91de8fd19eba8365bb4237e14a651834fda8a3c"),  # Skolem: m = 1 (mod 6)
+        ],
+    )
+    def test_steiner_text_pinned(self, m, digest):
+        # Digests of the texts built by the separate Bose and Skolem
+        # routines, before one quasigroup routine made both.
+        text = format_instance(steiner_triple_system(m))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_g0_200_header(self):
         assert format_instance(construct_G0(200)).startswith("200 750925\n")
 

@@ -298,6 +298,22 @@ class TestEdgeReaders:
         assert G.degree(4) == 0 and G.degree(-1) == 0 and G.degree(6) == 0
         assert G.pair_bits(3, 4) == 0 and G.pair_bits(0, 0) == 0 and G.pair_bits(-1, 0) == 0
 
+    @pytest.mark.parametrize("triple", [(0, 1, 2.0), (0, 1.0, 2), (0.0, 1, 2), ("0", 1, 2), (0, 1, None)])
+    def test_has_edge_refuses_a_non_integer_vertex(self, triple):
+        # (0, 1, 2.0) raised a bare TypeError, and (0, 1.0, 2) answered True.
+        with pytest.raises(InputError, match="has_edge needs integer vertices"):
+            complete_3graph(6).has_edge(*triple)
+
+    @pytest.mark.parametrize("v", [1.5, 1.0, "1", None])
+    def test_degree_refuses_a_non_integer_vertex(self, v):
+        # 1.5 answered 0, and 1.0 the degree of vertex 1.
+        with pytest.raises(InputError, match="degree needs integer vertices"):
+            complete_3graph(6).degree(v)
+
+    def test_integer_like_vertices_are_read_as_their_ints(self):
+        G = complete_3graph(6)
+        assert G.has_edge(True, 2, operator.index(3)) and G.degree(True) == 10
+
 
 @settings(max_examples=60, deadline=None)
 @given(triples_strategy())

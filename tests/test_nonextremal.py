@@ -221,8 +221,8 @@ def test_forced_absorb_stalls_without_a_search(monkeypatch, absorption_fails):
     budgets = []
 
     class RecordedBudget(cli.SearchBudget):
-        def __post_init__(self):
-            super().__post_init__()
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             budgets.append(self)
 
     monkeypatch.setattr(cli, "SearchBudget", RecordedBudget)

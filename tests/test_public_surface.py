@@ -7,11 +7,13 @@ benchmark tracer's ``TRACED`` list, read as data.  A name that only
 """
 
 import ast
+import io
 import types
 from pathlib import Path
 
 import pytest
 
+import dtiling
 import dtiling.exact
 
 from test_trace_sites import traced_pairs
@@ -55,3 +57,13 @@ def test_exact_has_public_functions():
 @pytest.mark.parametrize("name", PUBLIC)
 def test_public_exact_function_is_reached(name):
     assert name in REACHED, f"dtiling.exact.{name} is called by no module, acceptance test or traced layer"
+
+
+def test_star_import_binds_no_submodule():
+    # __all__ was every name in dir(), so ``from dtiling import *`` rebound
+    # a caller's ``io`` to ``dtiling.io``.
+    assert not [name for name in dtiling.__all__ if isinstance(getattr(dtiling, name), types.ModuleType)]
+    assert {"solve_driver", "Hypergraph3", "SearchBudget"} <= set(dtiling.__all__)
+    namespace = {}
+    exec("import io\nfrom dtiling import *", namespace)
+    assert namespace["io"] is io and "exact" not in namespace and "solve_driver" in namespace

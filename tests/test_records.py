@@ -1,8 +1,12 @@
-"""The package's records: plain classes with the equality, hashing and
-frozenness of the fields they declare."""
+"""The package's records: named tuples with the equality, hashing and
+frozenness of their fields; ``SearchBudget`` is the one mutable object."""
+
+import importlib
+import pkgutil
 
 import pytest
 
+import dtiling
 from dtiling import (
     AbsorberFamily,
     Certificate,
@@ -42,7 +46,20 @@ FROZEN = {
         lambda: AbsorberFamily((tuple(range(8)),), (tiling(),), frozenset(range(8)), 0.3, 0.1),
         ("members", "tilings", "covered", "alpha", "p", "stats"),
     ),
+    "TilingSearchResult": (lambda: TilingSearchResult("found", tiling(), 3), ("status", "tiling", "nodes")),
+    "SetSearchResult": (
+        lambda: SetSearchResult(status="found", vertices=(0, 1), nodes=2),
+        ("status", "vertices", "nodes"),
+    ),
+    "MatchingResult": (lambda: MatchingResult("infeasible", None, 1), ("status", "matching", "nodes")),
+    "DriverParams": (
+        lambda: DriverParams(mode="exact", seed=3),
+        ("mode", "eps", "alpha", "seed", "node_limit", "time_limit"),
+    ),
 }
+
+# A family's stats dict makes it unhashable.
+HASHABLE = [name for name in FROZEN if name != "AbsorberFamily"]
 
 
 @pytest.mark.parametrize("name", FROZEN)
@@ -60,7 +77,7 @@ def test_frozen_records_refuse_assignment(name):
         record.extra = 1
 
 
-@pytest.mark.parametrize("name", FROZEN)
+@pytest.mark.parametrize("name", HASHABLE)
 def test_frozen_records_are_equal_and_hash_equal_on_equal_fields(name):
     make = FROZEN[name][0]
     a, b = make(), make()
@@ -84,21 +101,25 @@ def test_catalog_equality_heeds_completeness():
     assert QuadCatalog(cat.quads, cat.inc, True) == cat
 
 
-def test_family_equality_ignores_stats():
+def test_family_compares_its_stats_and_is_unhashable():
     make = FROZEN["AbsorberFamily"][0]
     a = make()
-    b = AbsorberFamily(a.members, a.tilings, a.covered, a.alpha, a.p, stats={"attempts": [1]})
-    assert a == b and hash(a) == hash(b)
+    assert a == make() and a != a._replace(stats={"attempts": [1]})
     assert a != AbsorberFamily(a.members, a.tilings, a.covered, a.alpha, 0.2)
+    with pytest.raises(TypeError):
+        hash(a)
 
 
+def test_records_are_tuples_of_their_fields():
+    assert MatchingResult("infeasible", None, 1) == ("infeasible", None, 1)
+    assert TilingSearchResult("exhausted", None, 0) == SetSearchResult("exhausted", None, 0)
+    assert DriverParams() == ("auto", 0.25, 0.3, 0, NODE_LIMIT, TIME_LIMIT)
+
+
+# The budget, and records that hold a list or a dict.
 MUTABLE = {
     "SearchBudget": lambda: SearchBudget(node_limit=5, time_limit=600.0),
-    "TilingSearchResult": lambda: TilingSearchResult("found", tiling(), 3),
-    "SetSearchResult": lambda: SetSearchResult(status="found", vertices=(0, 1), nodes=2),
-    "MatchingResult": lambda: MatchingResult("infeasible", None, 1),
     "Verdict": lambda: Verdict(["copy 0: missing edge (0, 1, 2)"]),
-    "DriverParams": lambda: DriverParams(mode="exact", seed=3),
     "DriverResult": lambda: DriverResult("tiled", tiling(), {"branch": "exact-fallback"}),
 }
 
@@ -113,9 +134,8 @@ def test_mutable_records_compare_by_fields_and_are_unhashable(name):
 
 
 def test_mutable_records_take_assignment_and_their_defaults():
-    result = MUTABLE["TilingSearchResult"]()
-    result.nodes = 4
-    assert result != MUTABLE["TilingSearchResult"]()
+    result = FROZEN["TilingSearchResult"][0]()
+    assert result._replace(nodes=4) != result
     assert Verdict().ok and Verdict().violations == [] and Verdict().violations is not Verdict().violations
     assert DriverResult("tiled", None).report == {}
     params = DriverParams()
@@ -129,3 +149,28 @@ def test_budget_equality_ignores_the_nodes_spent():
     assert (spent.nodes, fresh.nodes) == (1, 0) and spent == fresh
     assert SearchBudget() == SearchBudget(NODE_LIMIT, TIME_LIMIT)
     assert SearchBudget(6, 600.0) != fresh
+
+
+# The classes that are not records: exceptions, the graph, its edge view
+# and the budget, whose node count changes as searches spend it.
+NOT_RECORDS = {"Hypergraph3", "_EdgeView", "SearchBudget"}
+
+
+def package_classes():
+    for info in pkgutil.iter_modules(dtiling.__path__):
+        module = importlib.import_module(f"dtiling.{info.name}")
+        for name, value in vars(module).items():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                yield f"{module.__name__}.{name}", value
+
+
+def test_every_record_is_a_slotted_named_tuple():
+    classes = dict(package_classes())
+    assert {"dtiling.core.Verdict", "dtiling.exact.SearchBudget", "dtiling.cli.DriverParams"} <= set(classes)
+    loose = [
+        name
+        for name, cls in classes.items()
+        if not (issubclass(cls, BaseException) or cls.__name__ in NOT_RECORDS)
+        and not (issubclass(cls, tuple) and hasattr(cls, "_fields") and vars(cls).get("__slots__") == ())
+    ]
+    assert loose == []
