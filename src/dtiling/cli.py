@@ -23,6 +23,10 @@ spent budget.  The fallback's catalog reads it once per vertex row and
 stops when it is spent; the greedy set and the greedy tiling run no
 search, nor does the absorption branch, so forced ``--mode absorb``
 ticks none of it.
+The report's ``dfree`` block holds what the greedy set measured: its
+``size``, the ``threshold`` t and ``extremal`` (|S| >= t), plus S itself
+as ``vertices`` at the space barrier; ``branch`` names the branch the
+solve ended in.
 Exit codes of ``solve``: 0 tiled, 2 proven infeasible (by the space
 barrier or by the exact search), 3 search exhausted or stalled, 64 usage
 errors and malformed or oversized input.  ``verify`` exits 0 when the
@@ -114,8 +118,10 @@ class DriverResult(namedtuple("DriverResult", "status tiling report")):
 
 
 def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverResult:
-    """Run the layered strategy under one search budget; the report
-    explains every branch taken."""
+    """Run the layered strategy under one search budget.  The report's
+    ``branch`` is the branch the solve ended in, ``attempts`` lists every
+    branch tried, and in auto and extremal mode ``dfree`` holds what the
+    greedy D-free set measured, timed as ``timings_ms["dfree"]``."""
     params = params or DriverParams()
     budget = SearchBudget(params.node_limit, params.time_limit)
     if G.n > MAX_N:
@@ -147,7 +153,8 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
         finally:
             timings[name] = timings.get(name, 0.0) + (time.perf_counter() - t0) * 1000
 
-    def finish(status: str, tiling: Tiling | None) -> DriverResult:
+    def finish(status: str, branch: str, tiling: Tiling | None) -> DriverResult:
+        report["branch"] = branch
         report["timings_ms"] = {k: round(v, 3) for k, v in timings.items()}
         report["verdict"] = status
         if tiling is not None:
@@ -162,69 +169,53 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
         threshold = (1 - params.eps) * (3 * G.n / 4)
         # The greedy D-free set is maximal as it stands: past 3n/4 it is
         # the space-barrier proof, and below it is the S the branches take.
-        S = clocked("certificate", greedy_D_free_set, G)
-        fields = {"method": "greedy", "nodes": 0, "outcome": "witness" if len(S) >= threshold else "unknown"}
-        greedy = None  # a perfect greedy tiling, which refutes the barrier too
+        S = clocked("dfree", greedy_D_free_set, G)
+        extremal_instance = len(S) >= threshold
+        report["dfree"] = {"size": len(S), "threshold": threshold, "extremal": extremal_instance}
+        # A perfect greedy tiling refutes the barrier too, and is the answer.
         if params.mode == "auto" and G.n <= GREEDY_TILING_MAX_N and 4 * len(S) <= 3 * G.n:
             greedy = clocked("greedy_tiling", near_perfect_tiling, G)
-            if 4 * greedy.size < G.n:
-                greedy = None
-            else:
-                fields = {"method": "greedy-tiling", "nodes": 0, "outcome": "refuted"}
-        extremal_instance = len(S) >= threshold
-        report["dfree"] = {
-            "size": len(S),
-            "threshold": threshold,
-            "extremal": extremal_instance,
-            **fields,
-        }
-        if greedy is not None:
-            report["branch"] = "greedy"
-            report["attempts"].append({"branch": "greedy", "outcome": "tiled"})
-            return finish("tiled", greedy)
+            if 4 * greedy.size == G.n:
+                report["attempts"].append({"branch": "greedy", "outcome": "tiled"})
+                return finish("tiled", "greedy", greedy)
         # Space barrier: every copy of a perfect tiling needs a vertex
         # outside the D-free set S, so |S| > 3n/4 leaves too few of them.
         if 4 * len(S) > 3 * G.n:
             if not is_D_free(G, S):
                 raise AssertionError("space-barrier set spans a copy")
             report["dfree"]["vertices"] = list(S)
-            report["branch"] = "space-barrier"
             report["attempts"].append({"branch": "space-barrier", "outcome": "infeasible"})
-            return finish("infeasible", None)
+            return finish("infeasible", "space-barrier", None)
 
     if params.mode == "extremal" or (params.mode == "auto" and extremal_instance):
         try:
             tiling, pipe_report = clocked(
                 "extremal", run_extremal_pipeline, G, S, alpha=params.alpha, budget=budget
             )
-            report["branch"] = "extremal"
             report["extremal"] = pipe_report
             report["attempts"].append({"branch": "extremal", "outcome": "tiled"})
-            return finish("tiled", tiling)
+            return finish("tiled", "extremal", tiling)
         except StageFailure as exc:
             report["attempts"].append(
                 {"branch": "extremal", "outcome": "stage_failure", "reason": str(exc)}
             )
             if params.mode == "extremal":
-                report["branch"] = "extremal"
-                return finish("exhausted", None)
+                return finish("exhausted", "extremal", None)
 
     if params.mode == "absorb" or (params.mode == "auto" and not extremal_instance):
         outcome = _try_absorb_branch(G, params, report, clocked)
         if outcome is not None:
-            return finish("tiled", outcome)
+            return finish("tiled", "non-extremal", outcome)
         if params.mode == "absorb":
-            report["branch"] = "non-extremal"
-            return finish("exhausted", None)
+            return finish("exhausted", "non-extremal", None)
 
     res = clocked("exact", perfect_tiling_exact, G, budget)
-    report["branch"] = "exact-fallback"
     report["exact"] = {"status": res.status, "nodes": res.nodes, "optimal": res.optimal}
     if res.status == FOUND:
         report["attempts"].append({"branch": "exact", "outcome": "tiled"})
-        return finish("tiled", res.tiling)
+        return finish("tiled", "exact-fallback", res.tiling)
     report["attempts"].append({"branch": "exact", "outcome": res.status})
-    return finish("infeasible" if res.status == INFEASIBLE else "exhausted", None)
+    return finish("infeasible" if res.status == INFEASIBLE else "exhausted", "exact-fallback", None)
 
 
 def _try_absorb_branch(G, params, report, clocked):
@@ -260,7 +251,6 @@ def _try_absorb_branch(G, params, report, clocked):
             }
         )
         return None
-    report["branch"] = "non-extremal"
     report["attempts"].append({"branch": "non-extremal", "outcome": "tiled"})
     return Tiling.from_copies(greedy.copies + absorbed.copies)
 

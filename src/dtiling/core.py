@@ -18,8 +18,8 @@ iterable of triples) has its own scatter loop, which checks each triple
 as it scatters it, and shares ``_reduce``.
 
 Set bits come out in C where there are many.  ``bits_of`` and the pair
-walk ``_pair_thirds``, which ``G.edges`` (and so ``Hypergraph3.triples``)
-and ``io.format_instance`` share, turn a bitset with at least
+walk ``_pair_thirds``, which ``G.edges`` and ``io.format_instance``
+share, turn a bitset with at least
 ``_DIGIT_READ_MIN_BITS`` set bits into one 0/1 byte per binary digit
 (``_bit_flags``) and list the set positions with ``itertools.compress``;
 a sparser bitset keeps the loop that clears its lowest set bit once per
@@ -34,9 +34,9 @@ points share two vertices); ``spanning_quads_at`` lists such 4-sets
 through one vertex at a time.
 
 ``Hypergraph3`` is immutable after construction and safe to read from
-several threads (two threads that both read ``edges`` first make equal
-views); validation results are accumulated in throwaway ``Verdict``
-values.
+several threads; each read of ``edges`` makes a fresh view, and views of
+one graph are equal.  Validation results are accumulated in throwaway
+``Verdict`` values.
 
 Every record of the package is a ``namedtuple`` subclass with
 ``__slots__ = ()``: its fields never change, it compares and hashes on
@@ -208,25 +208,18 @@ class Hypergraph3:
     arguments.
     """
 
-    __slots__ = ("n", "m", "_links", "_edges")
+    __slots__ = ("n", "m", "_links")
 
     def __init__(self, n: int, m: int, links: dict):
         self.n = n
         self.m = m
         self._links = links
-        self._edges = None
 
     @property
     def edges(self) -> _EdgeView:
-        """All edges as ascending triples: a set view over the pair index
-        (made on first use, then kept; it holds no triple)."""
-        if self._edges is None:
-            self._edges = _EdgeView(self._links, self.n, self.m)
-        return self._edges
-
-    def triples(self):
-        """Iterate over every edge once as an ascending triple, in lexicographic order."""
-        return iter(self.edges)
+        """All edges as ascending triples: a fresh set view over the pair
+        index, which holds no triple."""
+        return _EdgeView(self._links, self.n, self.m)
 
     def has_edge(self, u: int, v: int, w: int) -> bool:
         """Whether {u, v, w} is an edge; False for repeated vertices or

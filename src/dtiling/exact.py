@@ -88,6 +88,7 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
+from itertools import chain
 
 from .core import (
     Hypergraph3,
@@ -172,15 +173,14 @@ class QuadCatalog(namedtuple("QuadCatalog", "quads inc complete", defaults=(Fals
         return (1 << len(self.quads)) - 1
 
     @classmethod
-    def of(cls, G: Hypergraph3, within: int, quads: list, complete: bool = False) -> "QuadCatalog":
-        """The catalog of ``quads``, 4-sets of G inside the vertex mask
-        ``within`` in lexicographic order; ``complete`` when they are all
-        the spanning 4-sets of G.  Each vertex of the mask writes a '1' at
-        its quads' ids into a string of '0's, read as one binary int."""
+    def of(cls, G: Hypergraph3, quads: list, complete: bool = False) -> "QuadCatalog":
+        """The catalog of ``quads``, 4-sets of G in lexicographic order;
+        ``complete`` when they are all the spanning 4-sets of G.  Each
+        vertex the quads name writes a '1' at its quads' ids into a string
+        of '0's, read as one binary int; any other vertex's bitset is 0."""
         cols: list[bytearray | None] = [None] * G.n
-        if quads:
-            for v in bits_of(within):
-                cols[v] = bytearray(b"0") * len(quads)
+        for v in set(chain.from_iterable(quads)):
+            cols[v] = bytearray(b"0") * len(quads)
         for i, (a, b, c, d) in enumerate(quads):
             cols[a][i] = cols[b][i] = cols[c][i] = cols[d][i] = 49  # ord("1")
         inc = tuple(0 if col is None else int(col[::-1], 2) for col in cols)
@@ -201,9 +201,9 @@ def quad_catalog(G: Hypergraph3, budget: SearchBudget | None = None) -> QuadCata
     quads: list = []
     for v in range(G.n):
         if budget is not None and budget.spent:
-            return QuadCatalog.of(G, full, quads)
+            return QuadCatalog.of(G, quads)
         quads.extend(spanning_quads_at(G, v, full & -(2 << v)))
-    return QuadCatalog.of(G, full, quads, complete=True)
+    return QuadCatalog.of(G, quads, complete=True)
 
 
 class TilingSearchResult(namedtuple("TilingSearchResult", "status tiling nodes")):

@@ -210,7 +210,7 @@ def _one_y_catalog(G: Hypergraph3, ys, zs) -> QuadCatalog:
     its one Y vertex."""
     zmask = mask_of(zs)
     quads = sorted(tuple(sorted(q)) for y in ys for q in spanning_quads_at(G, y, zmask))
-    return QuadCatalog.of(G, mask_of(ys) | zmask, quads)
+    return QuadCatalog.of(G, quads)
 
 
 def build_Q(G: Hypergraph3, part: XYZPartition, budget: SearchBudget | None = None) -> TilingSearchResult:

@@ -72,7 +72,8 @@ def test_g1_refuted_at_the_barrier(n):
     check_barrier_verdict(G, res)
     # The greedy set already passes 3n/4, so no order asks for a search.
     dfree = res.report["dfree"]
-    assert (dfree["method"], dfree["nodes"], dfree["outcome"]) == ("greedy", 0, "witness")
+    assert set(dfree) == {"size", "threshold", "extremal", "vertices"} and dfree["extremal"]
+    assert "exact" not in res.report
 
 
 def test_random_near_threshold_barrier_verdicts_hold():
@@ -109,20 +110,14 @@ def test_sparse_random_barrier_exactly_when_the_optimum_passes_3n_4():
     assert barriers >= 10
 
 
-@pytest.mark.parametrize(
-    "node_limit, fields",
-    [
-        # No node limit moves the set: the driver asks no D-free question.
-        (10_000_000, {"method": "greedy", "nodes": 0, "outcome": "unknown"}),
-        (100, {"method": "greedy", "nodes": 0, "outcome": "unknown"}),
-    ],
-)
-def test_undecided_certificate_falls_back_to_the_greedy_set(node_limit, fields):
+# No node limit moves the set: the driver asks no D-free question.
+@pytest.mark.parametrize("node_limit", [10_000_000, 100])
+def test_every_budget_routes_on_the_greedy_set(node_limit):
     G = random_codegree_instance(16, 4, 7)
     greedy = extend_to_maximal_D_free(G, greedy_D_free_set(G))
     expected = {"size": len(greedy), "threshold": 9.0, "extremal": False}
     res = solve_driver(G, DriverParams(mode="extremal", node_limit=node_limit))
-    assert res.report["dfree"] == {**expected, **fields}
+    assert res.report["dfree"] == expected
     # Seeded by the greedy set, stage R runs out of free Z vertices.
     assert res.status == "exhausted" and res.report["branch"] == "extremal"
     assert res.report["attempts"][-1]["reason"].startswith("stage R:")
@@ -134,7 +129,7 @@ def test_undecided_certificate_falls_back_to_the_greedy_set(node_limit, fields):
     greedy = extend_to_maximal_D_free(G, greedy_D_free_set(G))
     expected = {"size": len(greedy), "threshold": 9.0, "extremal": False}
     res = solve_driver(G, DriverParams(node_limit=node_limit))
-    assert res.report["dfree"] == {**expected, **fields}
+    assert res.report["dfree"] == expected
     assert res.status == "tiled" and res.report["branch"] == "exact-fallback"
     assert res.report["exact"] == {"status": "found", "nodes": 6, "optimal": True}
 
@@ -255,14 +250,7 @@ class TestGreedyTiling:
         res = solve_driver(G, DriverParams(node_limit=1))
         assert res.status == "tiled" and res.report["branch"] == "greedy"
         assert res.report["attempts"] == [{"branch": "greedy", "outcome": "tiled"}]
-        assert res.report["dfree"] == {
-            "size": len(greedy),
-            "threshold": 9.0,
-            "extremal": False,
-            "method": "greedy-tiling",
-            "nodes": 0,
-            "outcome": "refuted",
-        }
+        assert res.report["dfree"] == {"size": len(greedy), "threshold": 9.0, "extremal": False}
         assert "greedy_tiling" in res.report["timings_ms"]
         assert [b.nodes for b in budgets] == [0]
 
@@ -286,7 +274,7 @@ class TestGreedyTiling:
         for seed in range(6):
             res = solve_driver(random_codegree_instance(16, 4, seed), DriverParams(mode=mode))
             assert res.report["branch"] != "greedy"
-            assert res.report.get("dfree", {}).get("method") != "greedy-tiling"
+            assert all(a["branch"] != "greedy" for a in res.report["attempts"])
             assert "greedy_tiling" not in res.report["timings_ms"]
 
 
@@ -313,8 +301,7 @@ def test_a_barrier_the_greedy_set_misses_is_found_by_search(monkeypatch):
     assert res.status == "infeasible" and res.report["branch"] == "exact-fallback"
     assert res.report["exact"] == {"status": "infeasible", "nodes": 1, "optimal": True}
     assert calls == [True]
-    dfree = res.report["dfree"]
-    assert (dfree["method"], dfree["nodes"], dfree["size"]) == ("greedy", 0, 9)
+    assert res.report["dfree"] == {"size": 9, "threshold": 6.75, "extremal": True}
 
 
 def verdict_corpus():
@@ -351,3 +338,36 @@ def test_auto_and_exact_verdicts_agree_up_to_24_vertices():
         branches.add(res.report["branch"])
     assert verdicts == {"tiled", "infeasible"}
     assert {"greedy", "exact-fallback"} <= branches
+
+
+def dfree_corpus():
+    """G0 and G1 up to 32 vertices, and random graphs of codegree n/4 - 1
+    to n/4 + 1 on 8 to 32 vertices."""
+    for n in range(8, 33, 4):
+        yield construct_G0(n)
+    for n in G1_ORDERS[:4]:
+        yield construct_G1(n)
+    rng = random.Random(39)
+    for n in range(8, 33, 4):
+        for _ in range(3):
+            yield random_codegree_instance(n, n // 4 + rng.choice([-1, 0, 1]), rng.randrange(2**32))
+
+
+@pytest.mark.parametrize(
+    "mode, ends",
+    [
+        ("auto", {"space-barrier", "greedy", "non-extremal", "exact-fallback"}),
+        ("extremal", {"space-barrier", "extremal"}),
+    ],
+)
+def test_dfree_reports_only_what_the_greedy_set_measured(mode, ends):
+    branches = set()
+    for G in dfree_corpus():
+        res = solve(G, mode)
+        dfree, branch = res.report["dfree"], res.report["branch"]
+        barrier = {"vertices"} if branch == "space-barrier" else set()
+        assert set(dfree) == {"size", "threshold", "extremal"} | barrier
+        assert dfree["extremal"] == (dfree["size"] >= dfree["threshold"])
+        assert "dfree" in res.report["timings_ms"] and "certificate" not in res.report["timings_ms"]
+        branches.add(branch)
+    assert branches == ends

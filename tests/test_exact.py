@@ -196,7 +196,7 @@ class TestMaxTiling:
         G = random_codegree_instance(16, 4, 3)
         H, mapping = induced_subgraph(G, range(4, 16))
         kept = [tuple(mapping[v] for v in q) for q in quad_catalog(H).quads]
-        res = _max_packing(G, QuadCatalog.of(G, mask_of(range(4, 16)), kept), SearchBudget())
+        res = _max_packing(G, QuadCatalog.of(G, kept), SearchBudget())
         assert res.tiling.size == max_tiling_exact(H).tiling.size
 
     def test_packs_only_the_catalog_quads(self):
@@ -206,7 +206,7 @@ class TestMaxTiling:
         for _ in range(20):
             G = random_codegree_instance(12, rng.randint(1, 3), rng.randrange(10**6))
             kept = [quad for quad in quad_catalog(G).quads if rng.random() < 0.05]
-            res = _max_packing(G, QuadCatalog.of(G, (1 << G.n) - 1, kept), SearchBudget())
+            res = _max_packing(G, QuadCatalog.of(G, kept), SearchBudget())
             assert {c.vertices for c in res.tiling.copies} <= set(kept)
             masks = [mask_of(quad) for quad in kept]
 

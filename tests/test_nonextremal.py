@@ -27,9 +27,6 @@ def expected_report(n, edges, codegree, dfree_size, p, leftover):
         "branch": "non-extremal",
         "dfree": {
             "extremal": False,
-            "method": "greedy",
-            "nodes": 0,
-            "outcome": "unknown",
             "size": dfree_size,
             "threshold": 27.0 if n == 48 else 36.0,
         },

@@ -95,7 +95,7 @@ def test_frozen_records_keep_their_defaults_and_keywords():
 def test_catalog_equality_heeds_completeness():
     cat = quad_catalog(K8)
     assert cat.complete and cat.all_quads == (1 << 70) - 1
-    partial = QuadCatalog.of(K8, 255, list(cat.quads))
+    partial = QuadCatalog.of(K8, list(cat.quads))
     assert not partial.complete and (partial.quads, partial.inc) == (cat.quads, cat.inc)
     assert partial != cat
     assert QuadCatalog(cat.quads, cat.inc, True) == cat
