@@ -13,12 +13,18 @@ at least the extremal threshold t = (1 - eps) 3n/4, and else sets aside
 an absorbing family, tiles the rest by the greedy maximal tiling, and
 absorbs the leftover; those steps take their part of G as a vertex mask,
 so no subgraph is copied or relabelled.  In auto mode any branch failure
-falls back to the exact solver on all of G, the one exact search of a
-solve and the one quad catalog of G it builds; it also refutes, within
-the budget, an instance whose barrier the greedy set misses.
+falls back to an exact search of all of G.  On at most
+``GREEDY_TILING_MAX_N`` vertices below the extremal threshold that is
+first the small-set search, which lists no catalog and gives up once it
+has expanded ``G.m`` remaining vertex sets; its answer, tiled or
+infeasible, is the solve's, as branch ``small-search``.  Otherwise, or
+when it gives up, the exact solver runs on all of G, the one quad
+catalog of G a solve builds; it also refutes, within the budget, an
+instance whose barrier the greedy set misses.
 Forced modes report their own stall instead.  One ``SearchBudget``,
 made when the solve starts, is the node pool and deadline of every
-search in it: stages Q and T and the fallback, which stops at once on a
+search in it: stages Q and T, the small-set search, which ticks it once
+per expanded set, and the catalog search, which stops at once on a
 spent budget.  The fallback's catalog reads it once per vertex row and
 stops when it is spent; the greedy set and the greedy tiling run no
 search, nor does the absorption branch, so forced ``--mode absorb``
@@ -26,9 +32,11 @@ ticks none of it.
 The report's ``dfree`` block holds what the greedy set measured: its
 ``size``, the ``threshold`` t and ``extremal`` (|S| >= t), plus S itself
 as ``vertices`` at the space barrier; ``branch`` names the branch the
-solve ended in.
+solve ended in.  ``small_search`` holds the small-set search's status
+and nodes when it ran, and ``exact`` the catalog search's only when
+that ran.
 Exit codes of ``solve``: 0 tiled, 2 proven infeasible (by the space
-barrier or by the exact search), 3 search exhausted or stalled, 64 usage
+barrier or by an exact search), 3 search exhausted or stalled, 64 usage
 errors and malformed or oversized input.  ``verify`` exits 0 when the
 certificate checks, 1 when its text is malformed or fails the check,
 and 64 when the instance is malformed or either file cannot be opened.
@@ -62,12 +70,14 @@ from .core import (
     validate_tiling,
 )
 from .exact import (
+    EXHAUSTED,
     FOUND,
     INFEASIBLE,
     NODE_LIMIT,
     TIME_LIMIT,
     SearchBudget,
     perfect_tiling_exact,
+    small_tiling_exact,
 )
 from .extremal import (
     StageFailure,
@@ -92,6 +102,9 @@ EXIT_TILED = 0
 EXIT_INFEASIBLE = 2
 EXIT_EXHAUSTED = 3
 EXIT_USAGE = 64
+
+# The solve's status, and its attempt's outcome, for each search status.
+_OUTCOME = {FOUND: "tiled", INFEASIBLE: "infeasible", EXHAUSTED: "exhausted"}
 
 
 class DriverParams(
@@ -209,13 +222,21 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
         if params.mode == "absorb":
             return finish("exhausted", "non-extremal", None)
 
+    # At the default alpha no absorbing family fits below 27 vertices, so
+    # small graphs below the extremal threshold land here.  The small-set
+    # search settles them in a few nodes with no catalog; the catalog is
+    # listed only if it gives up.
+    if params.mode == "auto" and G.n <= GREEDY_TILING_MAX_N and not extremal_instance:
+        res = clocked("small_search", small_tiling_exact, G, budget)
+        report["small_search"] = {"status": res.status, "nodes": res.nodes}
+        report["attempts"].append({"branch": "small-search", "outcome": _OUTCOME[res.status]})
+        if res.status != EXHAUSTED:
+            return finish(_OUTCOME[res.status], "small-search", res.tiling)
+
     res = clocked("exact", perfect_tiling_exact, G, budget)
     report["exact"] = {"status": res.status, "nodes": res.nodes, "optimal": res.optimal}
-    if res.status == FOUND:
-        report["attempts"].append({"branch": "exact", "outcome": "tiled"})
-        return finish("tiled", "exact-fallback", res.tiling)
-    report["attempts"].append({"branch": "exact", "outcome": res.status})
-    return finish("infeasible" if res.status == INFEASIBLE else "exhausted", "exact-fallback", None)
+    report["attempts"].append({"branch": "exact", "outcome": _OUTCOME[res.status]})
+    return finish(_OUTCOME[res.status], "exact-fallback", res.tiling)
 
 
 def _try_absorb_branch(G, params, report, clocked):
@@ -410,7 +431,7 @@ def _parse_n_range(parser, spec: str) -> list[int]:
 
 
 # The branches an auto-mode solve can end in, each counted per scan line.
-SCAN_BRANCHES = ("greedy", "extremal", "non-extremal", "exact-fallback", "space-barrier")
+SCAN_BRANCHES = ("greedy", "extremal", "non-extremal", "small-search", "exact-fallback", "space-barrier")
 
 
 def _nearest_rank(ordered: list[float], q: float) -> float:

@@ -64,8 +64,13 @@ tiling with the greedy packing of the quads listed.
 
 Sets of at most 16 vertices have their own search, with no subgraph,
 catalog or budget: it branches over ``spanning_quads_at`` of the lowest
-remaining vertex.  ``tileable`` and ``induced_perfect_tiling``, the
-absorption layer's only kernel, run it.
+remaining vertex, and memoizes each remaining set it expands.
+``tileable`` and ``induced_perfect_tiling``, the absorption layer's only
+kernel, run it.  ``small_tiling_exact`` runs the same search on all of a
+small G on a budget, ticked once per expanded set; it gives up once it
+has expanded ``G.m`` of them, so a graph the catalog search settles in a
+few nodes costs at most a bounded detour.  The driver runs it before the
+catalog search on small graphs below the extremal threshold.
 
 The 4-partite 4-graph of the extremal T stage is stored as one bitset
 per first-part vertex, its link: the (part 2, part 3) pairs in sorted
@@ -119,10 +124,11 @@ TIME_LIMIT = 60.0
 class SearchBudget:
     """A pool of ``node_limit`` search nodes and a deadline ``time_limit``
     seconds after the budget is made, spent by every search it is handed:
-    the three catalog searches and the 4-partite matching.  ``nodes``
-    counts the nodes spent so far, across searches, so searches that share
-    a budget share its pool and its deadline.  Only the small-set search
-    of ``tileable`` and ``induced_perfect_tiling`` runs without a budget.
+    the three catalog searches, ``small_tiling_exact`` and the 4-partite
+    matching.  ``nodes`` counts the nodes spent so far, across searches,
+    so searches that share a budget share its pool and its deadline.  Only
+    the small-set search of ``tileable`` and ``induced_perfect_tiling``
+    runs without a budget.
     Budgets are equal when their limits are; the package's one mutable
     object, so it is no record."""
 
@@ -365,45 +371,74 @@ def perfect_tiling_exact(G: Hypergraph3, budget: SearchBudget | None = None) -> 
 TILEABLE_MAX_VERTICES = 16
 
 
-def _small_tiling(G: Hypergraph3, mask: int) -> list[tuple[int, int, int, int]] | None:
-    """The quads of a perfect tiling of the subgraph induced on the vertex
-    bitmask ``mask``, or None; exact, for masks of at most 16 vertices.
+class _GaveUp(Exception):
+    """The small-set search spent its budget or its memo cap."""
+
+
+def _small_tiling(
+    G: Hypergraph3, mask: int, budget: SearchBudget | None = None
+) -> tuple[str, list[tuple[int, int, int, int]] | None]:
+    """The status of a perfect tiling of the subgraph induced on the
+    vertex bitmask ``mask``, found / infeasible / exhausted, and its quads
+    when found.
 
     Depth-first search with no subgraph or catalog: the lowest vertex of
     the remaining mask joins each of its ``spanning_quads_at`` inside the
     mask, and the search recurses on what is left.  The memo maps each
     remaining mask to the quad that tiled it (None if none did), so the
-    tiling is read back from it.  A 16-vertex mask has fewer than 2^16
-    submasks: no budget needed.
+    tiling is read back from it.  Without ``budget`` the mask holds at most
+    16 vertices, so fewer than 2^16 submasks: the search always finishes.
+    With one, any mask is taken, each new memo entry ticks ``budget``, and
+    the search answers ``exhausted`` once the budget runs out or its memo
+    holds ``G.m`` entries.
     """
     size = vertex_mask(G, mask).bit_count()
-    if size > TILEABLE_MAX_VERTICES:
+    if budget is None and size > TILEABLE_MAX_VERTICES:
         raise InputError(f"the small-set search takes at most {TILEABLE_MAX_VERTICES} vertices, got {size}")
     if size % 4:
-        return None
+        return INFEASIBLE, None
     memo: dict[int, tuple[int, int, int, int] | None] = {}
 
     def rec(rest: int) -> bool:
         if not rest:
             return True
         if rest not in memo:
+            if budget is not None and (len(memo) == G.m or budget.tick()):
+                raise _GaveUp
+            memo[rest] = None  # entered before its subsets: len(memo) counts every expanded set
             lowest = (rest & -rest).bit_length() - 1
             memo[rest] = next((q for q in spanning_quads_at(G, lowest, rest) if rec(rest ^ mask_of(q))), None)
         return memo[rest] is not None
 
-    if not rec(mask):
-        return None
+    try:
+        if not rec(mask):
+            return INFEASIBLE, None
+    except _GaveUp:
+        return EXHAUSTED, None
     quads = []
     while mask:
         quads.append(memo[mask])
         mask ^= mask_of(memo[mask])
-    return quads
+    return FOUND, quads
+
+
+def small_tiling_exact(G: Hypergraph3, budget: SearchBudget) -> TilingSearchResult:
+    """Perfect tiling of all of G by the small-set search on ``budget``,
+    with no catalog: ``exhausted`` once the budget runs out or the search
+    has expanded ``G.m`` remaining masks, ``infeasible`` only when it
+    tried every one.  The driver runs it on small graphs before the
+    catalog search."""
+    first = budget.nodes
+    full = (1 << G.n) - 1
+    status, quads = _small_tiling(G, full, budget)
+    tiling = _witness(G, quads, cover=full) if status == FOUND else None
+    return TilingSearchResult(status=status, tiling=tiling, nodes=budget.nodes - first)
 
 
 def tileable(G: Hypergraph3, mask: int) -> bool:
     """Whether the subgraph induced on the vertex bitmask ``mask`` has a
     perfect tiling; exact, for masks of at most 16 vertices."""
-    return _small_tiling(G, mask) is not None
+    return _small_tiling(G, mask)[0] == FOUND
 
 
 def induced_perfect_tiling(G: Hypergraph3, vertices) -> Tiling | None:
@@ -412,8 +447,8 @@ def induced_perfect_tiling(G: Hypergraph3, vertices) -> Tiling | None:
     mask = mask_of(vertices)
     if mask.bit_count() % 4:
         raise InputError(f"perfect tiling needs 4 | n, got n={mask.bit_count()}")
-    quads = _small_tiling(G, mask)
-    return None if quads is None else _witness(G, quads, cover=mask)
+    status, quads = _small_tiling(G, mask)
+    return _witness(G, quads, cover=mask) if status == FOUND else None
 
 
 def _max_packing(G: Hypergraph3, cat: QuadCatalog, budget: SearchBudget) -> TilingSearchResult:

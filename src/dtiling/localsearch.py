@@ -15,7 +15,9 @@ Greedy is enough.  The tiling it returns is maximal: the part of
 ``within`` it leaves uncovered spans no copy of D.  The absorption
 technique only needs the leftover to be small enough for the absorbing
 family to swallow it, and when the family cannot, the driver's exact
-fallback on all of G takes over.
+fallback on all of G takes over: on a small graph below the extremal
+threshold the small-set search, whose first descent is this greedy
+tiling, then, if that search gives up, the catalog search.
 """
 
 from __future__ import annotations

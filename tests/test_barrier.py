@@ -121,17 +121,18 @@ def test_every_budget_routes_on_the_greedy_set(node_limit):
     # Seeded by the greedy set, stage R runs out of free Z vertices.
     assert res.status == "exhausted" and res.report["branch"] == "extremal"
     assert res.report["attempts"][-1]["reason"].startswith("stage R:")
-    # Auto mode routes on the same set, so the fallback gets the whole
-    # budget and tiles in 6 nodes.  G's greedy tiling is perfect and would
-    # end the solve first, so auto mode runs on a graph whose greedy
-    # tiling leaves vertices.
+    # Auto mode routes on the same set, so the small-set search gets the
+    # whole budget and tiles in 5 nodes, with no catalog listed.  G's
+    # greedy tiling is perfect and would end the solve first, so auto mode
+    # runs on a graph whose greedy tiling leaves vertices.
     G = random_codegree_instance(16, 4, 2)
     greedy = extend_to_maximal_D_free(G, greedy_D_free_set(G))
     expected = {"size": len(greedy), "threshold": 9.0, "extremal": False}
     res = solve_driver(G, DriverParams(node_limit=node_limit))
     assert res.report["dfree"] == expected
-    assert res.status == "tiled" and res.report["branch"] == "exact-fallback"
-    assert res.report["exact"] == {"status": "found", "nodes": 6, "optimal": True}
+    assert res.status == "tiled" and res.report["branch"] == "small-search"
+    assert res.report["small_search"] == {"status": "found", "nodes": 5}
+    assert "exact" not in res.report
 
 
 def test_forced_extremal_mode_stops_at_the_barrier():
@@ -337,7 +338,7 @@ def test_auto_and_exact_verdicts_agree_up_to_24_vertices():
         verdicts.add(res.status)
         branches.add(res.report["branch"])
     assert verdicts == {"tiled", "infeasible"}
-    assert {"greedy", "exact-fallback"} <= branches
+    assert {"greedy", "small-search", "exact-fallback"} <= branches
 
 
 def dfree_corpus():
@@ -356,7 +357,7 @@ def dfree_corpus():
 @pytest.mark.parametrize(
     "mode, ends",
     [
-        ("auto", {"space-barrier", "greedy", "non-extremal", "exact-fallback"}),
+        ("auto", {"space-barrier", "greedy", "non-extremal", "small-search", "exact-fallback"}),
         ("extremal", {"space-barrier", "extremal"}),
     ],
 )

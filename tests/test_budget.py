@@ -18,16 +18,20 @@ from dtiling import (
 from dtiling import cli, exact, extremal
 from dtiling.core import dcopy_from_quad, spanning_quads_at
 
+from test_barrier import sparse_instance
+
 INSTANCES = {
     "G0(16)": lambda: construct_G0(16),
     "G1(16)": lambda: construct_G1(16),
     "random(16,4,7)": lambda: random_codegree_instance(16, 4, 7),
+    "random(16,4,2)": lambda: random_codegree_instance(16, 4, 2),
     "planted(32)": lambda: planted_extremal(32),
     "random(48,16,8)": lambda: random_codegree_instance(48, 16, 8),
 }
 
 # The budgeted searches as the driver and the extremal pipeline call them.
 SEARCHES = [
+    (cli, "small_tiling_exact"),
     (cli, "perfect_tiling_exact"),
     (extremal, "_max_packing"),
     (extremal, "four_partite_perfect_matching"),
@@ -72,13 +76,15 @@ def test_one_budget_per_solve(recorded, make, mode, node_limit):
 
 def test_the_fallback_gets_the_whole_budget(recorded):
     # Auto mode asks no question before its branches, so on a 1-node
-    # budget the fallback spends the node and the tick past it, and stops.
+    # budget the fallback's small-set search spends the node and the tick
+    # past it, and gives up; the catalog search then stops at its root.
     # The graph's greedy tiling leaves vertices, so the fallback runs.
     budgets, searches = recorded
     res = solve_driver(random_codegree_instance(16, 4, 2), DriverParams(node_limit=1))
     assert res.status == "exhausted" and res.report["branch"] == "exact-fallback"
-    assert [nodes for _, nodes in searches] == [2]
-    assert budgets[0].nodes == 2
+    assert [nodes for _, nodes in searches] == [2, 1]
+    assert budgets[0].nodes == 3
+    assert res.report["small_search"] == {"status": "exhausted", "nodes": 2}
     # A forced extremal solve spends nothing before stage Q either.
     searches.clear()
     res = solve_driver(random_codegree_instance(16, 4, 7), DriverParams(mode="extremal", node_limit=100))
@@ -86,6 +92,22 @@ def test_the_fallback_gets_the_whole_budget(recorded):
     assert [nodes for _, nodes in searches] == [29]
     assert budgets[1].nodes == 29
     assert solve_driver(random_codegree_instance(16, 4, 2)).status == "tiled"
+
+
+def test_a_small_search_that_gives_up_leaves_the_catalog_search(recorded):
+    # A sparse graph below the extremal threshold whose greedy tiling
+    # leaves vertices: the small-set search gives up at G.m = 64 memo
+    # entries, and the catalog search tiles in 8 nodes on the same budget.
+    budgets, searches = recorded
+    G = sparse_instance(16, 64, 118639407)
+    res = solve_driver(G)
+    assert res.status == "tiled" and res.report["branch"] == "exact-fallback"
+    assert res.report["dfree"]["extremal"] is False
+    assert res.report["small_search"] == {"status": "exhausted", "nodes": 64}
+    assert res.report["exact"] == {"status": "found", "nodes": 8, "optimal": True}
+    assert [a["branch"] for a in res.report["attempts"]] == ["non-extremal", "small-search", "exact"]
+    assert {"small_search", "exact"} <= set(res.report["timings_ms"])
+    assert [nodes for _, nodes in searches] == [64, 8] and budgets[0].nodes == 72
 
 
 def test_a_spent_budget_builds_no_fallback_catalog(monkeypatch):

@@ -23,7 +23,7 @@ from dtiling import (
     validate_tiling,
     write_instance,
 )
-from dtiling.cli import _build_parser
+from dtiling.cli import SCAN_BRANCHES, _build_parser
 
 
 def run(argv):
@@ -279,8 +279,15 @@ class TestScan:
         for line in map(json.loads, capsys.readouterr().out.splitlines()):
             assert line["p50_ms"] <= line["p90_ms"] <= line["max_ms"]
             assert line["max_ms"] >= line["mean_ms"]
-            assert set(line["branches"]) >= {"greedy", "extremal", "non-extremal", "exact-fallback", "space-barrier"}
+            assert set(line["branches"]) == set(SCAN_BRANCHES)
             assert sum(line["branches"].values()) == 3
+
+    def test_counts_the_small_search_branch(self, capsys):
+        # The first trial's greedy tiling leaves vertices and no absorbing
+        # family fits, so the small-set search tiles it.
+        assert run(["scan", "--n-range", "16:16:4", "--trials", "1", "--d-offset", "-1", "--no-timings"]) == 0
+        (line,) = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert line["branches"]["small-search"] == 1 and line["solved"] == 1
 
     def test_parallel_matches_serial(self, capsys):
         assert run(["scan", "--n-range", "8:8:4", "--trials", "2", "--no-timings"]) == 0
