@@ -3,32 +3,28 @@
 The driver composes the pieces.  It first grows a maximal D-free set S
 greedily, at every order.  When |S| > 3n/4 the instance is refuted at
 once by the space barrier: every copy of a perfect tiling needs a vertex
-outside S.  When S stops at or below 3n/4 and G has at most
-``GREEDY_TILING_MAX_N`` vertices, auto mode next runs the greedy maximal
-tiling of all of G: a perfect one refutes the barrier, since each copy
-keeps at most 3 of its 4 vertices in a D-free set, and is the answer, as
-branch ``greedy``, with no catalog built and no budget node spent.
-Otherwise auto mode runs the extremal pipeline, seeded by S, when |S| is
-at least the extremal threshold t = (1 - eps) 3n/4, and else sets aside
-an absorbing family, tiles the rest by the greedy maximal tiling, and
-absorbs the leftover; those steps take their part of G as a vertex mask,
-so no subgraph is copied or relabelled.  In auto mode any branch failure
-falls back to an exact search of all of G.  On at most
-``GREEDY_TILING_MAX_N`` vertices below the extremal threshold that is
-first the small-set search, which lists no catalog and gives up once it
-has expanded ``G.m`` remaining vertex sets; its answer, tiled or
-infeasible, is the solve's, as branch ``small-search``.  Otherwise, or
-when it gives up, the exact solver runs on all of G, the one quad
-catalog of G a solve builds; it also refutes, within the budget, an
-instance whose barrier the greedy set misses.
+outside S.  Otherwise, when G has at most ``SMALL_SEARCH_MAX_N``
+vertices, auto mode runs the small-set search on all of G, which lists
+no catalog; its answer, tiled or infeasible, is the solve's, as branch
+``small-search``.  Its first descent is the greedy maximal tiling.  It
+gives up once it has expanded ``G.m`` vertex sets, or n/4 on an extremal
+G, so that there it succeeds exactly when the greedy tiling is perfect.
+When it gives up, or G is larger, auto mode runs the extremal pipeline,
+seeded by S, when |S| is at least the extremal threshold
+t = (1 - eps) 3n/4, and else sets aside an absorbing family, tiles the
+rest by the greedy maximal tiling, and absorbs the leftover; those steps
+take their part of G as a vertex mask, so no subgraph is copied or
+relabelled.  In auto mode any branch failure falls back to the exact
+solver on all of G, the one quad catalog of G a solve builds; it also
+refutes, within the budget, an instance whose barrier the greedy set
+misses.
 Forced modes report their own stall instead.  One ``SearchBudget``,
 made when the solve starts, is the node pool and deadline of every
 search in it: stages Q and T, the small-set search, which ticks it once
 per expanded set, and the catalog search, which stops at once on a
 spent budget.  The fallback's catalog reads it once per vertex row and
-stops when it is spent; the greedy set and the greedy tiling run no
-search, nor does the absorption branch, so forced ``--mode absorb``
-ticks none of it.
+stops when it is spent; the greedy set runs no search, nor does the
+absorption branch, so forced ``--mode absorb`` ticks none of it.
 The report's ``dfree`` block holds what the greedy set measured: its
 ``size``, the ``threshold`` t and ``extremal`` (|S| >= t), plus S itself
 as ``vertices`` at the space barrier; ``branch`` names the branch the
@@ -95,8 +91,8 @@ from .io import (
 )
 from .localsearch import near_perfect_tiling
 
-# Auto mode tries the greedy tiling of all of G only up to this order.
-GREEDY_TILING_MAX_N = 24
+# Auto mode runs the small-set search on all of G only up to this order.
+SMALL_SEARCH_MAX_N = 24
 
 EXIT_TILED = 0
 EXIT_INFEASIBLE = 2
@@ -185,12 +181,6 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
         S = clocked("dfree", greedy_D_free_set, G)
         extremal_instance = len(S) >= threshold
         report["dfree"] = {"size": len(S), "threshold": threshold, "extremal": extremal_instance}
-        # A perfect greedy tiling refutes the barrier too, and is the answer.
-        if params.mode == "auto" and G.n <= GREEDY_TILING_MAX_N and 4 * len(S) <= 3 * G.n:
-            greedy = clocked("greedy_tiling", near_perfect_tiling, G)
-            if 4 * greedy.size == G.n:
-                report["attempts"].append({"branch": "greedy", "outcome": "tiled"})
-                return finish("tiled", "greedy", greedy)
         # Space barrier: every copy of a perfect tiling needs a vertex
         # outside the D-free set S, so |S| > 3n/4 leaves too few of them.
         if 4 * len(S) > 3 * G.n:
@@ -199,6 +189,17 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
             report["dfree"]["vertices"] = list(S)
             report["attempts"].append({"branch": "space-barrier", "outcome": "infeasible"})
             return finish("infeasible", "space-barrier", None)
+
+    # The small-set search settles a small G with no catalog.  Its first
+    # descent is the greedy tiling, and a success expands n/4 sets, so on
+    # an extremal G the cap of n/4 keeps only that descent.
+    if params.mode == "auto" and G.n <= SMALL_SEARCH_MAX_N:
+        cap = G.n // 4 if extremal_instance else G.m
+        res = clocked("small_search", small_tiling_exact, G, budget, cap)
+        report["small_search"] = {"status": res.status, "nodes": res.nodes}
+        report["attempts"].append({"branch": "small-search", "outcome": _OUTCOME[res.status]})
+        if res.status != EXHAUSTED:
+            return finish(_OUTCOME[res.status], "small-search", res.tiling)
 
     if params.mode == "extremal" or (params.mode == "auto" and extremal_instance):
         try:
@@ -221,17 +222,6 @@ def solve_driver(G: Hypergraph3, params: DriverParams | None = None) -> DriverRe
             return finish("tiled", "non-extremal", outcome)
         if params.mode == "absorb":
             return finish("exhausted", "non-extremal", None)
-
-    # At the default alpha no absorbing family fits below 27 vertices, so
-    # small graphs below the extremal threshold land here.  The small-set
-    # search settles them in a few nodes with no catalog; the catalog is
-    # listed only if it gives up.
-    if params.mode == "auto" and G.n <= GREEDY_TILING_MAX_N and not extremal_instance:
-        res = clocked("small_search", small_tiling_exact, G, budget)
-        report["small_search"] = {"status": res.status, "nodes": res.nodes}
-        report["attempts"].append({"branch": "small-search", "outcome": _OUTCOME[res.status]})
-        if res.status != EXHAUSTED:
-            return finish(_OUTCOME[res.status], "small-search", res.tiling)
 
     res = clocked("exact", perfect_tiling_exact, G, budget)
     report["exact"] = {"status": res.status, "nodes": res.nodes, "optimal": res.optimal}
@@ -431,7 +421,7 @@ def _parse_n_range(parser, spec: str) -> list[int]:
 
 
 # The branches an auto-mode solve can end in, each counted per scan line.
-SCAN_BRANCHES = ("greedy", "extremal", "non-extremal", "small-search", "exact-fallback", "space-barrier")
+SCAN_BRANCHES = ("extremal", "non-extremal", "small-search", "exact-fallback", "space-barrier")
 
 
 def _nearest_rank(ordered: list[float], q: float) -> float:

@@ -68,9 +68,9 @@ remaining vertex, and memoizes each remaining set it expands.
 ``tileable`` and ``induced_perfect_tiling``, the absorption layer's only
 kernel, run it.  ``small_tiling_exact`` runs the same search on all of a
 small G on a budget, ticked once per expanded set; it gives up once it
-has expanded ``G.m`` of them, so a graph the catalog search settles in a
-few nodes costs at most a bounded detour.  The driver runs it before the
-catalog search on small graphs below the extremal threshold.
+has expanded a cap of them, ``G.m`` by default, so a graph the catalog
+search settles in a few nodes costs at most a bounded detour.  The
+driver runs it first on every small graph the space barrier leaves.
 
 The 4-partite 4-graph of the extremal T stage is stored as one bitset
 per first-part vertex, its link: the (part 2, part 3) pairs in sorted
@@ -376,7 +376,7 @@ class _GaveUp(Exception):
 
 
 def _small_tiling(
-    G: Hypergraph3, mask: int, budget: SearchBudget | None = None
+    G: Hypergraph3, mask: int, budget: SearchBudget | None = None, cap: int = 0
 ) -> tuple[str, list[tuple[int, int, int, int]] | None]:
     """The status of a perfect tiling of the subgraph induced on the
     vertex bitmask ``mask``, found / infeasible / exhausted, and its quads
@@ -390,7 +390,7 @@ def _small_tiling(
     16 vertices, so fewer than 2^16 submasks: the search always finishes.
     With one, any mask is taken, each new memo entry ticks ``budget``, and
     the search answers ``exhausted`` once the budget runs out or its memo
-    holds ``G.m`` entries.
+    holds ``cap`` entries.
     """
     size = vertex_mask(G, mask).bit_count()
     if budget is None and size > TILEABLE_MAX_VERTICES:
@@ -403,7 +403,7 @@ def _small_tiling(
         if not rest:
             return True
         if rest not in memo:
-            if budget is not None and (len(memo) == G.m or budget.tick()):
+            if budget is not None and (len(memo) == cap or budget.tick()):
                 raise _GaveUp
             memo[rest] = None  # entered before its subsets: len(memo) counts every expanded set
             lowest = (rest & -rest).bit_length() - 1
@@ -422,15 +422,16 @@ def _small_tiling(
     return FOUND, quads
 
 
-def small_tiling_exact(G: Hypergraph3, budget: SearchBudget) -> TilingSearchResult:
+def small_tiling_exact(G: Hypergraph3, budget: SearchBudget, cap: int | None = None) -> TilingSearchResult:
     """Perfect tiling of all of G by the small-set search on ``budget``,
     with no catalog: ``exhausted`` once the budget runs out or the search
-    has expanded ``G.m`` remaining masks, ``infeasible`` only when it
-    tried every one.  The driver runs it on small graphs before the
-    catalog search."""
+    has expanded ``cap`` remaining masks (default ``G.m``), ``infeasible``
+    only when it tried every one.  Its first descent is the greedy tiling
+    and a success expands n/4 masks, so with ``cap = G.n // 4`` it
+    succeeds exactly when the greedy tiling is perfect."""
     first = budget.nodes
     full = (1 << G.n) - 1
-    status, quads = _small_tiling(G, full, budget)
+    status, quads = _small_tiling(G, full, budget, G.m if cap is None else cap)
     tiling = _witness(G, quads, cover=full) if status == FOUND else None
     return TilingSearchResult(status=status, tiling=tiling, nodes=budget.nodes - first)
 

@@ -1,9 +1,8 @@
 """The near-perfect tiling of the absorption step: the greedy maximal tiling.
 
 The search runs on a vertex mask ``within`` of G and places copies in
-G's own ids.  Auto mode passes all of G on at most
-``cli.GREEDY_TILING_MAX_N`` vertices, where a perfect tiling is the answer;
-the absorption branch passes all vertices outside the absorbing family.
+G's own ids; the absorption branch passes all vertices outside the
+absorbing family.
 It takes the canonical-first spanning 4-set at the lowest vertex that
 still owns one, until no vertex does: the first quad that
 ``core.spanning_quads_at`` yields inside the uncovered part of the mask,
@@ -14,10 +13,9 @@ with it: each found none among a superset of the uncovered vertices.
 Greedy is enough.  The tiling it returns is maximal: the part of
 ``within`` it leaves uncovered spans no copy of D.  The absorption
 technique only needs the leftover to be small enough for the absorbing
-family to swallow it, and when the family cannot, the driver's exact
-fallback on all of G takes over: on a small graph below the extremal
-threshold the small-set search, whose first descent is this greedy
-tiling, then, if that search gives up, the catalog search.
+family to swallow it, and when the family cannot, the driver's catalog
+search on all of G takes over.  On a small graph the driver runs the
+small-set search instead, whose first descent is this greedy tiling.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from dtiling import (
     format_certificate,
     greedy_D_free_set,
     max_D_free_set,
+    near_perfect_tiling,
     parse_certificate,
     planted_extremal,
     random_codegree_instance,
@@ -121,10 +122,9 @@ def test_every_budget_routes_on_the_greedy_set(node_limit):
     # Seeded by the greedy set, stage R runs out of free Z vertices.
     assert res.status == "exhausted" and res.report["branch"] == "extremal"
     assert res.report["attempts"][-1]["reason"].startswith("stage R:")
-    # Auto mode routes on the same set, so the small-set search gets the
-    # whole budget and tiles in 5 nodes, with no catalog listed.  G's
-    # greedy tiling is perfect and would end the solve first, so auto mode
-    # runs on a graph whose greedy tiling leaves vertices.
+    # Auto mode measures the same set, and the small-set search gets the
+    # whole budget.  On a graph whose greedy tiling leaves vertices it
+    # backtracks and tiles in 5 nodes, with no catalog listed.
     G = random_codegree_instance(16, 4, 2)
     greedy = extend_to_maximal_D_free(G, greedy_D_free_set(G))
     expected = {"size": len(greedy), "threshold": 9.0, "extremal": False}
@@ -177,10 +177,10 @@ class TestCallCounts:
     )
     def test_one_catalog_per_solve(self, make, monkeypatch):
         # Only the exact fallback lists a catalog of G, so a solve lists at
-        # most one; the absorption layer's own subgraphs are not G.  Each
-        # graph's greedy tiling leaves vertices, so the greedy branch does
-        # not end the solve; the planted one tiles by the extremal branch
-        # and lists none.
+        # most one; the absorption layer's own subgraphs are not G.  The
+        # random graphs end in the small-set search, which lists none; the
+        # planted one's greedy tiling leaves vertices, so its capped search
+        # gives up and it tiles by the extremal branch, listing none.
         G = make()
         calls = []
 
@@ -204,7 +204,7 @@ class TestCallCounts:
         ids=["g0-20", "g1-24", "g0-32", "g1-40"],
     )
     def test_large_witnesses_need_no_search(self, make, monkeypatch):
-        # The greedy set is the witness, up to GREEDY_TILING_MAX_N as above.
+        # The greedy set is the witness, up to SMALL_SEARCH_MAX_N as above.
         for name in ("quad_catalog", "max_D_free_set", "perfect_tiling_exact"):
 
             def refuse(*args, _name=name, **kwargs):
@@ -236,7 +236,8 @@ class TestCallCounts:
 
 class TestGreedyTiling:
     """A perfect greedy tiling refutes the barrier, since each copy keeps
-    at most 3 of its 4 vertices in a D-free set, and is the answer."""
+    at most 3 of its 4 vertices in a D-free set, and is the answer: it is
+    the small-set search's first descent."""
 
     def test_a_perfect_greedy_tiling_answers_first(self, monkeypatch):
         budgets = []
@@ -248,12 +249,19 @@ class TestGreedyTiling:
         monkeypatch.setattr(dtiling.cli, "SearchBudget", make)
         G = random_codegree_instance(16, 4, 7)
         greedy = greedy_D_free_set(G)
-        res = solve_driver(G, DriverParams(node_limit=1))
-        assert res.status == "tiled" and res.report["branch"] == "greedy"
-        assert res.report["attempts"] == [{"branch": "greedy", "outcome": "tiled"}]
+        # The first descent spends one node per copy: n/4 = 4 of them.
+        res = solve_driver(G, DriverParams(node_limit=4))
+        assert res.status == "tiled" and res.report["branch"] == "small-search"
+        assert res.report["attempts"] == [{"branch": "small-search", "outcome": "tiled"}]
         assert res.report["dfree"] == {"size": len(greedy), "threshold": 9.0, "extremal": False}
-        assert "greedy_tiling" in res.report["timings_ms"]
-        assert [b.nodes for b in budgets] == [0]
+        assert res.report["small_search"] == {"status": "found", "nodes": 4}
+        assert res.tiling == near_perfect_tiling(G)
+        assert "small_search" in res.report["timings_ms"]
+        assert [b.nodes for b in budgets] == [4]
+        # One node fewer and the search gives up before its last copy.
+        res = solve_driver(G, DriverParams(node_limit=3))
+        assert res.status == "exhausted"
+        assert res.report["small_search"] == {"status": "exhausted", "nodes": 4}
 
     def test_it_builds_no_catalog(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -261,7 +269,9 @@ class TestGreedyTiling:
 
         monkeypatch.setattr(dtiling.exact, "quad_catalog", refuse)
         for G in (random_codegree_instance(16, 4, 7), random_codegree_instance(20, 6, 14)):
-            assert solve(G).report["branch"] == "greedy"
+            res = solve(G)
+            assert res.report["branch"] == "small-search"
+            assert res.report["small_search"] == {"status": "found", "nodes": G.n // 4}
 
     def test_its_certificate_round_trips(self):
         G = random_codegree_instance(16, 4, 7)
@@ -274,9 +284,9 @@ class TestGreedyTiling:
     def test_forced_modes_never_take_it(self, mode):
         for seed in range(6):
             res = solve_driver(random_codegree_instance(16, 4, seed), DriverParams(mode=mode))
-            assert res.report["branch"] != "greedy"
-            assert all(a["branch"] != "greedy" for a in res.report["attempts"])
-            assert "greedy_tiling" not in res.report["timings_ms"]
+            assert res.report["branch"] != "small-search" and "small_search" not in res.report
+            assert all(a["branch"] != "small-search" for a in res.report["attempts"])
+            assert "small_search" not in res.report["timings_ms"]
 
 
 def sparse_instance(n, m, seed):
@@ -306,7 +316,7 @@ def test_a_barrier_the_greedy_set_misses_is_found_by_search(monkeypatch):
 
 
 def verdict_corpus():
-    """Instances of at most ``GREEDY_TILING_MAX_N`` vertices: random ones with
+    """Instances of at most ``SMALL_SEARCH_MAX_N`` vertices: random ones with
     d in {1, n/4 - 1, n/4, n/4 + 1, n/3}, G0, G1 and planted ones, and
     sparse graphs, some of them infeasible below the barrier."""
     for n in range(8, 25, 4):
@@ -324,12 +334,13 @@ def verdict_corpus():
 
 
 def test_auto_and_exact_verdicts_agree_up_to_24_vertices():
-    # Auto mode answers by a perfect greedy tiling, else routes on the
-    # greedy set; whatever branch that picks, the verdict is the exact
-    # search's, and up to 12 vertices the naive partition search's.
+    # Auto mode refutes at the barrier, else answers by the small-set
+    # search, else routes on the greedy set; whatever branch that picks,
+    # the verdict is the exact search's, and up to 12 vertices the naive
+    # partition search's.
     verdicts, branches = set(), set()
     for G in verdict_corpus():
-        assert G.n <= dtiling.cli.GREEDY_TILING_MAX_N
+        assert G.n <= dtiling.cli.SMALL_SEARCH_MAX_N
         res = solve(G)
         assert res.status == solve(G, mode="exact").status
         if G.n <= 12:
@@ -338,7 +349,7 @@ def test_auto_and_exact_verdicts_agree_up_to_24_vertices():
         verdicts.add(res.status)
         branches.add(res.report["branch"])
     assert verdicts == {"tiled", "infeasible"}
-    assert {"greedy", "small-search", "exact-fallback"} <= branches
+    assert branches == {"space-barrier", "small-search", "extremal", "exact-fallback"}
 
 
 def dfree_corpus():
@@ -357,7 +368,7 @@ def dfree_corpus():
 @pytest.mark.parametrize(
     "mode, ends",
     [
-        ("auto", {"space-barrier", "greedy", "non-extremal", "small-search", "exact-fallback"}),
+        ("auto", {"space-barrier", "non-extremal", "small-search", "exact-fallback"}),
         ("extremal", {"space-barrier", "extremal"}),
     ],
 )

@@ -75,10 +75,9 @@ def test_one_budget_per_solve(recorded, make, mode, node_limit):
 
 
 def test_the_fallback_gets_the_whole_budget(recorded):
-    # Auto mode asks no question before its branches, so on a 1-node
-    # budget the fallback's small-set search spends the node and the tick
-    # past it, and gives up; the catalog search then stops at its root.
-    # The graph's greedy tiling leaves vertices, so the fallback runs.
+    # Auto mode asks no question before the small-set search, so on a
+    # 1-node budget it spends the node and the tick past it, and gives up;
+    # no absorbing family fits, and the catalog search stops at its root.
     budgets, searches = recorded
     res = solve_driver(random_codegree_instance(16, 4, 2), DriverParams(node_limit=1))
     assert res.status == "exhausted" and res.report["branch"] == "exact-fallback"
@@ -97,7 +96,8 @@ def test_the_fallback_gets_the_whole_budget(recorded):
 def test_a_small_search_that_gives_up_leaves_the_catalog_search(recorded):
     # A sparse graph below the extremal threshold whose greedy tiling
     # leaves vertices: the small-set search gives up at G.m = 64 memo
-    # entries, and the catalog search tiles in 8 nodes on the same budget.
+    # entries, no absorbing family fits, and the catalog search tiles in
+    # 8 nodes on the same budget.
     budgets, searches = recorded
     G = sparse_instance(16, 64, 118639407)
     res = solve_driver(G)
@@ -105,7 +105,7 @@ def test_a_small_search_that_gives_up_leaves_the_catalog_search(recorded):
     assert res.report["dfree"]["extremal"] is False
     assert res.report["small_search"] == {"status": "exhausted", "nodes": 64}
     assert res.report["exact"] == {"status": "found", "nodes": 8, "optimal": True}
-    assert [a["branch"] for a in res.report["attempts"]] == ["non-extremal", "small-search", "exact"]
+    assert [a["branch"] for a in res.report["attempts"]] == ["small-search", "non-extremal", "exact"]
     assert {"small_search", "exact"} <= set(res.report["timings_ms"])
     assert [nodes for _, nodes in searches] == [64, 8] and budgets[0].nodes == 72
 

@@ -283,8 +283,8 @@ class TestScan:
             assert sum(line["branches"].values()) == 3
 
     def test_counts_the_small_search_branch(self, capsys):
-        # The first trial's greedy tiling leaves vertices and no absorbing
-        # family fits, so the small-set search tiles it.
+        # At 16 vertices the small-set search runs first and tiles the
+        # first trial.
         assert run(["scan", "--n-range", "16:16:4", "--trials", "1", "--d-offset", "-1", "--no-timings"]) == 0
         (line,) = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         assert line["branches"]["small-search"] == 1 and line["solved"] == 1

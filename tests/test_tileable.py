@@ -17,6 +17,7 @@ from dtiling import (
     near_perfect_tiling,
     perfect_tiling_exact,
     random_codegree_instance,
+    solve_driver,
     tileable,
 )
 from dtiling import exact
@@ -24,7 +25,7 @@ from dtiling.core import mask_of
 from dtiling.exact import small_tiling_exact
 
 from naive import naive_perfect_partition
-from test_barrier import sparse_instance
+from test_barrier import sparse_instance, verdict_corpus
 
 
 def graphs(max_n=12):
@@ -145,6 +146,36 @@ def test_first_descent_is_the_greedy_tiling():
         assert res.tiling == greedy
         perfect += 1
     assert perfect >= 100
+
+
+def test_a_cap_of_n_4_keeps_only_the_first_descent():
+    # A success expands one set per copy, and any backtrack expands one
+    # more, so with n/4 sets allowed the search succeeds exactly when its
+    # first descent, the greedy tiling, is perfect.
+    perfect = 0
+    for G in seeded_graphs():
+        greedy = near_perfect_tiling(G)
+        res = small_tiling_exact(G, SearchBudget(), G.n // 4)
+        assert (res.status == "found") == (4 * greedy.size == G.n)
+        assert res.nodes <= G.n // 4
+        if res.status == "found":
+            assert res.tiling == greedy and res.nodes == G.n // 4
+            perfect += 1
+    assert perfect >= 100
+
+
+def test_a_perfect_greedy_tiling_is_the_auto_answer():
+    # Extremal graphs included: the driver's capped search keeps their
+    # greedy tiling too.
+    extremal = 0
+    for G in verdict_corpus():
+        greedy = near_perfect_tiling(G)
+        if 4 * greedy.size != G.n:
+            continue
+        res = solve_driver(G)
+        assert res.report["branch"] == "small-search" and res.tiling == greedy
+        extremal += res.report["dfree"]["extremal"]
+    assert extremal >= 10
 
 
 def test_verdicts_agree_with_naive_and_catalog_search():
